@@ -2,12 +2,16 @@
 
 All routines are exact integer arithmetic at desk scale; factorization is
 trial division, which is plenty for the conductors and norms we touch.
+The one exception, multiplicative_table, sieves a multiplicative function
+into a numpy array of the caller's dtype.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -163,6 +167,35 @@ def primes_up_to(x: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def multiplicative_table(bound: int, local, dtype) -> np.ndarray:
+    """f(0), f(1), ..., f(bound) of a multiplicative f, with f(0) = 0.
+
+    local(p, emax) lists f(1), f(p), ..., f(p^emax) for the largest emax
+    with p^emax <= bound; it is called once per prime p <= bound.  Each
+    prime scales its multiples in place, so the sieve costs
+    O(bound log log bound) array updates.
+    """
+    out = np.ones(bound + 1, dtype=dtype)
+    out[0] = 0
+    for p in primes_up_to(bound):
+        emax, q = 1, p
+        while q * p <= bound:
+            emax, q = emax + 1, q * p
+        values = local(p, emax)
+        if emax == 1:
+            out[p::p] *= values[1]
+            continue
+        # factor for k*p is f(p^e) with e = v_p(k*p): the multiples of p^e
+        # sit at indices p^(e-1) - 1, stepping by p^(e-1)
+        factors = np.full(bound // p, values[1], dtype=dtype)
+        step = p
+        for e in range(2, emax + 1):
+            factors[step - 1 :: step] = values[e]
+            step *= p
+        out[p::p] *= factors
+    return out
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:

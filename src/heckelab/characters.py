@@ -490,7 +490,8 @@ def evaluate_char(char: HeckeCharacter, a: Ideal) -> CharValue:
             c_ideal = c_ideal * rep.conjugate() ** ei
             denom *= rep.norm**ei
     g = canonical_generator(c_ideal)
-    assert g is not None, "class arithmetic must make this ideal principal"
+    if g is None:
+        raise NoConsistentLift(f"class arithmetic left {c_ideal!r} without a generator")
     w = KElt(char.field, Fraction(g.x, denom), Fraction(g.y, denom))
     k = char.eps.exponent_of_fraction(w)
     return CharValue(char=char, zero=False, k=k, q=w, e=e)

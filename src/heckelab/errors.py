@@ -2,8 +2,10 @@
 
 Everything domain-level derives from HeckeLabError so the command line
 interface can map "the input was mathematically bad" to a single exit code,
-distinct from usage errors and from genuine bugs.
+EXIT_DOMAIN_ERROR, distinct from usage errors (2) and from genuine bugs (1).
 """
+
+EXIT_DOMAIN_ERROR = 3
 
 
 class HeckeLabError(Exception):
@@ -28,6 +30,14 @@ class UnitInconsistent(HeckeLabError):
 
 class NoConsistentLift(HeckeLabError):
     """Class-group lift failed; cannot happen when unit consistency holds."""
+
+
+class FactorizationMismatch(HeckeLabError):
+    """The prime ideal factors found for an ideal do not multiply to its norm."""
+
+
+class NoAuxiliaryGenerator(HeckeLabError):
+    """An ideal of trivial class has no principal generator."""
 
 
 class ConductorNotSupported(HeckeLabError):

@@ -43,7 +43,6 @@ from .quadfield import (
     FieldContext,
     Ideal,
     enumerate_ideals,
-    ideal_class_of,
     ring_class_dlog,
     ring_class_number,
 )
@@ -223,34 +222,12 @@ def twist_average_value(
     return AverageValue(scale=Fraction(ramanujan_trace(n, k), euler_phi(n)), base=base)
 
 
-def count_N(
-    phi: HeckeCharacter, rho: RingClassCharacter, t: float, a0: Ideal
-) -> int:
-    """Ideals with nonzero orbit average, a != conj(a), Na <= t, class of a0.
+def count_N_total(phi: HeckeCharacter, rho: RingClassCharacter, t: float) -> int:
+    """Ideals with nonzero orbit average, a != conj(a), 1 < Na <= t, all classes.
 
     Coprimality to both the base conductor and the twist modulus is required
     for the exact average; other ideals contribute zero.
     """
-    field = phi.field
-    target = ideal_class_of(a0)
-    n = rho.order
-    count = 0
-    for a in enumerate_ideals(field, int(t)):
-        if a.norm == 1 or a.is_self_conjugate():
-            continue
-        if not a.is_coprime(phi.conductor):
-            continue
-        k = rho.value_exponent(a)
-        if k is None or ramanujan_trace(n, k) == 0:
-            continue
-        if ideal_class_of(a) != target:
-            continue
-        count += 1
-    return count
-
-
-def count_N_total(phi: HeckeCharacter, rho: RingClassCharacter, t: float) -> int:
-    """count_N summed over the ideal classes, in a single enumeration pass."""
     field = phi.field
     n = rho.order
     count = 0

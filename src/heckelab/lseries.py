@@ -9,6 +9,8 @@ Lambda(s) = W Lambda(2-s).  Unfolding the theta integral termwise gives
 where I_0(u) = e^{-u} and I_1(u) = E_1(u) is the exponential integral.
 Every sum here is truncated at a certified point: the coefficient bound
 |a_n| <= d(n) sqrt(n) <= 2n turns the tail into a geometric series.
+The coefficients a_n come from a multiplicative sieve over the primes up
+to the truncation point, with chi evaluated only at prime ideals.
 
 All arithmetic is float64; math.fsum keeps the long sums compensated.
 The stated tolerances (1e-8 functional equation, 1e-10 realness, 1e-14
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
+from .arith import multiplicative_table
 from .characters import HeckeCharacter, evaluate_char
 from .errors import DomainError, NonPositiveArgument, NumericalInstability, SignMismatch
-from .quadfield import FieldContext, enumerate_ideals
+from .quadfield import FieldContext, enumerate_ideals, ideal_counts, prime_ideals_above
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -95,10 +98,16 @@ _COEFF_CACHE: dict[tuple[str, int], dict[int, complex]] = {}
 def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
-    Values are built multiplicatively from cached prime-ideal values, so
-    the cost is one character evaluation per prime ideal.  Whole coefficient
-    tables are memoized by character descriptor; callers must not mutate
-    the returned dict.
+    The keys are exactly the n <= X that are the norm of some integral
+    ideal, in ascending order; a_n is 0 at such n when every ideal of norm
+    n meets the conductor.  a_n is multiplicative, so a sieve over the
+    primes p <= X builds the table from the local factors a_{p^e}, which
+    need chi only at the (at most two) prime ideals above p.  That costs
+    O(X log log X) array updates plus at most 2 pi(X) character
+    evaluations, and the sieve forms no Ideal products.  Inert p with
+    p^2 > X lie under no ideal of norm <= X and are skipped.  Whole tables
+    are memoized by character descriptor; callers must not mutate the
+    returned dict.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
@@ -109,19 +118,37 @@ def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
     if hit is not None:
         return hit
     field = chi.field
-    cache: dict[tuple[int, int, int], complex] = {}
-    out: dict[int, complex] = {}
-    for ideal in enumerate_ideals(field, X):
-        z = 1 + 0j
-        for pr, e in ideal.factor().items():
-            key = (pr.a, pr.b, pr.c)
-            if key not in cache:
-                cache[key] = evaluate_char(chi, pr).complex()
-            z *= cache[key] ** e
-        out[ideal.norm] = out.get(ideal.norm, 0j) + z
+    values = multiplicative_table(X, lambda p, emax: _local_coeffs(chi, p, emax), complex)
+    keys = np.flatnonzero(ideal_counts(field, X))
+    out = dict(zip(keys.tolist(), values[keys].tolist()))
     if len(_COEFF_CACHE) >= 12:
         _COEFF_CACHE.clear()
     _COEFF_CACHE[memo_key] = out
+    return out
+
+
+def _local_coeffs(chi: HeckeCharacter, p: int, emax: int) -> list[complex]:
+    """a_{p^e} for e = 0..emax, from chi at the prime ideals above p."""
+    primes = prime_ideals_above(chi.field, p)
+    if len(primes) == 2:
+        # split: sum over i + j = e of chi(P)^i chi(conj P)^j
+        x, y = (evaluate_char(chi, pr).complex() for pr in primes)
+        out, ye = [1 + 0j], 1 + 0j
+        for _ in range(emax):
+            ye *= y
+            out.append(x * out[-1] + ye)
+        return out
+    if chi.field.kronecker(p) == -1:
+        # inert: one ideal (p)^(e/2) of norm p^e for even e, none for odd e
+        if emax < 2:
+            return [1 + 0j, 0j]
+        z = evaluate_char(chi, primes[0]).complex()
+        return [z ** (e // 2) if e % 2 == 0 else 0j for e in range(emax + 1)]
+    # ramified: P^e is the one ideal of norm p^e
+    z = evaluate_char(chi, primes[0]).complex()
+    out = [1 + 0j]
+    for _ in range(emax):
+        out.append(out[-1] * z)
     return out
 
 

@@ -15,21 +15,25 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .arith import (
     abelian_group_structure,
     factorize,
     kronecker,
+    multiplicative_table,
     primes_up_to,
     solve_linmod,
     sqrt_mod_prime,
     xgcd,
 )
-from .errors import BadDiscriminant, NonFundamental
+from .errors import BadDiscriminant, FactorizationMismatch, NonFundamental
 
 
 def is_fundamental(D: int) -> bool:
@@ -304,7 +308,8 @@ class Ideal:
                 e = self.valuation(pr)
                 if e:
                     out[pr] = e
-        assert math.prod(pr.norm**e for pr, e in out.items()) == self.norm
+        if math.prod(pr.norm**e for pr, e in out.items()) != self.norm:
+            raise FactorizationMismatch(f"prime factors of {self!r} do not account for its norm")
         return out
 
     def __eq__(self, other):
@@ -368,19 +373,16 @@ def enumerate_ideals(field: FieldContext, bound: int) -> list[Ideal]:
     """All integral ideals of norm <= bound, sorted by (norm, HNF).
 
     Built multiplicatively from prime ideals, so each ideal appears exactly once.
+    The list is kept sorted by norm, so the ideals that one prime power may
+    multiply form a prefix of it, and each batch of products is merged in.
     """
     out = [unit_ideal(field)]
+    norms = [1]
     for p in primes_up_to(bound):
-        k = field.kronecker(p)
         primes = prime_ideals_above(field, p)
         locals_: list[Ideal] = []
-        if k == -1:
-            q, pw = p * p, primes[0]
-            acc = pw
-            while acc.norm <= bound:
-                locals_.append(acc)
-                acc = acc * pw
-        elif k == 0:
+        if len(primes) == 1:
+            # inert (norm p^2) or ramified (norm p): powers of the one prime
             acc = primes[0]
             while acc.norm <= bound:
                 locals_.append(acc)
@@ -400,18 +402,30 @@ def enumerate_ideals(field: FieldContext, bound: int) -> list[Ideal]:
                     locals_.append(pows[i] * cpows[j])
         if not locals_:
             continue
-        out.extend(
-            prev * loc for prev in list(out) for loc in locals_ if prev.norm * loc.norm <= bound
-        )
+        batches = [
+            [prev * loc for prev in out[: bisect_right(norms, bound // loc.norm)]]
+            for loc in locals_
+        ]
+        out = list(heapq.merge(out, *batches, key=attrgetter("norm")))
+        norms = [ideal.norm for ideal in out]
     return sorted(out, key=Ideal.sort_key)
+
+
+def _ideal_count_local(field: FieldContext, p: int, emax: int) -> list[int]:
+    """Number of ideals of norm p^e for e = 0..emax."""
+    k = field.kronecker(p)
+    if k == 1:
+        return [e + 1 for e in range(emax + 1)]
+    if k == 0:
+        return [1] * (emax + 1)
+    return [1 - e % 2 for e in range(emax + 1)]
 
 
 def ideal_counts(field: FieldContext, bound: int) -> list[int]:
     """counts[n] = number of integral ideals of norm exactly n, for n <= bound."""
-    counts = [0] * (bound + 1)
-    for ideal in enumerate_ideals(field, bound):
-        counts[ideal.norm] += 1
-    return counts
+    return multiplicative_table(
+        bound, lambda p, emax: _ideal_count_local(field, p, emax), int
+    ).tolist()
 
 
 def is_principal_with_generator(ideal: Ideal) -> KElt | None:

@@ -30,7 +30,7 @@ from .characters import (
     ring_class_character,
     twist,
 )
-from .errors import DegenerateQuotient, NumericalInstability
+from .errors import DegenerateQuotient, NoAuxiliaryGenerator, NumericalInstability
 from .lseries import theta_coeffs
 from .quadfield import (
     FieldContext,
@@ -65,7 +65,8 @@ def _auxiliary_for_ideal(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
             if any(e for e in ideal_class_of(f * c)):
                 continue
             b = canonical_generator(f * c)
-            assert b is not None
+            if b is None:
+                raise NoAuxiliaryGenerator(f"{f * c!r} has trivial class but no generator")
             return c, b
         bound *= 2
     raise RuntimeError("no auxiliary ideal found below norm 1e7")

@@ -21,7 +21,12 @@ from heckelab.characters import (
     twist,
     unit_group_mod,
 )
-from heckelab.errors import ConductorNotSupported, UnitInconsistent, UnsupportedDiscriminant
+from heckelab.errors import (
+    ConductorNotSupported,
+    NoConsistentLift,
+    UnitInconsistent,
+    UnsupportedDiscriminant,
+)
 from heckelab.quadfield import (
     KElt,
     enumerate_ideals,
@@ -159,6 +164,15 @@ def test_value_zero_off_conductor(chi4, chi23):
     assert evaluate_char(chi4, chi4.eps.f).complex() == 0
     p23 = prime_ideals_above(chi23.field, 23)[0]
     assert evaluate_char(chi23, p23).zero
+
+
+def test_missing_generator_raises(chi4, monkeypatch):
+    import heckelab.characters as characters
+
+    ideal = prime_ideals_above(chi4.field, 5)[0]
+    monkeypatch.setattr(characters, "canonical_generator", lambda _ideal: None)
+    with pytest.raises(NoConsistentLift):
+        evaluate_char(chi4, ideal)
 
 
 def test_abs_squared_exact(chi4, chi7, chi23, chi47):

@@ -124,6 +124,28 @@ def test_theta_coeffs_bound(chi4, chi23):
             assert abs(a) <= len(divisors(n)) * math.sqrt(n) + 1e-9
 
 
+def test_theta_coeffs_match_ideal_enumeration(chi4, chi23):
+    # the sieve against a brute-force sum of chi over every ideal of norm <= X
+    f47 = make_field(-47)
+    chars = [
+        chi4,
+        chi23,
+        build_hecke_character(f47, canonical_epsilon(f47)),
+        twist(chi4, ring_class_character(chi4.field, 13, (1,))),
+        twist(chi4, ring_class_character(chi4.field, 25, (1,))),  # order 10
+        twist(chi23, ring_class_character(chi23.field, 6, (1,))),
+    ]
+    X = 600
+    for chi in chars:
+        brute: dict[int, complex] = {}
+        for ideal in enumerate_ideals(chi.field, X):
+            brute[ideal.norm] = brute.get(ideal.norm, 0j) + evaluate_char(chi, ideal).complex()
+        coeffs = theta_coeffs(chi, X)
+        assert coeffs.keys() == brute.keys(), chi.descriptor()
+        for n, a in brute.items():
+            assert abs(coeffs[n] - a) <= 1e-12, (chi.descriptor(), n)
+
+
 def test_central_value_self_consistency(chi4):
     w = empirical_sign(chi4)
     assert w == 1
