@@ -231,14 +231,6 @@ def v_p(n: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _element_order(x, mul, identity):
-    o, y = 1, x
-    while y != identity:
-        y = mul(y, x)
-        o += 1
-    return o
-
-
 def _p_group_basis(elements, mul, identity):
     """Basis of an abelian p-group: returns (gens, orders, dlog dict)."""
     gens: list = []

@@ -34,6 +34,7 @@ from .quadfield import (
     KElt,
     canonical_generator,
     class_group,
+    coset_reps,
     enumerate_ideals,
     ideal_class_of,
     make_field,
@@ -649,14 +650,6 @@ def _ideal_divisors(field: FieldContext, factors: dict) -> list[Ideal]:
     return out
 
 
-def _transversal(sub: Ideal, total: Ideal):
-    """Representatives of sub / total (total contained in sub)."""
-    field = sub.field
-    for s in range(total.a // sub.a):
-        for r in range(total.c // sub.c):
-            yield KElt(field, s * sub.a + r * sub.b, r * sub.c)
-
-
 def _combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w: KElt):
     """Exponent of eps_phi(w) * rho((w)) in mu_Mc for w coprime to both."""
     k1 = phi.eps.exponent_of(w)
@@ -701,7 +694,7 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
     admissible = []
     for g in _ideal_divisors(field, m_factors):
         trivial = True
-        for t in _transversal(g, m):
+        for t in coset_reps(g, m):
             z = field.one + t
             k = combined_of(z)
             if k is None:
@@ -722,7 +715,7 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
     for g in ug_f.gens:
         z = KElt(field, *g)
         k = None
-        for t in _transversal(f_chi, m):
+        for t in coset_reps(f_chi, m):
             k = combined_of(z + t)
             if k is not None:
                 break
@@ -829,7 +822,7 @@ def main_lemma_quantities(
 
         def eps_p_exponent(z: KElt) -> int | None:
             # lift to w = z mod f_p, w = 1 mod f/f_p, then apply eps
-            for t in _transversal(f_p, f):
+            for t in coset_reps(f_p, f):
                 w = z + t
                 if f_cop.contains(w - field.one) and char.eps.exponent_of(w) is not None:
                     return char.eps.exponent_of(w)
@@ -839,7 +832,7 @@ def main_lemma_quantities(
         pO3 = Ideal(field, p, 0, p) ** 3
         g_p = pO3.add(f_p)
         order = 1
-        for t in _transversal(g_p, f_p):
+        for t in coset_reps(g_p, f_p):
             z = field.one + t
             if ug_p.dlog_of(z) is None:
                 continue

@@ -32,6 +32,10 @@ class NoConsistentLift(HeckeLabError):
     """Class-group lift failed; cannot happen when unit consistency holds."""
 
 
+class UnitCountMismatch(HeckeLabError):
+    """The roots of unity found in O do not number w_K."""
+
+
 class FactorizationMismatch(HeckeLabError):
     """The prime ideal factors found for an ideal do not multiply to its norm."""
 
@@ -66,11 +70,3 @@ class NumericalInstability(HeckeLabError):
 
 class DegenerateQuotient(HeckeLabError):
     """Denominator of a ratio estimate is numerically too small to trust."""
-
-
-class SingularRoot(HeckeLabError):
-    """Newton step undefined: derivative vanishes modulo p at the seed."""
-
-
-class InsufficientPrecision(HeckeLabError):
-    """A p-adic quantity is indistinguishable from zero at the working precision."""

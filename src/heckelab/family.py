@@ -10,7 +10,12 @@ an ideal is exactly computable through Ramanujan sums:
 
 This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
-and averages over the subgroup of embeddings fixing phi's values.
+and averages over the subgroup of embeddings fixing phi's values.  Every
+scan record checks it against the members' theta coefficients: at each
+n <= f^max(t_exponents) coprime to c N(f(phi)), the mean of a_n over the
+orbit must equal the sum of the exact averages over the ideals of norm n.
+Each record builds its twists once and also checks its Gauss-sum root
+number against the theta-quotient route, once, on the first member.
 
 Scan reports are deterministic: records are ordered by (c, exponents),
 floats are serialized as repr decimal strings, and no timestamps appear.
@@ -20,12 +25,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .arith import euler_phi, factorize
 from .characters import (
     CharValue,
     HeckeCharacter,
@@ -38,7 +45,7 @@ from .characters import (
 )
 from .cyclotomic import ramanujan_trace
 from .errors import HeckeLabError, NumericalInstability, SignMismatch
-from .lseries import central_value, dirichlet_L1, kernel_I
+from .lseries import SmoothedValue, central_value, dirichlet_L1, theta_coeffs
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -46,7 +53,7 @@ from .quadfield import (
     ring_class_dlog,
     ring_class_number,
 )
-from .rootnumber import root_number
+from .rootnumber import root_number, root_number_via_fe
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +129,11 @@ def _conductor_exact(field: FieldContext, c: int, exponents, orders) -> bool:
     if c == 1:
         return True
     N = math.lcm(*orders) if orders else 1
-    for p in {p for p, _ in _factor_int(c)}:
+    for p, _ in factorize(c):
         kern = _dropdown_kernel(field, c, p)
         if all(_vector_exponent(exponents, v, orders, N) == 0 for v in kern):
             return False
     return True
-
-
-def _factor_int(n: int):
-    from .arith import factorize
-
-    return factorize(n)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def enumerate_twists(
     for c in _supported_conductors(tuple(P), c_max):
         orders = _pic_orders(field, c)
         seen: set[tuple[int, ...]] = set()
-        for exponents in _all_vectors(orders):
+        for exponents in itertools.product(*(range(h) for h in orders)):
             if exponents in seen:
                 continue
             if c > 1 and not any(exponents):
@@ -174,16 +175,6 @@ def enumerate_twists(
             )
     orbits.sort(key=lambda o: (o.c, o.exponents))
     return orbits
-
-
-def _all_vectors(orders):
-    if not orders:
-        yield ()
-        return
-    head, *rest = orders
-    for t in range(head):
-        for tail in _all_vectors(tuple(rest)):
-            yield (t,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +201,6 @@ def twist_average_value(
     phi: HeckeCharacter, rho: RingClassCharacter, a: Ideal
 ) -> AverageValue:
     """Exact mean of (phi rho^m)(a) over m coprime to n = ord(rho)."""
-    from .arith import euler_phi
-
     k = rho.value_exponent(a)
     if k is None:
         raise ValueError("ideal shares a factor with the twist modulus")
@@ -260,39 +249,38 @@ def orbit_characters(
 
 
 def averaged_L(
+    members: list[HeckeCharacter], v: int, tol: float, w: float
+) -> list[SmoothedValue]:
+    """The central value of each orbit member, in member order; a record averages them."""
+    return [central_value(chi, v, tol=tol, w=w) for chi in members]
+
+
+def _check_orbit_mean(
     phi: HeckeCharacter,
-    orbit: TwistOrbit,
-    v: int,
-    tol: float = 1e-10,
-    w: float | None = None,
-) -> tuple[float, float]:
-    """(mean of central values over the orbit, largest member tail bound)."""
-    members = orbit_characters(phi, orbit)
-    values, tails = [], []
-    for chi in members:
-        sv = central_value(chi, v, tol=tol, w=w)
-        values.append(sv.value)
-        tails.append(sv.tail_bound)
-    return math.fsum(values) / len(values), max(tails)
+    rho: RingClassCharacter,
+    members: list[HeckeCharacter],
+    bound: int,
+) -> None:
+    """Orbit mean of the members' a_n against the exact average, n coprime to c N(f(phi)).
 
-
-def _averaged_central_from_coeffs(
-    phi: HeckeCharacter, orbit: TwistOrbit, v: int, tol: float
-) -> float:
-    """Dual route: average theta coefficients across the orbit, then one sum."""
-    from .lseries import _truncation, theta_coeffs
-
-    members = orbit_characters(phi, orbit)
-    Af = members[0].field.A * members[0].f_value
-    T = _truncation(Af, tol)
-    acc: dict[int, complex] = {}
-    for chi in members:
-        for n, a in theta_coeffs(chi, int(T)).items():
-            acc[n] = acc.get(n, 0j) + a
-    total = 0.0
-    for n, a in sorted(acc.items()):
-        total += 2.0 * (a.real / len(members)) / n * kernel_I(v, n / Af)
-    return total
+    One side sieves the twisted characters that twist() built; the other
+    sums phi(a) c_n(k)/eulerphi(n) over the ideals a of norm n.
+    """
+    modulus = rho.c * phi.conductor_norm
+    exact: dict[int, complex] = {}
+    for a in enumerate_ideals(phi.field, bound):
+        if math.gcd(a.norm, modulus) == 1:
+            exact[a.norm] = exact.get(a.norm, 0j) + twist_average_value(phi, rho, a).complex()
+    tables = [theta_coeffs(chi, bound) for chi in members]
+    for n in range(1, bound + 1):
+        if math.gcd(n, modulus) != 1:
+            continue
+        mean = sum(table.get(n, 0j) for table in tables) / len(tables)
+        want = exact.get(n, 0j)
+        if abs(mean - want) > 1e-9 * max(1.0, abs(want)):
+            raise NumericalInstability(
+                f"orbit mean of a_{n} is {mean}, exact orbit average is {want}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +332,30 @@ def scan_report(
                 _orbit_record(field, phi, orbit, L1, tol, t_exponents)
             )
         except HeckeLabError as exc:
-            records.append(
-                FamilyRecord(
-                    c=orbit.c,
-                    exponents=orbit.exponents,
-                    n=orbit.order,
-                    orbit_size=len(orbit.members),
-                    f=float("nan"),
-                    W=0,
-                    v=0,
-                    Lv=float("nan"),
-                    Lv_av=float("nan"),
-                    tail_bound=float("nan"),
-                    ratio=float("nan"),
-                    N_counts={},
-                    main_lemma=None,
-                    verdict="indeterminate",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(_failed_record(orbit, exc))
     return records
+
+
+def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyRecord:
+    """A record of an orbit whose values failed; `known` holds f, N_counts, main_lemma."""
+    nan = float("nan")
+    fields = dict(f=nan, N_counts={}, main_lemma=None)
+    fields.update(known)
+    return FamilyRecord(
+        c=orbit.c,
+        exponents=orbit.exponents,
+        n=orbit.order,
+        orbit_size=len(orbit.members),
+        W=0,
+        v=0,
+        Lv=nan,
+        Lv_av=nan,
+        tail_bound=nan,
+        ratio=nan,
+        verdict="indeterminate",
+        error=f"{type(exc).__name__}: {exc}",
+        **fields,
+    )
 
 
 def _orbit_record(field, phi, orbit, L1, tol, t_exponents) -> FamilyRecord:
@@ -376,15 +368,6 @@ def _orbit_record(field, phi, orbit, L1, tol, t_exponents) -> FamilyRecord:
         t = chi.f_value**alpha
         counts[repr(alpha)] = {"t": int(t), "N": count_N_total(phi, rho, t)}
     lemma = main_lemma_quantities(chi)
-    base = dict(
-        c=orbit.c,
-        exponents=orbit.exponents,
-        n=orbit.order,
-        orbit_size=len(orbit.members),
-        f=chi.f_value,
-        N_counts=counts,
-        main_lemma=lemma,
-    )
     try:
         signs = [root_number(m) for m in members]
         if len(set(signs)) != 1:
@@ -394,36 +377,34 @@ def _orbit_record(field, phi, orbit, L1, tol, t_exponents) -> FamilyRecord:
                 f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}"
             )
         W = int(signs[0])
-        v = (1 - W) // 2
-        sv = central_value(chi, v, tol=tol, w=float(W))
-        Lv_av, tail_av = averaged_L(phi, orbit, v, tol=tol, w=float(W))
-        dual = _averaged_central_from_coeffs(phi, orbit, v, tol)
-        if abs(dual - Lv_av) > 2.0 * tol * max(1.0, abs(Lv_av)) + 2.0 * tail_av:
+        W_fe = root_number_via_fe(chi)
+        if abs(W_fe - W) > 1e-6:
             raise NumericalInstability(
-                f"averaged-L routes disagree: {Lv_av} vs {dual}"
+                f"root numbers disagree: Gauss sum W = {W:+d}, theta quotient W = {W_fe:.6g}"
             )
+        v = (1 - W) // 2
+        values = averaged_L(members, v, tol=tol, w=float(W))
+        _check_orbit_mean(phi, rho, members, int(chi.f_value ** max(t_exponents)))
     except HeckeLabError as exc:
-        return FamilyRecord(
-            **base,
-            W=0,
-            v=0,
-            Lv=float("nan"),
-            Lv_av=float("nan"),
-            tail_bound=float("nan"),
-            ratio=float("nan"),
-            verdict="indeterminate",
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
+    sv = values[0]
+    Lv_av = math.fsum(x.value for x in values) / len(values)
     Af = field.A * chi.f_value
     denom = 2.0 * L1 if v == 0 else 2.0 * L1 * math.log(Af)
     return FamilyRecord(
-        **base,
+        c=orbit.c,
+        exponents=orbit.exponents,
+        n=orbit.order,
+        orbit_size=len(orbit.members),
+        f=chi.f_value,
         W=W,
         v=v,
         Lv=sv.value,
         Lv_av=Lv_av,
-        tail_bound=max(sv.tail_bound, tail_av),
+        tail_bound=max(x.tail_bound for x in values),
         ratio=Lv_av / denom,
+        N_counts=counts,
+        main_lemma=lemma,
         verdict=_verdict(sv.value, sv.tail_bound),
     )
 

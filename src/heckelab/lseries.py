@@ -92,9 +92,6 @@ def incomplete_gamma(s: float, u: float) -> float:
     return float(gammaincc(s, u)) * math.gamma(s)
 
 
-_COEFF_CACHE: dict[tuple[str, int], dict[int, complex]] = {}
-
-
 def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
@@ -105,26 +102,13 @@ def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
     need chi only at the (at most two) prime ideals above p.  That costs
     O(X log log X) array updates plus at most 2 pi(X) character
     evaluations, and the sieve forms no Ideal products.  Inert p with
-    p^2 > X lie under no ideal of norm <= X and are skipped.  Whole tables
-    are memoized by character descriptor; callers must not mutate the
-    returned dict.
+    p^2 > X lie under no ideal of norm <= X and are skipped.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    import json
-
-    memo_key = (json.dumps(chi.descriptor(), sort_keys=True), X)
-    hit = _COEFF_CACHE.get(memo_key)
-    if hit is not None:
-        return hit
-    field = chi.field
     values = multiplicative_table(X, lambda p, emax: _local_coeffs(chi, p, emax), complex)
-    keys = np.flatnonzero(ideal_counts(field, X))
-    out = dict(zip(keys.tolist(), values[keys].tolist()))
-    if len(_COEFF_CACHE) >= 12:
-        _COEFF_CACHE.clear()
-    _COEFF_CACHE[memo_key] = out
-    return out
+    keys = np.flatnonzero(ideal_counts(chi.field, X))
+    return dict(zip(keys.tolist(), values[keys].tolist()))
 
 
 def _local_coeffs(chi: HeckeCharacter, p: int, emax: int) -> list[complex]:

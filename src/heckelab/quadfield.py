@@ -33,7 +33,7 @@ from .arith import (
     sqrt_mod_prime,
     xgcd,
 )
-from .errors import BadDiscriminant, FactorizationMismatch, NonFundamental
+from .errors import BadDiscriminant, FactorizationMismatch, NonFundamental, UnitCountMismatch
 
 
 def is_fundamental(D: int) -> bool:
@@ -79,29 +79,35 @@ class FieldContext:
         # sqrt(D) = 2*omega - D; embeds as i*sqrt(|D|)
         return KElt(self, -self.D, 2)
 
-    def units(self) -> list["KElt"]:
-        """All roots of unity in the ring of integers."""
-        out = []
-        ymax = math.isqrt(4 // -self.D) if -self.D <= 4 else 0
-        for y in range(-ymax, ymax + 1):
-            disc = 4 + self.D * y * y
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            for sgn in ((r, -r) if r else (0,)):
-                num = -self.D * y + sgn
-                if num % 2 == 0:
-                    out.append(KElt(self, num // 2, y))
-        assert len(out) == self.wK
-        return sorted(out, key=lambda u: (u.y, u.x))
+    def units(self) -> tuple["KElt", ...]:
+        """All roots of unity in the ring of integers, built once per field."""
+        return _units(self)
 
     def class_group(self) -> "ClassGroup":
         return class_group(self.D)
 
     def __repr__(self):
         return f"FieldContext(D={self.D})"
+
+
+@lru_cache(maxsize=None)
+def _units(field: FieldContext) -> tuple["KElt", ...]:
+    out = []
+    ymax = math.isqrt(4 // -field.D) if -field.D <= 4 else 0
+    for y in range(-ymax, ymax + 1):
+        disc = 4 + field.D * y * y
+        if disc < 0:
+            continue
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        for sgn in ((r, -r) if r else (0,)):
+            num = -field.D * y + sgn
+            if num % 2 == 0:
+                out.append(KElt(field, num // 2, y))
+    if len(out) != field.wK:
+        raise UnitCountMismatch(f"{field!r} has {len(out)} roots of unity, not wK = {field.wK}")
+    return tuple(sorted(out, key=lambda u: (u.y, u.x)))
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +182,6 @@ class KElt:
 
     def trace(self):
         return 2 * self.x + self.field.D * self.y
-
-    def is_integral(self) -> bool:
-        return isinstance(self.x, int) and isinstance(self.y, int) or (
-            Fraction(self.x).denominator == 1 and Fraction(self.y).denominator == 1
-        )
 
     def complex(self) -> complex:
         return float(self.x) + float(self.y) * self.field.omega_complex
@@ -339,12 +340,14 @@ def principal_ideal(field: FieldContext, z: KElt) -> Ideal:
     return Ideal(field, *_hnf_from_vectors([(z.x, z.y), (zw.x, zw.y)]))
 
 
-def ideal_from_generators(field: FieldContext, gens: list[KElt]) -> Ideal:
-    vecs = []
-    for g in gens:
-        gw = g * KElt(field, 0, 1)
-        vecs.extend([(g.x, g.y), (gw.x, gw.y)])
-    return Ideal(field, *_hnf_from_vectors(vecs))
+def coset_reps(big: Ideal, sub: Ideal):
+    """Box transversal of big/sub for nested HNF lattices (sub inside big)."""
+    field = big.field
+    if sub.a % big.a or sub.c % big.c:
+        raise ValueError("not a nested pair of HNF lattices")
+    for s in range(sub.a // big.a):
+        for r in range(sub.c // big.c):
+            yield KElt(field, s * big.a + r * big.b, r * big.c)
 
 
 @lru_cache(maxsize=None)

@@ -10,10 +10,13 @@ where eps is extended by zero off the units.  The sum runs over an
 explicit box transversal of the nested HNF lattices; changing b by a
 unit or shifting the transversal reindexes the sum without changing W.
 
-The independent route reads W off the theta transformation
-theta(1/t) = W t^2 theta(t), which is the functional equation at the
-level of theta series.  (The ratio of the two one-sided incomplete-gamma
-half-sums of Lambda does not isolate W; the theta quotient does.)
+The independent route, root_number_via_fe, reads W off the theta
+transformation theta(1/t) = W t^2 theta(t), which is the functional
+equation at the level of theta series.  (The ratio of the two one-sided
+incomplete-gamma half-sums of Lambda does not isolate W; the theta
+quotient does.)  It sums a theta series well past the central-value
+truncation, so the Gauss-sum route never runs it: callers that want the
+cross-check run it themselves, as a family scan does once per record.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .quadfield import (
     Ideal,
     KElt,
     canonical_generator,
+    coset_reps,
     enumerate_ideals,
     ideal_class_of,
 )
@@ -72,20 +76,9 @@ def _auxiliary_for_ideal(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
     raise RuntimeError("no auxiliary ideal found below norm 1e7")
 
 
-def _coset_reps(big: Ideal, sub: Ideal):
-    """Box transversal of big/sub for nested HNF lattices (sub inside big)."""
-    field = big.field
-    if sub.a % big.a or sub.c % big.c:
-        raise ValueError("not a nested pair of HNF lattices")
-    for s in range(sub.a // big.a):
-        for r in range(sub.c // big.c):
-            yield KElt(field, s * big.a + r * big.b, r * big.c)
-
-
 @dataclass(frozen=True)
 class RootNumberResult:
     W_gauss: complex
-    W_fe: complex
     delta: KElt
     auxiliary: tuple[Ideal, KElt]
 
@@ -102,7 +95,7 @@ def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None
     db = different_gen(field) * b
     terms: list[tuple[int, Fraction]] = []
     denom_lcm = 1
-    for w in _coset_reps(c, fc):
+    for w in coset_reps(c, fc):
         if shift is not None:
             w = w + shift
         k = eps.exponent_of(w)
@@ -127,7 +120,11 @@ def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None
 
 
 def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> RootNumberResult:
-    """W by the explicit formula, packaged with the theta-quotient cross-check."""
+    """W by the explicit formula, with the auxiliary data it used.
+
+    The theta-quotient route is not run here; compare with
+    root_number_via_fe(chi) where a cross-check is wanted.
+    """
     field = chi.field
     c, b = auxiliary_pair(chi)
     delta = different_gen(field)
@@ -145,7 +142,7 @@ def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> Roo
     )
     if abs(abs(w) - 1.0) > 1e-6:
         raise NumericalInstability(f"|W| = {abs(w)} strayed from 1")
-    return RootNumberResult(W_gauss=w, W_fe=root_number_via_fe(chi), delta=delta, auxiliary=(c, b))
+    return RootNumberResult(W_gauss=w, delta=delta, auxiliary=(c, b))
 
 
 def root_number_via_fe(chi: HeckeCharacter) -> complex:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from heckelab.cli import main
 from heckelab.errors import EXIT_DOMAIN_ERROR
@@ -22,3 +26,18 @@ def test_scan_prints_stable_json(capsys, tmp_path):
 def test_domain_error_exit_code(capsys):
     assert main(["scan", "--D", "-5", "--P", "5", "--c-max", "5", "--tol", "1e-8"]) == EXIT_DOMAIN_ERROR
     assert "BadDiscriminant" in capsys.readouterr().err
+
+
+def test_scan_does_not_depend_on_assert(capsys):
+    # invariants must raise, not vanish: the scan under -O prints the same JSON
+    assert main(SMOKE) == 0
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "heckelab.cli", *SMOKE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == expected

@@ -1,0 +1,56 @@
+from fractions import Fraction
+
+import pytest
+
+from heckelab import family
+from heckelab.characters import build_hecke_character, evaluate_char, gaussian_epsilon
+from heckelab.quadfield import make_field
+from heckelab.rootnumber import root_number
+
+
+@pytest.fixture(scope="module")
+def gauss():
+    field = make_field(-4)
+    return field, build_hecke_character(field, gaussian_epsilon(field))
+
+
+def test_golden_family(gauss):
+    field, phi = gauss
+    records = family.scan_report(field, phi, (5, 13), 13)
+    assert [(r.c, r.exponents, r.W) for r in records] == [
+        (1, (), 1),
+        (5, (1,), -1),
+        (13, (1,), -1),
+        (13, (2,), 1),
+        (13, (3,), -1),
+    ]
+    for r in records:
+        assert r.error is None
+        assert r.verdict == "nonzero"
+
+
+def test_root_number_routes_must_agree(gauss, monkeypatch):
+    field, phi = gauss
+    monkeypatch.setattr(family, "root_number_via_fe", lambda chi: -root_number(chi))
+    records = family.scan_report(field, phi, (5,), 5)
+    assert records
+    for r in records:
+        assert r.error.startswith("NumericalInstability")
+    # the untwisted orbit has W = +1, the c = 5 orbit W = -1
+    assert [r.c for r in records] == [1, 5]
+    assert "Gauss sum W = +1" in records[0].error and "theta quotient W = -1" in records[0].error
+    assert "Gauss sum W = -1" in records[1].error and "theta quotient W = 1" in records[1].error
+
+
+def test_orbit_mean_is_checked(gauss, monkeypatch):
+    field, phi = gauss
+
+    def zero_average(phi, rho, a):
+        return family.AverageValue(scale=Fraction(0), base=evaluate_char(phi, a))
+
+    monkeypatch.setattr(family, "twist_average_value", zero_average)
+    records = family.scan_report(field, phi, (5,), 5)
+    assert records
+    for r in records:
+        assert r.error.startswith("NumericalInstability")
+        assert "orbit mean" in r.error

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from heckelab.errors import BadDiscriminant, NonFundamental
+from heckelab.errors import BadDiscriminant, NonFundamental, UnitCountMismatch
 from heckelab.quadfield import (
     BinaryForm,
+    FieldContext,
     Ideal,
     KElt,
     canonical_generator,
@@ -97,6 +98,12 @@ def test_units():
     for D in FIELDS:
         for u in make_field(D).units():
             assert u.norm() == 1
+    assert make_field(-4).units() is make_field(-4).units()  # built once per field
+
+
+def test_unit_count_mismatch_raises():
+    with pytest.raises(UnitCountMismatch):
+        FieldContext(D=-4, nm=5, wK=6, h=1).units()
 
 
 def test_principal_ideal_membership():
