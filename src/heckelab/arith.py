@@ -227,12 +227,27 @@ def v_p(n: int, p: int) -> int:
 # correct it to have trivial relation, repeat).  In a p-group the correction
 # exponents are always divisible as needed, so every generator ends up with
 # the clean relation g^order = identity and the group is the direct product
-# of the cyclic pieces.
+# of the cyclic pieces.  Every discrete-log table is enumerated from a basis.
 # ---------------------------------------------------------------------------
 
 
+def _adjoin(dlog, g, m, mul):
+    """Exponent vectors of the subgroup spanned by dlog's keys and g.
+
+    g must have order m modulo the subgroup H that dlog maps to exponent
+    vectors; h * g^j (h in H, 0 <= j < m) gets the vector dlog[h] + (j,).
+    """
+    out = {elt: vec + (0,) for elt, vec in dlog.items()}
+    y = g
+    for j in range(1, m):
+        for elt, vec in dlog.items():
+            out[mul(elt, y)] = vec + (j,)
+        y = mul(y, g)
+    return out
+
+
 def _p_group_basis(elements, mul, identity):
-    """Basis of an abelian p-group: returns (gens, orders, dlog dict)."""
+    """Basis of an abelian p-group: returns (gens, orders)."""
     gens: list = []
     orders: list[int] = []
     dlog = {identity: ()}
@@ -265,16 +280,8 @@ def _p_group_basis(elements, mul, identity):
                 g_new = mul(g_new, g)
         gens.append(g_new)
         orders.append(m)
-        new_dlog = dict(dlog)
-        y = g_new
-        for k in range(1, m):
-            for elt, vec in dlog.items():
-                new_dlog[mul(elt, y)] = vec + (k,)
-            y = mul(y, g_new)
-        for elt in new_dlog:
-            new_dlog[elt] = tuple(new_dlog[elt]) + (0,) * (len(gens) - len(new_dlog[elt]))
-        dlog = new_dlog
-    return gens, orders, dlog
+        dlog = _adjoin(dlog, g_new, m, mul)
+    return gens, orders
 
 
 def abelian_group_structure(elements, mul, identity):
@@ -283,7 +290,11 @@ def abelian_group_structure(elements, mul, identity):
     elements must be the full (hashable) element list.  Returns
     (gens, orders, dlog) in invariant-factor form (orders d_1 | ... | d_k,
     prod(orders) == len(elements)) with dlog[x] the exponent vector of x
-    in the chosen generators.
+    in the chosen generators, each entry in range(d_i).
+
+    dlog is enumerated from the basis, as the products of g_i^e_i over
+    0 <= e_i < d_i.  That enumeration is the certificate: ValueError is
+    raised unless it reaches exactly the listed elements.
     """
     n = len(elements)
     if n == 1:
@@ -293,42 +304,32 @@ def abelian_group_structure(elements, mul, identity):
         raise ValueError("duplicate elements")
     sylow = []
     for p, a in factorize(n):
-        m = n // p**a
-        syl = {_pow(x, m, mul, identity) for x in elements}
-        sgens, sorders, sdlog = _p_group_basis(sorted(syl, key=_sort_key), mul, identity)
-        perm = sorted(range(len(sgens)), key=lambda i: -sorders[i])
-        sgens = [sgens[i] for i in perm]
-        sorders = [sorders[i] for i in perm]
-        sdlog = {x: tuple(v[i] for i in perm) for x, v in sdlog.items()}
-        # exponent c with c = 1 mod p^a and c = 0 mod n/p^a projects onto
-        # the p-Sylow subgroup
-        c, _ = crt_pair(1, p**a, 0, m)
-        sylow.append((sgens, sorders, sdlog, c))
+        q = p**a
+        syl = set()
+        for x in elements:
+            syl.add(_pow(x, n // q, mul, identity))
+            if len(syl) == q:
+                break
+        sgens, sorders = _p_group_basis(sorted(syl, key=_sort_key), mul, identity)
+        sylow.append(sorted(zip(sgens, sorders), key=lambda go: -go[1]))
     # merge the Sylow bases slotwise into invariant factors d_1 | ... | d_k
-    depth = max(len(s[1]) for s in sylow)
+    depth = max(len(s) for s in sylow)
     gens, orders = [], []
     for k in range(depth):
         g, d = identity, 1
-        for sgens, sorders, _, _ in sylow:
-            if k < len(sgens):
-                g = mul(g, sgens[k])
-                d *= sorders[k]
+        for basis in sylow:
+            if k < len(basis):
+                g = mul(g, basis[k][0])
+                d *= basis[k][1]
         gens.append(g)
         orders.append(d)
     gens.reverse()
     orders.reverse()
-    dlog = {}
-    for x in elements:
-        per = [(sdlog[_pow(x, c, mul, identity)], sorders) for sgens, sorders, sdlog, c in sylow]
-        vec = []
-        for k in range(depth):
-            e, mod = 0, 1
-            for sv, so in per:
-                if k < len(so):
-                    e, mod = crt_pair(e, mod, sv[k] % so[k], so[k])
-            vec.append(e)
-        vec.reverse()
-        dlog[x] = tuple(vec)
+    dlog = {identity: ()}
+    for g, d in zip(gens, orders):
+        dlog = _adjoin(dlog, g, d, mul)
+    if dlog.keys() != elt_set:
+        raise ValueError("the basis does not span exactly the listed elements")
     return gens, orders, dlog
 
 

@@ -24,7 +24,10 @@ from functools import lru_cache
 from .arith import abelian_group_structure, factorize, is_prime, v_p
 from .errors import (
     ConductorNotSupported,
+    FactorizationMismatch,
+    MainLemmaViolation,
     NoConsistentLift,
+    NumericalInstability,
     UnitInconsistent,
     UnsupportedDiscriminant,
 )
@@ -120,7 +123,8 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
     expected = f.norm * math.prod(
         Fraction(pr.norm - 1, pr.norm) for pr in primes
     )
-    assert Fraction(len(residues)) == expected
+    if Fraction(len(residues)) != expected:
+        raise FactorizationMismatch(f"{len(residues)} units mod {f!r}, expected {expected}")
     return UnitGroupMod(field=field, f=f, gens=tuple(gens), orders=tuple(orders), dlog=dlog)
 
 
@@ -681,7 +685,8 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
     gen_exps = []
     for g in ug_m.gens:
         k = _combined_exponent(phi, rho, Mc, KElt(field, *g))
-        assert k is not None
+        if k is None:
+            raise NoConsistentLift(f"generator {g} of (O/m)^x is not a unit for phi and rho")
         gen_exps.append(k)
 
     def combined_of(z: KElt) -> int | None:
@@ -707,7 +712,8 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
     f_chi = admissible[0]
     for g in admissible[1:]:
         f_chi = f_chi.add(g)
-    assert any(f_chi == g for g in admissible), "admissible divisors must be gcd-closed"
+    if not any(f_chi == g for g in admissible):
+        raise NoConsistentLift("admissible divisors must be gcd-closed")
 
     # restrict to a finite part on f_chi: lift each generator to w coprime to m
     ug_f = unit_group_mod(field, f_chi)
@@ -719,7 +725,8 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
             k = combined_of(z + t)
             if k is not None:
                 break
-        assert k is not None, "unit mod f(chi) must lift to a unit mod m"
+        if k is None:
+            raise NoConsistentLift("unit mod f(chi) must lift to a unit mod m")
         exps.append(k)
     M_new = math.lcm(Mc, field.wK, ug_f.exponent)
     eps_chi = FinitePart(
@@ -742,7 +749,8 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
             err = abs(cand - target)
             if err < best_err:
                 best, best_err = j, err
-        assert best_err < 1e-6 * max(1.0, abs(target)), "twisted value must be a valid root"
+        if best_err >= 1e-6 * max(1.0, abs(target)):
+            raise NumericalInstability(f"twisted value {target} is {best_err:.3g} from every root")
         choices.append(best)
     return build_hecke_character(
         field, eps_chi, root_choices=tuple(choices), twist_data=(rho.c, rho.exponents)
@@ -799,7 +807,8 @@ def main_lemma_quantities(
     """Per-prime conductor exponents m_p, local orders o_p on 1 + p^3 O, and
     the counting exponents n_p = max(0, o_p - mu - h) with q = prod p^{n_p}.
 
-    The bound |m_p/2 - n_p| <= 3 + mu + h is asserted for every prime.
+    The bound |m_p/2 - n_p| <= 3 + mu + h is checked for every prime and
+    raises MainLemmaViolation when it fails.
     """
     if mu < 1:
         raise ValueError("mu must be a positive integer")
@@ -818,7 +827,6 @@ def main_lemma_quantities(
             continue
         f_p = _ideal_from_factors(field, {pr: e for pr, e in f_factors.items() if pr.norm % p == 0})
         f_cop = _ideal_from_factors(field, {pr: e for pr, e in f_factors.items() if pr.norm % p})
-        ug_p = unit_group_mod(field, f_p)
 
         def eps_p_exponent(z: KElt) -> int | None:
             # lift to w = z mod f_p, w = 1 mod f/f_p, then apply eps
@@ -828,23 +836,22 @@ def main_lemma_quantities(
                     return char.eps.exponent_of(w)
             return None
 
-        # subgroup of (O/f_p)^x of residues = 1 mod (p^3 O + f_p)
+        # subgroup of (O/f_p)^x of residues = 1 mod (p^3 O + f_p); each is a
+        # unit mod f_p, since every prime of f_p divides g_p
         pO3 = Ideal(field, p, 0, p) ** 3
         g_p = pO3.add(f_p)
         order = 1
         for t in coset_reps(g_p, f_p):
-            z = field.one + t
-            if ug_p.dlog_of(z) is None:
-                continue
-            k = eps_p_exponent(z)
-            assert k is not None
+            k = eps_p_exponent(field.one + t)
+            if k is None:
+                raise NoConsistentLift(f"1 + {t!r} has no unit lift mod {f!r}")
             order = math.lcm(order, char.M // math.gcd(char.M, k))
         o_p = v_p(order, p)
-        assert order == p**o_p, "restriction to 1 + p^3 O must have p-power order"
+        if order != p**o_p:
+            raise MainLemmaViolation(f"restriction to 1 + {p}^3 O has order {order}, not a p-power")
         n_p = max(0, o_p - mu - h)
-        assert abs(Fraction(m_p, 2) - n_p) <= 3 + mu + h, (
-            f"main lemma bound violated at p={p}: m_p={m_p}, n_p={n_p}"
-        )
+        if abs(Fraction(m_p, 2) - n_p) > 3 + mu + h:
+            raise MainLemmaViolation(f"main lemma bound violated at p={p}: m_p={m_p}, n_p={n_p}")
         entries.append(MainLemmaEntry(p=p, m_p=m_p, o_p=o_p, n_p=n_p))
     q = math.prod(e.p**e.n_p for e in entries)
     return MainLemmaReport(entries=tuple(entries), mu=mu, h=h, q=q)

@@ -183,14 +183,6 @@ class CyclotomicElement:
         return f"cyc({terms})"
 
 
-def cyc_mul(x: CyclotomicElement, y: CyclotomicElement) -> CyclotomicElement:
-    return x * y
-
-
-def cyc_conj(x: CyclotomicElement) -> CyclotomicElement:
-    return x.conjugate()
-
-
 # ---------------------------------------------------------------------------
 # Abelian subfields and traces
 # ---------------------------------------------------------------------------

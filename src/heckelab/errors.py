@@ -44,6 +44,10 @@ class NoAuxiliaryGenerator(HeckeLabError):
     """An ideal of trivial class has no principal generator."""
 
 
+class MainLemmaViolation(HeckeLabError):
+    """|m_p/2 - n_p| > 3 + mu + h, or the order on 1 + p^3 O is not a power of p."""
+
+
 class ConductorNotSupported(HeckeLabError):
     """Requested conductor clashes with a precondition (e.g. not coprime where needed)."""
 

@@ -9,6 +9,9 @@ an auxiliary ideal c in the inverse class of the conductor, f(chi) c = (b),
 where eps is extended by zero off the units.  The sum runs over an
 explicit box transversal of the nested HNF lattices; changing b by a
 unit or shifting the transversal reindexes the sum without changing W.
+Every term's phase is an exact integer j modulo L = lcm(M, N(delta b)), so
+the sum is accumulated as a count per phase, with no floating-point
+fallback however large L grows.
 
 The independent route, root_number_via_fe, reads W off the theta
 transformation theta(1/t) = W t^2 theta(t), which is the functional
@@ -24,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .characters import (
     HeckeCharacter,
@@ -86,37 +88,26 @@ class RootNumberResult:
 def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None) -> complex:
     """sum over w in a transversal of c/fc of eps(w) e^{2 pi i Tr(w/(delta b))}.
 
-    Accumulated in exact cyclotomic arithmetic (phase-count table) when the
-    common phase denominator stays below 1e4, else per-term floats.
+    Tr(w/(delta b)) = Tr(w conj(delta b)) / N(delta b) with an integer
+    numerator, so every term is an exact L-th root of unity,
+    L = lcm(M, N(delta b)).  The terms are counted by phase j mod L and
+    only the final sum of the counts is taken in floating point.
     """
-    field = chi.field
     eps = chi.eps
     fc = chi.conductor * c
-    db = different_gen(field) * b
-    terms: list[tuple[int, Fraction]] = []
-    denom_lcm = 1
+    db = different_gen(chi.field) * b
+    db_conj, N, M = db.conjugate(), db.norm(), chi.M
+    L = math.lcm(M, N)
+    counts: dict[int, int] = {}
     for w in coset_reps(c, fc):
         if shift is not None:
             w = w + shift
         k = eps.exponent_of(w)
         if k is None:
             continue  # eps extended by zero off the units mod f
-        q = w / db
-        t = 2 * q.x + field.D * q.y  # Tr(x + y omega) = 2x + D y
-        t = Fraction(t)
-        terms.append((k, t))
-        denom_lcm = math.lcm(denom_lcm, t.denominator)
-    M = chi.M
-    L = math.lcm(M, denom_lcm)
-    if L <= 10**4:
-        counts: dict[int, int] = {}
-        for k, t in terms:
-            j = (int(t * L) + k * (L // M)) % L
-            counts[j] = counts.get(j, 0) + 1
-        return sum(n * cmath.exp(2j * cmath.pi * j / L) for j, n in sorted(counts.items()))
-    return sum(
-        cmath.exp(2j * cmath.pi * (float(t) + k / M)) for k, t in terms
-    )
+        j = ((w * db_conj).trace() * (L // N) + k * (L // M)) % L
+        counts[j] = counts.get(j, 0) + 1
+    return sum(n * cmath.exp(2j * cmath.pi * j / L) for j, n in sorted(counts.items()))
 
 
 def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> RootNumberResult:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab.arith import (
     abelian_group_structure,
@@ -144,3 +146,28 @@ def test_abelian_group_structure(ns):
             acc = mul(acc, g)
             assert acc != identity
         assert mul(acc, g) == identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4).filter(
+    lambda ns: math.prod(ns) <= 400
+))
+def test_abelian_group_structure_random_products(ns):
+    elements, mul, identity = _tuple_group(ns)
+    gens, orders, dlog = abelian_group_structure(elements, mul, identity)
+    assert math.prod(orders) == len(elements)
+    assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
+    assert dlog.keys() == set(elements)
+    for elt, vec in dlog.items():
+        acc = identity
+        for g, e, d in zip(gens, vec, orders):
+            assert 0 <= e < d
+            for _ in range(e):
+                acc = mul(acc, g)
+        assert acc == elt
+
+
+def test_abelian_group_structure_rejects_unclosed_elements():
+    # 0..3 under addition mod 8: the basis found spans 8 elements, not the 4 listed
+    with pytest.raises(ValueError):
+        abelian_group_structure([0, 1, 2, 3], lambda u, v: (u + v) % 8, 0)

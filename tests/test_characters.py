@@ -83,6 +83,22 @@ def test_unit_group_examples():
     assert ug_triv.order == 1 and ug_triv.gens == ()
 
 
+@pytest.mark.parametrize(
+    "n, gens, orders",
+    [
+        (25, ((16, 47), (93, 46), (12, 49)), (4, 20, 20)),
+        (67, ((132, 133), (104, 27)), (4, 4488)),
+    ],
+)
+def test_unit_group_basis_pinned(n, gens, orders):
+    # character descriptors store exponents on these generators, so a change
+    # of basis would change them
+    f4 = make_field(-4)
+    f = principal_ideal(f4, KElt(f4, 3, 1)) ** 3 * principal_ideal(f4, KElt(f4, n, 0))
+    ug = unit_group_mod(f4, f)
+    assert ug.gens == gens and ug.orders == orders
+
+
 def test_unit_group_order_formula():
     rng = random.Random(40)
     for D in (-4, -7, -23):

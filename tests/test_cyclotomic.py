@@ -7,8 +7,6 @@ import pytest
 from heckelab.cyclotomic import (
     AbelianSubfield,
     CyclotomicElement,
-    cyc_conj,
-    cyc_mul,
     degree_over,
     gaussian_field,
     lemma1_mu_search,
@@ -34,7 +32,7 @@ def test_basic_identities():
     assert zeta(4) * zeta(4) == -1
     assert zeta(3) + zeta(3, 2) == -1
     assert zeta(12) * zeta(12, 5) == -1
-    assert cyc_mul(zeta(8), zeta(8, 7)) == 1
+    assert zeta(8) * zeta(8, 7) == 1
     assert zeta(6, 2) == zeta(3)  # equality across conductors
     assert zeta(2) == -1
 
@@ -68,7 +66,7 @@ def test_conjugation_and_galois():
     for _ in range(30):
         N = rng.choice([5, 8, 12, 21])
         x = rand_cyc(N, rng)
-        assert abs(cyc_conj(x).complex() - x.complex().conjugate()) < 1e-9
+        assert abs(x.conjugate().complex() - x.complex().conjugate()) < 1e-9
         units = [a for a in range(1, N) if math.gcd(a, N) == 1]
         a, b = rng.choice(units), rng.choice(units)
         assert x.galois(a).galois(b) == x.galois(a * b % N)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckelab import family
+from heckelab import characters, family
 from heckelab.characters import build_hecke_character, evaluate_char, gaussian_epsilon
 from heckelab.quadfield import make_field
 from heckelab.rootnumber import root_number
@@ -54,3 +54,19 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
     for r in records:
         assert r.error.startswith("NumericalInstability")
         assert "orbit mean" in r.error
+
+
+def test_main_lemma_violation_is_recorded(gauss, monkeypatch):
+    field, phi = gauss
+    real_v_p = characters.v_p
+
+    def v_p(n, p):
+        # conductor norms here are 8 * 5^k; the local orders are 1 or powers of 5
+        return 40 if n % 8 == 0 else real_v_p(n, p)
+
+    monkeypatch.setattr(characters, "v_p", v_p)
+    records = family.scan_report(field, phi, (5,), 5)
+    assert [r.c for r in records] == [1, 5]
+    for r in records:
+        assert r.error.startswith("MainLemmaViolation")
+        assert "m_p=40" in r.error

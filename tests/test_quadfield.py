@@ -222,6 +222,10 @@ def test_class_group_structure():
     assert class_group(-47).orders == (5,)
     assert sorted(class_group(-84).orders) == [2, 2]
     assert sorted(class_group(-23).orders) == [3]
+    # the basis itself is pinned: character descriptors are written against it
+    cg = class_group(-1472)
+    assert cg.orders == (2, 6)
+    assert [(g.a, g.b, g.c) for g in cg.gens] == [(16, 16, 27), (12, -4, 31)]
 
 
 def test_form_composition_group_laws():

@@ -131,6 +131,16 @@ def test_twisted_family_signs(chi4):
     assert abs(lam) <= 1e-8 * max(1.0, Af**2)
 
 
+def test_gauss_sum_with_large_phase_modulus(chi4):
+    # conductor norm 8 * 43^2: the phase modulus L = lcm(M, N(delta b)) exceeds 10^4
+    chi = twist(chi4, ring_class_character(chi4.field, 43, (11,)))
+    res = gauss_sum_root_number(chi)
+    _, b = res.auxiliary
+    assert math.lcm(chi.M, (res.delta * b).norm()) > 10**4
+    assert abs(res.W_gauss - 1) < 1e-8
+    assert abs(res.W_gauss - root_number_via_fe(chi)) < 1e-6
+
+
 def test_root_number_scalar(chi4):
     assert root_number(chi4) == 1.0
 
