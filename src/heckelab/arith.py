@@ -198,16 +198,6 @@ def multiplicative_table(bound: int, local, dtype) -> np.ndarray:
     return out
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); returns (x, lcm). Raises if inconsistent."""
-    g, s, _ = xgcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ValueError("inconsistent congruences")
-    l = m1 // g * m2
-    x = (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % l
-    return x, l
-
-
 def v_p(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -246,38 +236,30 @@ def _adjoin(dlog, g, m, mul):
     return out
 
 
-def _p_group_basis(elements, mul, identity):
+def _p_group_basis(elements, mul, identity, p):
     """Basis of an abelian p-group: returns (gens, orders)."""
     gens: list = []
     orders: list[int] = []
     dlog = {identity: ()}
     size = len(elements)
     while len(dlog) < size:
-        # element of maximal order in the quotient by the current subgroup
+        # element of maximal order in the quotient by the current subgroup;
+        # that order is a power of p, found by repeated p-th powers
         best, best_m = None, 0
         for x in elements:
-            if x in dlog:
-                continue
             m, y = 1, x
             while y not in dlog:
-                y = mul(y, x)
-                m += 1
+                m, y = m * p, _pow(y, p, mul, identity)
             if m > best_m:
                 best, best_m = x, m
         x, m = best, best_m
         # x^m lands in the subgroup; divide out its dlog to get a clean generator
-        y = x
-        for _ in range(m - 1):
-            y = mul(y, x)
-        rel = dlog[y]
         g_new = x
-        for g, o, e in zip(gens, orders, rel):
+        for g, o, e in zip(gens, orders, dlog[_pow(x, m, mul, identity)]):
             if e % m:
                 raise RuntimeError("p-group basis correction failed")
             # multiply by g^(o - e/m) to cancel the relation
-            k = (-(e // m)) % o
-            for _ in range(k):
-                g_new = mul(g_new, g)
+            g_new = mul(g_new, _pow(g, (-(e // m)) % o, mul, identity))
         gens.append(g_new)
         orders.append(m)
         dlog = _adjoin(dlog, g_new, m, mul)
@@ -310,7 +292,7 @@ def abelian_group_structure(elements, mul, identity):
             syl.add(_pow(x, n // q, mul, identity))
             if len(syl) == q:
                 break
-        sgens, sorders = _p_group_basis(sorted(syl, key=_sort_key), mul, identity)
+        sgens, sorders = _p_group_basis(sorted(syl, key=_sort_key), mul, identity, p)
         sylow.append(sorted(zip(sgens, sorders), key=lambda go: -go[1]))
     # merge the Sylow bases slotwise into invariant factors d_1 | ... | d_k
     depth = max(len(s) for s in sylow)
@@ -334,13 +316,15 @@ def abelian_group_structure(elements, mul, identity):
 
 
 def _pow(x, k, mul, identity):
-    out, base = identity, x
+    """x^k by binary powering, with no multiplication by the identity or spare squaring."""
+    out = None
     while k:
         if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = x if out is None else mul(out, x)
         k >>= 1
-    return out
+        if k:
+            x = mul(x, x)
+    return identity if out is None else out
 
 
 def _sort_key(x):

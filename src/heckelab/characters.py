@@ -28,6 +28,7 @@ from .errors import (
     MainLemmaViolation,
     NoConsistentLift,
     NumericalInstability,
+    UnitCountMismatch,
     UnitInconsistent,
     UnsupportedDiscriminant,
 )
@@ -37,6 +38,7 @@ from .quadfield import (
     KElt,
     canonical_generator,
     class_group,
+    class_representatives,
     coset_reps,
     enumerate_ideals,
     ideal_class_of,
@@ -66,7 +68,8 @@ def unit_root_table(field: FieldContext) -> dict:
     for j in range(field.wK):
         table[acc] = j
         acc = acc * gen
-    assert acc == field.one and len(table) == field.wK
+    if acc != field.one or len(table) != field.wK:
+        raise UnitCountMismatch(f"{gen!r} does not generate the {field.wK} roots of unity")
     return table
 
 
@@ -214,7 +217,8 @@ def canonical_epsilon(field: FieldContext) -> FinitePart:
         )
     f = principal_ideal(field, field.sqrt_D)
     ug = unit_group_mod(field, f)
-    assert ug.orders == (p - 1,)
+    if ug.orders != (p - 1,):
+        raise FactorizationMismatch(f"(O/sqrt(D))^x has orders {ug.orders}, not ({p - 1},)")
     M = math.lcm(p - 1, field.wK)
     # the unique quadratic character of the cyclic group: generator -> -1
     return FinitePart(field=field, f=f, M=M, unit_group=ug, exps=(M // 2,))
@@ -231,7 +235,8 @@ def gaussian_epsilon(field: FieldContext) -> FinitePart:
     one_plus_i = KElt(field, 3, 1)  # 1 + i = 3 + omega
     f = principal_ideal(field, one_plus_i) ** 3
     ug = unit_group_mod(field, f)
-    assert ug.orders == (4,)
+    if ug.orders != (4,):
+        raise FactorizationMismatch(f"(O/(1+i)^3)^x has orders {ug.orders}, not (4,)")
     M = 4
     table = unit_root_table(field)
     (gen,) = ug.gens
@@ -395,28 +400,6 @@ class HeckeCharacter:
         return out
 
 
-def _class_generator_data(field: FieldContext, coprime_norm: int):
-    """Deterministic ideal representatives for the class group generators."""
-    cg = field.class_group()
-    reps = []
-    targets = {}
-    for i in range(len(cg.gens)):
-        targets[tuple(1 if j == i else 0 for j in range(len(cg.gens)))] = i
-    found: dict = {}
-    bound = 4
-    while len(found) < len(targets) and bound < 10**7:
-        for ideal in enumerate_ideals(field, bound):
-            if ideal.norm == 1 or math.gcd(ideal.norm, coprime_norm) != 1:
-                continue
-            vec = ideal_class_of(ideal)
-            if vec in targets and targets[vec] not in found:
-                found[targets[vec]] = ideal
-        bound *= 2
-    if len(found) < len(targets):
-        raise NoConsistentLift("no coprime representatives for class generators")
-    return tuple(found[i] for i in range(len(cg.gens)))
-
-
 def _principal_root(z: complex, h: int) -> complex:
     """The h-th root with argument in [0, 2 pi / h)."""
     r = abs(z) ** (1.0 / h)
@@ -435,12 +418,12 @@ def build_hecke_character(
         raise UnitInconsistent(
             "eps(u) * u != 1 for some root of unity: no type (1,0) character exists"
         )
-    cg = field.class_group()
+    orders = field.class_group().orders
     # reps must avoid the twist modulus too: a dropped conductor (ring class
     # character acting through the class group) must still match rho != 0
-    coprime_norm = eps.f.norm * (twist_data[0] if twist_data else 1)
-    reps = _class_generator_data(field, coprime_norm)
-    orders = cg.orders
+    by_class = class_representatives(field, eps.f.norm * (twist_data[0] if twist_data else 1))
+    rank = len(orders)  # generator i's representative sits at the i-th unit vector
+    reps = tuple(by_class[tuple(int(j == i) for j in range(rank))] for i in range(rank))
     if root_choices is None:
         root_choices = tuple(0 for _ in orders)
     if len(root_choices) != len(orders):

@@ -40,6 +40,10 @@ class FactorizationMismatch(HeckeLabError):
     """The prime ideal factors found for an ideal do not multiply to its norm."""
 
 
+class IdealSearchExhausted(HeckeLabError):
+    """A search through the ideals in norm order passed its norm limit without a hit."""
+
+
 class NoAuxiliaryGenerator(HeckeLabError):
     """An ideal of trivial class has no principal generator."""
 

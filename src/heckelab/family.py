@@ -12,7 +12,7 @@ This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.  Every
 scan record checks it against the members' theta coefficients: at each
-n <= f^max(t_exponents) coprime to c N(f(phi)), the mean of a_n over the
+n <= f^max(T_EXPONENTS) coprime to c N(f(phi)), the mean of a_n over the
 orbit must equal the sum of the exact averages over the ideals of norm n.
 Each record builds its twists once and also checks its Gauss-sum root
 number against the theta-quotient route, once, on the first member.
@@ -50,10 +50,14 @@ from .quadfield import (
     FieldContext,
     Ideal,
     enumerate_ideals,
+    ideals_by_norm,
     ring_class_dlog,
     ring_class_number,
 )
 from .rootnumber import root_number, root_number_via_fe
+
+# exponents alpha of the counting thresholds t = f^alpha in every scan record
+T_EXPONENTS = (0.9, 1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +101,18 @@ def _dropdown_kernel(field: FieldContext, c: int, p: int) -> list[tuple[int, ...
     orders = _pic_orders(field, c)
     want = ring_class_number(field, c) // ring_class_number(field, sub)
     found: list[tuple[int, ...]] = []
-    size = 1
-    bound = 16
-    while size < want:
-        for ideal in enumerate_ideals(field, bound):
-            if ideal.norm == 1 or math.gcd(ideal.norm, c) != 1:
-                continue
-            if any(ring_class_dlog(field, sub, ideal)):
-                continue
-            vec = tuple(ring_class_dlog(field, c, ideal))
-            if any(vec) and vec not in found:
-                found.append(vec)
-                size = len(_subgroup_closure(found, orders))
-                if size >= want:
-                    break
-        bound *= 2
-        if bound > 10**7:
-            raise RuntimeError("kernel generation did not terminate")
-    return found
+    if want == 1:
+        return found
+    for ideal in ideals_by_norm(field):
+        if ideal.norm == 1 or math.gcd(ideal.norm, c) != 1:
+            continue
+        if any(ring_class_dlog(field, sub, ideal)):
+            continue
+        vec = tuple(ring_class_dlog(field, c, ideal))
+        if any(vec) and vec not in found:
+            found.append(vec)
+            if len(_subgroup_closure(found, orders)) >= want:
+                return found
 
 
 def _char_order(exponents, orders) -> int:
@@ -124,16 +122,15 @@ def _char_order(exponents, orders) -> int:
     return n
 
 
-def _conductor_exact(field: FieldContext, c: int, exponents, orders) -> bool:
-    """True when the ring class character has conductor exactly c."""
-    if c == 1:
-        return True
-    N = math.lcm(*orders) if orders else 1
-    for p, _ in factorize(c):
-        kern = _dropdown_kernel(field, c, p)
-        if all(_vector_exponent(exponents, v, orders, N) == 0 for v in kern):
-            return False
-    return True
+def _conductor_exact(exponents, orders, kernels) -> bool:
+    """True when the ring class character has conductor exactly c.
+
+    kernels lists the dropdown kernel generators of c, one list per prime p | c.
+    """
+    N = math.lcm(*orders)
+    return not any(
+        all(_vector_exponent(exponents, v, orders, N) == 0 for v in kern) for kern in kernels
+    )
 
 
 @dataclass(frozen=True)
@@ -156,13 +153,14 @@ def enumerate_twists(
     orbits: list[TwistOrbit] = []
     for c in _supported_conductors(tuple(P), c_max):
         orders = _pic_orders(field, c)
+        kernels = [_dropdown_kernel(field, c, p) for p, _ in factorize(c)]
         seen: set[tuple[int, ...]] = set()
         for exponents in itertools.product(*(range(h) for h in orders)):
             if exponents in seen:
                 continue
             if c > 1 and not any(exponents):
                 continue  # the trivial character has conductor 1, listed there
-            if not _conductor_exact(field, c, exponents, orders):
+            if not _conductor_exact(exponents, orders, kernels):
                 continue
             n = _char_order(exponents, orders)
             members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
@@ -321,16 +319,13 @@ def scan_report(
     P: tuple[int, ...],
     c_max: int,
     tol: float = 1e-8,
-    t_exponents: tuple[float, ...] = (0.9, 1.1),
 ) -> list[FamilyRecord]:
     """One FamilyRecord per twist orbit; failures are recorded, not raised."""
     L1 = dirichlet_L1(field)
     records = []
     for orbit in enumerate_twists(field, phi, P, c_max):
         try:
-            records.append(
-                _orbit_record(field, phi, orbit, L1, tol, t_exponents)
-            )
+            records.append(_orbit_record(field, phi, orbit, L1, tol))
         except HeckeLabError as exc:
             records.append(_failed_record(orbit, exc))
     return records
@@ -358,13 +353,13 @@ def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyReco
     )
 
 
-def _orbit_record(field, phi, orbit, L1, tol, t_exponents) -> FamilyRecord:
+def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
     members = orbit_characters(phi, orbit)
     chi = members[0]
     rho = orbit.rho(field, orbit.members[0])
     # exact fields first: counts and the p-adic bookkeeping need no W
     counts = {}
-    for alpha in t_exponents:
+    for alpha in T_EXPONENTS:
         t = chi.f_value**alpha
         counts[repr(alpha)] = {"t": int(t), "N": count_N_total(phi, rho, t)}
     lemma = main_lemma_quantities(chi)
@@ -384,7 +379,7 @@ def _orbit_record(field, phi, orbit, L1, tol, t_exponents) -> FamilyRecord:
             )
         v = (1 - W) // 2
         values = averaged_L(members, v, tol=tol, w=float(W))
-        _check_orbit_mean(phi, rho, members, int(chi.f_value ** max(t_exponents)))
+        _check_orbit_mean(phi, rho, members, int(chi.f_value ** max(T_EXPONENTS)))
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
     sv = values[0]

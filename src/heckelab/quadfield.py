@@ -10,6 +10,10 @@ Conventions used throughout the package:
 * Ideal classes are handled through reduced primitive binary quadratic
   forms (A, B, C) of the relevant discriminant (D for the maximal order,
   c^2 * D for the ring of conductor c) under Gaussian composition.
+* Ideals are listed by one builder, enumerate_ideals(field, bound), and
+  searched through one stream, ideals_by_norm(field): every search for
+  the first ideal with some property (class representatives, auxiliary
+  ideals, kernel generators) is a plain for loop over that stream.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import cmath
 import heapq
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +38,13 @@ from .arith import (
     sqrt_mod_prime,
     xgcd,
 )
-from .errors import BadDiscriminant, FactorizationMismatch, NonFundamental, UnitCountMismatch
+from .errors import (
+    BadDiscriminant,
+    FactorizationMismatch,
+    IdealSearchExhausted,
+    NonFundamental,
+    UnitCountMismatch,
+)
 
 
 def is_fundamental(D: int) -> bool:
@@ -414,6 +425,25 @@ def enumerate_ideals(field: FieldContext, bound: int) -> list[Ideal]:
     return sorted(out, key=Ideal.sort_key)
 
 
+def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
+    """Every integral ideal exactly once, in (norm, HNF) order: the one search stream.
+
+    The unit ideal comes first and costs nothing.  After it the stream
+    lists enumerate_ideals(field, bound) for bound = 8, 16, 32, ... and
+    yields only the ideals of norm above the previous bound, so a search
+    that stops at its first hit enumerates no further than it needs.
+    Raises IdealSearchExhausted once the bound would pass 10**7.
+    """
+    yield unit_ideal(field)
+    done, bound = 1, 8
+    while bound <= 10**7:
+        for ideal in enumerate_ideals(field, bound):
+            if ideal.norm > done:
+                yield ideal
+        done, bound = bound, 2 * bound
+    raise IdealSearchExhausted(f"no ideal of norm <= {done} of {field!r} ended the search")
+
+
 def _ideal_count_local(field: FieldContext, p: int, emax: int) -> list[int]:
     """Number of ideals of norm p^e for e = 0..emax."""
     k = field.kronecker(p)
@@ -510,7 +540,8 @@ class BinaryForm:
 
     def compose(self, other: "BinaryForm") -> "BinaryForm":
         """Gaussian composition, reduced."""
-        assert self.disc == other.disc
+        if self.disc != other.disc:
+            raise BadDiscriminant(f"cannot compose discriminants {self.disc} and {other.disc}")
         a1, b1, c1 = self.a, self.b, self.c
         a2, b2, c2 = other.a, other.b, other.c
         g = (b1 + b2) // 2
@@ -604,22 +635,19 @@ def ideal_class_of(ideal: Ideal) -> tuple[int, ...]:
     return ideal.field.class_group().dlog_of(form_of_ideal(ideal))
 
 
-def class_representatives(field: FieldContext, coprime_to: int = 1) -> list[Ideal]:
-    """One integral ideal of minimal norm per ideal class, gcd(norm, coprime_to) = 1."""
-    cg = field.class_group()
+def class_representatives(field: FieldContext, coprime_to: int = 1) -> dict[tuple[int, ...], Ideal]:
+    """Class vector -> the first ideal of that class with gcd(norm, coprime_to) = 1.
+
+    First means first in ideals_by_norm, i.e. least in (norm, HNF) order.
+    The search stops as soon as every class has its representative; when
+    h = 1 the unit ideal completes it and nothing is enumerated.
+    """
     reps: dict[tuple[int, ...], Ideal] = {}
-    bound = 2
-    while len(reps) < cg.h:
-        for ideal in enumerate_ideals(field, bound):
-            if math.gcd(ideal.norm, coprime_to) != 1:
-                continue
-            vec = ideal_class_of(ideal)
-            if vec not in reps:
-                reps[vec] = ideal
-        bound *= 2
-        if bound > 10**7:
-            raise RuntimeError("class representatives not found")
-    return [reps[vec] for vec in sorted(reps)]
+    for ideal in ideals_by_norm(field):
+        if math.gcd(ideal.norm, coprime_to) == 1:
+            reps.setdefault(ideal_class_of(ideal), ideal)
+            if len(reps) == field.h:
+                return reps
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ from .quadfield import (
     KElt,
     canonical_generator,
     coset_reps,
-    enumerate_ideals,
     ideal_class_of,
+    ideals_by_norm,
 )
 
 
@@ -63,19 +63,12 @@ def auxiliary_pair(chi: HeckeCharacter) -> tuple[Ideal, KElt]:
 
 
 def _auxiliary_for_ideal(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
-    bound = 8
-    while bound < 10**7:
-        for c in enumerate_ideals(field, bound):
-            if not c.is_coprime(f):
-                continue
-            if any(e for e in ideal_class_of(f * c)):
-                continue
+    for c in ideals_by_norm(field):
+        if c.is_coprime(f) and not any(ideal_class_of(f * c)):
             b = canonical_generator(f * c)
             if b is None:
                 raise NoAuxiliaryGenerator(f"{f * c!r} has trivial class but no generator")
             return c, b
-        bound *= 2
-    raise RuntimeError("no auxiliary ideal found below norm 1e7")
 
 
 @dataclass(frozen=True)

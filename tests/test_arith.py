@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from heckelab.arith import (
     abelian_group_structure,
-    crt_pair,
     divisors,
     euler_phi,
     factorize,
@@ -93,15 +92,6 @@ def test_factorize_and_friends():
     assert v_p(48, 2) == 4 and v_p(48, 5) == 0
 
 
-def test_crt_pair():
-    x, l = crt_pair(2, 3, 3, 5)
-    assert x % 3 == 2 and x % 5 == 3 and l == 15
-    x, l = crt_pair(1, 8, 0, 3)
-    assert x % 8 == 1 and x % 3 == 0 and l == 24
-    with pytest.raises(ValueError):
-        crt_pair(0, 4, 1, 2)
-
-
 def _tuple_group(ns):
     elements = []
 
@@ -165,6 +155,14 @@ def test_abelian_group_structure_random_products(ns):
             for _ in range(e):
                 acc = mul(acc, g)
         assert acc == elt
+
+
+def test_abelian_group_structure_large_cyclic():
+    # Z/2048: one generator, whose order is found by repeated squaring
+    n = 2048
+    gens, orders, dlog = abelian_group_structure(list(range(n)), lambda u, v: (u + v) % n, 0)
+    assert (gens, orders) == ([1], [n])
+    assert all(dlog[x] == (x,) for x in range(n))
 
 
 def test_abelian_group_structure_rejects_unclosed_elements():

@@ -88,6 +88,7 @@ def test_unit_group_examples():
     [
         (25, ((16, 47), (93, 46), (12, 49)), (4, 20, 20)),
         (67, ((132, 133), (104, 27)), (4, 4488)),
+        (32, ((34, 33), (0, 11), (0, 1)), (4, 32, 32)),
     ],
 )
 def test_unit_group_basis_pinned(n, gens, orders):

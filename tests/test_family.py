@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from heckelab import characters, family
+from heckelab.arith import factorize
 from heckelab.characters import build_hecke_character, evaluate_char, gaussian_epsilon
 from heckelab.quadfield import make_field
 from heckelab.rootnumber import root_number
@@ -27,6 +29,21 @@ def test_golden_family(gauss):
     for r in records:
         assert r.error is None
         assert r.verdict == "nonzero"
+
+
+def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
+    field, phi = gauss
+    calls = Counter()
+    kernel = family._dropdown_kernel
+
+    def counted(field, c, p):
+        calls[c, p] += 1
+        return kernel(field, c, p)
+
+    monkeypatch.setattr(family, "_dropdown_kernel", counted)
+    orbits = family.enumerate_twists(field, phi, (5, 13), 25)
+    assert len(orbits) == 7
+    assert calls == {(c, p): 1 for c in (5, 13, 25) for p, _ in factorize(c)}
 
 
 def test_root_number_routes_must_agree(gauss, monkeypatch):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from heckelab import quadfield
 from heckelab.errors import BadDiscriminant, NonFundamental, UnitCountMismatch
 from heckelab.quadfield import (
     BinaryForm,
@@ -14,6 +15,7 @@ from heckelab.quadfield import (
     class_representatives,
     enumerate_ideals,
     form_of_ideal,
+    ideals_by_norm,
     ideal_class_of,
     ideal_counts,
     is_principal_with_generator,
@@ -294,11 +296,47 @@ def test_canonical_generator_deterministic():
 
 def test_class_representatives():
     f = make_field(-23)
-    reps = class_representatives(f, coprime_to=23 * 2)
+    reps = list(class_representatives(f, coprime_to=23 * 2).values())
     assert len(reps) == 3
     assert len({ideal_class_of(r) for r in reps}) == 3
     for r in reps:
         assert math.gcd(r.norm, 46) == 1
+
+
+@pytest.mark.parametrize(
+    "D, coprime_to, want",
+    [
+        (-84, 1, {(0, 0): (1, 0, 1), (0, 1): (2, 1, 1), (1, 0): (3, 0, 1), (1, 1): (5, 0, 1)}),
+        (-84, 5, {(0, 0): (1, 0, 1), (0, 1): (2, 1, 1), (1, 0): (3, 0, 1), (1, 1): (6, 3, 1)}),
+        (-23, 46, {(0,): (1, 0, 1), (1,): (3, 0, 1), (2,): (3, 2, 1)}),
+    ],
+)
+def test_class_representatives_pinned(D, coprime_to, want):
+    reps = class_representatives(make_field(D), coprime_to)
+    assert {vec: (I.a, I.b, I.c) for vec, I in reps.items()} == want
+
+
+def test_class_representatives_h1_enumerates_nothing(monkeypatch):
+    def fail(field, bound):
+        raise AssertionError("enumerate_ideals called")
+
+    monkeypatch.setattr(quadfield, "enumerate_ideals", fail)
+    f = make_field(-4)
+    assert class_representatives(f, coprime_to=10) == {(): unit_ideal(f)}
+
+
+@pytest.mark.parametrize("D", [-4, -23, -84])
+def test_ideals_by_norm_matches_enumerate_ideals(D):
+    # 300 lies past six doubling bounds of the stream (8, 16, ..., 256)
+    f = make_field(D)
+    want = enumerate_ideals(f, 300)
+    stream = ideals_by_norm(f)
+    assert [next(stream) for _ in want] == want
+
+
+def test_compose_rejects_mixed_discriminants():
+    with pytest.raises(BadDiscriminant):
+        BinaryForm(1, 0, 1).compose(BinaryForm(1, 1, 6))
 
 
 def test_ring_class_groups():

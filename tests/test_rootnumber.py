@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from heckelab import quadfield
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
@@ -10,8 +11,9 @@ from heckelab.characters import (
     ring_class_character,
     twist,
 )
+from heckelab.errors import HeckeLabError, IdealSearchExhausted
 from heckelab.lseries import lambda_value
-from heckelab.quadfield import KElt, coset_reps, make_field, prime_ideals_above, unit_ideal
+from heckelab.quadfield import Ideal, KElt, coset_reps, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
     _auxiliary_for_ideal,
     auxiliary_pair,
@@ -70,6 +72,15 @@ def test_auxiliary_pair_nonprincipal_ideal():
     assert b.norm() == 4
     prod = p2 * c
     assert prod.contains(b) and b.norm() == prod.norm
+
+
+def test_auxiliary_search_exhausted_is_a_domain_error(monkeypatch):
+    # with no ideal but the unit ideal to search, the stream gives up past norm 10**7
+    monkeypatch.setattr(quadfield, "enumerate_ideals", lambda field, bound: [unit_ideal(field)])
+    field = make_field(-23)
+    with pytest.raises(IdealSearchExhausted) as info:
+        _auxiliary_for_ideal(field, Ideal(field, 2, 1, 1))
+    assert isinstance(info.value, HeckeLabError)
 
 
 def test_coset_reps_cardinality(chi4):
