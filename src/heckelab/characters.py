@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .arith import abelian_group_structure, factorize, is_prime, v_p
 from .errors import (
@@ -80,13 +83,29 @@ def unit_root_table(field: FieldContext) -> dict:
 
 @dataclass(frozen=True)
 class UnitGroupMod:
-    """Structure of (O/f)^x: generators (as reduced residues), orders, dlog."""
+    """Structure of (O/f)^x: generators (as reduced residues), orders, dlog.
+
+    The dlog table is also available as int64 arrays, one row per unit
+    residue x + y omega of the HNF box 0 <= x < a, 0 <= y < c of f (y outer,
+    x inner): xs, ys and the exponent-vector matrix vecs, built on first use.
+    """
 
     field: FieldContext
     f: Ideal
     gens: tuple
     orders: tuple
     dlog: dict
+    xs: np.ndarray = dc_field(compare=False, repr=False)
+    ys: np.ndarray = dc_field(compare=False, repr=False)
+
+    @cached_property
+    def vecs(self) -> np.ndarray:
+        """Exponent vectors of the residues (xs, ys), shape (order, len(orders))."""
+        n, r = len(self.xs), len(self.orders)
+        rows = map(self.dlog.__getitem__, zip(self.xs.tolist(), self.ys.tolist()))
+        vecs = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * r).reshape(n, r)
+        vecs.flags.writeable = False  # shared by every caller of the cached unit group
+        return vecs
 
     @property
     def order(self) -> int:
@@ -107,19 +126,31 @@ class UnitGroupMod:
 
 @lru_cache(maxsize=None)
 def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
-    """Generators/orders/dlog of (O/f)^x by direct residue enumeration."""
-    a, c = f.a, f.c
+    """Generators/orders/dlog of (O/f)^x by direct residue enumeration.
+
+    The unit residues are the points x + y omega of the HNF box of f that
+    lie in no prime above f, found by one mask over the box.  The group
+    law works on (x, y) integer pairs: omega^2 = D omega - nm, then the
+    same reduction into the box as Ideal.reduce_element.
+    """
+    a, b, c = f.a, f.b, f.c
+    D, nm = field.D, field.nm
     primes = list(f.factor())
-    residues = []
-    for y in range(c):
-        for x in range(a):
-            z = KElt(field, x, y)
-            if all(not pr.contains(z) for pr in primes):
-                residues.append((x, y))
+    ys, xs = np.divmod(np.arange(a * c, dtype=np.int64), a)  # y outer, x inner
+    unit = np.ones(a * c, dtype=bool)
+    for pr in primes:
+        # x + y omega lies in pr iff pr.c | y and pr.a | x - (y / pr.c) pr.b
+        unit &= (ys % pr.c != 0) | ((xs - ys // pr.c * pr.b) % pr.a != 0)
+    xs, ys = xs[unit], ys[unit]
+    xs.flags.writeable = ys.flags.writeable = False
+    residues = list(zip(xs.tolist(), ys.tolist()))
 
     def mul(u, v):
-        w = f.reduce_element(KElt(field, *u) * KElt(field, *v))
-        return (w.x, w.y)
+        (x1, y1), (x2, y2) = u, v
+        x = x1 * x2 - nm * y1 * y2
+        y = x1 * y2 + x2 * y1 + D * y1 * y2
+        q = y // c
+        return ((x - q * b) % a, y - q * c)
 
     one = f.reduce_element(field.one)
     gens, orders, dlog = abelian_group_structure(residues, mul, (one.x, one.y))
@@ -128,7 +159,9 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
     )
     if Fraction(len(residues)) != expected:
         raise FactorizationMismatch(f"{len(residues)} units mod {f!r}, expected {expected}")
-    return UnitGroupMod(field=field, f=f, gens=tuple(gens), orders=tuple(orders), dlog=dlog)
+    return UnitGroupMod(
+        field=field, f=f, gens=tuple(gens), orders=tuple(orders), dlog=dlog, xs=xs, ys=ys
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -78,3 +78,12 @@ class NumericalInstability(HeckeLabError):
 
 class DegenerateQuotient(HeckeLabError):
     """Denominator of a ratio estimate is numerically too small to trust."""
+
+
+class NoCRTLift(HeckeLabError):
+    """No E in the auxiliary ideal c with E = 1 mod f: c + f is not all of O,
+    or a shift moved E out of that coset."""
+
+
+class PhaseOverflow(HeckeLabError):
+    """A Gauss-sum phase could leave the int64 range of its arrays."""

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .arith import multiplicative_table
 from .characters import HeckeCharacter, evaluate_char
@@ -84,7 +83,13 @@ def kernel_I(v: int, u: float) -> float:
 
 
 def incomplete_gamma(s: float, u: float) -> float:
-    """Upper incomplete Gamma(s, u) = integral_u^inf e^{-t} t^{s-1} dt, 0 < s < 2."""
+    """Upper incomplete Gamma(s, u) = integral_u^inf e^{-t} t^{s-1} dt, 0 < s < 2.
+
+    scipy.special is imported here, at its only use, so that importing the
+    package does not pay for it.
+    """
+    from scipy.special import gammaincc
+
     if not 0.0 < s < 2.0:
         raise DomainError(f"s must lie in (0, 2), got {s}")
     if u <= 0:

@@ -6,12 +6,15 @@ an auxiliary ideal c in the inverse class of the conductor, f(chi) c = (b),
     W(chi) = (-i) f^{-1} (delta/|delta|) (b/|b|) (sqrt(Nc)/chi(c))
              * sum_{w in c/fc} eps(w) e^{2 pi i Tr(w/(delta b))}
 
-where eps is extended by zero off the units.  The sum runs over an
-explicit box transversal of the nested HNF lattices; changing b by a
-unit or shifting the transversal reindexes the sum without changing W.
-Every term's phase is an exact integer j modulo L = lcm(M, N(delta b)), so
-the sum is accumulated as a count per phase, with no floating-point
-fallback however large L grows.
+where eps is extended by zero off the units.  An element E of c with
+E = 1 mod f (it exists because c + f = O) turns the sum over c/fc into one
+over (O/f)^x: r -> rE is a bijection O/f -> c/fc with eps(rE) = eps(r).
+The trace is linear in the coordinates of r, so the sum is one array pass
+over the unit group's discrete-log table.  Changing b by a unit or E by an
+element of fc reindexes the sum without changing W.  Every term's phase
+is an exact integer j modulo L = lcm(M, N(delta b)), so the sum is
+accumulated as a count per phase, with no floating-point fallback however
+large L grows; phases that could leave int64 raise PhaseOverflow.
 
 The independent route, root_number_via_fe, reads W off the theta
 transformation theta(1/t) = W t^2 theta(t), which is the functional
@@ -28,6 +31,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characters import (
     HeckeCharacter,
     RingClassCharacter,
@@ -35,7 +40,13 @@ from .characters import (
     ring_class_character,
     twist,
 )
-from .errors import DegenerateQuotient, NoAuxiliaryGenerator, NumericalInstability
+from .errors import (
+    DegenerateQuotient,
+    NoAuxiliaryGenerator,
+    NoCRTLift,
+    NumericalInstability,
+    PhaseOverflow,
+)
 from .lseries import theta_coeffs
 from .quadfield import (
     FieldContext,
@@ -46,6 +57,8 @@ from .quadfield import (
     ideal_class_of,
     ideals_by_norm,
 )
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def different_gen(field: FieldContext) -> KElt:
@@ -78,29 +91,57 @@ class RootNumberResult:
     auxiliary: tuple[Ideal, KElt]
 
 
-def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None) -> complex:
-    """sum over w in a transversal of c/fc of eps(w) e^{2 pi i Tr(w/(delta b))}.
+def _one_mod_f_in_c(f: Ideal, c: Ideal) -> KElt:
+    """E in c with E = 1 mod f, as E = 1 + t for the t in f/fc with 1 + t in c.
 
-    Tr(w/(delta b)) = Tr(w conj(delta b)) / N(delta b) with an integer
-    numerator, so every term is an exact L-th root of unity,
-    L = lcm(M, N(delta b)).  The terms are counted by phase j mod L and
-    only the final sum of the counts is taken in floating point.
+    Such t exists exactly when c + f = O and is then unique mod fc, so the
+    search visits at most N(c) residues.
     """
-    eps = chi.eps
-    fc = chi.conductor * c
-    db = different_gen(chi.field) * b
-    db_conj, N, M = db.conjugate(), db.norm(), chi.M
+    one = f.field.one
+    for t in coset_reps(f, f * c):
+        if c.contains(one + t):
+            return one + t
+    raise NoCRTLift(f"no E in {c!r} with E = 1 mod {f!r}")
+
+
+def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None) -> complex:
+    """sum over r in (O/f)^x of eps(r) e^{2 pi i Tr(r E/(delta b))}.
+
+    E in c with E = 1 mod f makes r -> rE a bijection O/f -> c/fc with
+    eps(rE) = eps(r), so this is the sum over c/fc of the module docstring;
+    shift (an element of fc) replaces E by E + shift.  With u = E conj(delta b)
+    and N = N(delta b), Tr(rE/(delta b)) = Tr(ru)/N, and for r = x + y omega
+    Tr(ru) = x Tr(u) + y Tr(omega u).  So every term is an exact L-th root of
+    unity, L = lcm(M, N), with phase
+
+        j = ((x alpha + y beta) mod N) (L/N) + k_r (L/M)  mod L,
+
+    alpha = Tr(u), beta = Tr(omega u) and k_r = dlog(r) . exps mod M, taken
+    for all of (O/f)^x at once from the unit group's dlog arrays.  The terms
+    are counted by phase and only the final sum of the counts, in ascending
+    phase, is taken in floating point.
+    """
+    eps, field, f = chi.eps, chi.field, chi.conductor
+    E = _one_mod_f_in_c(f, c)
+    if shift is not None:
+        E = E + shift
+    if not (c.contains(E) and f.contains(E - field.one)):
+        raise NoCRTLift(f"E = {E!r} is not in {c!r} and 1 mod {f!r}")
+    db = different_gen(field) * b
+    N, M = db.norm(), chi.M
     L = math.lcm(M, N)
-    counts: dict[int, int] = {}
-    for w in coset_reps(c, fc):
-        if shift is not None:
-            w = w + shift
-        k = eps.exponent_of(w)
-        if k is None:
-            continue  # eps extended by zero off the units mod f
-        j = ((w * db_conj).trace() * (L // N) + k * (L // M)) % L
-        counts[j] = counts.get(j, 0) + 1
-    return sum(n * cmath.exp(2j * cmath.pi * j / L) for j, n in sorted(counts.items()))
+    u = E * db.conjugate()
+    alpha, beta = u.trace() % N, (KElt(field, 0, 1) * u).trace() % N
+    ug = eps.unit_group
+    # largest intermediate of each step below: x alpha + y beta, dlog . exps, j
+    if max((f.a + f.c) * N, M * sum(ug.orders), 2 * L) > _INT64_MAX:
+        raise PhaseOverflow(f"phases mod L = {L} overflow int64 over (O/{f!r})^x")
+    k = ug.vecs @ np.array(eps.exps, dtype=np.int64) % M
+    j = ((ug.xs * alpha + ug.ys * beta) % N * (L // N) + k * (L // M)) % L
+    phases, counts = np.unique(j, return_counts=True)
+    return sum(
+        n * cmath.exp(2j * cmath.pi * p / L) for p, n in zip(phases.tolist(), counts.tolist())
+    )
 
 
 def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> RootNumberResult:

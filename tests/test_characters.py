@@ -100,6 +100,37 @@ def test_unit_group_basis_pinned(n, gens, orders):
     assert ug.gens == gens and ug.orders == orders
 
 
+def _box_unit_residues(field, f):
+    """Unit residues of the HNF box of f, point by point: y outer, x inner."""
+    primes = list(f.factor())
+    return [
+        (x, y)
+        for y in range(f.c)
+        for x in range(f.a)
+        if all(not pr.contains(KElt(field, x, y)) for pr in primes)
+    ]
+
+
+def _residue_examples():
+    f4 = make_field(-4)
+    cube = principal_ideal(f4, KElt(f4, 3, 1)) ** 3
+    for n in (25, 43, 64, 67):
+        yield f4, cube * principal_ideal(f4, KElt(f4, n, 0))
+    f23 = make_field(-23)
+    for p3 in prime_ideals_above(f23, 3):
+        yield f23, principal_ideal(f23, f23.sqrt_D) * p3
+
+
+def test_unit_group_residues_in_box_order():
+    for field, f in _residue_examples():
+        ug = unit_group_mod(field, f)
+        residues = list(zip(ug.xs.tolist(), ug.ys.tolist()))
+        assert residues == _box_unit_residues(field, f)
+        # the exponent matrix is the dlog table, row by row
+        assert ug.vecs.shape == (ug.order, len(ug.orders))
+        assert [ug.dlog[r] for r in residues] == [tuple(v) for v in ug.vecs.tolist()]
+
+
 def test_unit_group_order_formula():
     rng = random.Random(40)
     for D in (-4, -7, -23):

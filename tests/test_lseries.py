@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -247,3 +251,17 @@ def test_twisted_central_value(chi4):
         lhs = lambda_value(chi, s, w=w)
         rhs = w * lambda_value(chi, 2.0 - s, w=w)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported only inside incomplete_gamma
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, heckelab.cli, heckelab.family; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

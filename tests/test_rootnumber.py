@@ -1,21 +1,26 @@
+import cmath
 import math
 import random
 
 import pytest
 
-from heckelab import quadfield
+from heckelab import quadfield, rootnumber
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
+    finite_part,
     gaussian_epsilon,
     ring_class_character,
     twist,
 )
-from heckelab.errors import HeckeLabError, IdealSearchExhausted
+from heckelab.errors import HeckeLabError, IdealSearchExhausted, NoCRTLift, PhaseOverflow
+from heckelab.family import enumerate_twists, orbit_characters
 from heckelab.lseries import lambda_value
 from heckelab.quadfield import Ideal, KElt, coset_reps, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
     _auxiliary_for_ideal,
+    _gauss_sum,
+    _one_mod_f_in_c,
     auxiliary_pair,
     conjugation_invariance_check,
     different_gen,
@@ -173,3 +178,72 @@ def test_orbit_constancy_order3(chi23):
     rep = conjugation_invariance_check(chi23, rho)
     assert len(rep.ws) == 2
     assert rep.constant and rep.spread < 1e-6
+
+
+def _transversal_gauss_sum(chi, c, b):
+    """The Gauss sum term by term over the box transversal of c/fc: eps by a
+    dlog lookup per residue, the phase from Tr(w conj(delta b)) directly."""
+    fc = chi.conductor * c
+    db = different_gen(chi.field) * b
+    db_conj, N, M = db.conjugate(), db.norm(), chi.M
+    L = math.lcm(M, N)
+    counts = {}
+    for w in coset_reps(c, fc):
+        k = chi.eps.exponent_of(w)
+        if k is None:
+            continue  # eps extended by zero off the units mod f
+        j = ((w * db_conj).trace() * (L // N) + k * (L // M)) % L
+        counts[j] = counts.get(j, 0) + 1
+    return sum(n * cmath.exp(2j * cmath.pi * j / L) for j, n in sorted(counts.items()))
+
+
+def _gauss_oracle_characters():
+    f4 = make_field(-4)
+    phi4 = build_hecke_character(f4, gaussian_epsilon(f4))
+    for orbit in enumerate_twists(f4, phi4, (5, 13), 25):
+        for m, chi in zip(orbit.members, orbit_characters(phi4, orbit)):
+            yield f"D=-4 c={orbit.c} {orbit.exponents} m={m}", chi
+    yield "D=-4 c=43 (11,)", twist(phi4, ring_class_character(f4, 43, (11,)))
+    # conductor a non-principal prime above 3: the auxiliary ideal is not O
+    f23 = make_field(-23)
+    for p3 in prime_ideals_above(f23, 3):
+        yield f"D=-23 f={p3!r}", build_hecke_character(f23, finite_part(f23, p3, (1,)))
+
+
+def test_gauss_sum_matches_transversal_oracle():
+    checked = 0
+    for label, chi in _gauss_oracle_characters():
+        c, b = auxiliary_pair(chi)
+        assert abs(_gauss_sum(chi, c, b) - _transversal_gauss_sum(chi, c, b)) < 1e-12, label
+        checked += 1
+    assert checked == 15 + 1 + 2
+
+
+def test_one_mod_f_in_c_nontrivial():
+    field = make_field(-23)
+    for p3 in prime_ideals_above(field, 3):
+        c, _ = _auxiliary_for_ideal(field, p3)
+        assert c != unit_ideal(field)
+        E = _one_mod_f_in_c(p3, c)
+        assert E != field.one
+        assert c.contains(E) and p3.contains(E - field.one)
+
+
+def test_gauss_sum_rejects_lift_outside_coset(chi4, monkeypatch):
+    # a shift outside fc moves E off 1 mod f
+    with pytest.raises(NoCRTLift) as info:
+        gauss_sum_root_number(chi4, shift=chi4.field.one)
+    assert isinstance(info.value, HeckeLabError)
+    # an auxiliary ideal sharing a prime with f has no E at all
+    f = chi4.conductor
+    monkeypatch.setattr(rootnumber, "auxiliary_pair", lambda chi: (f, KElt(chi.field, 8, 0)))
+    with pytest.raises(NoCRTLift):
+        gauss_sum_root_number(chi4)
+
+
+def test_gauss_sum_phase_overflow_is_a_domain_error(chi4, monkeypatch):
+    # N(delta b) scaled by 10^20 would push the phases past int64
+    monkeypatch.setattr(rootnumber, "different_gen", lambda field: field.sqrt_D * 10**10)
+    with pytest.raises(PhaseOverflow) as info:
+        gauss_sum_root_number(chi4)
+    assert isinstance(info.value, HeckeLabError)
