@@ -3,8 +3,7 @@
 The package computes, exactly where possible and with certified numerics
 otherwise: equivariant Hecke characters of infinite type (1, 0), ring class
 (anticyclotomic) twists, smoothed central L-values and derivatives, Gauss sum
-root numbers, twist-orbit averages, cyclotomic trace identities, and p-adic
-counting experiments.
+root numbers, twist-orbit averages and p-adic counting experiments.
 """
 
 __version__ = "0.1.0"

@@ -135,14 +135,6 @@ def is_prime(n: int) -> bool:
     return len(fac) == 1 and fac[0][1] == 1
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def moebius(n: int) -> int:
     fac = factorize(n)
     if any(e > 1 for _, e in fac):
@@ -155,6 +147,19 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def ramanujan_trace(n: int, k: int) -> int:
+    """c_n(k) = sum of zeta_n^(k m) over units m mod n, via the closed form
+    mu(m) phi(n) / phi(m) with m = n / gcd(k, n)."""
+    if n == 1:
+        return 1
+    g = math.gcd(k % n, n)
+    m = n // g
+    mu = moebius(m)
+    if mu == 0:
+        return 0
+    return mu * euler_phi(n) // euler_phi(m)
 
 
 def primes_up_to(x: int) -> list[int]:

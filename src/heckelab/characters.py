@@ -28,9 +28,11 @@ from .arith import abelian_group_structure, factorize, is_prime, v_p
 from .errors import (
     ConductorNotSupported,
     FactorizationMismatch,
+    ImprimitiveFinitePart,
     MainLemmaViolation,
     NoConsistentLift,
     NumericalInstability,
+    RestrictionMismatch,
     UnitCountMismatch,
     UnitInconsistent,
     UnsupportedDiscriminant,
@@ -43,9 +45,7 @@ from .quadfield import (
     class_group,
     class_representatives,
     coset_reps,
-    enumerate_ideals,
     ideal_class_of,
-    make_field,
     principal_ideal,
     ring_class_dlog,
     unit_ideal,
@@ -202,18 +202,30 @@ class FinitePart:
             raise ValueError("element not coprime to the conductor")
         return (kn - kd) % self.M
 
-    def value_complex(self, z: KElt) -> complex:
-        k = self.exponent_of(z)
-        if k is None:
-            return 0j
-        return cmath.exp(2j * cmath.pi * k / self.M)
-
     def is_unit_consistent(self) -> bool:
         """eps(u) * u = 1 for all roots of unity u, checked exactly."""
         wK, M = self.field.wK, self.M
         for u, j in unit_root_table(self.field).items():
             k = self.exponent_of(u)
             if k is None or (k * wK + j * M) % (M * wK):
+                return False
+        return True
+
+    def is_primitive(self) -> bool:
+        """f is the conductor of eps: for each prime P | f, eps is nontrivial
+        on the units r = 1 mod f/P, the kernel of (O/f)^x -> (O/(f/P))^x.
+
+        That kernel is one mask over the unit group's residue arrays:
+        r - 1 = (x - 1) + y omega lies in g = f/P iff g.c | y and
+        g.a | x - 1 - (y / g.c) g.b.
+        """
+        ug = self.unit_group
+        k = ug.vecs @ np.array(self.exps, dtype=np.int64) % self.M
+        factors = self.f.factor()
+        for pr in factors:
+            g = _ideal_from_factors(self.field, {q: e - (q == pr) for q, e in factors.items()})
+            one_mod_g = (ug.ys % g.c == 0) & ((ug.xs - 1 - ug.ys // g.c * g.b) % g.a == 0)
+            if not k[one_mod_g].any():
                 return False
         return True
 
@@ -254,7 +266,7 @@ def canonical_epsilon(field: FieldContext) -> FinitePart:
         raise FactorizationMismatch(f"(O/sqrt(D))^x has orders {ug.orders}, not ({p - 1},)")
     M = math.lcm(p - 1, field.wK)
     # the unique quadratic character of the cyclic group: generator -> -1
-    return FinitePart(field=field, f=f, M=M, unit_group=ug, exps=(M // 2,))
+    return finite_part(field, f, (M // 2,), M=M)
 
 
 def gaussian_epsilon(field: FieldContext) -> FinitePart:
@@ -270,13 +282,10 @@ def gaussian_epsilon(field: FieldContext) -> FinitePart:
     ug = unit_group_mod(field, f)
     if ug.orders != (4,):
         raise FactorizationMismatch(f"(O/(1+i)^3)^x has orders {ug.orders}, not (4,)")
-    M = 4
-    table = unit_root_table(field)
     (gen,) = ug.gens
-    gen_elt = KElt(field, *gen)
-    j = next(j for u, j in table.items() if ug.reduce(u) == gen)
+    j = next(j for u, j in unit_root_table(field).items() if ug.reduce(u) == gen)
     # eps(gen) = gen^{-1} in mu_4
-    return FinitePart(field=field, f=f, M=M, unit_group=ug, exps=((-j) % M,))
+    return finite_part(field, f, (-j,), M=4)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +420,8 @@ class HeckeCharacter:
         """f(chi) = sqrt of the conductor norm."""
         return math.sqrt(self.conductor_norm)
 
-    def value(self, a: Ideal) -> CharValue:
-        return evaluate_char(self, a)
-
-    def value_complex(self, a: Ideal) -> complex:
-        return evaluate_char(self, a).complex()
-
     def descriptor(self) -> dict:
-        """JSON-serializable exact description; see char_from_descriptor."""
+        """JSON-serializable exact description of the character."""
         f = self.eps.f
         out = {
             "D": self.field.D,
@@ -450,6 +453,10 @@ def build_hecke_character(
     if not eps.is_unit_consistent():
         raise UnitInconsistent(
             "eps(u) * u != 1 for some root of unity: no type (1,0) character exists"
+        )
+    if not eps.is_primitive():
+        raise ImprimitiveFinitePart(
+            f"eps factors through a proper divisor of {eps.f!r}, which is not its conductor"
         )
     orders = field.class_group().orders
     # reps must avoid the twist modulus too: a dropped conductor (ring class
@@ -486,17 +493,6 @@ def build_hecke_character(
     )
 
 
-def galois_orbit_lifts(field: FieldContext, eps: FinitePart) -> list[HeckeCharacter]:
-    """All characters with finite part eps: one per choice of class value roots."""
-    from itertools import product
-
-    cg = field.class_group()
-    out = []
-    for combo in product(*(range(h) for h in cg.orders)):
-        out.append(build_hecke_character(field, eps, root_choices=combo))
-    return out
-
-
 def evaluate_char(char: HeckeCharacter, a: Ideal) -> CharValue:
     """Exact value of the character at an integral ideal (0 off the conductor)."""
     if a.norm == 1:
@@ -519,70 +515,34 @@ def evaluate_char(char: HeckeCharacter, a: Ideal) -> CharValue:
 
 
 # ---------------------------------------------------------------------------
-# Property 1: equivariance and the rational restriction
+# Property 1: the rational restriction
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Property1Report:
-    equivariant: bool
-    kappa1_matches_kappa: bool
-    kappa1_minus_one: bool
-    split_norms_trivial: bool
-    witness: Ideal | None
-    ideals_checked: int
+def check_property1(char: HeckeCharacter) -> None:
+    """Property 1, phi|_Q = kappa_K: kappa_1 = kappa on the integers, kappa_1(-1) = -1.
 
-    @property
-    def consistent(self) -> bool:
-        """The two sides of the equivalence must agree."""
-        return self.equivariant == self.kappa1_matches_kappa
-
-
-def property1_check(char: HeckeCharacter, bound: float) -> Property1Report:
-    """Equivariance chi(conj a) = conj chi(a) up to norm bound, against the
-    rational restriction kappa_1 = kappa; plus kappa_1(-1) = -1 and
-    kappa_1(Na) = 1 for split a."""
+    Property 1 is equivalent to the equivariance chi(conj a) = conj chi(a);
+    this is its exact, finite side.  On an integer n coprime to f,
+    chi((n)) = eps(n) n, so the restriction is kappa_K exactly when
+    kappa_1(n) = eps(n) equals kappa(n) = (D | n).
+    kappa_1 has period a, the least positive integer in f, and kappa has
+    period |D|, so one period lcm(a, |D|) decides it.  Ring class twists
+    are trivial on (n), so the check on a base character covers its family.
+    Raises RestrictionMismatch at the first n that breaks it.
+    """
     field, eps = char.field, char.eps
-    Nf = eps.f.norm
-    # restriction side, exact over one period
-    period = math.lcm(eps.f.a, abs(field.D))
-    kappa1_ok = True
-    for n in range(1, period + 1):
-        if math.gcd(n, Nf) != 1:
+    for n in range(1, math.lcm(eps.f.a, abs(field.D)) + 1):
+        if math.gcd(n, eps.f.norm) != 1:
             continue
         k1 = eps.restriction_to_integers(n)
         if k1 != field.kronecker(n):
-            kappa1_ok = False
-            break
-    minus_one = eps.restriction_to_integers(-1 % eps.f.a) == -1
-    # equivariance side, exhaustive to the bound
-    equi = True
-    witness = None
-    checked = 0
-    split_ok = True
-    for ideal in enumerate_ideals(field, int(bound)):
-        if ideal.norm == 1 or not ideal.is_coprime(eps.f):
-            continue
-        checked += 1
-        va = evaluate_char(char, ideal)
-        vc = evaluate_char(char, ideal.conjugate())
-        if not vc.equals_exact(va.conjugate()):
-            if equi:
-                witness = ideal
-            equi = False
-        if not ideal.is_self_conjugate() and ideal.norm > 1:
-            fac = factorize(ideal.norm)
-            if len(fac) == 1 and fac[0][1] == 1:  # split prime
-                if eps.restriction_to_integers(ideal.norm) != 1:
-                    split_ok = False
-    return Property1Report(
-        equivariant=equi,
-        kappa1_matches_kappa=kappa1_ok,
-        kappa1_minus_one=minus_one,
-        split_norms_trivial=split_ok,
-        witness=witness,
-        ideals_checked=checked,
-    )
+            raise RestrictionMismatch(
+                f"kappa_1({n}) = {k1} but kappa({n}) = {field.kronecker(n)} for D = {field.D}: "
+                "phi restricted to Q is not kappa_K"
+            )
+    if eps.restriction_to_integers(-1 % eps.f.a) != -1:
+        raise RestrictionMismatch(f"kappa_1(-1) != -1 for D = {field.D}")
 
 
 # ---------------------------------------------------------------------------
@@ -770,19 +730,6 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
         choices.append(best)
     return build_hecke_character(
         field, eps_chi, root_choices=tuple(choices), twist_data=(rho.c, rho.exponents)
-    )
-
-
-def char_from_descriptor(desc: dict) -> HeckeCharacter:
-    """Rebuild a character from its JSON descriptor, bit-exactly."""
-    field = make_field(desc["D"])
-    a, b, c = desc["conductor_hnf"]
-    f = Ideal(field, a, b, c)
-    eps = finite_part(field, f, desc["eps_exponents"], M=desc["eps_M"])
-    twist_info = desc.get("twist")
-    twist_data = (twist_info["c"], tuple(twist_info["exponents"])) if twist_info else None
-    return build_hecke_character(
-        field, eps, root_choices=tuple(desc["root_choices"]), twist_data=twist_data
     )
 
 

@@ -28,6 +28,14 @@ class UnitInconsistent(HeckeLabError):
     """eps(u) * u != 1 for some unit u, so no character of this infinite type exists."""
 
 
+class ImprimitiveFinitePart(HeckeLabError):
+    """eps is trivial on the units = 1 mod f/P for some prime P | f: f is not its conductor."""
+
+
+class RestrictionMismatch(HeckeLabError):
+    """phi restricted to Q is not kappa_K (Property 1), so the family is outside the theorem."""
+
+
 class NoConsistentLift(HeckeLabError):
     """Class-group lift failed; cannot happen when unit consistency holds."""
 
@@ -54,10 +62,6 @@ class MainLemmaViolation(HeckeLabError):
 
 class ConductorNotSupported(HeckeLabError):
     """Requested conductor clashes with a precondition (e.g. not coprime where needed)."""
-
-
-class SubfieldMismatch(HeckeLabError):
-    """Element does not lie in (or map to) the requested abelian subfield."""
 
 
 class NonPositiveArgument(HeckeLabError):

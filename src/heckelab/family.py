@@ -10,12 +10,29 @@ an ideal is exactly computable through Ramanujan sums:
 
 This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
-and averages over the subgroup of embeddings fixing phi's values.  Every
-scan record checks it against the members' theta coefficients: at each
-n <= f^max(T_EXPONENTS) coprime to c N(f(phi)), the mean of a_n over the
-orbit must equal the sum of the exact averages over the ideals of norm n.
-Each record builds its twists once and also checks its Gauss-sum root
-number against the theta-quotient route, once, on the first member.
+and averages over the subgroup of embeddings fixing phi's values.
+
+A scan checks, in this order:
+
+* once, before the first record: Property 1, phi|_Q = kappa_K, exactly
+  over one period (characters.check_property1); a base character that
+  breaks the theorem's hypothesis raises RestrictionMismatch;
+
+and per record, which keeps the first failure as its error:
+
+* the twists are built once each; every finite part must be unit
+  consistent and primitive;
+* the ideals are enumerated once, to f^max(T_EXPONENTS), and counted at
+  every t = f^alpha;
+* the Main Lemma bound |m_p/2 - n_p| <= 3 + mu + h, with the local orders
+  on 1 + p^3 O powers of p;
+* the Gauss-sum root number of every member is a clean sign, one sign
+  across the orbit;
+* the first member's sign matches the theta-quotient route to 1e-6;
+* every central value is real and its tail bound clears tol;
+* at each n <= f^max(T_EXPONENTS) coprime to c N(f(phi)), the mean of a_n
+  over the orbit equals the sum of the exact averages over the ideals of
+  norm n.
 
 Scan reports are deterministic: records are ordered by (c, exponents),
 floats are serialized as repr decimal strings, and no timestamps appear.
@@ -32,18 +49,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import euler_phi, factorize
+from .arith import euler_phi, factorize, ramanujan_trace
 from .characters import (
     CharValue,
     HeckeCharacter,
     MainLemmaReport,
     RingClassCharacter,
+    check_property1,
     evaluate_char,
     main_lemma_quantities,
     ring_class_character,
     twist,
 )
-from .cyclotomic import ramanujan_trace
 from .errors import HeckeLabError, NumericalInstability, SignMismatch
 from .lseries import SmoothedValue, central_value, dirichlet_L1, theta_coeffs
 from .quadfield import (
@@ -209,16 +226,21 @@ def twist_average_value(
     return AverageValue(scale=Fraction(ramanujan_trace(n, k), euler_phi(n)), base=base)
 
 
-def count_N_total(phi: HeckeCharacter, rho: RingClassCharacter, t: float) -> int:
+def count_N_total(
+    phi: HeckeCharacter, rho: RingClassCharacter, ideals: list[Ideal], t: float
+) -> int:
     """Ideals with nonzero orbit average, a != conj(a), 1 < Na <= t, all classes.
 
-    Coprimality to both the base conductor and the twist modulus is required
-    for the exact average; other ideals contribute zero.
+    ideals lists every integral ideal up to some bound >= t in norm order,
+    as enumerate_ideals does.  Coprimality to both the base conductor and
+    the twist modulus is required for the exact average; other ideals
+    contribute zero.
     """
-    field = phi.field
     n = rho.order
     count = 0
-    for a in enumerate_ideals(field, int(t)):
+    for a in ideals:
+        if a.norm > t:
+            break
         if a.norm == 1 or a.is_self_conjugate():
             continue
         if not a.is_coprime(phi.conductor):
@@ -257,16 +279,20 @@ def _check_orbit_mean(
     phi: HeckeCharacter,
     rho: RingClassCharacter,
     members: list[HeckeCharacter],
+    ideals: list[Ideal],
     bound: int,
 ) -> None:
     """Orbit mean of the members' a_n against the exact average, n coprime to c N(f(phi)).
 
     One side sieves the twisted characters that twist() built; the other
-    sums phi(a) c_n(k)/eulerphi(n) over the ideals a of norm n.
+    sums phi(a) c_n(k)/eulerphi(n) over the ideals a of norm n <= bound,
+    taken from ideals, which lists every ideal to that bound in norm order.
     """
     modulus = rho.c * phi.conductor_norm
     exact: dict[int, complex] = {}
-    for a in enumerate_ideals(phi.field, bound):
+    for a in ideals:
+        if a.norm > bound:
+            break
         if math.gcd(a.norm, modulus) == 1:
             exact[a.norm] = exact.get(a.norm, 0j) + twist_average_value(phi, rho, a).complex()
     tables = [theta_coeffs(chi, bound) for chi in members]
@@ -320,7 +346,12 @@ def scan_report(
     c_max: int,
     tol: float = 1e-8,
 ) -> list[FamilyRecord]:
-    """One FamilyRecord per twist orbit; failures are recorded, not raised."""
+    """One FamilyRecord per twist orbit; failures are recorded, not raised.
+
+    The Property 1 precondition is the exception: a phi that breaks it
+    raises RestrictionMismatch before any record is built.
+    """
+    check_property1(phi)
     L1 = dirichlet_L1(field)
     records = []
     for orbit in enumerate_twists(field, phi, P, c_max):
@@ -357,11 +388,14 @@ def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
     members = orbit_characters(phi, orbit)
     chi = members[0]
     rho = orbit.rho(field, orbit.members[0])
-    # exact fields first: counts and the p-adic bookkeeping need no W
+    # exact fields first: counts and the p-adic bookkeeping need no W;
+    # one ideal walk to the largest threshold serves the counts and the orbit mean
+    bound = int(chi.f_value ** max(T_EXPONENTS))
+    ideals = enumerate_ideals(field, bound)
     counts = {}
     for alpha in T_EXPONENTS:
         t = chi.f_value**alpha
-        counts[repr(alpha)] = {"t": int(t), "N": count_N_total(phi, rho, t)}
+        counts[repr(alpha)] = {"t": int(t), "N": count_N_total(phi, rho, ideals, t)}
     lemma = main_lemma_quantities(chi)
     try:
         signs = [root_number(m) for m in members]
@@ -379,7 +413,7 @@ def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
             )
         v = (1 - W) // 2
         values = averaged_L(members, v, tol=tol, w=float(W))
-        _check_orbit_mean(phi, rho, members, int(chi.f_value ** max(T_EXPONENTS)))
+        _check_orbit_mean(phi, rho, members, ideals, bound)
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
     sv = values[0]

@@ -27,7 +27,7 @@ import numpy as np
 from .arith import multiplicative_table
 from .characters import HeckeCharacter, evaluate_char
 from .errors import DomainError, NonPositiveArgument, NumericalInstability, SignMismatch
-from .quadfield import FieldContext, enumerate_ideals, ideal_counts, prime_ideals_above
+from .quadfield import FieldContext, ideal_counts, prime_ideals_above
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -255,34 +255,3 @@ def dirichlet_L1(field: FieldContext) -> float:
             f"L(1, kappa) routes disagree: {exact} vs {series} for D = {field.D}"
         )
     return exact
-
-
-def split_sums(
-    chi: HeckeCharacter, v: int, tol: float = 1e-10, w: float | None = None
-) -> tuple[float, float]:
-    """The central sum split over self-conjugate and non-self-conjugate ideals.
-
-    Self-conjugate ideals coprime to the conductor are exactly the (n)
-    (every ramified prime divides the conductors built here), so the first
-    part is 2 sum kappa(n) n^{-1} I_v(n^2 / (Af)).  The parts add up to
-    central_value within the two tail bounds.
-    """
-    _require_sign(chi, v, w)
-    _, Af = _scale(chi)
-    T = _truncation(Af, tol)
-    nf_norm = chi.conductor_norm
-    principal_terms = []
-    for n in range(1, math.isqrt(int(T)) + 2):
-        if math.gcd(n, nf_norm) != 1:
-            continue
-        principal_terms.append(2.0 * chi.field.kronecker(n) / n * kernel_I(v, n * n / Af))
-    principal = math.fsum(principal_terms)
-    coeffs: dict[int, complex] = {}
-    for ideal in enumerate_ideals(chi.field, int(T)):
-        if ideal.is_self_conjugate():
-            continue
-        z = evaluate_char(chi, ideal).complex()
-        coeffs[ideal.norm] = coeffs.get(ideal.norm, 0j) + z
-    terms = [2.0 * a / n * kernel_I(v, n / Af) for n, a in sorted(coeffs.items())]
-    nonself = _real_part(terms, 1.0, "non-self-conjugate part")
-    return principal, nonself

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (
-    HeckeCharacter,
-    RingClassCharacter,
-    evaluate_char,
-    ring_class_character,
-    twist,
-)
+from .characters import HeckeCharacter, evaluate_char
 from .errors import (
     DegenerateQuotient,
     NoAuxiliaryGenerator,
@@ -203,25 +197,3 @@ def root_number(chi: HeckeCharacter) -> float:
     if abs(w - sign) > 1e-6 or sign not in (-1, 1):
         raise NumericalInstability(f"root number {w} is not a real sign")
     return float(sign)
-
-
-@dataclass(frozen=True)
-class OrbitReport:
-    """Root numbers across the Galois orbit of a twist."""
-
-    ws: tuple[tuple[int, complex], ...]
-    spread: float
-    constant: bool
-
-
-def conjugation_invariance_check(phi: HeckeCharacter, rho: RingClassCharacter) -> OrbitReport:
-    """W(phi rho^m) for all m coprime to the order of rho; expected constant."""
-    n = rho.order
-    ws = []
-    for m in range(1, n):
-        if math.gcd(m, n) != 1:
-            continue
-        rho_m = ring_class_character(rho.field, rho.c, tuple(m * t for t in rho.exponents))
-        ws.append((m, gauss_sum_root_number(twist(phi, rho_m)).W_gauss))
-    spread = max(abs(w - ws[0][1]) for _, w in ws)
-    return OrbitReport(ws=tuple(ws), spread=spread, constant=spread <= 1e-6)

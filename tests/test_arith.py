@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from heckelab.arith import (
     abelian_group_structure,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -85,7 +84,6 @@ def test_factorize_and_friends():
     assert factorize(1) == ()
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     assert is_prime(2) and is_prime(10007) and not is_prime(10005)
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     assert euler_phi(1) == 1 and euler_phi(100) == 40
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

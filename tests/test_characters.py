@@ -9,25 +9,26 @@ from heckelab.characters import (
     CharValue,
     build_hecke_character,
     canonical_epsilon,
-    char_from_descriptor,
+    check_property1,
     evaluate_char,
     finite_part,
-    galois_orbit_lifts,
     gaussian_epsilon,
     ideal_lcm,
     main_lemma_quantities,
-    property1_check,
     ring_class_character,
     twist,
     unit_group_mod,
 )
 from heckelab.errors import (
     ConductorNotSupported,
+    ImprimitiveFinitePart,
     NoConsistentLift,
+    RestrictionMismatch,
     UnitInconsistent,
     UnsupportedDiscriminant,
 )
 from heckelab.quadfield import (
+    Ideal,
     KElt,
     enumerate_ideals,
     ideal_class_of,
@@ -254,43 +255,72 @@ def test_conjugate_value_exact(chi23):
         assert abs(vc.complex() - v.complex().conjugate()) < 1e-10 * max(1, abs(v.complex()))
 
 
-def test_property1_canonical(chi4, chi23):
-    for chi in (chi4, chi23):
-        rep = property1_check(chi, 400)
-        assert rep.equivariant and rep.kappa1_matches_kappa
-        assert rep.kappa1_minus_one and rep.split_norms_trivial
-        assert rep.consistent and rep.witness is None
-        assert rep.ideals_checked > 50
+def equivariance_witness(chi, bound):
+    """(first a with chi(conj a) != conj chi(a) exactly or None, ideals checked),
+    over the ideals of norm <= bound coprime to the conductor.
+
+    Property 1 holds exactly when chi is equivariant, so this sampled loop is
+    the oracle for check_property1's exact restriction test.
+    """
+    checked = 0
+    for ideal in coprime_ideals(chi.field, chi, bound):
+        checked += 1
+        va = evaluate_char(chi, ideal)
+        if not evaluate_char(chi, ideal.conjugate()).equals_exact(va.conjugate()):
+            return ideal, checked
+    return None, checked
 
 
-def test_property1_broken_character():
+def broken_chi23():
     # order-22 finite part on the D=-23 conductor: unit consistent (it sends
     # -1 to zeta_22^11 = -1) but the rational restriction has order > 2
     f = make_field(-23)
-    fid = principal_ideal(f, f.sqrt_D)
-    eps = finite_part(f, fid, (1,), M=22)
+    eps = finite_part(f, principal_ideal(f, f.sqrt_D), (1,), M=22)
     assert eps.is_unit_consistent()
-    broken = build_hecke_character(f, eps)
-    rep = property1_check(broken, 200)
-    assert not rep.equivariant and not rep.kappa1_matches_kappa
-    assert rep.consistent
-    assert rep.witness is not None
+    return build_hecke_character(f, eps)
+
+
+def test_property1_canonical(chi4, chi23):
+    for chi in (chi4, chi23):
+        check_property1(chi)
+        witness, checked = equivariance_witness(chi, 400)
+        assert witness is None
+        assert checked > 50
+
+
+def test_property1_broken_character():
+    broken = broken_chi23()
+    with pytest.raises(RestrictionMismatch, match="kappa_1"):
+        check_property1(broken)
+    witness, _ = equivariance_witness(broken, 200)
+    assert witness is not None
     # the witness really is a counterexample
-    v = evaluate_char(broken, rep.witness)
-    vc = evaluate_char(broken, rep.witness.conjugate())
+    v = evaluate_char(broken, witness)
+    vc = evaluate_char(broken, witness.conjugate())
     assert abs(vc.complex() - v.complex().conjugate()) > 1e-6
 
 
-def test_property1_vacuous():
-    f = make_field(-4)
-    chi = build_hecke_character(f, gaussian_epsilon(f))
-    rep = property1_check(chi, 1)
-    assert rep.ideals_checked == 0 and rep.equivariant
+def test_property1_vacuous(chi4):
+    # below norm 2 the sampled side has nothing to check; the exact side needs no bound
+    assert equivariance_witness(chi4, 1) == (None, 0)
+    check_property1(chi4)
+
+
+def test_imprimitive_finite_part_raises():
+    # eps on P2 P3 over D=-23 that factors through (O/P3)^x: f is not its conductor
+    f = make_field(-23)
+    (p2, _), (p3, _) = prime_ideals_above(f, 2), prime_ideals_above(f, 3)
+    eps = finite_part(f, p2 * p3, (1,))
+    assert eps.is_unit_consistent()
+    assert not eps.is_primitive()
+    with pytest.raises(ImprimitiveFinitePart):
+        build_hecke_character(f, eps)
+    assert canonical_epsilon(f).is_primitive()
 
 
 def test_galois_orbit_cube_roots(chi23):
     f = chi23.field
-    lifts = galois_orbit_lifts(f, chi23.eps)
+    lifts = [build_hecke_character(f, chi23.eps, root_choices=(j,)) for j in range(3)]
     assert len(lifts) == 3
     assert len({l.conductor for l in lifts}) == 1
     zeta3 = cmath.exp(2j * cmath.pi / 3)
@@ -363,8 +393,8 @@ def test_twist_by_ring_class(chi4):
     # still type (1,0) and equivariant
     for I in coprime_ideals(f, chi, 200):
         assert evaluate_char(chi, I).abs_squared() == I.norm
-    rep = property1_check(chi, 300)
-    assert rep.equivariant and rep.kappa1_matches_kappa
+    check_property1(chi)
+    assert equivariance_witness(chi, 300)[0] is None
 
 
 def test_twist_on_principal_ideals(chi4):
@@ -423,13 +453,27 @@ def test_main_lemma_large_mu(chi4):
     assert rep.q == 1
 
 
+def _from_descriptor(desc):
+    field = make_field(desc["D"])
+    f = Ideal(field, *desc["conductor_hnf"])
+    eps = finite_part(field, f, desc["eps_exponents"], M=desc["eps_M"])
+    tw = desc.get("twist")
+    return build_hecke_character(
+        field,
+        eps,
+        root_choices=tuple(desc["root_choices"]),
+        twist_data=(tw["c"], tuple(tw["exponents"])) if tw else None,
+    )
+
+
 def test_descriptor_roundtrip(chi4, chi23):
+    # a scan's JSON names its base character by descriptor, which must pin it exactly
     f4 = chi4.field
     rho = ring_class_character(f4, 5, (1,))
     chars = [chi4, chi23, twist(chi4, rho)]
     for chi in chars:
         blob = json.dumps(chi.descriptor(), sort_keys=True)
-        rebuilt = char_from_descriptor(json.loads(blob))
+        rebuilt = _from_descriptor(json.loads(blob))
         assert json.dumps(rebuilt.descriptor(), sort_keys=True) == blob
         for I in coprime_ideals(chi.field, chi, 80):
             a = evaluate_char(chi, I)
@@ -441,7 +485,7 @@ def test_descriptor_roundtrip(chi4, chi23):
 def test_char_values_structure(chi47):
     # five lifts on D=-47, all sharing |values| with exact abs squared
     f = chi47.field
-    lifts = galois_orbit_lifts(f, chi47.eps)
+    lifts = [build_hecke_character(f, chi47.eps, root_choices=(j,)) for j in range(5)]
     assert len(lifts) == 5
     for I in coprime_ideals(f, chi47, 50):
         for l in lifts:

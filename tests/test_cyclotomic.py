@@ -1,145 +1,75 @@
+"""Ramanujan sums and the Lemma 1 trace oracle.
+
+Lemma 1 asks for mu_p such that p^mu | N forces Tr_{F(xi)/F}(xi) = 0 for
+every root of unity xi of order N.  The oracle below decides each trace from
+a float sum: the trace from Q(zeta_L) down to F is an algebraic integer of F,
+and for F = Q or an imaginary quadratic field a nonzero element z of O_F has
+|z|^2 = N(z) >= 1, so a float sum with |z| < 1/2 certifies an exact zero.
+The trace from Q(zeta_L) is [Q(zeta_L) : F(xi)] times the trace from F(xi),
+so the two vanish together.
+
+An abelian field F is given as (N_F, H): its conductor and the subgroup H of
+(Z/N_F)^x whose automorphisms zeta -> zeta^a fix it.
+"""
+
 import math
 import random
-from fractions import Fraction
 
-import pytest
+import numpy as np
 
-from heckelab.cyclotomic import (
-    AbelianSubfield,
-    CyclotomicElement,
-    degree_over,
-    gaussian_field,
-    lemma1_mu_search,
-    quadratic_subfield,
-    ramanujan_trace,
-    ramanujan_trace_direct,
-    rationals,
-    trace_to_subfield,
-    _order_trace_vanishes,
-)
-from heckelab.errors import SubfieldMismatch
+from heckelab.arith import euler_phi, kronecker, moebius, ramanujan_trace
 
-zeta = CyclotomicElement.zeta
+RATIONALS = (1, (0,))
 
 
-def rand_cyc(N, rng, terms=4):
-    return CyclotomicElement(
-        N, {rng.randrange(N): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(terms)}
-    )
+def quadratic_subfield(D):
+    """Q(sqrt(D)) inside Q(zeta_|D|), as the kernel of (D | .)."""
+    N = abs(D)
+    return N, tuple(a for a in range(1, N + 1) if kronecker(D, a) == 1)
 
 
-def test_basic_identities():
-    assert zeta(4) * zeta(4) == -1
-    assert zeta(3) + zeta(3, 2) == -1
-    assert zeta(12) * zeta(12, 5) == -1
-    assert zeta(8) * zeta(8, 7) == 1
-    assert zeta(6, 2) == zeta(3)  # equality across conductors
-    assert zeta(2) == -1
+GAUSSIAN = quadratic_subfield(-4)
 
 
-def test_canonicalization_unique_and_idempotent():
-    rng = random.Random(30)
-    for N in [1, 2, 5, 8, 12, 30, 36, 100]:
-        for _ in range(10):
-            x = rand_cyc(N, rng)
-            again = CyclotomicElement(N, x.coeffs)
-            assert again.coeffs == x.coeffs
-            assert (x - x).is_zero()
-            # canonical indices stay inside the tensor basis bound
-            for i in x.coeffs:
-                assert 0 <= i < N
+def galois_group_in(F, L):
+    """Residues a mod L, as an array, with zeta_L -> zeta_L^a fixing F: Gal(Q(zeta_L)/F)."""
+    NF, H = F
+    a = np.arange(1, L + 1)
+    return a[(np.gcd(a, L) == 1) & np.isin(a % NF, H)]
 
 
-def test_ring_axioms_and_embedding_agreement():
-    rng = random.Random(31)
-    for _ in range(40):
-        N = rng.choice([3, 4, 5, 12, 15, 36])
-        x, y, z = (rand_cyc(N, rng) for _ in range(3))
-        assert (x + y) * z == x * z + y * z
-        assert x * y == y * x
-        assert abs((x * y).complex() - x.complex() * y.complex()) < 1e-9
-        assert abs((x + y).complex() - (x.complex() + y.complex())) < 1e-9
+def trace_down(F, N, k):
+    """Tr from Q(zeta_L) to F of zeta_N^k, L = lcm(N, N_F), summed in floating point."""
+    L = math.lcm(N, F[0])
+    j = (L // N) * k * galois_group_in(F, L) % L
+    return complex(np.exp(2j * np.pi * j / L).sum())
 
 
-def test_conjugation_and_galois():
-    rng = random.Random(32)
-    for _ in range(30):
-        N = rng.choice([5, 8, 12, 21])
-        x = rand_cyc(N, rng)
-        assert abs(x.conjugate().complex() - x.complex().conjugate()) < 1e-9
-        units = [a for a in range(1, N) if math.gcd(a, N) == 1]
-        a, b = rng.choice(units), rng.choice(units)
-        assert x.galois(a).galois(b) == x.galois(a * b % N)
-    with pytest.raises(ValueError):
-        zeta(6).galois(3)
-    with pytest.raises(ValueError):
-        zeta(4).embed(6)
+def _order_trace_vanishes(F, N):
+    """Tr_{F(xi)/F}(xi) = 0 for every root of unity xi of order N, certified exactly."""
+    # the trace of zeta_N^a depends only on the coset of a mod the image of Gal(Q(zeta_L)/F)
+    Hbar = set((galois_group_in(F, math.lcm(N, F[0])) % N).tolist())
+    visited = set()
+    for a in range(1, N + 1):
+        if math.gcd(a, N) != 1 or a in visited:
+            continue
+        visited.update(a * h % N for h in Hbar)
+        if abs(trace_down(F, N, a)) >= 0.5:
+            return False
+    return True
 
 
-def test_trace_examples():
-    # Tr to Q of a primitive N-th root is the Moebius function
-    assert trace_to_subfield(zeta(12), rationals()) == 0
-    assert trace_to_subfield(zeta(5), rationals()) == -1
-    assert trace_to_subfield(zeta(4, 2), rationals()) == -2
-    # scalars pick up the extension degree
-    F = gaussian_field()
-    x = CyclotomicElement.from_rational(Fraction(3, 2), 12)
-    assert trace_to_subfield(x, rationals()) == Fraction(3, 2) * 4
-    x4 = CyclotomicElement.from_rational(7, 4)
-    assert trace_to_subfield(x4, F) == 7 * degree_over(4, F)
-
-
-def test_trace_lands_in_fixed_field():
-    rng = random.Random(33)
-    for _ in range(20):
-        N = rng.choice([8, 12, 20])
-        F = rng.choice([rationals(), gaussian_field(), quadratic_subfield(-4), quadratic_subfield(-3)])
-        x = rand_cyc(N, rng)
-        t = trace_to_subfield(x, F)
-        for a in F.galois_group_in(t.N):
-            assert t.galois(a) == t
-
-
-def _subgroup(N, gens):
-    H = {1 % N}
-    frontier = [1 % N]
-    while frontier:
-        h = frontier.pop()
-        for g in gens:
-            x = h * g % N
-            if x not in H:
-                H.add(x)
-                frontier.append(x)
-    return tuple(sorted(H))
-
-
-def test_trace_tower_transitivity():
-    # Tr_{Q(zN)/Q} o (embedding) = degree * Tr_{F/Q} o Tr_{Q(zN)/F}
-    rng = random.Random(34)
-    count = 0
-    while count < 100:
-        N = rng.choice([5, 8, 12, 15, 16, 20, 21, 24])
-        units = [a for a in range(1, N) if math.gcd(a, N) == 1]
-        F = AbelianSubfield(N, _subgroup(N, [rng.choice(units) for _ in range(2)]))
-        x = rand_cyc(N, rng)
-        t1 = trace_to_subfield(x, F)
-        lhs = trace_to_subfield(t1, rationals())
-        rhs = degree_over(N, F) * trace_to_subfield(x, rationals())
-        assert lhs == rhs
-        count += 1
-
-
-def test_subfield_validation():
-    with pytest.raises(SubfieldMismatch):
-        AbelianSubfield(8, (1, 3, 5))  # not closed: 3*5 = 7 missing
-    with pytest.raises(SubfieldMismatch):
-        AbelianSubfield(4, (1, 2))  # 2 not a unit
-    with pytest.raises(SubfieldMismatch):
-        AbelianSubfield(5, (2, 3))  # missing identity
-    assert quadratic_subfield(-4).degree == 2
-    assert quadratic_subfield(-3).degree == 2
-    assert quadratic_subfield(-23).degree == 2
-    assert gaussian_field().H == quadratic_subfield(-4).H
+def lemma1_mu_search(F, p, N_max):
+    """Smallest mu with no counterexample in range: p^mu | N <= N_max forces
+    Tr_{F(xi)/F}(xi) = 0 for xi of order N."""
+    worst = 0
+    for N in range(p, N_max + 1, p):
+        if not _order_trace_vanishes(F, N):
+            v, M = 0, N
+            while M % p == 0:
+                v, M = v + 1, M // p
+            worst = max(worst, v)
+    return worst + 1
 
 
 def test_ramanujan_examples():
@@ -151,26 +81,68 @@ def test_ramanujan_examples():
 
 
 def test_ramanujan_two_routes_agree():
+    # Kluyver's formula c_n(k) = sum over d | gcd(n, k) of mu(n/d) d
     for n in range(1, 201):
         for k in range(n):
-            assert ramanujan_trace(n, k) == ramanujan_trace_direct(n, k), (n, k)
+            g = math.gcd(n, k)
+            kluyver = sum(moebius(n // d) * d for d in range(1, g + 1) if g % d == 0)
+            assert ramanujan_trace(n, k) == kluyver, (n, k)
+
+
+def test_trace_examples():
+    # Tr to Q of a primitive N-th root is the Moebius function
+    assert abs(trace_down(RATIONALS, 12, 1)) < 1e-12
+    assert abs(trace_down(RATIONALS, 5, 1) + 1) < 1e-12
+    assert abs(trace_down(RATIONALS, 4, 2) + 2) < 1e-12
+    # down to Q(i): zeta_8 + zeta_8^5 = 0, zeta_12 + zeta_12^5 = i, and i is fixed
+    assert abs(trace_down(GAUSSIAN, 8, 1)) < 1e-12
+    assert abs(trace_down(GAUSSIAN, 12, 1) - 1j) < 1e-12
+    assert abs(trace_down(GAUSSIAN, 4, 1) - 1j) < 1e-12
+    # down to Q(sqrt(-3)) inside Q(zeta_12): i + i^7 = 0
+    assert abs(trace_down(quadratic_subfield(-3), 4, 1)) < 1e-12
+
+
+def test_trace_lands_in_fixed_field():
+    # the premise of the |z| < 1/2 certificate: every trace is x + y omega, x, y integers
+    rng = random.Random(33)
+    for _ in range(60):
+        N = rng.choice([8, 12, 20, 24, 45, 92])
+        k = rng.randrange(N)
+        D = rng.choice([-4, -3, -23])
+        z = trace_down(RATIONALS, N, k)
+        assert abs(z.imag) < 1e-9 and abs(z.real - round(z.real)) < 1e-9
+        z = trace_down(quadratic_subfield(D), N, k)
+        y = 2 * z.imag / math.sqrt(-D)
+        x = z.real - y * D / 2
+        assert abs(y - round(y)) < 1e-9 and abs(x - round(x)) < 1e-9, (N, k, D)
+
+
+def test_trace_tower_transitivity():
+    # complex conjugation is the other coset of Gal(L/F) in Gal(L/Q) for F
+    # imaginary quadratic, so Tr_{L/Q} = 2 Re Tr_{L/F} = [L : Q(zeta_N)] c_N(k)
+    rng = random.Random(34)
+    for _ in range(100):
+        N = rng.choice([5, 8, 12, 15, 16, 20, 21, 24])
+        k = rng.randrange(N)
+        F = quadratic_subfield(rng.choice([-4, -3, -7, -8]))
+        L = math.lcm(N, F[0])
+        want = euler_phi(L) // euler_phi(N) * ramanujan_trace(N, k)
+        assert abs(2 * trace_down(F, N, k).real - want) < 1e-9, (N, k, F[0])
 
 
 def test_trace_route_matches_ramanujan():
     for n in range(1, 41):
         for k in range(n):
-            t = trace_to_subfield(zeta(n, k), rationals())
-            assert t == ramanujan_trace(n, k)
+            assert abs(trace_down(RATIONALS, n, k) - ramanujan_trace(n, k)) < 1e-9
 
 
 def test_lemma1_search():
-    assert lemma1_mu_search(rationals(), 3, 500) == 2
-    assert lemma1_mu_search(rationals(), 5, 300) == 2
-    assert _order_trace_vanishes(rationals(), 25)
+    assert lemma1_mu_search(RATIONALS, 3, 500) == 2
+    assert lemma1_mu_search(RATIONALS, 5, 300) == 2
+    assert _order_trace_vanishes(RATIONALS, 25)
     # over Q(i) the order-4 root i is fixed, so mu_2 must exceed 2
-    F = gaussian_field()
-    assert not _order_trace_vanishes(F, 4)
-    assert lemma1_mu_search(F, 2, 600) == 3
+    assert not _order_trace_vanishes(GAUSSIAN, 4)
+    assert lemma1_mu_search(GAUSSIAN, 2, 600) == 3
 
 
 def test_quadratic_subfield_vanishing_odd_squares():

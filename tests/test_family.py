@@ -5,8 +5,15 @@ import pytest
 
 from heckelab import characters, family
 from heckelab.arith import factorize
-from heckelab.characters import build_hecke_character, evaluate_char, gaussian_epsilon
-from heckelab.quadfield import make_field
+from heckelab.characters import (
+    build_hecke_character,
+    canonical_epsilon,
+    evaluate_char,
+    finite_part,
+    gaussian_epsilon,
+)
+from heckelab.errors import RestrictionMismatch
+from heckelab.quadfield import make_field, principal_ideal
 from heckelab.rootnumber import root_number
 
 
@@ -29,6 +36,22 @@ def test_golden_family(gauss):
     for r in records:
         assert r.error is None
         assert r.verdict == "nonzero"
+
+
+def test_scan_requires_property1(monkeypatch):
+    field = make_field(-23)
+    chi23 = build_hecke_character(field, canonical_epsilon(field))
+    records = family.scan_report(field, chi23, (2,), 1)
+    # c = 1: the trivial orbit and the order-3 class group characters (h = 3)
+    assert [(r.c, r.n, r.error) for r in records] == [(1, 1, None), (1, 3, None)]
+    # an order-22 finite part: unit consistent, but phi restricted to Q is not kappa_K
+    broken = build_hecke_character(
+        field, finite_part(field, principal_ideal(field, field.sqrt_D), (1,), M=22)
+    )
+    # the precondition runs before the first record is built
+    monkeypatch.setattr(family, "enumerate_twists", lambda *args: pytest.fail("scan went on"))
+    with pytest.raises(RestrictionMismatch):
+        family.scan_report(field, broken, (2,), 1)
 
 
 def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):

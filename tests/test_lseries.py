@@ -23,7 +23,6 @@ from heckelab.lseries import (
     kernel_I,
     lambda_value,
     smoothed_kappa_sum,
-    split_sums,
     theta_coeffs,
 )
 from heckelab.quadfield import enumerate_ideals, make_field
@@ -120,12 +119,13 @@ def test_theta_coeffs_examples(chi4):
 
 
 def test_theta_coeffs_bound(chi4, chi23):
-    from heckelab.arith import divisors
+    from heckelab.arith import factorize
 
     for chi in (chi4, chi23):
         coeffs = theta_coeffs(chi, 400)
         for n, a in coeffs.items():
-            assert abs(a) <= len(divisors(n)) * math.sqrt(n) + 1e-9
+            d = math.prod(e + 1 for _, e in factorize(n))  # the number of divisors of n
+            assert abs(a) <= d * math.sqrt(n) + 1e-9
 
 
 def test_theta_coeffs_match_ideal_enumeration(chi4, chi23):
@@ -219,25 +219,6 @@ def test_smoothed_kappa_sum_converges():
     errs = [abs(smoothed_kappa_sum(field, x) - target) for x in (1e4, 1e6, 1e8)]
     assert errs[0] < 1e-3 and errs[2] < 1e-8
     assert errs[2] <= errs[0]
-
-
-def test_split_sums_add_up(chi4, chi23):
-    for chi in (chi4, chi23):
-        w = empirical_sign(chi)
-        v = (1 - w) // 2
-        sv = central_value(chi, v, tol=1e-10, w=w)
-        principal, nonself = split_sums(chi, v, tol=1e-10, w=w)
-        assert abs(principal + nonself - sv.value) <= 2e-10 * max(1.0, abs(sv.value))
-
-
-def test_split_principal_is_kappa_series(chi4):
-    principal, _ = split_sums(chi4, 0, tol=1e-10, w=1)
-    Af = chi4.field.A * chi4.f_value
-    direct = 2.0 * math.fsum(
-        chi4.field.kronecker(n) / n * math.exp(-n * n / Af)
-        for n in range(1, 200, 2)
-    )
-    assert principal == pytest.approx(direct, abs=1e-12)
 
 
 def test_twisted_central_value(chi4):

@@ -14,7 +14,7 @@ from heckelab.characters import (
     twist,
 )
 from heckelab.errors import HeckeLabError, IdealSearchExhausted, NoCRTLift, PhaseOverflow
-from heckelab.family import enumerate_twists, orbit_characters
+from heckelab.family import TwistOrbit, enumerate_twists, orbit_characters
 from heckelab.lseries import lambda_value
 from heckelab.quadfield import Ideal, KElt, coset_reps, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
@@ -22,7 +22,6 @@ from heckelab.rootnumber import (
     _gauss_sum,
     _one_mod_f_in_c,
     auxiliary_pair,
-    conjugation_invariance_check,
     different_gen,
     gauss_sum_root_number,
     root_number,
@@ -166,18 +165,25 @@ def test_fe_route_alone(chi23):
     assert abs(w - 1) < 1e-6
 
 
+def _orbit_root_numbers(phi, c, exponents):
+    """Gauss-sum W of every member phi rho^m of the Galois orbit of rho."""
+    n = ring_class_character(phi.field, c, exponents).order
+    members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
+    orbit = TwistOrbit(c=c, exponents=exponents, order=n, members=members)
+    chars = orbit_characters(phi, orbit)
+    return [root_number(chi) for chi in chars], [gauss_sum_root_number(chi).W_gauss for chi in chars]
+
+
 def test_orbit_constancy_order2(chi4):
-    rho = ring_class_character(chi4.field, 5, (1,))
-    rep = conjugation_invariance_check(chi4, rho)
-    assert len(rep.ws) == 1 and rep.constant
+    signs, ws = _orbit_root_numbers(chi4, 5, (1,))
+    assert signs == [-1.0]
+    assert abs(ws[0] + 1) < 1e-6
 
 
 def test_orbit_constancy_order3(chi23):
-    rho = ring_class_character(chi23.field, 2, (1,))
-    assert rho.order == 3
-    rep = conjugation_invariance_check(chi23, rho)
-    assert len(rep.ws) == 2
-    assert rep.constant and rep.spread < 1e-6
+    signs, ws = _orbit_root_numbers(chi23, 2, (1,))
+    assert len(signs) == 2 and len(set(signs)) == 1
+    assert max(abs(w - ws[0]) for w in ws) < 1e-6
 
 
 def _transversal_gauss_sum(chi, c, b):
