@@ -558,14 +558,26 @@ class RingClassCharacter:
     c: int
     exponents: tuple
 
-    @property
+    @cached_property
+    def _pic_orders(self) -> tuple:
+        """Orders of the generators of Pic(O_c), computed once per character."""
+        return tuple(class_group(self.c * self.c * self.field.D).orders)
+
+    @cached_property
     def order(self) -> int:
-        cg = class_group(self.c * self.c * self.field.D)
         n = 1
-        for t, h in zip(self.exponents, cg.orders):
+        for t, h in zip(self.exponents, self._pic_orders):
             if t % h:
                 n = math.lcm(n, h // math.gcd(t, h))
         return n
+
+    @cached_property
+    def _value_weights(self) -> tuple[tuple[int, ...], int]:
+        """(w, step): rho(a) = zeta_N^(w . dlog(a)) with N the lcm of the Pic(O_c)
+        orders, and step = N / order."""
+        orders = self._pic_orders
+        N = math.lcm(*orders)
+        return tuple(t * (N // h) for t, h in zip(self.exponents, orders)), N // self.order
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -574,16 +586,14 @@ class RingClassCharacter:
         """s with rho(a) = zeta_order^s, or None when a is not coprime to c."""
         if math.gcd(a.norm, self.c) != 1:
             return None
-        cg = class_group(self.c * self.c * self.field.D)
-        e = ring_class_dlog(self.field, self.c, a)
-        N = 1
-        for h in cg.orders:
-            N = math.lcm(N, h)
-        kN = sum(t * ei * (N // h) for t, ei, h in zip(self.exponents, e, cg.orders)) % N
+        weights, step = self._value_weights
+        kN = sum(w * ei for w, ei in zip(weights, ring_class_dlog(self.field, self.c, a)))
         # the value is zeta_N^kN; an order-n character only hits n-th roots
-        step = N // self.order
         if kN % step:
-            raise ArithmeticError("value exponent inconsistent with character order")
+            raise NoConsistentLift(
+                f"ring class value exponent {kN} is not a multiple of {step}, "
+                f"so rho of order {self.order} cannot take it"
+            )
         return (kN // step) % self.order
 
     def value_complex(self, a: Ideal) -> complex:

@@ -12,6 +12,17 @@ This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.
 
+The L-values of a scan read each member chi_m = phi rho^m at prime ideals
+P, through lseries' prime_values, and not from chi_m itself: away from
+c N(f(phi)), chi_m(P) = phi(P) zeta_n^{m k_P} with rho(P) = zeta_n^{k_P}.
+scan_report evaluates phi once per prime ideal into a table that lives
+for the call, and each orbit computes k_P once per P.  At the few P over
+c N(f(phi)) the conductor of twist()'s primitive chi_m can be smaller than
+lcm(f(phi), cO), so chi_m is evaluated there directly.  The checks keep
+their independence: the theta-quotient root number sums these phi rho^m
+values against the Gauss sum of twist()'s finite part, and the orbit-mean
+check sieves the characters twist() built, not the phi rho^m values.
+
 A scan checks, in this order:
 
 * once, before the first record: Property 1, phi|_Q = kappa_K, exactly
@@ -40,7 +51,9 @@ floats are serialized as repr decimal strings, and no timestamps appear.
 
 from __future__ import annotations
 
+import cmath
 import csv
+import functools
 import io
 import itertools
 import json
@@ -62,7 +75,7 @@ from .characters import (
     twist,
 )
 from .errors import HeckeLabError, NumericalInstability, SignMismatch
-from .lseries import SmoothedValue, central_value, dirichlet_L1, theta_coeffs
+from .lseries import PrimeValues, SmoothedValue, central_value, dirichlet_L1, theta_coeffs
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -268,11 +281,54 @@ def orbit_characters(
     return out
 
 
+def orbit_prime_values(
+    phi_values: PrimeValues,
+    phi: HeckeCharacter,
+    rho: RingClassCharacter,
+    orbit: TwistOrbit,
+    members: list[HeckeCharacter],
+) -> list[PrimeValues]:
+    """chi_m at prime ideals for each member chi_m = phi rho^m, in member order.
+
+    phi_values gives phi(P).  At P coprime to c N(f(phi)) the value is
+    phi(P) zeta_n^{m k_P}, rho(P) = zeta_n^{k_P}, with k_P computed once per
+    P for the whole orbit; at the other P it is the exact value of twist()'s
+    chi_m, whose conductor can drop there.  The trivial orbit's one member
+    is phi, whose values are phi_values.
+    """
+    if rho.is_trivial():
+        return [phi_values]
+    n = rho.order
+    modulus = rho.c * phi.conductor_norm
+    roots = [cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
+    k_of = functools.cache(rho.value_exponent)
+
+    def member(m: int, chi: HeckeCharacter) -> PrimeValues:
+        def value(P: Ideal) -> complex:
+            if math.gcd(P.norm, modulus) != 1:
+                return evaluate_char(chi, P).complex()
+            return phi_values(P) * roots[m * k_of(P) % n]
+
+        return value
+
+    return [member(m, chi) for m, chi in zip(orbit.members, members)]
+
+
 def averaged_L(
-    members: list[HeckeCharacter], v: int, tol: float, w: float
+    members: list[HeckeCharacter],
+    v: int,
+    tol: float,
+    w: float,
+    prime_values: list[PrimeValues],
 ) -> list[SmoothedValue]:
-    """The central value of each orbit member, in member order; a record averages them."""
-    return [central_value(chi, v, tol=tol, w=w) for chi in members]
+    """The central value of each orbit member, in member order; a record averages them.
+
+    prime_values holds each member's source of chi(P), as orbit_prime_values gives them.
+    """
+    return [
+        central_value(chi, v, tol=tol, w=w, prime_values=pv)
+        for chi, pv in zip(members, prime_values)
+    ]
 
 
 def _check_orbit_mean(
@@ -353,10 +409,12 @@ def scan_report(
     """
     check_property1(phi)
     L1 = dirichlet_L1(field)
+    # phi(P) at each prime ideal P any record reads, evaluated on first use
+    phi_values = functools.cache(lambda P: evaluate_char(phi, P).complex())
     records = []
     for orbit in enumerate_twists(field, phi, P, c_max):
         try:
-            records.append(_orbit_record(field, phi, orbit, L1, tol))
+            records.append(_orbit_record(field, phi, orbit, L1, tol, phi_values))
         except HeckeLabError as exc:
             records.append(_failed_record(orbit, exc))
     return records
@@ -384,10 +442,11 @@ def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyReco
     )
 
 
-def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
+def _orbit_record(field, phi, orbit, L1, tol, phi_values) -> FamilyRecord:
     members = orbit_characters(phi, orbit)
     chi = members[0]
     rho = orbit.rho(field, orbit.members[0])
+    sources = orbit_prime_values(phi_values, phi, rho, orbit, members)
     # exact fields first: counts and the p-adic bookkeeping need no W;
     # one ideal walk to the largest threshold serves the counts and the orbit mean
     bound = int(chi.f_value ** max(T_EXPONENTS))
@@ -406,13 +465,13 @@ def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
                 f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}"
             )
         W = int(signs[0])
-        W_fe = root_number_via_fe(chi)
+        W_fe = root_number_via_fe(chi, prime_values=sources[0])
         if abs(W_fe - W) > 1e-6:
             raise NumericalInstability(
                 f"root numbers disagree: Gauss sum W = {W:+d}, theta quotient W = {W_fe:.6g}"
             )
         v = (1 - W) // 2
-        values = averaged_L(members, v, tol=tol, w=float(W))
+        values = averaged_L(members, v, tol=tol, w=float(W), prime_values=sources)
         _check_orbit_mean(phi, rho, members, ideals, bound)
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)

@@ -12,6 +12,14 @@ Every sum here is truncated at a certified point: the coefficient bound
 The coefficients a_n come from a multiplicative sieve over the primes up
 to the truncation point, with chi evaluated only at prime ideals.
 
+Those prime values come from a supplied source when the caller has one:
+theta_coeffs, central_value and rootnumber.root_number_via_fe take
+prime_values, a function from a prime ideal P to chi(P) as a complex
+number, and then evaluate chi at no ideal themselves.  A family scan
+supplies each twist's values as phi(P) rho^m(P) from one table of phi per
+scan.  Without a source, chi is evaluated exactly at each P by
+characters.evaluate_char.
+
 All arithmetic is float64; math.fsum keeps the long sums compensated.
 The stated tolerances (1e-8 functional equation, 1e-10 realness, 1e-14
 kernels) sit comfortably inside that.
@@ -20,6 +28,7 @@ kernels) sit comfortably inside that.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +36,10 @@ import numpy as np
 from .arith import multiplicative_table
 from .characters import HeckeCharacter, evaluate_char
 from .errors import DomainError, NonPositiveArgument, NumericalInstability, SignMismatch
-from .quadfield import FieldContext, ideal_counts, prime_ideals_above
+from .quadfield import FieldContext, Ideal, ideal_counts, prime_ideals_above
+
+# chi at a prime ideal P, as a complex number
+PrimeValues = Callable[[Ideal], complex]
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -97,7 +109,9 @@ def incomplete_gamma(s: float, u: float) -> float:
     return float(gammaincc(s, u)) * math.gamma(s)
 
 
-def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
+def theta_coeffs(
+    chi: HeckeCharacter, X: int, prime_values: PrimeValues | None = None
+) -> dict[int, complex]:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
     The keys are exactly the n <= X that are the norm of some integral
@@ -105,36 +119,44 @@ def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
     n meets the conductor.  a_n is multiplicative, so a sieve over the
     primes p <= X builds the table from the local factors a_{p^e}, which
     need chi only at the (at most two) prime ideals above p.  That costs
-    O(X log log X) array updates plus at most 2 pi(X) character
-    evaluations, and the sieve forms no Ideal products.  Inert p with
-    p^2 > X lie under no ideal of norm <= X and are skipped.
+    O(X log log X) array updates plus at most 2 pi(X) reads of chi(P),
+    from prime_values when given and otherwise by exact evaluation, and
+    the sieve forms no Ideal products.  Inert p with p^2 > X lie under no
+    ideal of norm <= X and are skipped.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    values = multiplicative_table(X, lambda p, emax: _local_coeffs(chi, p, emax), complex)
-    keys = np.flatnonzero(ideal_counts(chi.field, X))
+    if prime_values is None:
+        prime_values = lambda pr: evaluate_char(chi, pr).complex()
+    field = chi.field
+    values = multiplicative_table(
+        X, lambda p, emax: _local_coeffs(field, prime_values, p, emax), complex
+    )
+    keys = np.flatnonzero(ideal_counts(field, X))
     return dict(zip(keys.tolist(), values[keys].tolist()))
 
 
-def _local_coeffs(chi: HeckeCharacter, p: int, emax: int) -> list[complex]:
+def _local_coeffs(
+    field: FieldContext, prime_values: PrimeValues, p: int, emax: int
+) -> list[complex]:
     """a_{p^e} for e = 0..emax, from chi at the prime ideals above p."""
-    primes = prime_ideals_above(chi.field, p)
+    primes = prime_ideals_above(field, p)
     if len(primes) == 2:
         # split: sum over i + j = e of chi(P)^i chi(conj P)^j
-        x, y = (evaluate_char(chi, pr).complex() for pr in primes)
+        x, y = (prime_values(pr) for pr in primes)
         out, ye = [1 + 0j], 1 + 0j
         for _ in range(emax):
             ye *= y
             out.append(x * out[-1] + ye)
         return out
-    if chi.field.kronecker(p) == -1:
+    if field.kronecker(p) == -1:
         # inert: one ideal (p)^(e/2) of norm p^e for even e, none for odd e
         if emax < 2:
             return [1 + 0j, 0j]
-        z = evaluate_char(chi, primes[0]).complex()
+        z = prime_values(primes[0])
         return [z ** (e // 2) if e % 2 == 0 else 0j for e in range(emax + 1)]
     # ramified: P^e is the one ideal of norm p^e
-    z = evaluate_char(chi, primes[0]).complex()
+    z = prime_values(primes[0])
     out = [1 + 0j]
     for _ in range(emax):
         out.append(out[-1] * z)
@@ -186,17 +208,22 @@ def _real_part(sums: list[complex], scale: float, what: str) -> float:
 
 
 def central_value(
-    chi: HeckeCharacter, v: int, tol: float = 1e-10, w: float | None = None
+    chi: HeckeCharacter,
+    v: int,
+    tol: float = 1e-10,
+    w: float | None = None,
+    prime_values: PrimeValues | None = None,
 ) -> SmoothedValue:
     """L(1, chi) for v = 0 or L'(1, chi) for v = 1, truncated with a tail bound.
 
     The requested v must match the root number: v = (1 - W)/2.  The other
-    parity would sum to an uninformative 0.
+    parity would sum to an uninformative 0.  prime_values, when given,
+    supplies chi(P) to theta_coeffs.
     """
     _require_sign(chi, v, w)
     f, Af = _scale(chi)
     T = _truncation(Af, tol)
-    coeffs = theta_coeffs(chi, int(T))
+    coeffs = theta_coeffs(chi, int(T), prime_values)
     terms = [
         2.0 * a / n * kernel_I(v, n / Af) for n, a in sorted(coeffs.items()) if n <= T
     ]

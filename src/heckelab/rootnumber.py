@@ -41,7 +41,7 @@ from .errors import (
     NumericalInstability,
     PhaseOverflow,
 )
-from .lseries import theta_coeffs
+from .lseries import PrimeValues, theta_coeffs
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -164,10 +164,13 @@ def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> Roo
     return RootNumberResult(W_gauss=w, delta=delta, auxiliary=(c, b))
 
 
-def root_number_via_fe(chi: HeckeCharacter) -> complex:
-    """W from theta(1/t) = W t^2 theta(t), checked at two independent t."""
+def root_number_via_fe(chi: HeckeCharacter, prime_values: PrimeValues | None = None) -> complex:
+    """W from theta(1/t) = W t^2 theta(t), checked at two independent t.
+
+    prime_values, when given, supplies chi(P) to theta_coeffs.
+    """
     Af = chi.field.A * chi.f_value
-    coeffs = sorted(theta_coeffs(chi, int(math.ceil(90.0 * Af)) + 90).items())
+    coeffs = sorted(theta_coeffs(chi, fe_bound(chi), prime_values).items())
 
     def theta(t: float) -> complex:
         return sum(a * cmath.exp(-n * t / Af) for n, a in coeffs)
@@ -188,6 +191,11 @@ def root_number_via_fe(chi: HeckeCharacter) -> complex:
             f"theta quotients disagree: {estimates[0]} vs {estimates[1]}"
         )
     return (estimates[0] + estimates[1]) / 2
+
+
+def fe_bound(chi: HeckeCharacter) -> int:
+    """The theta-series truncation of root_number_via_fe, 90 Af + 90."""
+    return int(math.ceil(90.0 * chi.field.A * chi.f_value)) + 90
 
 
 def root_number(chi: HeckeCharacter) -> float:

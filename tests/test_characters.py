@@ -352,6 +352,29 @@ def test_ring_class_character_basics():
     assert trivial.is_trivial()
 
 
+def test_ring_class_character_reads_its_class_group_once(monkeypatch):
+    import heckelab.characters as characters
+
+    f = make_field(-4)
+    rho = ring_class_character(f, 13, (1,))
+    lookups = []
+    real = characters.class_group
+
+    def counted(disc):
+        lookups.append(disc)
+        return real(disc)
+
+    monkeypatch.setattr(characters, "class_group", counted)
+    fresh = characters.RingClassCharacter(field=f, c=13, exponents=(1,))
+    pool = [I for I in enumerate_ideals(f, 100) if math.gcd(I.norm, 13) == 1]
+    values = [fresh.value_exponent(I) for I in pool]
+    assert fresh.order == 6
+    assert lookups == [13 * 13 * -4]
+    # the cached order leaves equality and hashing to the fields
+    assert fresh == rho and hash(fresh) == hash(rho)
+    assert values == [rho.value_exponent(I) for I in pool]
+
+
 def test_ring_class_character_anticyclotomic():
     rng = random.Random(43)
     f = make_field(-4)

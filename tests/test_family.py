@@ -13,7 +13,7 @@ from heckelab.characters import (
     gaussian_epsilon,
 )
 from heckelab.errors import RestrictionMismatch
-from heckelab.quadfield import make_field, principal_ideal
+from heckelab.quadfield import class_group, make_field, principal_ideal
 from heckelab.rootnumber import root_number
 
 
@@ -71,7 +71,9 @@ def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
 
 def test_root_number_routes_must_agree(gauss, monkeypatch):
     field, phi = gauss
-    monkeypatch.setattr(family, "root_number_via_fe", lambda chi: -root_number(chi))
+    monkeypatch.setattr(
+        family, "root_number_via_fe", lambda chi, prime_values=None: -root_number(chi)
+    )
     records = family.scan_report(field, phi, (5,), 5)
     assert records
     for r in records:
@@ -110,3 +112,18 @@ def test_main_lemma_violation_is_recorded(gauss, monkeypatch):
     for r in records:
         assert r.error.startswith("MainLemmaViolation")
         assert "m_p=40" in r.error
+
+
+def test_inconsistent_ring_class_value_is_recorded(gauss, monkeypatch):
+    field, phi = gauss
+
+    def halves(field, c, ideal):
+        # no integer class vector: rho's value is then no root of unity of its order
+        return tuple(Fraction(1, 2) for _ in class_group(c * c * field.D).orders)
+
+    monkeypatch.setattr(characters, "ring_class_dlog", halves)
+    records = family.scan_report(field, phi, (5,), 5)
+    # c = 1 has a trivial ring class group; the c = 5 orbit reads rho
+    assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
+    assert records[1].error.startswith("NoConsistentLift")
+    assert "cannot take it" in records[1].error
