@@ -2,8 +2,9 @@
 
 All routines are exact integer arithmetic at desk scale; factorization is
 trial division, which is plenty for the conductors and norms we touch.
-The one exception, multiplicative_table, sieves a multiplicative function
-into a numpy array of the caller's dtype.
+The exceptions work on numpy arrays: multiplicative_table sieves
+multiplicative functions into a table of the caller's dtype, and
+abelian_group_structure takes a group on element indices.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import GroupStructureMismatch
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -174,15 +177,18 @@ def primes_up_to(x: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def multiplicative_table(bound: int, local, dtype) -> np.ndarray:
-    """f(0), f(1), ..., f(bound) of a multiplicative f, with f(0) = 0.
+def multiplicative_table(bound: int, local, dtype, columns: int) -> np.ndarray:
+    """Rows f(0), f(1), ..., f(bound) of multiplicative functions, one per column.
 
-    local(p, emax) lists f(1), f(p), ..., f(p^emax) for the largest emax
-    with p^emax <= bound; it is called once per prime p <= bound.  Each
-    prime scales its multiples in place, so the sieve costs
-    O(bound log log bound) array updates.
+    Row f(n) holds `columns` values, each column a multiplicative function
+    of its own, and f(0) is the zero row.  local(p, emax) lists the rows
+    f(1), f(p), ..., f(p^emax) for the largest emax with p^emax <= bound;
+    it is called once per prime p <= bound.  Each prime scales the rows of
+    its multiples in place, so the sieve costs O(bound log log bound)
+    array updates, and every column gets the products the one-column sieve
+    would form, in the same order.
     """
-    out = np.ones(bound + 1, dtype=dtype)
+    out = np.ones((bound + 1, columns), dtype=dtype)
     out[0] = 0
     for p in primes_up_to(bound):
         emax, q = 1, p
@@ -194,7 +200,7 @@ def multiplicative_table(bound: int, local, dtype) -> np.ndarray:
             continue
         # factor for k*p is f(p^e) with e = v_p(k*p): the multiples of p^e
         # sit at indices p^(e-1) - 1, stepping by p^(e-1)
-        factors = np.full(bound // p, values[1], dtype=dtype)
+        factors = np.full((bound // p, columns), values[1], dtype=dtype)
         step = p
         for e in range(2, emax + 1):
             factors[step - 1 :: step] = values[e]
@@ -215,123 +221,170 @@ def v_p(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Structure of a finite abelian group given by an explicit element list.
+# Structure of a finite abelian group on the element indices 0..n-1.
 #
-# Strategy: split into Sylow subgroups, then run the greedy basis algorithm
-# inside each p-group (pick an element of maximal order in the quotient,
-# correct it to have trivial relation, repeat).  In a p-group the correction
-# exponents are always divisible as needed, so every generator ends up with
-# the clean relation g^order = identity and the group is the direct product
-# of the cyclic pieces.  Every discrete-log table is enumerated from a basis.
+# mul multiplies whole int64 index arrays at once, and a map of the group to
+# itself held as an index array over all n elements, such as the squaring
+# map x -> x^2 or a translation x -> g x, is applied or composed by a
+# gather, so the algorithm below makes few calls of mul.  Strategy: split
+# into Sylow subgroups (the elements with x^q = 1 for each prime power
+# q || n), then run the greedy basis algorithm inside each p-group: of the
+# candidates of maximal order in the quotient by the subgroup found so far
+# (read off the chain x, x^p, x^(p^2), ... of every candidate at once) take
+# the one with the least key, correct it to have trivial relation, repeat.
+# In a p-group the correction exponents are always divisible as needed, so
+# every generator ends up with the clean relation g^order = identity and the
+# group is the direct product of the cyclic pieces.  A subgroup spanned by
+# g_1, ..., g_k of orders d_1, ..., d_k is held as the index array of its
+# enumeration: row e_1 + d_1 (e_2 + d_2 (e_3 + ...)) holds g_1^e_1 ... g_k^e_k,
+# so an exponent vector and its row are one mixed-radix conversion apart,
+# and every table is enumerated from a basis.
 # ---------------------------------------------------------------------------
 
 
-def _adjoin(dlog, g, m, mul):
-    """Exponent vectors of the subgroup spanned by dlog's keys and g.
+class _IndexGroup:
+    """A finite abelian group on the indices 0..n-1, multiplied by mul."""
 
-    g must have order m modulo the subgroup H that dlog maps to exponent
-    vectors; h * g^j (h in H, 0 <= j < m) gets the vector dlog[h] + (j,).
+    def __init__(self, n: int, mul, identity: int):
+        self.n, self._mul, self.identity = n, mul, identity
+        self.everything = np.arange(n, dtype=np.int64)
+        self.square = self.mul(self.everything, self.everything)
+
+    def mul(self, u, v) -> np.ndarray:
+        """The products of two index arrays; raises once one leaves 0..n-1."""
+        w = np.asarray(self._mul(u, v), dtype=np.int64)
+        # a negative index reads as a huge unsigned one
+        if w.size and np.maximum.reduce(w.view(np.uint64), axis=None) >= self.n:
+            raise GroupStructureMismatch(f"a product leaves the elements 0..{self.n - 1}")
+        return w
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x^k elementwise for k >= 1 by binary powering; the squarings are
+        gathers from the squaring map, so only the set bits of k call mul."""
+        out = None
+        while True:
+            if k & 1:
+                out = x if out is None else self.mul(out, x)
+            k >>= 1
+            if not k:
+                return out
+            x = self.square[x]
+
+    def span(self, sub: np.ndarray, g: int, m: int) -> np.ndarray:
+        """The enumeration of H<g> from the enumeration sub of H, for g of
+        order m >= 2 modulo H: row j |H| + r holds g^j sub[r].
+
+        The translations x -> g^j x come by doubling, composing the one for
+        g^j with itself, and each doubles the rows enumerated so far.
+        """
+        shift = self.mul(self.everything, np.array([g]))  # x -> g^j x, j = len(rows) / |H|
+        rows, total = sub, m * len(sub)
+        while True:
+            rows = np.concatenate((rows, shift[rows]))
+            if len(rows) >= total:
+                return rows[:total]
+            shift = shift[shift]
+
+    def p_basis(self, chain: np.ndarray, keys: np.ndarray, p: int, a: int) -> tuple[list, list]:
+        """Basis (gens, orders) of the Sylow p-subgroup of order p^a.
+
+        chain[t] = x^(p^t) for t = 0..a, one column per element x of the
+        subgroup, and keys ranks the columns as candidates.
+        """
+        gens: list[int] = []
+        orders: list[int] = []
+        sub = np.array([self.identity])
+        row = np.full(self.n, -1, dtype=np.int64)  # row in sub, -1 outside the subgroup
+        row[self.identity] = 0
+        size = 1
+        while size < p**a:
+            # x's order in the quotient by the subgroup is p^t, t the number
+            # of x^(p^j) outside it (once inside, the powers stay inside);
+            # take the candidate of largest order whose key is least
+            t = (row[chain] < 0).sum(axis=0)
+            top = np.flatnonzero(t == t.max())
+            i = int(top[keys[top].argmin()])
+            x, mx, r = int(chain[0, i]), p ** int(t[i]), int(row[chain[t[i], i]])
+            # x^mx = sub[r]; divide out its exponents to get a clean generator
+            correction, stride = 0, 1
+            for o in orders:
+                e = r // stride % o
+                if e % mx:
+                    raise GroupStructureMismatch("p-group basis correction failed")
+                correction += (-(e // mx)) % o * stride
+                stride *= o
+            g = int(self.mul(np.array([x]), sub[[correction]])[0]) if correction else x
+            gens.append(g)
+            orders.append(mx)
+            size *= mx
+            if size < p**a:
+                sub = self.span(sub, g, mx)
+                row[sub] = np.arange(size)
+        return gens, orders
+
+
+def abelian_group_structure(keys, mul, identity: int):
+    """Generators, orders and exponent vectors of a finite abelian group.
+
+    The group's elements are the indices 0..n-1 with n = len(keys), and
+    the integer keys[i] ranks element i as a basis candidate: of the
+    candidates of largest order the one with the least key is taken, so
+    the basis found depends on the keys.  mul(u, v) multiplies two int64
+    index arrays elementwise, broadcasting as numpy does; identity is the
+    identity's index.  Returns (gens, orders, vecs) in invariant-factor
+    form (orders d_1 | ... | d_k, prod(orders) == n): gens are indices and
+    vecs is the (n, k) int64 matrix whose row x is the exponent vector of
+    x in the generators, each entry in range(d_i).
+
+    vecs is enumerated from the basis, as the products of g_i^e_i over
+    0 <= e_i < d_i.  That enumeration is the certificate:
+    GroupStructureMismatch is raised unless it reaches every index exactly
+    once, and as soon as any product leaves 0..n-1.
     """
-    out = {elt: vec + (0,) for elt, vec in dlog.items()}
-    y = g
-    for j in range(1, m):
-        for elt, vec in dlog.items():
-            out[mul(elt, y)] = vec + (j,)
-        y = mul(y, g)
-    return out
-
-
-def _p_group_basis(elements, mul, identity, p):
-    """Basis of an abelian p-group: returns (gens, orders)."""
-    gens: list = []
-    orders: list[int] = []
-    dlog = {identity: ()}
-    size = len(elements)
-    while len(dlog) < size:
-        # element of maximal order in the quotient by the current subgroup;
-        # that order is a power of p, found by repeated p-th powers
-        best, best_m = None, 0
-        for x in elements:
-            m, y = 1, x
-            while y not in dlog:
-                m, y = m * p, _pow(y, p, mul, identity)
-            if m > best_m:
-                best, best_m = x, m
-        x, m = best, best_m
-        # x^m lands in the subgroup; divide out its dlog to get a clean generator
-        g_new = x
-        for g, o, e in zip(gens, orders, dlog[_pow(x, m, mul, identity)]):
-            if e % m:
-                raise RuntimeError("p-group basis correction failed")
-            # multiply by g^(o - e/m) to cancel the relation
-            g_new = mul(g_new, _pow(g, (-(e // m)) % o, mul, identity))
-        gens.append(g_new)
-        orders.append(m)
-        dlog = _adjoin(dlog, g_new, m, mul)
-    return gens, orders
-
-
-def abelian_group_structure(elements, mul, identity):
-    """Generators, orders and discrete logs of a finite abelian group.
-
-    elements must be the full (hashable) element list.  Returns
-    (gens, orders, dlog) in invariant-factor form (orders d_1 | ... | d_k,
-    prod(orders) == len(elements)) with dlog[x] the exponent vector of x
-    in the chosen generators, each entry in range(d_i).
-
-    dlog is enumerated from the basis, as the products of g_i^e_i over
-    0 <= e_i < d_i.  That enumeration is the certificate: ValueError is
-    raised unless it reaches exactly the listed elements.
-    """
-    n = len(elements)
+    keys = np.asarray(keys, dtype=np.int64)
+    n = len(keys)
+    if not 0 <= identity < n:
+        raise GroupStructureMismatch(f"the identity {identity} is not one of the {n} elements")
     if n == 1:
-        return [], [], {identity: ()}
-    elt_set = set(elements)
-    if len(elt_set) != n:
-        raise ValueError("duplicate elements")
+        return [], [], np.zeros((1, 0), dtype=np.int64)
+    group = _IndexGroup(n, mul, identity)
+    # the odd primes' parts lie in the image of x -> x^(2^v), v = v_2(n), so
+    # their powers are taken on that image alone
+    image = np.zeros(n, dtype=bool)
+    image[group.power(group.everything, 2 ** v_p(n, 2))] = True
+    odd = np.flatnonzero(image)
     sylow = []
     for p, a in factorize(n):
-        q = p**a
-        syl = set()
-        for x in elements:
-            syl.add(_pow(x, n // q, mul, identity))
-            if len(syl) == q:
-                break
-        sgens, sorders = _p_group_basis(sorted(syl, key=_sort_key), mul, identity, p)
+        # the p-part holds the x with x^(p^a) = 1, and chain[t] = x^(p^t)
+        pool = group.everything if p == 2 else odd
+        chain = [pool[group.power(pool, p**a) == identity]]
+        if len(chain[0]) != p**a:
+            raise GroupStructureMismatch(f"the {p}-part has {len(chain[0])} elements, not {p**a}")
+        for _ in range(a - 1):
+            chain.append(group.power(chain[-1], p))
+        chain.append(np.full_like(chain[0], identity))  # x^(p^a) = 1 on the p-part
+        sgens, sorders = group.p_basis(np.array(chain), keys[chain[0]], p, a)
         sylow.append(sorted(zip(sgens, sorders), key=lambda go: -go[1]))
     # merge the Sylow bases slotwise into invariant factors d_1 | ... | d_k
     depth = max(len(s) for s in sylow)
-    gens, orders = [], []
-    for k in range(depth):
-        g, d = identity, 1
-        for basis in sylow:
-            if k < len(basis):
-                g = mul(g, basis[k][0])
-                d *= basis[k][1]
-        gens.append(g)
-        orders.append(d)
-    gens.reverse()
-    orders.reverse()
-    dlog = {identity: ()}
+    slots = np.full((len(sylow), depth), identity, dtype=np.int64)
+    orders = [1] * depth
+    for i, basis in enumerate(sylow):
+        for k, (g, d) in enumerate(basis):
+            slots[i, k] = g
+            orders[k] *= d
+    gens = slots[0]
+    for row in slots[1:]:
+        gens = group.mul(gens, row)
+    gens, orders = gens.tolist()[::-1], orders[::-1]
+    sub = np.array([identity])
     for g, d in zip(gens, orders):
-        dlog = _adjoin(dlog, g, d, mul)
-    if dlog.keys() != elt_set:
-        raise ValueError("the basis does not span exactly the listed elements")
-    return gens, orders, dlog
-
-
-def _pow(x, k, mul, identity):
-    """x^k by binary powering, with no multiplication by the identity or spare squaring."""
-    out = None
-    while k:
-        if k & 1:
-            out = x if out is None else mul(out, x)
-        k >>= 1
-        if k:
-            x = mul(x, x)
-    return identity if out is None else out
-
-
-def _sort_key(x):
-    # deterministic ordering for heterogeneous hashables used as group elements
-    return repr(x)
+        sub = group.span(sub, g, d)
+    rows = np.full(n, -1, dtype=np.int64)
+    if len(sub) == n:
+        rows[sub] = group.everything
+    if (rows < 0).any():
+        raise GroupStructureMismatch("the basis does not enumerate each element exactly once")
+    # row r holds the element with exponents e_i = (r // stride_i) mod d_i
+    digits = rows[:, None] // np.cumprod([1] + orders[:-1])
+    return gens, orders, digits - digits // orders * orders

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -83,29 +82,24 @@ def unit_root_table(field: FieldContext) -> dict:
 
 @dataclass(frozen=True)
 class UnitGroupMod:
-    """Structure of (O/f)^x: generators (as reduced residues), orders, dlog.
+    """Structure of (O/f)^x: generators (as reduced residues), orders and
+    discrete logs.
 
-    The dlog table is also available as int64 arrays, one row per unit
-    residue x + y omega of the HNF box 0 <= x < a, 0 <= y < c of f (y outer,
-    x inner): xs, ys and the exponent-vector matrix vecs, built on first use.
+    The group is held as int64 arrays with one row per unit residue
+    x + y omega of the HNF box 0 <= x < a, 0 <= y < c of f (y outer, x
+    inner): xs, ys and vecs, the exponent vector of each residue in the
+    generators.  box_row maps a box position y a + x to that row, or -1
+    off the units.
     """
 
     field: FieldContext
     f: Ideal
     gens: tuple
     orders: tuple
-    dlog: dict
     xs: np.ndarray = dc_field(compare=False, repr=False)
     ys: np.ndarray = dc_field(compare=False, repr=False)
-
-    @cached_property
-    def vecs(self) -> np.ndarray:
-        """Exponent vectors of the residues (xs, ys), shape (order, len(orders))."""
-        n, r = len(self.xs), len(self.orders)
-        rows = map(self.dlog.__getitem__, zip(self.xs.tolist(), self.ys.tolist()))
-        vecs = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * r).reshape(n, r)
-        vecs.flags.writeable = False  # shared by every caller of the cached unit group
-        return vecs
+    vecs: np.ndarray = dc_field(compare=False, repr=False)
+    box_row: np.ndarray = dc_field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -120,18 +114,23 @@ class UnitGroupMod:
         return (r.x, r.y)
 
     def dlog_of(self, z: KElt) -> tuple | None:
-        """Exponent vector of z mod f, or None when z is not coprime to f."""
-        return self.dlog.get(self.reduce(z))
+        """Exponent vector of z in O mod f, or None when z is not coprime to f."""
+        x, y = self.reduce(z)
+        row = self.box_row[y * self.f.a + x]
+        return None if row < 0 else tuple(self.vecs[row].tolist())
 
 
 @lru_cache(maxsize=None)
 def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
-    """Generators/orders/dlog of (O/f)^x by direct residue enumeration.
+    """Generators, orders and discrete logs of (O/f)^x by direct residue enumeration.
 
     The unit residues are the points x + y omega of the HNF box of f that
     lie in no prime above f, found by one mask over the box.  The group
-    law works on (x, y) integer pairs: omega^2 = D omega - nm, then the
-    same reduction into the box as Ideal.reduce_element.
+    law multiplies whole arrays of rows: omega^2 = D omega - nm on the
+    residues' (x, y), the same reduction into the box as
+    Ideal.reduce_element, and box_row back to rows.  Basis candidates are
+    tried in the order of the residues' reprs, which fixes the generators
+    that descriptors store exponents on.
     """
     a, b, c = f.a, f.b, f.c
     D, nm = field.D, field.nm
@@ -142,26 +141,59 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
         # x + y omega lies in pr iff pr.c | y and pr.a | x - (y / pr.c) pr.b
         unit &= (ys % pr.c != 0) | ((xs - ys // pr.c * pr.b) % pr.a != 0)
     xs, ys = xs[unit], ys[unit]
-    xs.flags.writeable = ys.flags.writeable = False
-    residues = list(zip(xs.tolist(), ys.tolist()))
+    box_row = np.full(a * c, -1, dtype=np.int64)
+    box_row[unit] = np.arange(len(xs))
+    expected = f.norm * math.prod(Fraction(pr.norm - 1, pr.norm) for pr in primes)
+    if Fraction(len(xs)) != expected:
+        raise FactorizationMismatch(f"{len(xs)} units mod {f!r}, expected {expected}")
+
+    xd, nmy = xs + D * ys, nm * ys
 
     def mul(u, v):
-        (x1, y1), (x2, y2) = u, v
-        x = x1 * x2 - nm * y1 * y2
-        y = x1 * y2 + x2 * y1 + D * y1 * y2
+        # (x1 + y1 w)(x2 + y2 w) = x1 x2 - nm y1 y2 + (y1 x2 + (x1 + D y1) y2) w,
+        # in place: temporaries the size of the group are costly to allocate
+        x2, y2 = xs[v], ys[v]
+        y = ys[u] * x2
+        y += xd[u] * y2
+        x = xs[u] * x2
+        x -= nmy[u] * y2
         q = y // c
-        return ((x - q * b) % a, y - q * c)
+        y -= q * c
+        x -= q * b
+        x -= x // a * a
+        y *= a
+        y += x
+        return box_row[y]
 
+    # candidates rank as the residues' reprs "(x, y)" sort: by x's decimal
+    # string, then y's, as the "," and ")" after them sort before any digit
+    y_key = _decimal_key(ys)
+    keys = _decimal_key(xs) * (int(y_key.max()) + 1) + y_key
     one = f.reduce_element(field.one)
-    gens, orders, dlog = abelian_group_structure(residues, mul, (one.x, one.y))
-    expected = f.norm * math.prod(
-        Fraction(pr.norm - 1, pr.norm) for pr in primes
-    )
-    if Fraction(len(residues)) != expected:
-        raise FactorizationMismatch(f"{len(residues)} units mod {f!r}, expected {expected}")
+    gens, orders, vecs = abelian_group_structure(keys, mul, int(box_row[one.y * a + one.x]))
+    for arr in (xs, ys, vecs, box_row):
+        arr.flags.writeable = False  # shared by every caller of the cached unit group
     return UnitGroupMod(
-        field=field, f=f, gens=tuple(gens), orders=tuple(orders), dlog=dlog, xs=xs, ys=ys
+        field=field,
+        f=f,
+        gens=tuple((int(xs[g]), int(ys[g])) for g in gens),
+        orders=tuple(orders),
+        xs=xs,
+        ys=ys,
+        vecs=vecs,
+        box_row=box_row,
     )
+
+
+def _decimal_key(v: np.ndarray) -> np.ndarray:
+    """Keys that sort the non-negative integers v as their decimal strings
+    sort: the digits padded on the right to a common width, then the
+    length, so that a prefix sorts first."""
+    width = len(str(int(v.max())))
+    length = np.ones_like(v)
+    for j in range(1, width):
+        length += v >= 10**j
+    return v * 10 ** (width - length) * (width + 1) + length
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ class IdealSearchExhausted(HeckeLabError):
     """A search through the ideals in norm order passed its norm limit without a hit."""
 
 
+class GroupStructureMismatch(HeckeLabError, ValueError):
+    """A group's elements and multiplication failed the structure certificate: a
+    product left the listed elements, or the basis found does not enumerate each
+    element exactly once."""
+
+
 class NoAuxiliaryGenerator(HeckeLabError):
     """An ideal of trivial class has no principal generator."""
 

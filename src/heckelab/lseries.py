@@ -36,7 +36,7 @@ import numpy as np
 from .arith import multiplicative_table
 from .characters import HeckeCharacter, evaluate_char
 from .errors import DomainError, NonPositiveArgument, NumericalInstability, SignMismatch
-from .quadfield import FieldContext, Ideal, ideal_counts, prime_ideals_above
+from .quadfield import FieldContext, Ideal, ideal_count_local, prime_ideals_above
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
@@ -128,12 +128,19 @@ def theta_coeffs(
         raise ValueError("X must be at least 1")
     if prime_values is None:
         prime_values = lambda pr: evaluate_char(chi, pr).complex()
-    field = chi.field
-    values = multiplicative_table(
-        X, lambda p, emax: _local_coeffs(field, prime_values, p, emax), complex
-    )
-    keys = np.flatnonzero(ideal_counts(field, X))
-    return dict(zip(keys.tolist(), values[keys].tolist()))
+    table = _count_and_coeff_table(chi.field, X, prime_values)
+    keys = np.flatnonzero(table[:, 0])
+    return dict(zip(keys.tolist(), table[keys, 1].tolist()))
+
+
+def _count_and_coeff_table(field: FieldContext, X: int, prime_values: PrimeValues) -> np.ndarray:
+    """Rows (number of ideals of norm n, a_n) for n = 0..X, from one sieve."""
+
+    def local(p, emax):
+        counts = ideal_count_local(field, p, emax)
+        return list(zip(counts, _local_coeffs(field, prime_values, p, emax)))
+
+    return multiplicative_table(X, local, complex, 2)
 
 
 def _local_coeffs(

@@ -28,11 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
+import numpy as np
+
 from .arith import (
     abelian_group_structure,
     factorize,
     kronecker,
-    multiplicative_table,
     primes_up_to,
     solve_linmod,
     sqrt_mod_prime,
@@ -444,7 +445,7 @@ def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
     raise IdealSearchExhausted(f"no ideal of norm <= {done} of {field!r} ended the search")
 
 
-def _ideal_count_local(field: FieldContext, p: int, emax: int) -> list[int]:
+def ideal_count_local(field: FieldContext, p: int, emax: int) -> list[int]:
     """Number of ideals of norm p^e for e = 0..emax."""
     k = field.kronecker(p)
     if k == 1:
@@ -452,13 +453,6 @@ def _ideal_count_local(field: FieldContext, p: int, emax: int) -> list[int]:
     if k == 0:
         return [1] * (emax + 1)
     return [1 - e % 2 for e in range(emax + 1)]
-
-
-def ideal_counts(field: FieldContext, bound: int) -> list[int]:
-    """counts[n] = number of integral ideals of norm exactly n, for n <= bound."""
-    return multiplicative_table(
-        bound, lambda p, emax: _ideal_count_local(field, p, emax), int
-    ).tolist()
 
 
 def is_principal_with_generator(ideal: Ideal) -> KElt | None:
@@ -609,11 +603,26 @@ class ClassGroup:
 
 @lru_cache(maxsize=None)
 def class_group(disc: int) -> ClassGroup:
+    """The form class group, through abelian_group_structure on the indices
+    of reduced_forms(disc), basis candidates tried in the order of the forms' reprs."""
     forms = reduced_forms(disc)
-    gens, orders, dlog = abelian_group_structure(
-        list(forms), lambda f1, f2: f1.compose(f2), principal_form(disc)
+    index = {form: i for i, form in enumerate(forms)}
+
+    def mul(u, v):
+        u, v = np.broadcast_arrays(u, v)
+        products = (
+            index[forms[i].compose(forms[j])] for i, j in zip(u.ravel().tolist(), v.ravel().tolist())
+        )
+        return np.fromiter(products, dtype=np.int64, count=u.size).reshape(u.shape)
+
+    rank = {form: r for r, form in enumerate(sorted(forms, key=repr))}
+    gens, orders, vecs = abelian_group_structure(
+        [rank[form] for form in forms], mul, index[principal_form(disc)]
     )
-    return ClassGroup(disc=disc, forms=forms, gens=tuple(gens), orders=tuple(orders), dlog=dlog)
+    dlog = dict(zip(forms, map(tuple, vecs.tolist())))
+    return ClassGroup(
+        disc=disc, forms=forms, gens=tuple(forms[g] for g in gens), orders=tuple(orders), dlog=dlog
+    )
 
 
 def minkowski_bound(disc: int) -> int:

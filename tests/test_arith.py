@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from heckelab.arith import (
     v_p,
     xgcd,
 )
+from heckelab.errors import GroupStructureMismatch, HeckeLabError
 
 
 def test_xgcd_bezout():
@@ -90,26 +92,32 @@ def test_factorize_and_friends():
     assert v_p(48, 2) == 4 and v_p(48, 5) == 0
 
 
-def _tuple_group(ns):
-    elements = []
+def _index_group(ns):
+    """Z/n_1 x ... x Z/n_k on the indices 0..prod(ns)-1: index i has digits
+    (i // s_j) mod n_j with strides s_j = n_1 ... n_(j-1), added digitwise."""
+    strides = [math.prod(ns[:j]) for j in range(len(ns))]
 
-    def build(prefix, rest):
-        if not rest:
-            elements.append(tuple(prefix))
-            return
-        for i in range(rest[0]):
-            build(prefix + [i], rest[1:])
+    def mul(u, v):
+        out = 0
+        for s, n in zip(strides, ns):
+            out = out + (u // s % n + v // s % n) % n * s
+        return out
 
-    build([], list(ns))
-    mul = lambda u, v: tuple((a + b) % n for a, b, n in zip(u, v, ns))
-    return elements, mul, tuple(0 for _ in ns)
+    return math.prod(ns), mul
+
+
+def _power(g, e, mul):
+    acc = 0
+    for _ in range(e):
+        acc = mul(acc, g)
+    return acc
 
 
 @pytest.mark.parametrize("ns", [(1,), (5,), (2, 2), (2, 4), (6,), (2, 3, 4), (8, 2)])
 def test_abelian_group_structure(ns):
-    elements, mul, identity = _tuple_group(ns)
-    gens, orders, dlog = abelian_group_structure(elements, mul, identity)
-    assert math.prod(orders) == len(elements) or (not orders and len(elements) == 1)
+    n, mul = _index_group(ns)
+    gens, orders, vecs = abelian_group_structure(range(n), mul, 0)
+    assert math.prod(orders) == n or (not orders and n == 1)
     # invariant factors of the input group, for comparison via multiset of
     # p-power orders
     def p_parts(ms):
@@ -119,21 +127,20 @@ def test_abelian_group_structure(ns):
         return sorted(out)
 
     assert p_parts(orders) == p_parts(ns)
-    # dlog actually inverts the generator presentation
-    for elt in elements:
-        vec = dlog[elt]
-        acc = identity
-        for g, e in zip(gens, vec):
-            for _ in range(e):
-                acc = mul(acc, g)
+    assert vecs.shape == (n, len(orders))
+    # vecs actually inverts the generator presentation
+    for elt in range(n):
+        acc = 0
+        for g, e in zip(gens, vecs[elt].tolist()):
+            acc = mul(acc, _power(g, e, mul))
         assert acc == elt
     # orders are genuine
     for g, o in zip(gens, orders):
-        acc = identity
+        acc = 0
         for k in range(1, o):
             acc = mul(acc, g)
-            assert acc != identity
-        assert mul(acc, g) == identity
+            assert acc != 0
+        assert mul(acc, g) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,29 +148,46 @@ def test_abelian_group_structure(ns):
     lambda ns: math.prod(ns) <= 400
 ))
 def test_abelian_group_structure_random_products(ns):
-    elements, mul, identity = _tuple_group(ns)
-    gens, orders, dlog = abelian_group_structure(elements, mul, identity)
-    assert math.prod(orders) == len(elements)
+    n, mul = _index_group(ns)
+    gens, orders, vecs = abelian_group_structure(range(n), mul, 0)
+    assert math.prod(orders) == n
     assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
-    assert dlog.keys() == set(elements)
-    for elt, vec in dlog.items():
-        acc = identity
+    assert vecs.shape == (n, len(orders))
+    for elt, vec in enumerate(vecs.tolist()):
+        acc = 0
         for g, e, d in zip(gens, vec, orders):
             assert 0 <= e < d
-            for _ in range(e):
-                acc = mul(acc, g)
+            acc = mul(acc, _power(g, e, mul))
         assert acc == elt
 
 
 def test_abelian_group_structure_large_cyclic():
     # Z/2048: one generator, whose order is found by repeated squaring
     n = 2048
-    gens, orders, dlog = abelian_group_structure(list(range(n)), lambda u, v: (u + v) % n, 0)
+    gens, orders, vecs = abelian_group_structure(list(range(n)), lambda u, v: (u + v) % n, 0)
     assert (gens, orders) == ([1], [n])
-    assert all(dlog[x] == (x,) for x in range(n))
+    assert vecs.tolist() == [[x] for x in range(n)]
 
 
 def test_abelian_group_structure_rejects_unclosed_elements():
     # 0..3 under addition mod 8: the basis found spans 8 elements, not the 4 listed
     with pytest.raises(ValueError):
         abelian_group_structure([0, 1, 2, 3], lambda u, v: (u + v) % 8, 0)
+
+
+def test_abelian_group_structure_certificate():
+    # every failure is the library's GroupStructureMismatch, which is a ValueError
+    cases = [
+        # a product past the listed indices, and one below them
+        ([0, 1, 2, 3], lambda u, v: (u + v) % 5),
+        ([0, 1, 2, 3], lambda u, v: np.where((u + v) % 4 == 3, -1, (u + v) % 4)),
+        # closed on 0..3, but the basis it yields spans only {0, 1}
+        ([0, 1, 2, 3], lambda u, v: (u + v) % 2),
+    ]
+    for keys, mul in cases:
+        with pytest.raises(GroupStructureMismatch):
+            abelian_group_structure(keys, mul, 0)
+    # an identity that is none of the elements
+    with pytest.raises(GroupStructureMismatch):
+        abelian_group_structure([0, 1, 2, 3], lambda u, v: (u + v) % 4, 4)
+    assert issubclass(GroupStructureMismatch, HeckeLabError) and issubclass(GroupStructureMismatch, ValueError)

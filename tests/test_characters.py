@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from heckelab.arith import factorize
 from heckelab.characters import (
     CharValue,
     build_hecke_character,
@@ -90,6 +91,7 @@ def test_unit_group_examples():
         (25, ((16, 47), (93, 46), (12, 49)), (4, 20, 20)),
         (67, ((132, 133), (104, 27)), (4, 4488)),
         (32, ((34, 33), (0, 11), (0, 1)), (4, 32, 32)),
+        (43, ((128, 43), (169, 6)), (4, 1848)),
     ],
 )
 def test_unit_group_basis_pinned(n, gens, orders):
@@ -129,7 +131,127 @@ def test_unit_group_residues_in_box_order():
         assert residues == _box_unit_residues(field, f)
         # the exponent matrix is the dlog table, row by row
         assert ug.vecs.shape == (ug.order, len(ug.orders))
-        assert [ug.dlog[r] for r in residues] == [tuple(v) for v in ug.vecs.tolist()]
+        dlogs = [ug.dlog_of(KElt(field, x, y)) for x, y in residues]
+        assert dlogs == [tuple(v) for v in ug.vecs.tolist()]
+
+
+# Oracle for abelian_group_structure: the same Sylow split, greedy p-group
+# basis and relation correction over hashable elements, one Python
+# multiplication per product and a dict of discrete logs.
+
+
+def _dict_adjoin(dlog, g, m, mul):
+    """dlog extended by g of order m modulo the subgroup dlog maps: h g^j -> dlog[h] + (j,)."""
+    out = {elt: vec + (0,) for elt, vec in dlog.items()}
+    y = g
+    for j in range(1, m):
+        for elt, vec in dlog.items():
+            out[mul(elt, y)] = vec + (j,)
+        y = mul(y, g)
+    return out
+
+
+def _dict_pow(x, k, mul, identity):
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return identity if out is None else out
+
+
+def _dict_p_group_basis(elements, mul, identity, p):
+    gens, orders, dlog = [], [], {identity: ()}
+    while len(dlog) < len(elements):
+        best, best_m = None, 0
+        for x in elements:
+            m, y = 1, x
+            while y not in dlog:
+                m, y = m * p, _dict_pow(y, p, mul, identity)
+            if m > best_m:
+                best, best_m = x, m
+        x, m = best, best_m
+        g_new = x
+        for g, o, e in zip(gens, orders, dlog[_dict_pow(x, m, mul, identity)]):
+            assert e % m == 0
+            g_new = mul(g_new, _dict_pow(g, (-(e // m)) % o, mul, identity))
+        gens.append(g_new)
+        orders.append(m)
+        dlog = _dict_adjoin(dlog, g_new, m, mul)
+    return gens, orders
+
+
+def _dict_group_structure(elements, mul, identity):
+    """(gens, orders, dlog) with Sylow candidates tried in repr order."""
+    n = len(elements)
+    if n == 1:
+        return [], [], {identity: ()}
+    sylow = []
+    for p, a in factorize(n):
+        q = p**a
+        syl = set()
+        for x in elements:
+            syl.add(_dict_pow(x, n // q, mul, identity))
+            if len(syl) == q:
+                break
+        sgens, sorders = _dict_p_group_basis(sorted(syl, key=repr), mul, identity, p)
+        sylow.append(sorted(zip(sgens, sorders), key=lambda go: -go[1]))
+    gens, orders = [], []
+    for k in range(max(len(s) for s in sylow)):
+        g, d = identity, 1
+        for basis in sylow:
+            if k < len(basis):
+                g, d = mul(g, basis[k][0]), d * basis[k][1]
+        gens.append(g)
+        orders.append(d)
+    gens.reverse()
+    orders.reverse()
+    dlog = {identity: ()}
+    for g, d in zip(gens, orders):
+        dlog = _dict_adjoin(dlog, g, d, mul)
+    assert dlog.keys() == set(elements)
+    return gens, orders, dlog
+
+
+def _dict_unit_group(ug):
+    """(O/f)^x through the dict oracle, with the unit residues (x, y) as elements."""
+    field, f = ug.field, ug.f
+    a, b, c, D, nm = f.a, f.b, f.c, field.D, field.nm
+
+    def mul(u, v):
+        (x1, y1), (x2, y2) = u, v
+        x, y = x1 * x2 - nm * y1 * y2, x1 * y2 + x2 * y1 + D * y1 * y2
+        return ((x - y // c * b) % a, y % c)
+
+    one = f.reduce_element(field.one)
+    return _dict_group_structure(list(zip(ug.xs.tolist(), ug.ys.tolist())), mul, (one.x, one.y))
+
+
+def _oracle_moduli():
+    for D in (-3, -4, -7, -23, -47):
+        field = make_field(D)
+        for f in enumerate_ideals(field, 300):
+            yield field, f
+    f4 = make_field(-4)
+    cube = principal_ideal(f4, KElt(f4, 3, 1)) ** 3
+    for n in (43, 67):
+        yield f4, cube * principal_ideal(f4, KElt(f4, n, 0))
+
+
+def test_unit_group_matches_dict_oracle():
+    # the residues themselves are checked point by point in the next test
+    bases = {}
+    for field, f in _oracle_moduli():
+        ug = unit_group_mod(field, f)
+        gens, orders, dlog = _dict_unit_group(ug)
+        assert (ug.gens, ug.orders) == (tuple(gens), tuple(orders)), (field.D, f)
+        assert all(ug.dlog_of(KElt(field, x, y)) == vec for (x, y), vec in dlog.items())
+        bases[field.D, f.a, f.b, f.c] = (ug.gens, ug.orders)
+    assert len(bases) == 2062
+    # the oracle's basis of the c = 43 twist-deep modulus is the pinned one
+    assert bases[-4, 172, 86, 86] == (((128, 43), (169, 6)), (4, 1848))
 
 
 def test_unit_group_order_formula():

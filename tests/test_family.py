@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckelab import characters, family
@@ -127,3 +128,21 @@ def test_inconsistent_ring_class_value_is_recorded(gauss, monkeypatch):
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error.startswith("NoConsistentLift")
     assert "cannot take it" in records[1].error
+
+
+def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
+    field, phi = gauss
+    structure = characters.abelian_group_structure
+
+    def collapsed(elements, mul, identity):
+        # a law sending every product to 1 fails the certificate on any group
+        # larger than phi's (O/(1+i)^3)^x, such as the c = 5 twist's (O/m)^x
+        if len(elements) > 4:
+            mul = lambda u, v: np.full(np.broadcast(u, v).shape, identity)
+        return structure(elements, mul, identity)
+
+    monkeypatch.setattr(characters, "abelian_group_structure", collapsed)
+    characters.unit_group_mod.cache_clear()
+    records = family.scan_report(field, phi, (5,), 5)
+    assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
+    assert records[1].error.startswith("GroupStructureMismatch")
