@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -31,6 +31,7 @@ from .errors import (
     MainLemmaViolation,
     NoConsistentLift,
     NumericalInstability,
+    PhaseOverflow,
     RestrictionMismatch,
     UnitCountMismatch,
     UnitInconsistent,
@@ -43,7 +44,6 @@ from .quadfield import (
     canonical_generator,
     class_group,
     class_representatives,
-    coset_reps,
     ideal_class_of,
     principal_ideal,
     ring_class_dlog,
@@ -51,6 +51,7 @@ from .quadfield import (
 )
 
 TWO_PI = 2 * math.pi
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,9 @@ class UnitGroupMod:
     x + y omega of the HNF box 0 <= x < a, 0 <= y < c of f (y outer, x
     inner): xs, ys and vecs, the exponent vector of each residue in the
     generators.  box_row maps a box position y a + x to that row, or -1
-    off the units.
+    off the units.  Subgroups are read as masks over the rows: one_mod(g)
+    marks the kernel of (O/f)^x -> (O/g)^x, and rows(xs, ys) finds the
+    rows of arbitrary residues.
     """
 
     field: FieldContext
@@ -113,11 +116,32 @@ class UnitGroupMod:
         r = self.f.reduce_element(z)
         return (r.x, r.y)
 
-    def dlog_of(self, z: KElt) -> tuple | None:
-        """Exponent vector of z in O mod f, or None when z is not coprime to f."""
-        x, y = self.reduce(z)
-        row = self.box_row[y * self.f.a + x]
-        return None if row < 0 else tuple(self.vecs[row].tolist())
+    def one_mod(self, g: Ideal) -> np.ndarray:
+        """Mask of the rows r = 1 mod g, for an ideal g dividing f."""
+        return _in_ideal(self.xs - 1, self.ys, g)
+
+    def rows(self, xs, ys) -> np.ndarray:
+        """Rows of the residues x + y omega (integer arrays), -1 where one is
+        not a unit mod f."""
+        x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        return _box_rows(x, y, self.f, self.box_row)
+
+
+def _in_ideal(xs: np.ndarray, ys: np.ndarray, g: Ideal) -> np.ndarray:
+    """Mask of the x + y omega in g: g.c | y and g.a | x - (y / g.c) g.b."""
+    return (ys % g.c == 0) & ((xs - ys // g.c * g.b) % g.a == 0)
+
+
+def _box_rows(x: np.ndarray, y: np.ndarray, f: Ideal, box_row: np.ndarray) -> np.ndarray:
+    """box_row at x + y omega reduced into the HNF box of f, as
+    Ideal.reduce_element does; x and y are overwritten."""
+    q = y // f.c
+    y -= q * f.c
+    x -= q * f.b
+    x %= f.a
+    y *= f.a
+    y += x
+    return box_row[y]
 
 
 @lru_cache(maxsize=None)
@@ -132,14 +156,13 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
     tried in the order of the residues' reprs, which fixes the generators
     that descriptors store exponents on.
     """
-    a, b, c = f.a, f.b, f.c
+    a, c = f.a, f.c
     D, nm = field.D, field.nm
     primes = list(f.factor())
     ys, xs = np.divmod(np.arange(a * c, dtype=np.int64), a)  # y outer, x inner
     unit = np.ones(a * c, dtype=bool)
     for pr in primes:
-        # x + y omega lies in pr iff pr.c | y and pr.a | x - (y / pr.c) pr.b
-        unit &= (ys % pr.c != 0) | ((xs - ys // pr.c * pr.b) % pr.a != 0)
+        unit &= ~_in_ideal(xs, ys, pr)
     xs, ys = xs[unit], ys[unit]
     box_row = np.full(a * c, -1, dtype=np.int64)
     box_row[unit] = np.arange(len(xs))
@@ -157,13 +180,7 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
         y += xd[u] * y2
         x = xs[u] * x2
         x -= nmy[u] * y2
-        q = y // c
-        y -= q * c
-        x -= q * b
-        x -= x // a * a
-        y *= a
-        y += x
-        return box_row[y]
+        return _box_rows(x, y, f, box_row)
 
     # candidates rank as the residues' reprs "(x, y)" sort: by x's decimal
     # string, then y's, as the "," and ")" after them sort before any digit
@@ -204,7 +221,12 @@ def _decimal_key(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FinitePart:
     """Homomorphism (O/f)^x -> mu_M, stored as exponents on the unit group
-    generators."""
+    generators.
+
+    Every reading of eps goes through unit_exponents, the exponent k(r) of
+    eps at each row r of the unit group: a value is one entry, and eps on a
+    congruence subgroup is k under a mask of the unit group's one_mod.
+    """
 
     field: FieldContext
     f: Ideal
@@ -213,16 +235,22 @@ class FinitePart:
     exps: tuple
 
     def __post_init__(self):
+        if len(self.exps) != len(self.unit_group.orders):
+            raise ValueError("need one exponent per unit group generator")
         for k, n in zip(self.exps, self.unit_group.orders):
             if (k * n) % self.M:
                 raise ValueError("exponents do not define a homomorphism")
 
+    @cached_property
+    def unit_exponents(self) -> np.ndarray:
+        """k with eps(r) = zeta_M^k[r] at each row r of the unit group."""
+        return _unit_exponents(self.unit_group, self.exps, self.M)
+
     def exponent_of(self, z: KElt) -> int | None:
         """k with eps(z) = zeta_M^k, or None when z is not coprime to f."""
-        vec = self.unit_group.dlog_of(z)
-        if vec is None:
-            return None
-        return sum(k * e for k, e in zip(self.exps, vec)) % self.M
+        x, y = self.unit_group.reduce(z)
+        row = self.unit_group.box_row[y * self.f.a + x]
+        return None if row < 0 else int(self.unit_exponents[row])
 
     def exponent_of_fraction(self, w: KElt) -> int:
         """eps extended to w = z/d with d a rational integer coprime to f."""
@@ -245,19 +273,11 @@ class FinitePart:
 
     def is_primitive(self) -> bool:
         """f is the conductor of eps: for each prime P | f, eps is nontrivial
-        on the units r = 1 mod f/P, the kernel of (O/f)^x -> (O/(f/P))^x.
-
-        That kernel is one mask over the unit group's residue arrays:
-        r - 1 = (x - 1) + y omega lies in g = f/P iff g.c | y and
-        g.a | x - 1 - (y / g.c) g.b.
-        """
-        ug = self.unit_group
-        k = ug.vecs @ np.array(self.exps, dtype=np.int64) % self.M
+        on the units r = 1 mod f/P, the kernel of (O/f)^x -> (O/(f/P))^x."""
         factors = self.f.factor()
         for pr in factors:
             g = _ideal_from_factors(self.field, {q: e - (q == pr) for q, e in factors.items()})
-            one_mod_g = (ug.ys % g.c == 0) & ((ug.xs - 1 - ug.ys // g.c * g.b) % g.a == 0)
-            if not k[one_mod_g].any():
+            if not self.unit_exponents[self.unit_group.one_mod(g)].any():
                 return False
         return True
 
@@ -265,13 +285,20 @@ class FinitePart:
         """kappa_1(n): +1/-1 for eps(n) = 1/-1, None if not coprime or
         eps(n) is not +-1 (reported as order > 2)."""
         k = self.exponent_of(KElt(self.field, n % self.f.a, 0))
-        if k is None:
+        if k is None or 2 * k % self.M:
             return None
-        if k == 0:
-            return 1
-        if 2 * k == self.M:
-            return -1
-        return None
+        return 1 if k == 0 else -1
+
+
+def _unit_exponents(ug: UnitGroupMod, exps, M: int) -> np.ndarray:
+    """vecs . exps mod M: at every row of ug, the exponent in mu_M of the
+    homomorphism that sends generator i to zeta_M^exps[i]."""
+    # each entry of vecs is below its generator's order and each exponent below M
+    if M * sum(ug.orders) > _INT64_MAX:
+        raise PhaseOverflow(f"exponents mod {M} overflow int64 over (O/{ug.f!r})^x")
+    k = ug.vecs @ np.array(exps, dtype=np.int64) % M
+    k.flags.writeable = False
+    return k
 
 
 def finite_part(field: FieldContext, f: Ideal, exps, M: int | None = None) -> FinitePart:
@@ -642,11 +669,13 @@ def ring_class_character(
         for p, _ in factorize(c):
             if p not in allowed_primes:
                 raise ConductorNotSupported(f"conductor prime {p} outside {allowed_primes}")
-    cg = class_group(c * c * field.D)
-    exps = tuple(t % h for t, h in zip(exponents, cg.orders))
-    if len(exps) != len(cg.orders):
+    orders = class_group(c * c * field.D).orders
+    exponents = tuple(exponents)
+    if len(exponents) != len(orders):
         raise ValueError("need one exponent per ring class group generator")
-    return RingClassCharacter(field=field, c=c, exponents=exps)
+    return RingClassCharacter(
+        field=field, c=c, exponents=tuple(t % h for t, h in zip(exponents, orders))
+    )
 
 
 def _ideal_from_factors(field: FieldContext, factors: dict) -> Ideal:
@@ -664,14 +693,6 @@ def ideal_lcm(a: Ideal, b: Ideal) -> Ideal:
     return _ideal_from_factors(a.field, out)
 
 
-def _ideal_divisors(field: FieldContext, factors: dict) -> list[Ideal]:
-    """All ideal divisors given a prime factorization dict."""
-    out = [unit_ideal(field)]
-    for pr, e in factors.items():
-        out = [d * pr**j for d in out for j in range(e + 1)]
-    return out
-
-
 def _combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w: KElt):
     """Exponent of eps_phi(w) * rho((w)) in mu_Mc for w coprime to both."""
     k1 = phi.eps.exponent_of(w)
@@ -686,93 +707,62 @@ def _combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w:
 def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
     """The primitive Hecke character inducing phi * rho.
 
-    The combined finite part lives on m = lcm(f(phi), cO); its conductor is
-    the smallest ideal divisor g of m whose congruence subgroup
-    U(g) = {z = 1 mod g} it kills.
+    The combined finite part lives on m = lcm(f(phi), cO) and is read as its
+    exponent k at every row of (O/m)^x.  Its conductor is a product of local
+    conductors: for each prime P | m, P's exponent drops while k vanishes on
+    one_mod of the smaller ideal.  k is then scattered through rows() onto
+    (O/f(chi))^x; that every row is hit, each by one exponent, certifies
+    that f(chi) is a modulus of the character, and build_hecke_character's
+    primitivity check that it is the smallest.
     """
     field = phi.field
     if rho.is_trivial():
         return phi
-    cO = Ideal(field, rho.c, 0, rho.c)
-    m = ideal_lcm(phi.eps.f, cO)
+    m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
     Mc = math.lcm(phi.M, rho.order)
     ug_m = unit_group_mod(field, m)
-    m_factors = m.factor()
 
     # exponent of the combined character on each generator of (O/m)^x
-    gen_exps = []
-    for g in ug_m.gens:
-        k = _combined_exponent(phi, rho, Mc, KElt(field, *g))
-        if k is None:
-            raise NoConsistentLift(f"generator {g} of (O/m)^x is not a unit for phi and rho")
-        gen_exps.append(k)
+    gen_exps = [_combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
+    if None in gen_exps:
+        raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
+    k = _unit_exponents(ug_m, gen_exps, Mc)
 
-    def combined_of(z: KElt) -> int | None:
-        vec = ug_m.dlog_of(z)
-        if vec is None:
-            return None
-        return sum(k * e for k, e in zip(gen_exps, vec)) % Mc
-
-    # conductor: smallest divisor g with U(g) in the kernel
-    admissible = []
-    for g in _ideal_divisors(field, m_factors):
-        trivial = True
-        for t in coset_reps(g, m):
-            z = field.one + t
-            k = combined_of(z)
-            if k is None:
-                continue
-            if k:
-                trivial = False
+    # conductor: lower each prime's exponent while U(g) = {1 mod g} stays in the kernel
+    local = m.factor()
+    for pr in local:
+        while local[pr]:
+            g = _ideal_from_factors(field, {**local, pr: local[pr] - 1})
+            if k[ug_m.one_mod(g)].any():
                 break
-        if trivial:
-            admissible.append(g)
-    f_chi = admissible[0]
-    for g in admissible[1:]:
-        f_chi = f_chi.add(g)
-    if not any(f_chi == g for g in admissible):
-        raise NoConsistentLift("admissible divisors must be gcd-closed")
+            local[pr] -= 1
+    f_chi = _ideal_from_factors(field, local)
 
-    # restrict to a finite part on f_chi: lift each generator to w coprime to m
+    # restriction to f_chi: every unit mod f_chi, one exponent above each
     ug_f = unit_group_mod(field, f_chi)
-    exps = []
-    for g in ug_f.gens:
-        z = KElt(field, *g)
-        k = None
-        for t in coset_reps(f_chi, m):
-            k = combined_of(z + t)
-            if k is not None:
-                break
-        if k is None:
-            raise NoConsistentLift("unit mod f(chi) must lift to a unit mod m")
-        exps.append(k)
+    r = ug_f.rows(ug_m.xs, ug_m.ys)
+    k_f = np.full(ug_f.order, -1, dtype=np.int64)
+    k_f[r] = k
+    if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
+        raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
     M_new = math.lcm(Mc, field.wK, ug_f.exponent)
-    eps_chi = FinitePart(
-        field=field,
-        f=f_chi,
-        M=M_new,
-        unit_group=ug_f,
-        exps=tuple(k * (M_new // Mc) % M_new for k in exps),
-    )
+    exps = tuple(int(k_f[ug_f.box_row[y * f_chi.a + x]]) * (M_new // Mc) for x, y in ug_f.gens)
+    eps_chi = FinitePart(field, f_chi, M_new, ug_f, exps)
 
-    # build with root choices matching phi(a_i) * rho(a_i) numerically
+    # root choices matching phi(a_i) * rho(a_i) numerically; with no choices
+    # given, each radical is the principal root
     base = build_hecke_character(field, eps_chi, twist_data=(rho.c, rho.exponents))
-    choices = []
-    for i, (a_i, h_i) in enumerate(zip(base.class_reps, base.class_orders)):
+    choices, radicals = [], []
+    for a_i, h_i, principal in zip(base.class_reps, base.class_orders, base.radicals):
         target = evaluate_char(phi, a_i).complex() * rho.value_complex(a_i)
-        principal = base.radicals[i] * cmath.exp(-2j * cmath.pi * base.root_choices[i] / h_i)
-        best, best_err = 0, float("inf")
-        for j in range(h_i):
-            cand = principal * cmath.exp(2j * cmath.pi * j / h_i)
-            err = abs(cand - target)
-            if err < best_err:
-                best, best_err = j, err
-        if best_err >= 1e-6 * max(1.0, abs(target)):
-            raise NumericalInstability(f"twisted value {target} is {best_err:.3g} from every root")
+        roots = [principal * cmath.exp(2j * cmath.pi * j / h_i) for j in range(h_i)]
+        best = min(range(h_i), key=lambda j: abs(roots[j] - target))
+        err = abs(roots[best] - target)
+        if err >= 1e-6 * max(1.0, abs(target)):
+            raise NumericalInstability(f"twisted value {target} is {err:.3g} from every root")
         choices.append(best)
-    return build_hecke_character(
-        field, eps_chi, root_choices=tuple(choices), twist_data=(rho.c, rho.exponents)
-    )
+        radicals.append(roots[best])
+    return replace(base, root_choices=tuple(choices), radicals=tuple(radicals))
 
 
 # ---------------------------------------------------------------------------
@@ -814,43 +804,33 @@ def main_lemma_quantities(
 
     The bound |m_p/2 - n_p| <= 3 + mu + h is checked for every prime and
     raises MainLemmaViolation when it fails.
+
+    o_p is the order of eps on the residues 1 mod p^3 O + f_p lifted to 1 mod
+    the prime-to-p part f_cop of f: the units r = 1 mod h_p = p^3 f_cop + f,
+    one mask over (O/f)^x with N(f)/N(h_p) rows.  Their exponents generate a
+    cyclic subgroup of mu_M, of order M / gcd(M, their gcd).
     """
     if mu < 1:
         raise ValueError("mu must be a positive integer")
     field = char.field
     f = char.eps.f
     Nf = f.norm
-    R = [p for p, _ in factorize(Nf)]
-    ps = sorted(primes) if primes is not None else R
+    ps = sorted(primes) if primes is not None else [p for p, _ in factorize(Nf)]
     h = field.h
     f_factors = f.factor()
+    ug, k = char.eps.unit_group, char.eps.unit_exponents
     entries = []
     for p in ps:
         m_p = v_p(Nf, p)
         if m_p == 0:
             entries.append(MainLemmaEntry(p=p, m_p=0, o_p=0, n_p=0))
             continue
-        f_p = _ideal_from_factors(field, {pr: e for pr, e in f_factors.items() if pr.norm % p == 0})
         f_cop = _ideal_from_factors(field, {pr: e for pr, e in f_factors.items() if pr.norm % p})
-
-        def eps_p_exponent(z: KElt) -> int | None:
-            # lift to w = z mod f_p, w = 1 mod f/f_p, then apply eps
-            for t in coset_reps(f_p, f):
-                w = z + t
-                if f_cop.contains(w - field.one) and char.eps.exponent_of(w) is not None:
-                    return char.eps.exponent_of(w)
-            return None
-
-        # subgroup of (O/f_p)^x of residues = 1 mod (p^3 O + f_p); each is a
-        # unit mod f_p, since every prime of f_p divides g_p
-        pO3 = Ideal(field, p, 0, p) ** 3
-        g_p = pO3.add(f_p)
-        order = 1
-        for t in coset_reps(g_p, f_p):
-            k = eps_p_exponent(field.one + t)
-            if k is None:
-                raise NoConsistentLift(f"1 + {t!r} has no unit lift mod {f!r}")
-            order = math.lcm(order, char.M // math.gcd(char.M, k))
+        h_p = (Ideal(field, p, 0, p) ** 3 * f_cop).add(f)
+        mask = ug.one_mod(h_p)
+        if int(mask.sum()) * h_p.norm != Nf:
+            raise NoConsistentLift(f"{int(mask.sum())} units = 1 mod {h_p!r} in (O/{f!r})^x")
+        order = char.M // math.gcd(char.M, int(np.gcd.reduce(k[mask])))
         o_p = v_p(order, p)
         if order != p**o_p:
             raise MainLemmaViolation(f"restriction to 1 + {p}^3 O has order {order}, not a p-power")

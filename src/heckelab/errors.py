@@ -96,4 +96,5 @@ class NoCRTLift(HeckeLabError):
 
 
 class PhaseOverflow(HeckeLabError):
-    """A Gauss-sum phase could leave the int64 range of its arrays."""
+    """A Gauss-sum phase, or a finite part's exponent dlog . exps, could leave
+    the int64 range of its arrays."""

@@ -25,9 +25,11 @@ check sieves the characters twist() built, not the phi rho^m values.
 
 A scan checks, in this order:
 
-* once, before the first record: Property 1, phi|_Q = kappa_K, exactly
-  over one period (characters.check_property1); a base character that
-  breaks the theorem's hypothesis raises RestrictionMismatch;
+* once, before the first record: the inputs, a finite tol > 0, c_max >= 1
+  and every p in P prime, else DomainError; then Property 1,
+  phi|_Q = kappa_K, exactly over one period (characters.check_property1);
+  a base character that breaks the theorem's hypothesis raises
+  RestrictionMismatch;
 
 and per record, which keeps the first failure as its error:
 
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import euler_phi, factorize, ramanujan_trace
+from .arith import euler_phi, factorize, is_prime, ramanujan_trace
 from .characters import (
     CharValue,
     HeckeCharacter,
@@ -74,7 +76,7 @@ from .characters import (
     ring_class_character,
     twist,
 )
-from .errors import HeckeLabError, NumericalInstability, SignMismatch
+from .errors import DomainError, HeckeLabError, NumericalInstability, SignMismatch
 from .lseries import PrimeValues, SmoothedValue, central_value, dirichlet_L1, theta_coeffs
 from .quadfield import (
     FieldContext,
@@ -404,9 +406,16 @@ def scan_report(
 ) -> list[FamilyRecord]:
     """One FamilyRecord per twist orbit; failures are recorded, not raised.
 
-    The Property 1 precondition is the exception: a phi that breaks it
-    raises RestrictionMismatch before any record is built.
+    The preconditions are the exception: malformed inputs raise DomainError
+    and a phi that breaks Property 1 raises RestrictionMismatch, before any
+    record is built.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a positive finite number, not {tol}")
+    if c_max < 1:
+        raise DomainError(f"c_max must be at least 1, not {c_max}")
+    if not all(is_prime(p) for p in P):
+        raise DomainError(f"P must list primes, not {P}")
     check_property1(phi)
     L1 = dirichlet_L1(field)
     # phi(P) at each prime ideal P any record reads, evaluated on first use

@@ -110,8 +110,8 @@ def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None
 
         j = ((x alpha + y beta) mod N) (L/N) + k_r (L/M)  mod L,
 
-    alpha = Tr(u), beta = Tr(omega u) and k_r = dlog(r) . exps mod M, taken
-    for all of (O/f)^x at once from the unit group's dlog arrays.  The terms
+    alpha = Tr(u), beta = Tr(omega u) and k_r = dlog(r) . exps mod M, read
+    for all of (O/f)^x at once from eps.unit_exponents.  The terms
     are counted by phase and only the final sum of the counts, in ascending
     phase, is taken in floating point.
     """
@@ -127,10 +127,10 @@ def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None
     u = E * db.conjugate()
     alpha, beta = u.trace() % N, (KElt(field, 0, 1) * u).trace() % N
     ug = eps.unit_group
-    # largest intermediate of each step below: x alpha + y beta, dlog . exps, j
-    if max((f.a + f.c) * N, M * sum(ug.orders), 2 * L) > _INT64_MAX:
+    # largest intermediates below: x alpha + y beta and j; unit_exponents guards dlog . exps
+    if max((f.a + f.c) * N, 2 * L) > _INT64_MAX:
         raise PhaseOverflow(f"phases mod L = {L} overflow int64 over (O/{f!r})^x")
-    k = ug.vecs @ np.array(eps.exps, dtype=np.int64) % M
+    k = eps.unit_exponents
     j = ((ug.xs * alpha + ug.ys * beta) % N * (L // N) + k * (L // M)) % L
     phases, counts = np.unique(j, return_counts=True)
     return sum(

@@ -8,6 +8,7 @@ import pytest
 from heckelab.arith import factorize
 from heckelab.characters import (
     CharValue,
+    _combined_exponent,
     build_hecke_character,
     canonical_epsilon,
     check_property1,
@@ -28,9 +29,12 @@ from heckelab.errors import (
     UnitInconsistent,
     UnsupportedDiscriminant,
 )
+from heckelab.family import enumerate_twists
 from heckelab.quadfield import (
     Ideal,
     KElt,
+    class_group,
+    coset_reps,
     enumerate_ideals,
     ideal_class_of,
     make_field,
@@ -131,8 +135,14 @@ def test_unit_group_residues_in_box_order():
         assert residues == _box_unit_residues(field, f)
         # the exponent matrix is the dlog table, row by row
         assert ug.vecs.shape == (ug.order, len(ug.orders))
-        dlogs = [ug.dlog_of(KElt(field, x, y)) for x, y in residues]
-        assert dlogs == [tuple(v) for v in ug.vecs.tolist()]
+        # rows() reduces any representative into the box: moved by elements
+        # of f, every residue finds its own row; elements of a prime get -1
+        for s, t in ((0, 0), (3, 2), (-5, -1)):
+            rows = ug.rows(ug.xs + s * f.a + t * f.b, ug.ys + t * f.c)
+            assert rows.tolist() == list(range(ug.order))
+        primes = list(f.factor())
+        off_units = ug.rows([pr.b + 7 * pr.a for pr in primes], [pr.c for pr in primes])
+        assert off_units.tolist() == [-1] * len(primes)
 
 
 # Oracle for abelian_group_structure: the same Sylow split, greedy p-group
@@ -247,7 +257,8 @@ def test_unit_group_matches_dict_oracle():
         ug = unit_group_mod(field, f)
         gens, orders, dlog = _dict_unit_group(ug)
         assert (ug.gens, ug.orders) == (tuple(gens), tuple(orders)), (field.D, f)
-        assert all(ug.dlog_of(KElt(field, x, y)) == vec for (x, y), vec in dlog.items())
+        xs, ys = zip(*dlog)
+        assert list(map(tuple, ug.vecs[ug.rows(xs, ys)].tolist())) == list(dlog.values())
         bases[field.D, f.a, f.b, f.c] = (ug.gens, ug.orders)
     assert len(bases) == 2062
     # the oracle's basis of the c = 43 twist-deep modulus is the pinned one
@@ -516,6 +527,20 @@ def test_ring_class_conductor_validation():
     ring_class_character(f, 25, (1,), allowed_primes=(5,))
 
 
+def test_exponent_vectors_of_the_wrong_length_are_rejected():
+    # one exponent per generator: neither truncated nor padded
+    f4 = make_field(-4)
+    assert class_group(25 * -4).orders == (2,)
+    for exps in ((1, 3, 7), ()):
+        with pytest.raises(ValueError):
+            ring_class_character(f4, 5, exps)
+    f = gaussian_epsilon(f4).f
+    assert unit_group_mod(f4, f).orders == (4,)
+    for exps in ((), (3, 1)):
+        with pytest.raises(ValueError):
+            finite_part(f4, f, exps)
+
+
 def test_twist_trivial_is_identity(chi4):
     f = chi4.field
     rho = ring_class_character(f, 5, (0,))
@@ -561,6 +586,27 @@ def test_twist_on_principal_ideals(chi4):
         assert abs(v.complex() - expected) < 1e-9 * abs(expected)
 
 
+def test_twist_builds_its_character_once(chi23, monkeypatch):
+    import heckelab.characters as characters
+
+    f = chi23.field
+    builds = []
+    real = characters.build_hecke_character
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "build_hecke_character", counted)
+    for exps in ((1,), (2,), (3,)):
+        builds.clear()
+        chi = twist(chi23, ring_class_character(f, 4, exps))
+        assert len(builds) == 1
+        # the radicals set after the one build are those a build with the chosen roots makes
+        rebuilt = real(f, chi.eps, root_choices=chi.root_choices, twist_data=chi.twist_data)
+        assert rebuilt.radicals == chi.radicals and rebuilt.descriptor() == chi.descriptor()
+
+
 def test_ideal_lcm():
     f = make_field(-4)
     a = principal_ideal(f, KElt(f, 3, 1)) * principal_ideal(f, KElt(f, 2, 0))
@@ -596,6 +642,94 @@ def test_main_lemma_large_mu(chi4):
     chi = twist(chi4, rho)
     rep = main_lemma_quantities(chi, mu=9)
     assert rep.q == 1
+
+
+# Oracles for twist() and main_lemma_quantities: the divisor search,
+# generator lifts and coset loops that the masks over (O/f)^x replaced,
+# visiting one residue at a time.
+
+
+def _oracle_exponent(eps, z):
+    ug = eps.unit_group
+    r = eps.f.reduce_element(z)
+    row = ug.box_row[r.y * eps.f.a + r.x]
+    return None if row < 0 else sum(k * int(e) for k, e in zip(eps.exps, ug.vecs[row])) % eps.M
+
+
+def _oracle_twist_finite_part(phi, rho):
+    """(f, M, exps) of twist(phi, rho)'s finite part: the conductor is the
+    gcd of every divisor g of m whose units 1 + t, t in g, the combined
+    character kills; each generator mod f lifts by trial to a unit mod m."""
+    field = phi.field
+    m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
+    Mc = math.lcm(phi.M, rho.order)
+    ug_m = unit_group_mod(field, m)
+    gen_exps = [_combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
+    eps_m = finite_part(field, m, gen_exps, M=Mc)
+
+    divisors = [unit_ideal(field)]
+    for pr, e in m.factor().items():
+        divisors = [d * pr**j for d in divisors for j in range(e + 1)]
+    admissible = [
+        g
+        for g in divisors
+        if not any(_oracle_exponent(eps_m, field.one + t) for t in coset_reps(g, m))
+    ]
+    f_chi = admissible[0]
+    for g in admissible[1:]:
+        f_chi = f_chi.add(g)
+    assert f_chi in admissible
+
+    ug_f = unit_group_mod(field, f_chi)
+    exps = []
+    for g in ug_f.gens:
+        z = KElt(field, *g)
+        ks = (_oracle_exponent(eps_m, z + t) for t in coset_reps(f_chi, m))
+        exps.append(next(k for k in ks if k is not None))
+    M = math.lcm(Mc, field.wK, ug_f.exponent)
+    return f_chi, M, tuple(k * (M // Mc) % M for k in exps)
+
+
+def _oracle_main_lemma(char, mu=2):
+    """(p, m_p, o_p, n_p) per prime of N(f): the order of eps on the residues
+    1 mod p^3 O + f_p, each lifted by trial to 1 mod the rest of f."""
+    field, f = char.field, char.eps.f
+    one, factors = unit_ideal(field), f.factor()
+    out = []
+    for p, m_p in factorize(f.norm):
+        f_p = math.prod((pr**e for pr, e in factors.items() if pr.norm % p == 0), start=one)
+        f_cop = math.prod((pr**e for pr, e in factors.items() if pr.norm % p), start=one)
+        order = 1
+        for t in coset_reps((Ideal(field, p, 0, p) ** 3).add(f_p), f_p):
+            z = field.one + t
+            w = next(z + s for s in coset_reps(f_p, f) if f_cop.contains(z + s - field.one))
+            k = _oracle_exponent(char.eps, w)
+            order = math.lcm(order, char.M // math.gcd(char.M, k))
+        o_p = round(math.log(order, p))
+        assert order == p**o_p
+        out.append((p, m_p, o_p, max(0, o_p - mu - field.h)))
+    return out
+
+
+@pytest.mark.parametrize("D, cs, o_ps", [(-4, (16, 32, 64), {1, 2, 3}), (-23, (16,), {0, 1})])
+def test_twist_and_main_lemma_match_residue_oracles(D, cs, o_ps):
+    # o_2 = 1, 2, 3 at c = 16, 32, 64 over D = -4, and h = 3 over D = -23;
+    # the Main Lemma tests above only see o_p = 0
+    field = make_field(D)
+    eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    phi = build_hecke_character(field, eps)
+    seen_o = set()
+    for orbit in enumerate_twists(field, phi, (2,), max(cs)):
+        if orbit.c not in cs:
+            continue
+        for m in orbit.members:
+            rho = orbit.rho(field, m)
+            chi = twist(phi, rho)
+            assert (chi.eps.f, chi.eps.M, chi.eps.exps) == _oracle_twist_finite_part(phi, rho)
+            entries = [(e.p, e.m_p, e.o_p, e.n_p) for e in main_lemma_quantities(chi).entries]
+            assert entries == _oracle_main_lemma(chi)
+            seen_o.update(e[2] for e in entries)
+    assert seen_o == o_ps
 
 
 def _from_descriptor(desc):

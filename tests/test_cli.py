@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from heckelab.cli import main
 from heckelab.errors import EXIT_DOMAIN_ERROR
 
@@ -41,3 +43,23 @@ def test_scan_does_not_depend_on_assert(capsys):
         check=True,
     )
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol", "0"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--P", "4"),
+        ("--c-max", "0"),
+    ],
+)
+def test_malformed_scan_input_is_a_domain_error(capsys, flag, value):
+    # rejected before the first record, with no traceback and no empty scan
+    argv = SMOKE.copy()
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == EXIT_DOMAIN_ERROR
+    captured = capsys.readouterr()
+    assert "DomainError" in captured.err and captured.out == ""

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +147,32 @@ def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
     records = family.scan_report(field, phi, (5,), 5)
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error.startswith("GroupStructureMismatch")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, D, P, c_max",
+    [
+        # mixed-sign SignMismatch records and o_2 = 1, 2, 3
+        ("scan_D-4_P2_c64.json", -4, (2,), 64),
+        # class number 3: cube-root class values and root choices
+        ("scan_D-23_P2-3_c8.json", -23, (2, 3), 8),
+    ],
+)
+def test_scan_json_matches_golden(name, D, P, c_max):
+    """A scan reproduces its committed JSON byte for byte.
+
+    The files under tests/golden were written by scan_to_json, tol 1e-8, and
+    pin every field of every record: conductors, signs, L-value strings,
+    counts, Main Lemma entries and recorded errors.  A refactor must leave
+    them as they are.  Regenerate them only in a change that alters scan
+    results on purpose (such as deriving the Main Lemma's mu_p from Lemma 1),
+    and say there which fields moved and why.
+    """
+    field = make_field(D)
+    eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    phi = build_hecke_character(field, eps)
+    records = family.scan_report(field, phi, P, c_max, tol=1e-8)
+    assert family.scan_to_json(field, phi, P, c_max, 1e-8, records) == (GOLDEN / name).read_text()

@@ -253,3 +253,12 @@ def test_gauss_sum_phase_overflow_is_a_domain_error(chi4, monkeypatch):
     with pytest.raises(PhaseOverflow) as info:
         gauss_sum_root_number(chi4)
     assert isinstance(info.value, HeckeLabError)
+
+
+def test_unit_exponent_overflow_is_a_domain_error(chi4):
+    # dlog . exps is formed once per finite part, and an M near 2^62 on a group
+    # of order 4 could leave int64 there
+    eps = finite_part(chi4.field, chi4.conductor, (2**60,), M=2**62)
+    with pytest.raises(PhaseOverflow) as info:
+        eps.unit_exponents
+    assert isinstance(info.value, HeckeLabError)
