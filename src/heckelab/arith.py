@@ -2,9 +2,8 @@
 
 All routines are exact integer arithmetic at desk scale; factorization is
 trial division, which is plenty for the conductors and norms we touch.
-The exceptions work on numpy arrays: multiplicative_table sieves
-multiplicative functions into a table of the caller's dtype, and
-abelian_group_structure takes a group on element indices.
+The exception works on numpy arrays: abelian_group_structure takes a
+group on element indices.
 """
 
 from __future__ import annotations
@@ -175,38 +174,6 @@ def primes_up_to(x: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def multiplicative_table(bound: int, local, dtype, columns: int) -> np.ndarray:
-    """Rows f(0), f(1), ..., f(bound) of multiplicative functions, one per column.
-
-    Row f(n) holds `columns` values, each column a multiplicative function
-    of its own, and f(0) is the zero row.  local(p, emax) lists the rows
-    f(1), f(p), ..., f(p^emax) for the largest emax with p^emax <= bound;
-    it is called once per prime p <= bound.  Each prime scales the rows of
-    its multiples in place, so the sieve costs O(bound log log bound)
-    array updates, and every column gets the products the one-column sieve
-    would form, in the same order.
-    """
-    out = np.ones((bound + 1, columns), dtype=dtype)
-    out[0] = 0
-    for p in primes_up_to(bound):
-        emax, q = 1, p
-        while q * p <= bound:
-            emax, q = emax + 1, q * p
-        values = local(p, emax)
-        if emax == 1:
-            out[p::p] *= values[1]
-            continue
-        # factor for k*p is f(p^e) with e = v_p(k*p): the multiples of p^e
-        # sit at indices p^(e-1) - 1, stepping by p^(e-1)
-        factors = np.full((bound // p, columns), values[1], dtype=dtype)
-        step = p
-        for e in range(2, emax + 1):
-            factors[step - 1 :: step] = values[e]
-            step *= p
-        out[p::p] *= factors
-    return out
 
 
 def v_p(n: int, p: int) -> int:

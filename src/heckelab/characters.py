@@ -309,13 +309,15 @@ def finite_part(field: FieldContext, f: Ideal, exps, M: int | None = None) -> Fi
 
 
 def canonical_epsilon(field: FieldContext) -> FinitePart:
-    """The quadratic-residue finite part on f = (sqrt(D)) for |D| an odd prime.
+    """The quadratic-residue finite part on f = (sqrt(D)) for |D| an odd prime > 3.
 
     eps(w) = (w mod sqrt(D) | |D|) on the residue field F_|D|; unit consistency
-    holds because (-1 | |D|) = -1 for |D| = 3 mod 4.
+    holds because (-1 | |D|) = -1 for |D| = 3 mod 4 and the only units are +-1.
+    Q(sqrt(-3)) has six roots of unity, and a quadratic eps cannot invert
+    the sixth ones, so D = -3 needs a finite part supplied explicitly.
     """
     p = -field.D
-    if field.D % 2 == 0 or not is_prime(p):
+    if field.D % 2 == 0 or not is_prime(p) or field.wK != 2:
         raise UnsupportedDiscriminant(
             f"no canonical quadratic finite part for D={field.D}; supply one explicitly"
         )

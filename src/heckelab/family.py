@@ -12,16 +12,14 @@ This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.
 
-The L-values of a scan read each member chi_m = phi rho^m at prime ideals
-P, through lseries' prime_values, and not from chi_m itself: away from
-c N(f(phi)), chi_m(P) = phi(P) zeta_n^{m k_P} with rho(P) = zeta_n^{k_P}.
-scan_report evaluates phi once per prime ideal into a table that lives
-for the call, and each orbit computes k_P once per P.  At the few P over
-c N(f(phi)) the conductor of twist()'s primitive chi_m can be smaller than
-lcm(f(phi), cO), so chi_m is evaluated there directly.  The checks keep
-their independence: the theta-quotient root number sums these phi rho^m
-values against the Gauss sum of twist()'s finite part, and the orbit-mean
-check sieves the characters twist() built, not the phi rho^m values.
+Every coefficient table of a scan, for the central values, the
+theta-quotient root number and the orbit-mean check, is lseries.theta_coeffs
+of a character twist() built: a lattice sum that reads the finite part's
+exponent array and evaluates no character at an ideal.  The checks keep
+their independence: the theta-quotient root number sums the first
+member's table against the Gauss sum of its finite part, and the
+orbit-mean check compares the members' tables with exact orbit averages
+from evaluate_char(phi) and the integer exponents of rho.
 
 A scan checks, in this order:
 
@@ -41,6 +39,10 @@ and per record, which keeps the first failure as its error:
   on 1 + p^3 O powers of p;
 * the Gauss-sum root number of every member is a clean sign, one sign
   across the orbit;
+* every coefficient table passes the lattice certificates of
+  theta_coeffs: N(J) divides the norm of every element summed, w_K
+  divides the number of generators of each norm, and no int64
+  intermediate can overflow;
 * the first member's sign matches the theta-quotient route to 1e-6;
 * every central value is real and its tail bound clears tol;
 * at each n <= f^max(T_EXPONENTS) coprime to c N(f(phi)), the mean of a_n
@@ -53,9 +55,7 @@ floats are serialized as repr decimal strings, and no timestamps appear.
 
 from __future__ import annotations
 
-import cmath
 import csv
-import functools
 import io
 import itertools
 import json
@@ -77,7 +77,7 @@ from .characters import (
     twist,
 )
 from .errors import DomainError, HeckeLabError, NumericalInstability, SignMismatch
-from .lseries import PrimeValues, SmoothedValue, central_value, dirichlet_L1, theta_coeffs
+from .lseries import SmoothedValue, central_value, dirichlet_L1, theta_coeffs
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -283,54 +283,11 @@ def orbit_characters(
     return out
 
 
-def orbit_prime_values(
-    phi_values: PrimeValues,
-    phi: HeckeCharacter,
-    rho: RingClassCharacter,
-    orbit: TwistOrbit,
-    members: list[HeckeCharacter],
-) -> list[PrimeValues]:
-    """chi_m at prime ideals for each member chi_m = phi rho^m, in member order.
-
-    phi_values gives phi(P).  At P coprime to c N(f(phi)) the value is
-    phi(P) zeta_n^{m k_P}, rho(P) = zeta_n^{k_P}, with k_P computed once per
-    P for the whole orbit; at the other P it is the exact value of twist()'s
-    chi_m, whose conductor can drop there.  The trivial orbit's one member
-    is phi, whose values are phi_values.
-    """
-    if rho.is_trivial():
-        return [phi_values]
-    n = rho.order
-    modulus = rho.c * phi.conductor_norm
-    roots = [cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
-    k_of = functools.cache(rho.value_exponent)
-
-    def member(m: int, chi: HeckeCharacter) -> PrimeValues:
-        def value(P: Ideal) -> complex:
-            if math.gcd(P.norm, modulus) != 1:
-                return evaluate_char(chi, P).complex()
-            return phi_values(P) * roots[m * k_of(P) % n]
-
-        return value
-
-    return [member(m, chi) for m, chi in zip(orbit.members, members)]
-
-
 def averaged_L(
-    members: list[HeckeCharacter],
-    v: int,
-    tol: float,
-    w: float,
-    prime_values: list[PrimeValues],
+    members: list[HeckeCharacter], v: int, tol: float, w: float
 ) -> list[SmoothedValue]:
-    """The central value of each orbit member, in member order; a record averages them.
-
-    prime_values holds each member's source of chi(P), as orbit_prime_values gives them.
-    """
-    return [
-        central_value(chi, v, tol=tol, w=w, prime_values=pv)
-        for chi, pv in zip(members, prime_values)
-    ]
+    """The central value of each orbit member, in member order; a record averages them."""
+    return [central_value(chi, v, tol=tol, w=w) for chi in members]
 
 
 def _check_orbit_mean(
@@ -342,7 +299,7 @@ def _check_orbit_mean(
 ) -> None:
     """Orbit mean of the members' a_n against the exact average, n coprime to c N(f(phi)).
 
-    One side sieves the twisted characters that twist() built; the other
+    One side sums the theta series of the characters that twist() built; the other
     sums phi(a) c_n(k)/eulerphi(n) over the ideals a of norm n <= bound,
     taken from ideals, which lists every ideal to that bound in norm order.
     """
@@ -418,12 +375,10 @@ def scan_report(
         raise DomainError(f"P must list primes, not {P}")
     check_property1(phi)
     L1 = dirichlet_L1(field)
-    # phi(P) at each prime ideal P any record reads, evaluated on first use
-    phi_values = functools.cache(lambda P: evaluate_char(phi, P).complex())
     records = []
     for orbit in enumerate_twists(field, phi, P, c_max):
         try:
-            records.append(_orbit_record(field, phi, orbit, L1, tol, phi_values))
+            records.append(_orbit_record(field, phi, orbit, L1, tol))
         except HeckeLabError as exc:
             records.append(_failed_record(orbit, exc))
     return records
@@ -451,11 +406,10 @@ def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyReco
     )
 
 
-def _orbit_record(field, phi, orbit, L1, tol, phi_values) -> FamilyRecord:
+def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
     members = orbit_characters(phi, orbit)
     chi = members[0]
     rho = orbit.rho(field, orbit.members[0])
-    sources = orbit_prime_values(phi_values, phi, rho, orbit, members)
     # exact fields first: counts and the p-adic bookkeeping need no W;
     # one ideal walk to the largest threshold serves the counts and the orbit mean
     bound = int(chi.f_value ** max(T_EXPONENTS))
@@ -474,13 +428,13 @@ def _orbit_record(field, phi, orbit, L1, tol, phi_values) -> FamilyRecord:
                 f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}"
             )
         W = int(signs[0])
-        W_fe = root_number_via_fe(chi, prime_values=sources[0])
+        W_fe = root_number_via_fe(chi)
         if abs(W_fe - W) > 1e-6:
             raise NumericalInstability(
                 f"root numbers disagree: Gauss sum W = {W:+d}, theta quotient W = {W_fe:.6g}"
             )
         v = (1 - W) // 2
-        values = averaged_L(members, v, tol=tol, w=float(W), prime_values=sources)
+        values = averaged_L(members, v, tol=tol, w=float(W))
         _check_orbit_mean(phi, rho, members, ideals, bound)
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)

@@ -9,16 +9,11 @@ Lambda(s) = W Lambda(2-s).  Unfolding the theta integral termwise gives
 where I_0(u) = e^{-u} and I_1(u) = E_1(u) is the exponential integral.
 Every sum here is truncated at a certified point: the coefficient bound
 |a_n| <= d(n) sqrt(n) <= 2n turns the tail into a geometric series.
-The coefficients a_n come from a multiplicative sieve over the primes up
-to the truncation point, with chi evaluated only at prime ideals.
-
-Those prime values come from a supplied source when the caller has one:
-theta_coeffs, central_value and rootnumber.root_number_via_fe take
-prime_values, a function from a prime ideal P to chi(P) as a complex
-number, and then evaluate chi at no ideal themselves.  A family scan
-supplies each twist's values as phi(P) rho^m(P) from one table of phi per
-scan.  Without a source, chi is evaluated exactly at each P by
-characters.evaluate_char.
+The coefficients a_n are Hecke's theta series, summed over the lattice
+points of one ideal per ideal class (theta_coeffs).  central_value and
+rootnumber.root_number_via_fe read their tables from theta_coeffs, which
+evaluates chi at no ideal: every value is one gather from the finite
+part's exponent array.
 
 All arithmetic is float64; math.fsum keeps the long sums compensated.
 The stated tolerances (1e-8 functional equation, 1e-10 realness, 1e-14
@@ -27,20 +22,24 @@ kernels) sit comfortably inside that.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import multiplicative_table
-from .characters import HeckeCharacter, evaluate_char
-from .errors import DomainError, NonPositiveArgument, NumericalInstability, SignMismatch
-from .quadfield import FieldContext, Ideal, ideal_count_local, prime_ideals_above
+from .characters import HeckeCharacter
+from .errors import (
+    NoConsistentLift,
+    NonPositiveArgument,
+    NumericalInstability,
+    PhaseOverflow,
+    SignMismatch,
+    UnitCountMismatch,
+)
+from .quadfield import FieldContext, Ideal, KElt, unit_ideal
 
-# chi at a prime ideal P, as a complex number
-PrimeValues = Callable[[Ideal], complex]
-
+_INT64_MAX = np.iinfo(np.int64).max
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -94,80 +93,101 @@ def kernel_I(v: int, u: float) -> float:
     return out
 
 
-def incomplete_gamma(s: float, u: float) -> float:
-    """Upper incomplete Gamma(s, u) = integral_u^inf e^{-t} t^{s-1} dt, 0 < s < 2.
-
-    scipy.special is imported here, at its only use, so that importing the
-    package does not pay for it.
-    """
-    from scipy.special import gammaincc
-
-    if not 0.0 < s < 2.0:
-        raise DomainError(f"s must lie in (0, 2), got {s}")
-    if u <= 0:
-        raise DomainError(f"u must be positive, got {u}")
-    return float(gammaincc(s, u)) * math.gamma(s)
-
-
-def theta_coeffs(
-    chi: HeckeCharacter, X: int, prime_values: PrimeValues | None = None
-) -> dict[int, complex]:
+def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
     The keys are exactly the n <= X that are the norm of some integral
     ideal, in ascending order; a_n is 0 at such n when every ideal of norm
-    n meets the conductor.  a_n is multiplicative, so a sieve over the
-    primes p <= X builds the table from the local factors a_{p^e}, which
-    need chi only at the (at most two) prime ideals above p.  That costs
-    O(X log log X) array updates plus at most 2 pi(X) reads of chi(P),
-    from prime_values when given and otherwise by exact evaluation, and
-    the sieve forms no Ideal products.  Inert p with p^2 > X lie under no
-    ideal of norm <= X and are skipped.
+    n meets the conductor.  The table is Hecke's theta series, summed over
+    lattice points: an ideal a of class vector e times
+    J_e = prod conj(a_i)^{e_i} (the class representatives a_i) is principal,
+    a J_e = (g), and chi(a) = eps(g/N J_e) (g/N J_e) prod v_i^{e_i}, which
+    is what evaluate_char computes for one ideal.  Each ideal has w_K
+    generators g, so
+
+        a_n = (1/w_K) sum_e sum_{g in J_e, N(g) = n N(J_e)} eps(g/N J_e) (g/N J_e) prod v_i^{e_i}.
+
+    Every g in J_e with 0 < N(g) <= X N(J_e) is one row of an int64
+    array, eps(g) is one gather from eps.unit_exponents (zero where g meets
+    the conductor), and the sum over n is two bincounts.  Three
+    certificates hold the table to that formula: N(J_e) divides every N(g)
+    (else NoConsistentLift), w_K divides the number of generators of each
+    norm (else UnitCountMismatch), and no int64 intermediate can overflow,
+    checked before any is formed (else PhaseOverflow).
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    if prime_values is None:
-        prime_values = lambda pr: evaluate_char(chi, pr).complex()
-    table = _count_and_coeff_table(chi.field, X, prime_values)
-    keys = np.flatnonzero(table[:, 0])
-    return dict(zip(keys.tolist(), table[keys, 1].tolist()))
+    field, eps = chi.field, chi.eps
+    ug, M = eps.unit_group, eps.M
+    # zeta_M^k = i^q exp(i pi r / 2M) with 4k = qM + r: exact at the fourth roots of unity
+    q, r = np.divmod(4 * np.arange(M), M)
+    roots = np.array([1, 1j, -1, -1j])[q] * np.exp(0.5j * np.pi * r / M)
+    classes = []
+    for e in itertools.product(*(range(h) for h in chi.class_orders)):
+        J, weight = unit_ideal(field), 1 + 0j
+        for rep, v, ei in zip(chi.class_reps, chi.radicals, e):
+            J, weight = J * rep.conjugate() ** ei, weight * v**ei
+        classes.append((J, weight))
+    d_max = max(J.norm for J, _ in classes)
+    B = X * d_max
+    # |y| <= 2 sqrt(B/|D|) and |x| <= sqrt(B) (sqrt|D| + 1), so the terms of
+    # the norm form add up to at most B (4|D| + 4 sqrt|D| + 2) in absolute
+    # value; the HNF step v b and rows()' box reduction stay below
+    # 4 (sqrt(B) + 1) max(N(J), N(f))
+    if max(8 * (1 - field.D) * B, 4 * (math.isqrt(B) + 1) * max(d_max, ug.f.norm)) > _INT64_MAX:
+        raise PhaseOverflow(f"norms up to {B} overflow int64 in the lattice sum to X = {X}")
+    counts = np.zeros(X + 1, dtype=np.int64)
+    re, im = np.zeros(X + 1), np.zeros(X + 1)
+    for J, weight in classes:
+        d = J.norm
+        k_d = eps.exponent_of(KElt(field, d, 0))
+        if k_d is None:
+            raise NoConsistentLift(f"N{J!r} = {d} is not coprime to the conductor")
+        x, y = _ideal_elements(J, X * d)
+        norms = x * x + field.D * x * y + field.nm * y * y
+        if (norms % d).any():
+            raise NoConsistentLift(f"N(J) = {d} does not divide the norm of an element of {J!r}")
+        n = norms // d
+        per_n = np.bincount(n, minlength=X + 1)
+        if (per_n % field.wK).any():
+            raise UnitCountMismatch(f"the elements of {J!r} are not w_K = {field.wK} per ideal")
+        counts += per_n
+        rows = ug.rows(x, y)
+        unit = rows >= 0
+        k = (eps.unit_exponents[rows[unit]] - k_d) % M
+        g = x[unit] + y[unit] * field.omega_complex
+        values = roots[k] * g * (weight / d)
+        re += np.bincount(n[unit], weights=values.real, minlength=X + 1)
+        im += np.bincount(n[unit], weights=values.imag, minlength=X + 1)
+    keys = np.flatnonzero(counts)
+    a = (re[keys] + 1j * im[keys]) / field.wK
+    return dict(zip(keys.tolist(), a.tolist()))
 
 
-def _count_and_coeff_table(field: FieldContext, X: int, prime_values: PrimeValues) -> np.ndarray:
-    """Rows (number of ideals of norm n, a_n) for n = 0..X, from one sieve."""
+def _ideal_elements(J: Ideal, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, y) of every g = x + y omega != 0 in J with N(g) <= bound.
 
-    def local(p, emax):
-        counts = ideal_count_local(field, p, emax)
-        return list(zip(counts, _local_coeffs(field, prime_values, p, emax)))
-
-    return multiplicative_table(X, local, complex, 2)
-
-
-def _local_coeffs(
-    field: FieldContext, prime_values: PrimeValues, p: int, emax: int
-) -> list[complex]:
-    """a_{p^e} for e = 0..emax, from chi at the prime ideals above p."""
-    primes = prime_ideals_above(field, p)
-    if len(primes) == 2:
-        # split: sum over i + j = e of chi(P)^i chi(conj P)^j
-        x, y = (prime_values(pr) for pr in primes)
-        out, ye = [1 + 0j], 1 + 0j
-        for _ in range(emax):
-            ye *= y
-            out.append(x * out[-1] + ye)
-        return out
-    if field.kronecker(p) == -1:
-        # inert: one ideal (p)^(e/2) of norm p^e for even e, none for odd e
-        if emax < 2:
-            return [1 + 0j, 0j]
-        z = prime_values(primes[0])
-        return [z ** (e // 2) if e % 2 == 0 else 0j for e in range(emax + 1)]
-    # ramified: P^e is the one ideal of norm p^e
-    z = prime_values(primes[0])
-    out = [1 + 0j]
-    for _ in range(emax):
-        out.append(out[-1] * z)
-    return out
+    J = aZ + (b + c omega)Z, so g = u a + v (b + c omega).  With t = 2x + yD,
+    4 N(g) = t^2 + |D| y^2: so |y| = |v| c <= sqrt(4 bound / |D|), and for
+    each v, |t| <= s = isqrt(4 bound - |D| y^2) bounds u on both sides.
+    """
+    D, a, b, c = J.field.D, J.a, J.b, J.c
+    vmax = math.isqrt(4 * bound // -D) // c
+    v = np.arange(-vmax, vmax + 1, dtype=np.int64)
+    y = v * c
+    r = 4 * bound + D * y * y
+    s = np.sqrt(r).astype(np.int64)
+    s -= s * s > r  # float sqrt to isqrt
+    s += (s + 1) * (s + 1) <= r
+    # -s <= 2(u a + v b) + yD <= s
+    lo = -((s + y * D + 2 * v * b) // (2 * a))
+    per_v = np.maximum((s - y * D - 2 * v * b) // (2 * a) - lo + 1, 0)
+    starts = np.repeat(np.cumsum(per_v) - per_v - lo, per_v)
+    u = np.arange(int(per_v.sum()), dtype=np.int64) - starts
+    v = np.repeat(v, per_v)
+    x, y = u * a + v * b, v * c
+    nonzero = (x != 0) | (y != 0)
+    return x[nonzero], y[nonzero]
 
 
 @dataclass(frozen=True)
@@ -219,18 +239,16 @@ def central_value(
     v: int,
     tol: float = 1e-10,
     w: float | None = None,
-    prime_values: PrimeValues | None = None,
 ) -> SmoothedValue:
     """L(1, chi) for v = 0 or L'(1, chi) for v = 1, truncated with a tail bound.
 
     The requested v must match the root number: v = (1 - W)/2.  The other
-    parity would sum to an uninformative 0.  prime_values, when given,
-    supplies chi(P) to theta_coeffs.
+    parity would sum to an uninformative 0.
     """
     _require_sign(chi, v, w)
     f, Af = _scale(chi)
     T = _truncation(Af, tol)
-    coeffs = theta_coeffs(chi, int(T), prime_values)
+    coeffs = theta_coeffs(chi, int(T))
     terms = [
         2.0 * a / n * kernel_I(v, n / Af) for n, a in sorted(coeffs.items()) if n <= T
     ]
@@ -239,26 +257,6 @@ def central_value(
     if not tail < tol:
         raise NumericalInstability(f"tail bound {tail} did not clear {tol}")
     return SmoothedValue(value=value, T=T, tail_bound=tail, v=v, f=f, Af=Af)
-
-
-def lambda_value(chi: HeckeCharacter, s: float, w: float | None = None) -> float:
-    """Completed Lambda(s, chi) on 0.2 <= s <= 1.8 by termwise incomplete gammas."""
-    if not 0.2 <= s <= 1.8:
-        raise DomainError(f"s must lie in [0.2, 1.8], got {s}")
-    if w is None:
-        from .rootnumber import root_number
-
-        w = root_number(chi)
-    _, Af = _scale(chi)
-    T = _truncation(Af, 1e-13) + 10.0 * Af
-    coeffs = theta_coeffs(chi, int(T))
-    terms = []
-    for n, a in sorted(coeffs.items()):
-        u = n / Af
-        g = (Af / n) ** s * incomplete_gamma(s, u)
-        gdual = (Af / n) ** (2.0 - s) * incomplete_gamma(2.0 - s, u)
-        terms.append(a * (g + w * gdual))
-    return _real_part(terms, Af**2, "completed L-value")
 
 
 def smoothed_kappa_sum(field: FieldContext, x: float) -> float:

@@ -445,16 +445,6 @@ def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
     raise IdealSearchExhausted(f"no ideal of norm <= {done} of {field!r} ended the search")
 
 
-def ideal_count_local(field: FieldContext, p: int, emax: int) -> list[int]:
-    """Number of ideals of norm p^e for e = 0..emax."""
-    k = field.kronecker(p)
-    if k == 1:
-        return [e + 1 for e in range(emax + 1)]
-    if k == 0:
-        return [1] * (emax + 1)
-    return [1 - e % 2 for e in range(emax + 1)]
-
-
 def is_principal_with_generator(ideal: Ideal) -> KElt | None:
     """A generator of the ideal if principal, else None.
 

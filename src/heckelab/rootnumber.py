@@ -20,9 +20,12 @@ The independent route, root_number_via_fe, reads W off the theta
 transformation theta(1/t) = W t^2 theta(t), which is the functional
 equation at the level of theta series.  (The ratio of the two one-sided
 incomplete-gamma half-sums of Lambda does not isolate W; the theta
-quotient does.)  It sums a theta series well past the central-value
-truncation, so the Gauss-sum route never runs it: callers that want the
-cross-check run it themselves, as a family scan does once per record.
+quotient does.)  Its theta series is lseries.theta_coeffs' lattice sum
+over the ideal classes, which reads eps at lattice points and never forms
+a Gauss sum, an additive character or an auxiliary ideal.  It sums well
+past the central-value truncation, so the Gauss-sum route never runs it:
+callers that want the cross-check run it themselves, as a family scan
+does once per record.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     NumericalInstability,
     PhaseOverflow,
 )
-from .lseries import PrimeValues, theta_coeffs
+from .lseries import theta_coeffs
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -164,13 +167,14 @@ def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> Roo
     return RootNumberResult(W_gauss=w, delta=delta, auxiliary=(c, b))
 
 
-def root_number_via_fe(chi: HeckeCharacter, prime_values: PrimeValues | None = None) -> complex:
+def root_number_via_fe(chi: HeckeCharacter) -> complex:
     """W from theta(1/t) = W t^2 theta(t), checked at two independent t.
 
-    prime_values, when given, supplies chi(P) to theta_coeffs.
+    The theta series is theta_coeffs' lattice sum to fe_bound(chi), which
+    shares only the character's own data with the Gauss sum.
     """
     Af = chi.field.A * chi.f_value
-    coeffs = sorted(theta_coeffs(chi, fe_bound(chi), prime_values).items())
+    coeffs = sorted(theta_coeffs(chi, fe_bound(chi)).items())
 
     def theta(t: float) -> complex:
         return sum(a * cmath.exp(-n * t / Af) for n, a in coeffs)

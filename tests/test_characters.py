@@ -299,6 +299,8 @@ def test_canonical_epsilon_unsupported():
     with pytest.raises(UnsupportedDiscriminant):
         canonical_epsilon(make_field(-20))
     with pytest.raises(UnsupportedDiscriminant):
+        canonical_epsilon(make_field(-3))  # six roots of unity: eps(u) u = 1 fails
+    with pytest.raises(UnsupportedDiscriminant):
         gaussian_epsilon(make_field(-7))
 
 

@@ -73,9 +73,7 @@ def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
 
 def test_root_number_routes_must_agree(gauss, monkeypatch):
     field, phi = gauss
-    monkeypatch.setattr(
-        family, "root_number_via_fe", lambda chi, prime_values=None: -root_number(chi)
-    )
+    monkeypatch.setattr(family, "root_number_via_fe", lambda chi: -root_number(chi))
     records = family.scan_report(field, phi, (5,), 5)
     assert records
     for r in records:

@@ -5,27 +5,40 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckelab import lseries
+from heckelab.arith import factorize, is_prime
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
     evaluate_char,
+    finite_part,
     gaussian_epsilon,
+    ideal_lcm,
     ring_class_character,
     twist,
 )
-from heckelab.errors import DomainError, NonPositiveArgument, SignMismatch
+from heckelab.errors import (
+    DomainError,
+    NoConsistentLift,
+    NonPositiveArgument,
+    PhaseOverflow,
+    SignMismatch,
+    UnitCountMismatch,
+)
 from heckelab.lseries import (
     central_value,
     dirichlet_L1,
-    incomplete_gamma,
     kernel_I,
-    lambda_value,
     smoothed_kappa_sum,
     theta_coeffs,
 )
-from heckelab.quadfield import enumerate_ideals, make_field
+from heckelab.quadfield import class_group, enumerate_ideals, make_field, principal_ideal
+from oracles import incomplete_gamma, lambda_value
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +132,6 @@ def test_theta_coeffs_examples(chi4):
 
 
 def test_theta_coeffs_bound(chi4, chi23):
-    from heckelab.arith import factorize
-
     for chi in (chi4, chi23):
         coeffs = theta_coeffs(chi, 400)
         for n, a in coeffs.items():
@@ -129,7 +140,7 @@ def test_theta_coeffs_bound(chi4, chi23):
 
 
 def test_theta_coeffs_match_ideal_enumeration(chi4, chi23):
-    # the sieve against a brute-force sum of chi over every ideal of norm <= X
+    # the lattice sum against a brute-force sum of chi over every ideal of norm <= X
     f47 = make_field(-47)
     chars = [
         chi4,
@@ -148,6 +159,63 @@ def test_theta_coeffs_match_ideal_enumeration(chi4, chi23):
         assert coeffs.keys() == brute.keys(), chi.descriptor()
         for n, a in brute.items():
             assert abs(coeffs[n] - a) <= 1e-12, (chi.descriptor(), n)
+
+
+def test_theta_coeffs_reads_eps_at_the_class_norms():
+    # with Property 1, eps(N J) = kappa(N J) = 1 for every class representative
+    # product J, so only a character without it checks the eps(g / N J) factor:
+    # here eps of order 22 on (sqrt(-23)), where eps(2) != 1 and N(J) is 1, 2 or 4
+    field = make_field(-23)
+    eps = finite_part(field, principal_ideal(field, field.sqrt_D), (1,), M=22)
+    chi = build_hecke_character(field, eps)
+    assert {rep.norm for rep in chi.class_reps} == {2}
+    brute: dict[int, complex] = {}
+    for ideal in enumerate_ideals(field, 300):
+        brute[ideal.norm] = brute.get(ideal.norm, 0j) + evaluate_char(chi, ideal).complex()
+    coeffs = theta_coeffs(chi, 300)
+    assert coeffs.keys() == brute.keys()
+    for n, a in brute.items():
+        assert abs(coeffs[n] - a) <= 1e-12, n
+
+
+# D = -p for the primes p = 3 mod 4 in [7, 83], where canonical_epsilon applies, and D = -4
+RANDOM_FIELDS = [-4] + [-p for p in range(7, 84) if p % 4 == 3 and is_prime(p)]
+PRIME_POWERS = [q for q in range(2, 14) if len(factorize(q)) == 1]
+
+
+def _divisor_count(n):
+    return math.prod(e + 1 for _, e in factorize(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_random_field_twist_tables(data):
+    D = data.draw(st.sampled_from(RANDOM_FIELDS), label="D")
+    field = make_field(D)
+    phi = build_hecke_character(
+        field, gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    )
+    c = data.draw(st.sampled_from(PRIME_POWERS), label="c")
+    exps = tuple(data.draw(st.integers(0, h - 1)) for h in class_group(c * c * D).orders)
+    chi = twist(phi, ring_class_character(field, c, exps))
+    # f(chi) divides lcm(f(phi), cO)
+    modulus = ideal_lcm(phi.conductor, principal_ideal(field, field.element(c)))
+    assert all(chi.conductor.contains(z) for z in modulus.basis())
+    X = 300
+    table = theta_coeffs(chi, X)
+    # the keys are the ideal norms: sum over d | n of kappa(d) counts the ideals of norm n
+    counts = [sum(field.kronecker(d) for d in range(1, n + 1) if n % d == 0) for n in range(X + 1)]
+    assert list(table) == [n for n in range(1, X + 1) if counts[n] > 0]
+    a = data.draw(st.integers(1, X), label="m")
+    b = data.draw(st.integers(1, X // a), label="n")
+    for n in (a, b, a * b):
+        assert abs(table.get(n, 0j)) <= _divisor_count(n) * math.sqrt(n) * (1 + 1e-12)
+    if math.gcd(a, b) == 1:
+        want = table.get(a, 0j) * table.get(b, 0j)
+        assert abs(table.get(a * b, 0j) - want) <= 1e-9 * max(1.0, abs(want))
+    coprime = [I for I in enumerate_ideals(field, X) if I.is_coprime(chi.conductor)]
+    ideal = data.draw(st.sampled_from(coprime), label="ideal")
+    assert evaluate_char(chi, ideal).abs_squared() == ideal.norm
 
 
 def test_central_value_self_consistency(chi4):
@@ -235,7 +303,7 @@ def test_twisted_central_value(chi4):
 
 
 def test_package_import_leaves_scipy_special_unloaded():
-    # scipy.special is imported only inside incomplete_gamma
+    # the package never imports scipy.special; only the test-side lambda_value oracle needs it
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, heckelab.cli, heckelab.family; print('scipy.special' in sys.modules)"
     proc = subprocess.run(
@@ -246,3 +314,21 @@ def test_package_import_leaves_scipy_special_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_theta_coeffs_certificates(chi4, chi23, monkeypatch):
+    # int64 norms are refused before any array is formed
+    with pytest.raises(PhaseOverflow):
+        theta_coeffs(chi4, 10**18)
+    elements = lseries._ideal_elements
+    # chi23 has h = 3: J is O for the principal class and of norm 2 or 4 for
+    # the others, where the units +-1 do not belong
+    units = (np.array([1, -1]), np.array([0, 0]))
+    monkeypatch.setattr(lseries, "_ideal_elements", lambda J, bound: units)
+    with pytest.raises(NoConsistentLift):
+        theta_coeffs(chi23, 50)
+    # one generator short at one norm: its ideal would be counted 1 - 1/w_K times
+    short = lambda J, bound: tuple(a[1:] for a in elements(J, bound))
+    monkeypatch.setattr(lseries, "_ideal_elements", short)
+    with pytest.raises(UnitCountMismatch):
+        theta_coeffs(chi4, 50)

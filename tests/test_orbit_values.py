@@ -1,12 +1,13 @@
-"""A scan's twist values phi(P) rho^m(P) against the characters twist() builds.
+"""The lattice theta tables of a scan's twists against a multiplicative sieve.
 
-scan_report evaluates phi once per prime ideal and reads every orbit
-member's prime values off that table and the integer exponents of rho; the
-tests here compare those values, through the theta-coefficient sieve, with
-exact evaluation of the primitive characters that twist() builds.
+theta_coeffs sums Hecke's theta series over lattice points of the
+characters twist() builds.  The tests here compare its tables with the
+oracle module's prime sieve, fed two independent sources of chi_m(P):
+exact evaluation of twist()'s characters, and phi(P) rho^m(P) from phi
+and the integer exponents of rho.
 """
 
-import functools
+import cmath
 import math
 import os
 import subprocess
@@ -26,8 +27,9 @@ from heckelab.characters import (
     gaussian_epsilon,
 )
 from heckelab.lseries import theta_coeffs
-from heckelab.quadfield import enumerate_ideals, make_field
+from heckelab.quadfield import make_field
 from heckelab.rootnumber import fe_bound
+from oracles import sieve_theta_coeffs
 
 # (D, P, c_max): two-member orbits over Q(i), an h = 3 field whose c = 1 orbits
 # are class group characters, and Q(i) with 2 in P, where the conductor of
@@ -42,30 +44,56 @@ def _phi(D):
     )
 
 
+def _orbit_values(phi, rho, orbit, m, chi):
+    """chi_m(P) as phi(P) zeta_n^{m k_P}, rho(P) = zeta_n^{k_P}, away from c N(f(phi)).
+
+    At P over c N(f(phi)) the conductor of twist()'s chi_m can drop below
+    lcm(f(phi), cO), so the value there is evaluate_char(chi_m, P).
+    """
+    if rho.is_trivial():
+        return lambda P: evaluate_char(phi, P).complex()
+    n, modulus = rho.order, rho.c * phi.conductor_norm
+
+    def value(P):
+        if math.gcd(P.norm, modulus) != 1:
+            return evaluate_char(chi, P).complex()
+        zeta = cmath.exp(2j * cmath.pi * m * rho.value_exponent(P) / n)
+        return evaluate_char(phi, P).complex() * zeta
+
+    return value
+
+
 @pytest.fixture(scope="module")
 def member_tables():
-    """(family, c, m, orbit-path table, twist() table) for every member at its FE bound."""
+    """(family, c, m, lattice table, sieve tables) for every member at its FE bound.
+
+    The sieve of the oracle module runs twice per member: on exact values of
+    twist()'s character, and on phi(P) rho^m(P).
+    """
     out = []
     for D, P, c_max in FAMILIES:
         field, phi = _phi(D)
-        phi_values = functools.cache(lambda pr, phi=phi: evaluate_char(phi, pr).complex())
         for orbit in family.enumerate_twists(field, phi, P, c_max):
             members = family.orbit_characters(phi, orbit)
             rho = orbit.rho(field, orbit.members[0])
-            sources = family.orbit_prime_values(phi_values, phi, rho, orbit, members)
-            for m, chi, source in zip(orbit.members, members, sources):
+            for m, chi in zip(orbit.members, members):
                 X = fe_bound(chi)
-                tables = theta_coeffs(chi, X, source), theta_coeffs(chi, X)
-                out.append(((D, P, c_max), orbit.c, m, *tables))
+                exact = lambda pr, chi=chi: evaluate_char(chi, pr).complex()
+                sieves = (
+                    sieve_theta_coeffs(field, X, exact),
+                    sieve_theta_coeffs(field, X, _orbit_values(phi, rho, orbit, m, chi)),
+                )
+                out.append(((D, P, c_max), orbit.c, m, theta_coeffs(chi, X), sieves))
     return out
 
 
 def test_orbit_tables_match_twisted_characters(member_tables):
     assert {fam for fam, *_ in member_tables} == set(FAMILIES)
-    for fam, c, m, table, exact in member_tables:
-        assert list(table) == list(exact), (fam, c, m)
-        for n, a in exact.items():
-            assert abs(table[n] - a) <= 1e-12 * max(1.0, abs(a)), (fam, c, m, n)
+    for fam, c, m, table, sieves in member_tables:
+        for sieve in sieves:
+            assert list(table) == list(sieve), (fam, c, m)
+            for n, a in sieve.items():
+                assert abs(table[n] - a) <= 1e-12 * max(1.0, abs(a)), (fam, c, m, n)
 
 
 def _divisor_count(n):
@@ -87,37 +115,36 @@ def test_orbit_table_coefficient_bound_and_multiplicativity(member_tables, data)
         assert abs(table.get(a * b, 0j) - want) <= 1e-9 * max(1.0, abs(want)), (fam, c, m, a, b)
 
 
-def test_phi_is_evaluated_once_per_prime_ideal_per_scan(monkeypatch):
+def test_theta_coeffs_evaluates_no_character(monkeypatch):
+    # every table of a scan, central values, FE root numbers and the orbit-mean
+    # check's, is read off the finite parts' exponent arrays
     field, phi = _phi(-4)
-    evaluate = characters.evaluate_char
-    phi_calls = {}
-    inside_mean_check = [False]
+    evaluate, theta = characters.evaluate_char, lseries.theta_coeffs
+    depth, tables, inside = [0], [0], []
 
     def counted(char, ideal):
-        if char == phi and ideal.factor() == {ideal: 1} and not inside_mean_check[0]:
-            phi_calls[ideal] = phi_calls.get(ideal, 0) + 1
+        if depth[0]:
+            inside.append((char.descriptor(), ideal))
         return evaluate(char, ideal)
 
-    check = family._check_orbit_mean
-
-    def mean_check(*args):
-        # the orbit-mean check evaluates twist()'s characters and phi on its own, by design
-        inside_mean_check[0] = True
+    def traced(chi, X):
+        depth[0] += 1
+        tables[0] += 1
         try:
-            return check(*args)
+            return theta(chi, X)
         finally:
-            inside_mean_check[0] = False
+            depth[0] -= 1
 
     for module in (characters, family, lseries, rootnumber):
         if hasattr(module, "evaluate_char"):
             monkeypatch.setattr(module, "evaluate_char", counted)
-    monkeypatch.setattr(family, "_check_orbit_mean", mean_check)
+        if hasattr(module, "theta_coeffs"):
+            monkeypatch.setattr(module, "theta_coeffs", traced)
     records = family.scan_report(field, phi, (5, 13), 25)
     assert all(r.error is None for r in records)
-    assert max(phi_calls.values()) == 1
-    # the c = 25 record's FE bound is 2116: phi was read at every prime ideal below it
-    primes = {pr for pr in enumerate_ideals(field, 2000) if pr.factor() == {pr: 1}}
-    assert primes <= set(phi_calls)
+    # 7 FE tables, 15 central values and 15 orbit-mean tables
+    assert tables[0] == 37
+    assert inside == []
 
 
 def test_scan_leaves_scipy_special_unloaded():

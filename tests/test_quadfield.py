@@ -4,8 +4,14 @@ import random
 import pytest
 
 from heckelab import quadfield
+from heckelab.characters import (
+    build_hecke_character,
+    canonical_epsilon,
+    finite_part,
+    gaussian_epsilon,
+)
 from heckelab.errors import BadDiscriminant, NonFundamental, UnitCountMismatch
-from heckelab.lseries import _count_and_coeff_table
+from heckelab.lseries import theta_coeffs
 from heckelab.quadfield import (
     BinaryForm,
     FieldContext,
@@ -29,6 +35,7 @@ from heckelab.quadfield import (
     ring_class_number,
     unit_ideal,
 )
+from oracles import count_and_coeff_table
 
 FIELDS = [-3, -4, -7, -8, -20, -23, -47, -84]
 
@@ -175,11 +182,20 @@ def test_ideal_counts_match_divisor_sums():
     # the number of ideals of norm n is sum over d | n of kronecker(D, d)
     for D in [-4, -20, -23, -47]:
         f = make_field(D)
-        # the count column of the sieve that also builds theta_coeffs' a_n
-        counts = _count_and_coeff_table(f, 200, lambda pr: 1)[:, 0].real.tolist()
+        # the count column of the test-side sieve
+        counts = count_and_coeff_table(f, 200, lambda pr: 1)[:, 0].real.tolist()
+        # theta_coeffs keys its lattice table by the ideal norms, whatever the character
+        if D == -4:
+            eps = gaussian_epsilon(f)
+        elif D == -20:
+            eps = finite_part(f, prime_ideals_above(f, 5)[0], (1,), M=4)  # eps(-1) = -1
+        else:
+            eps = canonical_epsilon(f)
+        keys = theta_coeffs(build_hecke_character(f, eps), 200).keys()
         for n in range(1, 201):
             expected = sum(f.kronecker(d) for d in range(1, n + 1) if n % d == 0)
             assert counts[n] == expected, (D, n)
+            assert (n in keys) == (expected > 0), (D, n)
 
 
 def test_enumerate_ideals_sorted_distinct():

@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "heckelab"
 ALLOWED = {
     "main": "the `heckelab` console script of pyproject.toml",
     "make_field": "the public constructor that heckelab/__init__.py exports",
-    "lambda_value": "the functional-equation reference the L-value tests compare against",
     "minkowski_bound": "the class-number reference of the quadratic-field tests",
 }
 

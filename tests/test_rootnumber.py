@@ -15,7 +15,6 @@ from heckelab.characters import (
 )
 from heckelab.errors import HeckeLabError, IdealSearchExhausted, NoCRTLift, PhaseOverflow
 from heckelab.family import TwistOrbit, enumerate_twists, orbit_characters
-from heckelab.lseries import lambda_value
 from heckelab.quadfield import Ideal, KElt, coset_reps, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
     _auxiliary_for_ideal,
@@ -27,6 +26,7 @@ from heckelab.rootnumber import (
     root_number,
     root_number_via_fe,
 )
+from oracles import lambda_value
 
 
 @pytest.fixture(scope="module")
