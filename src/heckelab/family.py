@@ -15,11 +15,14 @@ and averages over the subgroup of embeddings fixing phi's values.
 Every coefficient table of a scan, for the central values, the
 theta-quotient root number and the orbit-mean check, is lseries.theta_coeffs
 of a character twist() built: a lattice sum that reads the finite part's
-exponent array and evaluates no character at an ideal.  The checks keep
-their independence: the theta-quotient root number sums the first
-member's table against the Gauss sum of its finite part, and the
-orbit-mean check compares the members' tables with exact orbit averages
-from evaluate_char(phi) and the integer exponents of rho.
+exponent array and evaluates no character at an ideal.  The first member
+of each orbit gets one table, to the larger of its FE bound and its
+central-value truncation T; the theta quotient and its central value read
+their prefixes of it.  The checks keep their independence: the
+theta-quotient root number sums the first member's table against the
+Gauss sum of its finite part, and the orbit-mean check adds the members'
+tables into one dense array over n and compares it with exact orbit
+averages from evaluate_char(phi) and the integer exponents of rho.
 
 A scan checks, in this order:
 
@@ -64,6 +67,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .arith import euler_phi, factorize, is_prime, ramanujan_trace
 from .characters import (
     CharValue,
@@ -77,7 +82,14 @@ from .characters import (
     twist,
 )
 from .errors import DomainError, HeckeLabError, NumericalInstability, SignMismatch
-from .lseries import SmoothedValue, central_value, dirichlet_L1, theta_coeffs
+from .lseries import (
+    SmoothedValue,
+    ThetaTable,
+    central_value,
+    dirichlet_L1,
+    theta_coeffs,
+    truncation,
+)
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -86,7 +98,7 @@ from .quadfield import (
     ring_class_dlog,
     ring_class_number,
 )
-from .rootnumber import root_number, root_number_via_fe
+from .rootnumber import fe_bound, root_number, root_number_via_fe
 
 # exponents alpha of the counting thresholds t = f^alpha in every scan record
 T_EXPONENTS = (0.9, 1.1)
@@ -284,10 +296,20 @@ def orbit_characters(
 
 
 def averaged_L(
-    members: list[HeckeCharacter], v: int, tol: float, w: float
+    members: list[HeckeCharacter],
+    v: int,
+    tol: float,
+    w: float,
+    table: ThetaTable | None = None,
 ) -> list[SmoothedValue]:
-    """The central value of each orbit member, in member order; a record averages them."""
-    return [central_value(chi, v, tol=tol, w=w) for chi in members]
+    """The central value of each orbit member, in member order; a record averages them.
+
+    table, when given, is the first member's theta table, read for its prefix.
+    """
+    return [
+        central_value(chi, v, tol=tol, w=w, table=table if i == 0 else None)
+        for i, chi in enumerate(members)
+    ]
 
 
 def _check_orbit_mean(
@@ -299,27 +321,31 @@ def _check_orbit_mean(
 ) -> None:
     """Orbit mean of the members' a_n against the exact average, n coprime to c N(f(phi)).
 
-    One side sums the theta series of the characters that twist() built; the other
-    sums phi(a) c_n(k)/eulerphi(n) over the ideals a of norm n <= bound,
-    taken from ideals, which lists every ideal to that bound in norm order.
+    One side sums the theta series of the characters that twist() built into
+    one dense array over n <= bound; the other sums phi(a) c_n(k)/eulerphi(n)
+    over the ideals a of norm n <= bound, taken from ideals, which lists
+    every ideal to that bound in norm order.
     """
     modulus = rho.c * phi.conductor_norm
-    exact: dict[int, complex] = {}
+    exact = np.zeros(bound + 1, dtype=np.complex128)
     for a in ideals:
         if a.norm > bound:
             break
         if math.gcd(a.norm, modulus) == 1:
-            exact[a.norm] = exact.get(a.norm, 0j) + twist_average_value(phi, rho, a).complex()
-    tables = [theta_coeffs(chi, bound) for chi in members]
-    for n in range(1, bound + 1):
-        if math.gcd(n, modulus) != 1:
-            continue
-        mean = sum(table.get(n, 0j) for table in tables) / len(tables)
-        want = exact.get(n, 0j)
-        if abs(mean - want) > 1e-9 * max(1.0, abs(want)):
-            raise NumericalInstability(
-                f"orbit mean of a_{n} is {mean}, exact orbit average is {want}"
-            )
+            exact[a.norm] += twist_average_value(phi, rho, a).complex()
+    total = np.zeros(bound + 1, dtype=np.complex128)
+    for chi in members:
+        table = theta_coeffs(chi, bound)
+        total[table.n] += table.a
+    mean = total / len(members)
+    n = np.arange(bound + 1)
+    coprime = (np.gcd(n, modulus) == 1) & (n > 0)
+    bad = np.flatnonzero(coprime & (abs(mean - exact) > 1e-9 * np.maximum(1.0, abs(exact))))
+    if bad.size:
+        k = bad[0]
+        raise NumericalInstability(
+            f"orbit mean of a_{k} is {complex(mean[k])}, exact orbit average is {complex(exact[k])}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +454,21 @@ def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
                 f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}"
             )
         W = int(signs[0])
-        W_fe = root_number_via_fe(chi)
+        # one table of the first member serves the theta quotient and its central value
+        Af = field.A * chi.f_value
+        table = theta_coeffs(chi, max(fe_bound(chi), int(truncation(Af, tol))))
+        W_fe = root_number_via_fe(chi, table=table)
         if abs(W_fe - W) > 1e-6:
             raise NumericalInstability(
                 f"root numbers disagree: Gauss sum W = {W:+d}, theta quotient W = {W_fe:.6g}"
             )
         v = (1 - W) // 2
-        values = averaged_L(members, v, tol=tol, w=float(W))
+        values = averaged_L(members, v, tol=tol, w=float(W), table=table)
         _check_orbit_mean(phi, rho, members, ideals, bound)
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
     sv = values[0]
     Lv_av = math.fsum(x.value for x in values) / len(values)
-    Af = field.A * chi.f_value
     denom = 2.0 * L1 if v == 0 else 2.0 * L1 * math.log(Af)
     return FamilyRecord(
         c=orbit.c,

@@ -13,11 +13,16 @@ The coefficients a_n are Hecke's theta series, summed over the lattice
 points of one ideal per ideal class (theta_coeffs).  central_value and
 rootnumber.root_number_via_fe read their tables from theta_coeffs, which
 evaluates chi at no ideal: every value is one gather from the finite
-part's exponent array.
+part's exponent array.  A table is a ThetaTable of two arrays, the n in
+ascending order and their a_n; a table to X holds the table to any
+smaller bound as its prefix, bit for bit, so one table can serve two
+truncations.  central_value forms every term 2 a_n n^{-1} I_v(n / Af) in
+one array expression, with the array kernel kernel_I (a power series and
+a fixed-depth continued fraction for E_1).
 
-All arithmetic is float64; math.fsum keeps the long sums compensated.
-The stated tolerances (1e-8 functional equation, 1e-10 realness, 1e-14
-kernels) sit comfortably inside that.
+All arithmetic is float64; math.fsum adds the terms of each sum exactly
+rounded.  The stated tolerances (1e-8 functional equation, 1e-10
+realness, 1e-14 kernels) sit comfortably inside that.
 """
 
 from __future__ import annotations
@@ -43,60 +48,80 @@ _INT64_MAX = np.iinfo(np.int64).max
 _EULER_GAMMA = 0.5772156649015328606
 
 
-def kernel_I(v: int, u: float) -> float:
-    """I_0(u) = e^{-u}; I_1(u) = E_1(u) = integral_u^inf e^{-t} dt/t.
+_E1_SPLIT = 1.5
+_E1_DEPTH = 60
+# (-1)^{k+1} / (k k!) for k = 1..25: the power series of E_1(u) + gamma + log u,
+# whose 26th term is below 4e-24 for u < 1.5
+_E1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 26))
 
-    E_1 uses the alternating power series below u = 1 and a modified
-    Lentz continued fraction above, both to 1e-14 relative.  The bound
-    0 < I_1(u) <= e^{-u} is enforced for u >= 1.
+
+def kernel_I(v: int, u: np.ndarray) -> np.ndarray:
+    """I_0(u) = e^{-u}; I_1(u) = E_1(u) = integral_u^inf e^{-t} dt/t, elementwise.
+
+    Below u = 1.5, E_1(u) = -gamma - log u + sum_{k>=1} (-1)^{k+1} u^k / (k k!),
+    summed by Horner's rule to 25 terms.  At and above it,
+
+        E_1(u) = e^{-u} / (u + 1 - 1/(u + 3 - 4/(u + 5 - ...))),
+
+    evaluated from depth 60 back to the top.  Both hold 1e-14 relative; the
+    worst error against mpmath on [1e-9, 700] is about 3e-15.  Every
+    E_1(u) must be positive, and at most e^{-u} where u >= 1, or
+    NumericalInstability is raised.
     """
-    if u <= 0:
-        raise NonPositiveArgument(f"kernel argument must be positive, got {u}")
+    u = np.asarray(u, dtype=np.float64)
+    bad = u[~(u > 0)]
+    if bad.size:
+        raise NonPositiveArgument(f"kernel argument must be positive, got {bad[0]}")
     if v == 0:
-        return math.exp(-u)
+        return np.exp(-u)
     if v != 1:
         raise ValueError(f"kernel order must be 0 or 1, got {v}")
-    if u < 1.0:
-        # E_1(u) = -gamma - log u + sum_{k>=1} (-1)^{k+1} u^k / (k k!)
-        acc = -_EULER_GAMMA - math.log(u)
-        term = 1.0
-        for k in range(1, 80):
-            term *= -u / k
-            delta = -term / k
-            acc += delta
-            if abs(delta) < 1e-18 * max(1.0, abs(acc)):
-                break
-        return acc
-    # modified Lentz for E_1(u) = e^{-u} / (u + 1 - 1/(u + 3 - 4/(u + 5 - ...)))
-    tiny = 1e-300
-    b = u + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    out = h * math.exp(-u)
-    if not 0.0 < out <= math.exp(-u):
-        raise NumericalInstability(f"E_1({u}) = {out} escaped its bracket")
+    out = np.empty_like(u)
+    small = u < _E1_SPLIT
+    s = u[small]
+    p = np.full_like(s, _E1_SERIES[-1])
+    for c in reversed(_E1_SERIES[:-1]):
+        p = p * s + c
+    out[small] = (-_EULER_GAMMA - np.log(s)) + s * p
+    b = u[~small]
+    t = b + (2 * _E1_DEPTH + 1)
+    for k in range(_E1_DEPTH, 0, -1):
+        t = b + (2 * k - 1) - (k * k) / t
+    out[~small] = np.exp(-b) / t
+    escaped = np.flatnonzero(~(out > 0) | ((u >= 1.0) & (out > np.exp(-u))))
+    if escaped.size:
+        i = escaped[0]
+        raise NumericalInstability(f"E_1({u.flat[i]}) = {out.flat[i]} escaped its bracket")
     return out
 
 
-def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
+@dataclass(frozen=True, eq=False)
+class ThetaTable:
+    """a_n at every n <= X that is the norm of an integral ideal.
+
+    n is int64 and ascending, a is complex128; both are read-only.  A table
+    to X holds, bit for bit, the table to any smaller bound as its prefix.
+    """
+
+    X: int
+    n: np.ndarray
+    a: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def upto(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, a) for the n <= bound; ValueError if the table stops short of bound."""
+        if bound > self.X:
+            raise ValueError(f"the theta table reaches n = {self.X}, not {bound}")
+        k = int(np.searchsorted(self.n, bound, side="right"))
+        return self.n[:k], self.a[:k]
+
+
+def theta_coeffs(chi: HeckeCharacter, X: int) -> ThetaTable:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
-    The keys are exactly the n <= X that are the norm of some integral
+    The table lists exactly the n <= X that are the norm of some integral
     ideal, in ascending order; a_n is 0 at such n when every ideal of norm
     n meets the conductor.  The table is Hecke's theta series, summed over
     lattice points: an ideal a of class vector e times
@@ -159,9 +184,10 @@ def theta_coeffs(chi: HeckeCharacter, X: int) -> dict[int, complex]:
         values = roots[k] * g * (weight / d)
         re += np.bincount(n[unit], weights=values.real, minlength=X + 1)
         im += np.bincount(n[unit], weights=values.imag, minlength=X + 1)
-    keys = np.flatnonzero(counts)
-    a = (re[keys] + 1j * im[keys]) / field.wK
-    return dict(zip(keys.tolist(), a.tolist()))
+    n = np.flatnonzero(counts)
+    a = (re[n] + 1j * im[n]) / field.wK
+    n.flags.writeable = a.flags.writeable = False
+    return ThetaTable(X=X, n=n, a=a)
 
 
 def _ideal_elements(J: Ideal, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +233,8 @@ def _scale(chi: HeckeCharacter) -> tuple[float, float]:
     return f, chi.field.A * f
 
 
-def _truncation(Af: float, tol: float) -> float:
+def truncation(Af: float, tol: float) -> float:
+    """The point T where central_value truncates its sum for tolerance tol."""
     # e^{-T/Af} <= tol / (8 (1+Af)^2) makes the geometric tail < tol/2
     return Af * max(40.0, math.log(8.0 / tol) + 2.0 * math.log(1.0 + Af))
 
@@ -226,9 +253,9 @@ def _require_sign(chi: HeckeCharacter, v: int, w: float | None) -> float:
     return float(round(w))
 
 
-def _real_part(sums: list[complex], scale: float, what: str) -> float:
-    re = math.fsum(z.real for z in sums)
-    im = math.fsum(z.imag for z in sums)
+def _real_part(terms: np.ndarray, scale: float, what: str) -> float:
+    re = math.fsum(terms.real.tolist())
+    im = math.fsum(terms.imag.tolist())
     if abs(im) > 1e-10 * (1.0 + abs(re)) * max(1.0, scale):
         raise NumericalInstability(f"{what} has imaginary residue {im}")
     return re
@@ -239,20 +266,22 @@ def central_value(
     v: int,
     tol: float = 1e-10,
     w: float | None = None,
+    table: ThetaTable | None = None,
 ) -> SmoothedValue:
     """L(1, chi) for v = 0 or L'(1, chi) for v = 1, truncated with a tail bound.
 
     The requested v must match the root number: v = (1 - W)/2.  The other
-    parity would sum to an uninformative 0.
+    parity would sum to an uninformative 0.  table, when given, is chi's
+    theta table to at least T, built by the caller for another use as well;
+    its prefix n <= T is exactly theta_coeffs(chi, int(T)).
     """
     _require_sign(chi, v, w)
     f, Af = _scale(chi)
-    T = _truncation(Af, tol)
-    coeffs = theta_coeffs(chi, int(T))
-    terms = [
-        2.0 * a / n * kernel_I(v, n / Af) for n, a in sorted(coeffs.items()) if n <= T
-    ]
-    value = _real_part(terms, 1.0, "central value")
+    T = truncation(Af, tol)
+    if table is None:
+        table = theta_coeffs(chi, int(T))
+    n, a = table.upto(int(T))
+    value = _real_part(2.0 * a / n * kernel_I(v, n / Af), 1.0, "central value")
     tail = 4.0 * (Af + 1.0) * math.exp(-T / Af)
     if not tail < tol:
         raise NumericalInstability(f"tail bound {tail} did not clear {tol}")
@@ -276,12 +305,15 @@ def dirichlet_L1(field: FieldContext) -> float:
     """L(1, kappa) by the class number formula, cross-checked by the smoothed series.
 
     Route (i): 2 pi h / (w_K sqrt(|D|)).  Route (ii): the smoothed sum at
-    x = 1e8, Richardson-corrected with the value at 2e8.  They must agree
-    to 1e-8; the closed form is returned.
+    x = 4 D^2.  kappa is odd and primitive mod |D|, so the theta
+    transformation of its weight-one theta series gives
+    sum kappa(n) n^{-1} e^{-n^2/x} = L(1, kappa) + O(e^{-pi^2 x / D^2}):
+    at x = 4 D^2 the error is far below float64 rounding (1.7e-15 relative
+    at worst over the fundamental D in (-2500, -3]), with 55 terms for
+    D = -4.  The routes must agree to 1e-8; the closed form is returned.
     """
     exact = 2.0 * math.pi * field.h / (field.wK * math.sqrt(abs(field.D)))
-    x = 1e8
-    series = 2.0 * smoothed_kappa_sum(field, 2.0 * x) - smoothed_kappa_sum(field, x)
+    series = smoothed_kappa_sum(field, 4.0 * field.D**2)
     if abs(series - exact) > 1e-8 * max(1.0, exact):
         raise NumericalInstability(
             f"L(1, kappa) routes disagree: {exact} vs {series} for D = {field.D}"

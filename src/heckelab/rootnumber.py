@@ -22,10 +22,12 @@ equation at the level of theta series.  (The ratio of the two one-sided
 incomplete-gamma half-sums of Lambda does not isolate W; the theta
 quotient does.)  Its theta series is lseries.theta_coeffs' lattice sum
 over the ideal classes, which reads eps at lattice points and never forms
-a Gauss sum, an additive character or an auxiliary ideal.  It sums well
-past the central-value truncation, so the Gauss-sum route never runs it:
-callers that want the cross-check run it themselves, as a family scan
-does once per record.
+a Gauss sum, an additive character or an auxiliary ideal.  theta(t) at
+each probe t is one array sum, sum a_n e^{-n t / Af}, over that table.
+It sums well past the central-value truncation, so the Gauss-sum route
+never runs it: callers that want the cross-check run it themselves, as a
+family scan does once per record, passing the table it also reads the
+first member's central value from.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     NumericalInstability,
     PhaseOverflow,
 )
-from .lseries import theta_coeffs
+from .lseries import ThetaTable, theta_coeffs
 from .quadfield import (
     FieldContext,
     Ideal,
@@ -167,19 +169,23 @@ def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> Roo
     return RootNumberResult(W_gauss=w, delta=delta, auxiliary=(c, b))
 
 
-def root_number_via_fe(chi: HeckeCharacter) -> complex:
+def root_number_via_fe(chi: HeckeCharacter, table: ThetaTable | None = None) -> complex:
     """W from theta(1/t) = W t^2 theta(t), checked at two independent t.
 
     The theta series is theta_coeffs' lattice sum to fe_bound(chi), which
-    shares only the character's own data with the Gauss sum.
+    shares only the character's own data with the Gauss sum.  table, when
+    given, is chi's theta table to at least fe_bound(chi), built by the
+    caller for another use as well; only its prefix n <= fe_bound(chi) is read.
     """
     Af = chi.field.A * chi.f_value
-    coeffs = sorted(theta_coeffs(chi, fe_bound(chi)).items())
+    if table is None:
+        table = theta_coeffs(chi, fe_bound(chi))
+    n, a = table.upto(fe_bound(chi))
 
     def theta(t: float) -> complex:
-        return sum(a * cmath.exp(-n * t / Af) for n, a in coeffs)
+        return complex(np.sum(a * np.exp(-n * t / Af)))
 
-    scale = sum(abs(a) * math.exp(-n / (1.7 * Af)) for n, a in coeffs)
+    scale = float(np.sum(np.abs(a) * np.exp(-n / (1.7 * Af))))
     estimates = []
     for t0 in (1.3, 1.6, 1.45, 1.7):
         den = theta(t0)

@@ -8,6 +8,9 @@
 * The completed L-function Lambda(s, chi) by termwise incomplete gammas,
   the functional-equation reference for the central values.  It needs
   scipy.special, which the package itself never imports.
+* The scalar kernel I_v(u), one u at a time with a convergence test per
+  term: the reference for the package's array kernel.
+* table_dict, which reads a theta table as {n: a_n}.
 """
 
 from __future__ import annotations
@@ -19,12 +22,19 @@ import numpy as np
 
 from heckelab.arith import primes_up_to
 from heckelab.characters import HeckeCharacter
-from heckelab.errors import DomainError
-from heckelab.lseries import _real_part, _scale, _truncation, theta_coeffs
+from heckelab.errors import DomainError, NonPositiveArgument, NumericalInstability
+from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
 from heckelab.quadfield import FieldContext, Ideal, prime_ideals_above
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
+
+_EULER_GAMMA = 0.5772156649015328606
+
+
+def table_dict(table: ThetaTable) -> dict[int, complex]:
+    """A theta table as {n: a_n}, in ascending n."""
+    return dict(zip(table.n.tolist(), table.a.tolist()))
 
 
 def multiplicative_table(bound: int, local, dtype, columns: int) -> np.ndarray:
@@ -139,12 +149,62 @@ def lambda_value(chi: HeckeCharacter, s: float, w: float | None = None) -> float
 
         w = root_number(chi)
     _, Af = _scale(chi)
-    T = _truncation(Af, 1e-13) + 10.0 * Af
-    coeffs = theta_coeffs(chi, int(T))
+    T = truncation(Af, 1e-13) + 10.0 * Af
+    table = theta_coeffs(chi, int(T))
     terms = []
-    for n, a in sorted(coeffs.items()):
+    for n, a in table_dict(table).items():
         u = n / Af
         g = (Af / n) ** s * incomplete_gamma(s, u)
         gdual = (Af / n) ** (2.0 - s) * incomplete_gamma(2.0 - s, u)
         terms.append(a * (g + w * gdual))
-    return _real_part(terms, Af**2, "completed L-value")
+    return _real_part(np.array(terms), Af**2, "completed L-value")
+
+
+def kernel_I(v: int, u: float) -> float:
+    """I_0(u) = e^{-u}; I_1(u) = E_1(u) = integral_u^inf e^{-t} dt/t.
+
+    E_1 uses the alternating power series below u = 1 and a modified
+    Lentz continued fraction above, both to 1e-14 relative.  The bound
+    0 < I_1(u) <= e^{-u} is enforced for u >= 1.
+    """
+    if u <= 0:
+        raise NonPositiveArgument(f"kernel argument must be positive, got {u}")
+    if v == 0:
+        return math.exp(-u)
+    if v != 1:
+        raise ValueError(f"kernel order must be 0 or 1, got {v}")
+    if u < 1.0:
+        # E_1(u) = -gamma - log u + sum_{k>=1} (-1)^{k+1} u^k / (k k!)
+        acc = -_EULER_GAMMA - math.log(u)
+        term = 1.0
+        for k in range(1, 80):
+            term *= -u / k
+            delta = -term / k
+            acc += delta
+            if abs(delta) < 1e-18 * max(1.0, abs(acc)):
+                break
+        return acc
+    # modified Lentz for E_1(u) = e^{-u} / (u + 1 - 1/(u + 3 - 4/(u + 5 - ...)))
+    tiny = 1e-300
+    b = u + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 200):
+        a = -float(i * i)
+        b += 2.0
+        d = a * d + b
+        if d == 0.0:
+            d = tiny
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    out = h * math.exp(-u)
+    if not 0.0 < out <= math.exp(-u):
+        raise NumericalInstability(f"E_1({u}) = {out} escaped its bracket")
+    return out

@@ -1,6 +1,8 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from heckelab.characters import (
     finite_part,
     gaussian_epsilon,
 )
-from heckelab.errors import RestrictionMismatch
-from heckelab.quadfield import class_group, make_field, principal_ideal
+from heckelab.errors import NumericalInstability, RestrictionMismatch
+from heckelab.quadfield import class_group, enumerate_ideals, make_field, principal_ideal
 from heckelab.rootnumber import root_number
 
 
@@ -73,7 +75,7 @@ def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
 
 def test_root_number_routes_must_agree(gauss, monkeypatch):
     field, phi = gauss
-    monkeypatch.setattr(family, "root_number_via_fe", lambda chi: -root_number(chi))
+    monkeypatch.setattr(family, "root_number_via_fe", lambda chi, table=None: -root_number(chi))
     records = family.scan_report(field, phi, (5,), 5)
     assert records
     for r in records:
@@ -96,6 +98,37 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
     for r in records:
         assert r.error.startswith("NumericalInstability")
         assert "orbit mean" in r.error
+
+
+def test_orbit_mean_names_the_first_bad_n(gauss, monkeypatch):
+    field, phi = gauss
+    (orbit,) = [o for o in family.enumerate_twists(field, phi, (5,), 5) if o.c == 5]
+    members = family.orbit_characters(phi, orbit)
+    rho = orbit.rho(field, orbit.members[0])
+    bound = int(members[0].f_value ** max(family.T_EXPONENTS))
+    ideals = enumerate_ideals(field, bound)
+    family._check_orbit_mean(phi, rho, members, ideals, bound)
+    # n = 10 shares a factor with c N(f(phi)) = 40, where no exact average applies
+    theta = family.theta_coeffs
+
+    def off_at_10(chi, X):
+        table = theta(chi, X)
+        return replace(table, a=np.where(table.n == 10, table.a + 1.0, table.a))
+
+    monkeypatch.setattr(family, "theta_coeffs", off_at_10)
+    family._check_orbit_mean(phi, rho, members, ideals, bound)
+    exact = family.twist_average_value
+
+    def perturbed(phi, rho, a):
+        value = exact(phi, rho, a)
+        if a.norm not in (13, 17):
+            return value
+        return SimpleNamespace(complex=lambda: value.complex() + 1e-6)
+
+    # one exact average off by 1e-6 at n = 13 and at n = 17: the error names n = 13
+    monkeypatch.setattr(family, "twist_average_value", perturbed)
+    with pytest.raises(NumericalInstability, match=r"orbit mean of a_13 is"):
+        family._check_orbit_mean(phi, rho, members, ideals, bound)
 
 
 def test_main_lemma_violation_is_recorded(gauss, monkeypatch):

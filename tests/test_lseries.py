@@ -26,6 +26,7 @@ from heckelab.errors import (
     DomainError,
     NoConsistentLift,
     NonPositiveArgument,
+    NumericalInstability,
     PhaseOverflow,
     SignMismatch,
     UnitCountMismatch,
@@ -38,7 +39,9 @@ from heckelab.lseries import (
     theta_coeffs,
 )
 from heckelab.quadfield import class_group, enumerate_ideals, make_field, principal_ideal
-from oracles import incomplete_gamma, lambda_value
+from heckelab.rootnumber import fe_bound, root_number_via_fe
+from oracles import incomplete_gamma, lambda_value, table_dict
+from oracles import kernel_I as scalar_kernel_I
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +59,7 @@ def chi23():
 def empirical_sign(chi):
     # theta-quotient probe: theta(1/t) / (t^2 theta(t)) tends to W
     Af = chi.field.A * chi.f_value
-    coeffs = theta_coeffs(chi, int(60 * Af) + 60)
+    coeffs = table_dict(theta_coeffs(chi, int(60 * Af) + 60))
 
     def theta(t):
         return sum(a * math.exp(-n * t / Af) for n, a in coeffs.items())
@@ -95,6 +98,39 @@ def test_kernel_bounds():
         assert kernel_I(1, u) <= math.exp(-u) * abs(math.log(u)) + c0
 
 
+# both sides of the series/continued-fraction split at u = 1.5, densely, and
+# of the scalar oracle's split at u = 1
+KERNEL_GRID = np.unique(
+    np.concatenate(
+        [np.geomspace(1e-9, 700.0, 1200), np.linspace(0.9, 1.1, 81), np.linspace(1.4, 1.6, 81)]
+    )
+)
+
+
+def test_kernel_matches_mpmath_on_a_dense_grid():
+    ref = np.array([float(mpmath.e1(u)) for u in KERNEL_GRID.tolist()])
+    assert (abs(kernel_I(1, KERNEL_GRID) - ref) <= 1e-14 * ref).all()
+
+
+def test_kernel_matches_the_scalar_oracle():
+    # numpy's exp and math.exp may differ in the last bit
+    for v, tol in ((0, 2.0**-52), (1, 2e-14)):
+        ref = np.array([scalar_kernel_I(v, u) for u in KERNEL_GRID.tolist()])
+        assert (abs(kernel_I(v, KERNEL_GRID) - ref) <= tol * ref).all(), v
+
+
+def test_kernel_checks_the_whole_array(monkeypatch):
+    with pytest.raises(NonPositiveArgument, match="got 0.0"):
+        kernel_I(1, np.array([2.0, 0.5, 0.0, 3.0]))
+    # a wrong constant term breaks the bracket 0 < E_1(u) <= e^{-u} (u >= 1) on the series side
+    monkeypatch.setattr(lseries, "_EULER_GAMMA", lseries._EULER_GAMMA - 1.0)
+    with pytest.raises(NumericalInstability, match=r"E_1\(1.2\)"):
+        kernel_I(1, np.array([0.5, 1.2, 3.0]))
+    monkeypatch.setattr(lseries, "_EULER_GAMMA", lseries._EULER_GAMMA + 30.0)
+    with pytest.raises(NumericalInstability, match=r"E_1\(0.5\)"):
+        kernel_I(1, np.array([0.5, 1.2, 3.0]))
+
+
 def test_incomplete_gamma_oracle():
     assert incomplete_gamma(1.0, 0.7) == pytest.approx(math.exp(-0.7), rel=1e-14)
     assert incomplete_gamma(0.5, 1e-14) == pytest.approx(math.sqrt(math.pi), rel=1e-6)
@@ -123,7 +159,7 @@ def test_incomplete_gamma_domain():
 
 
 def test_theta_coeffs_examples(chi4):
-    coeffs = theta_coeffs(chi4, 100)
+    coeffs = table_dict(theta_coeffs(chi4, 100))
     assert coeffs[1] == 1
     assert coeffs[2] == 0  # (1+i) divides the conductor
     assert 3 not in coeffs  # 3 inert: no ideal of norm 3
@@ -133,7 +169,7 @@ def test_theta_coeffs_examples(chi4):
 
 def test_theta_coeffs_bound(chi4, chi23):
     for chi in (chi4, chi23):
-        coeffs = theta_coeffs(chi, 400)
+        coeffs = table_dict(theta_coeffs(chi, 400))
         for n, a in coeffs.items():
             d = math.prod(e + 1 for _, e in factorize(n))  # the number of divisors of n
             assert abs(a) <= d * math.sqrt(n) + 1e-9
@@ -155,7 +191,7 @@ def test_theta_coeffs_match_ideal_enumeration(chi4, chi23):
         brute: dict[int, complex] = {}
         for ideal in enumerate_ideals(chi.field, X):
             brute[ideal.norm] = brute.get(ideal.norm, 0j) + evaluate_char(chi, ideal).complex()
-        coeffs = theta_coeffs(chi, X)
+        coeffs = table_dict(theta_coeffs(chi, X))
         assert coeffs.keys() == brute.keys(), chi.descriptor()
         for n, a in brute.items():
             assert abs(coeffs[n] - a) <= 1e-12, (chi.descriptor(), n)
@@ -172,7 +208,7 @@ def test_theta_coeffs_reads_eps_at_the_class_norms():
     brute: dict[int, complex] = {}
     for ideal in enumerate_ideals(field, 300):
         brute[ideal.norm] = brute.get(ideal.norm, 0j) + evaluate_char(chi, ideal).complex()
-    coeffs = theta_coeffs(chi, 300)
+    coeffs = table_dict(theta_coeffs(chi, 300))
     assert coeffs.keys() == brute.keys()
     for n, a in brute.items():
         assert abs(coeffs[n] - a) <= 1e-12, n
@@ -202,7 +238,7 @@ def test_random_field_twist_tables(data):
     modulus = ideal_lcm(phi.conductor, principal_ideal(field, field.element(c)))
     assert all(chi.conductor.contains(z) for z in modulus.basis())
     X = 300
-    table = theta_coeffs(chi, X)
+    table = table_dict(theta_coeffs(chi, X))
     # the keys are the ideal norms: sum over d | n of kappa(d) counts the ideals of norm n
     counts = [sum(field.kronecker(d) for d in range(1, n + 1) if n % d == 0) for n in range(X + 1)]
     assert list(table) == [n for n in range(1, X + 1) if counts[n] > 0]
@@ -239,6 +275,39 @@ def test_central_value_truncation_doubling(chi23):
     a = central_value(chi23, v, tol=1e-8, w=w)
     b = central_value(chi23, v, tol=1e-12, w=w)
     assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
+
+
+def test_theta_table_is_a_prefix_of_any_larger_table(chi4, chi23):
+    # the lattice sum lists elements in the same order at every bound, so the
+    # a_n for n <= T accumulate in the same order, bit for bit
+    chars = [
+        chi4,
+        chi23,
+        twist(chi4, ring_class_character(chi4.field, 25, (1,))),
+        twist(chi23, ring_class_character(chi23.field, 6, (1,))),
+    ]
+    for chi in chars:
+        for T in (37, 250):
+            small = theta_coeffs(chi, T)
+            for X in (T + 1, 3 * T, T + fe_bound(chi)):
+                n, a = theta_coeffs(chi, X).upto(T)
+                assert n.tobytes() == small.n.tobytes(), (chi.descriptor(), T, X)
+                assert a.tobytes() == small.a.tobytes(), (chi.descriptor(), T, X)
+
+
+def test_shared_table_gives_the_same_values_and_must_reach_its_bound(chi23):
+    chi = twist(chi23, ring_class_character(chi23.field, 6, (1,)))
+    w = empirical_sign(chi)
+    v = (1 - w) // 2
+    T = lseries.truncation(chi.field.A * chi.f_value, 1e-8)
+    table = theta_coeffs(chi, max(fe_bound(chi), int(T)))
+    assert central_value(chi, v, tol=1e-8, w=w, table=table) == central_value(chi, v, tol=1e-8, w=w)
+    assert root_number_via_fe(chi, table=table) == root_number_via_fe(chi)
+    short = theta_coeffs(chi, min(fe_bound(chi), int(T)) - 1)
+    with pytest.raises(ValueError, match="theta table reaches"):
+        central_value(chi, v, tol=1e-8, w=w, table=short)
+    with pytest.raises(ValueError, match="theta table reaches"):
+        root_number_via_fe(chi, table=short)
 
 
 def test_central_value_sign_gate(chi4):
@@ -287,6 +356,15 @@ def test_smoothed_kappa_sum_converges():
     errs = [abs(smoothed_kappa_sum(field, x) - target) for x in (1e4, 1e6, 1e8)]
     assert errs[0] < 1e-3 and errs[2] < 1e-8
     assert errs[2] <= errs[0]
+
+
+def test_dirichlet_series_route_at_four_D_squared():
+    # kappa is odd and primitive mod |D|: at x = 4 D^2 the smoothed sum is L(1, kappa)
+    # up to O(exp(-4 pi^2)), far below rounding; D = -2011 is the worst of (-2500, -3]
+    for D in (-3, -4, -8, -23, -47, -163, -1019, -2011):
+        field = make_field(D)
+        exact = 2 * math.pi * field.h / (field.wK * math.sqrt(-D))
+        assert abs(smoothed_kappa_sum(field, 4.0 * D * D) - exact) <= 1e-12 * exact, D
 
 
 def test_twisted_central_value(chi4):

@@ -29,7 +29,7 @@ from heckelab.characters import (
 from heckelab.lseries import theta_coeffs
 from heckelab.quadfield import make_field
 from heckelab.rootnumber import fe_bound
-from oracles import sieve_theta_coeffs
+from oracles import sieve_theta_coeffs, table_dict
 
 # (D, P, c_max): two-member orbits over Q(i), an h = 3 field whose c = 1 orbits
 # are class group characters, and Q(i) with 2 in P, where the conductor of
@@ -83,7 +83,7 @@ def member_tables():
                     sieve_theta_coeffs(field, X, exact),
                     sieve_theta_coeffs(field, X, _orbit_values(phi, rho, orbit, m, chi)),
                 )
-                out.append(((D, P, c_max), orbit.c, m, theta_coeffs(chi, X), sieves))
+                out.append(((D, P, c_max), orbit.c, m, table_dict(theta_coeffs(chi, X)), sieves))
     return out
 
 
@@ -142,8 +142,9 @@ def test_theta_coeffs_evaluates_no_character(monkeypatch):
             monkeypatch.setattr(module, "theta_coeffs", traced)
     records = family.scan_report(field, phi, (5, 13), 25)
     assert all(r.error is None for r in records)
-    # 7 FE tables, 15 central values and 15 orbit-mean tables
-    assert tables[0] == 37
+    # one table per first member, read by its FE root number and its central
+    # value (7), the other members' central values (8) and 15 orbit-mean tables
+    assert tables[0] == 30
     assert inside == []
 
 
