@@ -26,6 +26,7 @@ import numpy as np
 from .arith import abelian_group_structure, factorize, is_prime, v_p
 from .errors import (
     ConductorNotSupported,
+    DomainError,
     FactorizationMismatch,
     ImprimitiveFinitePart,
     MainLemmaViolation,
@@ -259,7 +260,7 @@ class FinitePart:
         kn = self.exponent_of(num)
         kd = self.exponent_of(KElt(self.field, d, 0))
         if kn is None or kd is None:
-            raise ValueError("element not coprime to the conductor")
+            raise DomainError(f"{w!r} is not coprime to the conductor {self.f!r}")
         return (kn - kd) % self.M
 
     def is_unit_consistent(self) -> bool:
@@ -510,34 +511,58 @@ def build_hecke_character(
     root_choices: tuple | None = None,
     twist_data: tuple | None = None,
 ) -> HeckeCharacter:
-    """Character with finite part eps; root_choices picks the Galois lift."""
-    if not eps.is_unit_consistent():
-        raise UnitInconsistent(
-            "eps(u) * u != 1 for some root of unity: no type (1,0) character exists"
-        )
+    """Character with finite part eps; root_choices picks the Galois lift.
+    eps must be unit consistent and primitive."""
+    _require_unit_consistent(eps)
     if not eps.is_primitive():
         raise ImprimitiveFinitePart(
             f"eps factors through a proper divisor of {eps.f!r}, which is not its conductor"
         )
-    orders = field.class_group().orders
     # reps must avoid the twist modulus too: a dropped conductor (ring class
     # character acting through the class group) must still match rho != 0
-    by_class = class_representatives(field, eps.f.norm * (twist_data[0] if twist_data else 1))
+    lifts = _class_lifts(field, eps.f.norm * (twist_data[0] if twist_data else 1))
+    return _assemble(field, eps, lifts, root_choices, twist_data)
+
+
+def _require_unit_consistent(eps: FinitePart) -> None:
+    if not eps.is_unit_consistent():
+        raise UnitInconsistent(
+            "eps(u) * u != 1 for some root of unity: no type (1,0) character exists"
+        )
+
+
+def _class_lifts(field: FieldContext, coprime_to: int) -> tuple[tuple, tuple]:
+    """(reps, ws): per class group generator, its first representative a_i
+    of norm prime to coprime_to and the canonical generator w_i of a_i^{h_i}."""
+    orders = field.class_group().orders
+    by_class = class_representatives(field, coprime_to)
     rank = len(orders)  # generator i's representative sits at the i-th unit vector
     reps = tuple(by_class[tuple(int(j == i) for j in range(rank))] for i in range(rank))
+    ws = tuple(canonical_generator(a_i**h_i) for a_i, h_i in zip(reps, orders))
+    if None in ws:
+        raise NoConsistentLift("generator power is not principal")
+    return reps, ws
+
+
+def _assemble(
+    field: FieldContext,
+    eps: FinitePart,
+    lifts: tuple[tuple, tuple],
+    root_choices: tuple | None,
+    twist_data: tuple | None,
+) -> HeckeCharacter:
+    """The character of finite part eps and class lifts (reps, ws); eps is not checked."""
+    orders = field.class_group().orders
+    reps, ws = lifts
     if root_choices is None:
         root_choices = tuple(0 for _ in orders)
     if len(root_choices) != len(orders):
         raise ValueError("one root choice per class group generator required")
-    ws, ks, radicals = [], [], []
-    for a_i, h_i, j_i in zip(reps, orders, root_choices):
-        w = canonical_generator(a_i**h_i)
-        if w is None:
-            raise NoConsistentLift("generator power is not principal")
+    ks, radicals = [], []
+    for w, h_i, j_i in zip(ws, orders, root_choices):
         k = eps.exponent_of(w)
         if k is None:
             raise NoConsistentLift("generator power not coprime to the conductor")
-        ws.append(w)
         ks.append(k)
         base = cmath.exp(2j * cmath.pi * k / eps.M) * w.complex()
         radicals.append(_principal_root(base, h_i) * cmath.exp(2j * cmath.pi * j_i / h_i))
@@ -546,7 +571,7 @@ def build_hecke_character(
         eps=eps,
         class_reps=reps,
         class_orders=orders,
-        base_ws=tuple(ws),
+        base_ws=ws,
         base_exps=tuple(ks),
         root_choices=tuple(root_choices),
         radicals=tuple(radicals),
@@ -695,76 +720,105 @@ def ideal_lcm(a: Ideal, b: Ideal) -> Ideal:
     return _ideal_from_factors(a.field, out)
 
 
-def _combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w: KElt):
-    """Exponent of eps_phi(w) * rho((w)) in mu_Mc for w coprime to both."""
-    k1 = phi.eps.exponent_of(w)
-    if k1 is None:
-        return None
-    s = rho.value_exponent(principal_ideal(phi.field, w))
-    if s is None:
-        return None
-    return (k1 * (Mc // phi.M) + s * (Mc // rho.order)) % Mc
-
-
 def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
-    """The primitive Hecke character inducing phi * rho.
+    """The primitive Hecke character inducing phi * rho, a one-member twist_orbit."""
+    return twist_orbit(phi, rho, (1,))[0]
 
-    The combined finite part lives on m = lcm(f(phi), cO) and is read as its
-    exponent k at every row of (O/m)^x.  Its conductor is a product of local
-    conductors: for each prime P | m, P's exponent drops while k vanishes on
-    one_mod of the smaller ideal.  k is then scattered through rows() onto
-    (O/f(chi))^x; that every row is hit, each by one exponent, certifies
-    that f(chi) is a modulus of the character, and build_hecke_character's
-    primitivity check that it is the smallest.
+
+def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[HeckeCharacter]:
+    """The primitive Hecke characters inducing phi * rho^j, one per j in members.
+
+    All members live on m = lcm(f(phi), cO) in mu_Mc, Mc = lcm(M_phi, n),
+    n = ord(rho).  eps_phi and rho are read once at the generators of
+    (O/m)^x; as rho^j = zeta_n^(j s) where rho = zeta_n^s, member j's
+    exponent there is k_phi (Mc/M_phi) + j k_rho (Mc/n) mod Mc, and one
+    pass gives its k at every row.  The conductor f_chi is found prime by
+    prime: P's exponent drops while k vanishes on one_mod of the smaller
+    ideal (one mask per ideal per orbit).  Scattering k through rows()
+    onto (O/f_chi)^x, every row hit by one exponent, certifies f_chi is a
+    modulus; the descent certifies it is the least, since at each P | f_chi
+    it stopped at a g divisible by f_chi/P with k nontrivial on the units
+    1 mod g, which lie among the units 1 mod f_chi/P that is_primitive
+    tests.  So members skip that check; unit consistency is still checked.
+    Members of one conductor share its unit group, scatter map and class
+    lifts.  Each j must be prime to n, else DomainError.
     """
     field = phi.field
     if rho.is_trivial():
-        return phi
+        return [phi for _ in members]
+    n = rho.order
+    if any(math.gcd(j, n) != 1 for j in members):
+        raise DomainError(f"orbit members {tuple(members)} are not all prime to ord(rho) = {n}")
     m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
-    Mc = math.lcm(phi.M, rho.order)
+    Mc = math.lcm(phi.M, n)
     ug_m = unit_group_mod(field, m)
+    k_phi, k_rho = [], []
+    for g in ug_m.gens:
+        w = KElt(field, *g)
+        k1 = phi.eps.exponent_of(w)
+        s = None if k1 is None else rho.value_exponent(principal_ideal(field, w))
+        if s is None:
+            raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
+        k_phi.append(k1 * (Mc // phi.M))
+        k_rho.append(s * (Mc // n))
 
-    # exponent of the combined character on each generator of (O/m)^x
-    gen_exps = [_combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
-    if None in gen_exps:
-        raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
-    k = _unit_exponents(ug_m, gen_exps, Mc)
+    masks: dict[tuple, np.ndarray] = {}  # keyed by exponents on m's primes, as by_conductor
+    by_conductor: dict[tuple, tuple] = {}
+    at_reps: dict[Ideal, tuple] = {}  # class representative -> (phi value, rho exponent)
+    factors_m = m.factor()
+    out = []
+    for j in members:
+        k = _unit_exponents(ug_m, [(a + j * b) % Mc for a, b in zip(k_phi, k_rho)], Mc)
 
-    # conductor: lower each prime's exponent while U(g) = {1 mod g} stays in the kernel
-    local = m.factor()
-    for pr in local:
-        while local[pr]:
-            g = _ideal_from_factors(field, {**local, pr: local[pr] - 1})
-            if k[ug_m.one_mod(g)].any():
-                break
-            local[pr] -= 1
-    f_chi = _ideal_from_factors(field, local)
+        # conductor: lower each prime's exponent while U(g) = {1 mod g} stays in the kernel
+        local = dict(factors_m)
+        for pr in local:
+            while local[pr]:
+                local[pr] -= 1
+                key = tuple(local.values())
+                if key not in masks:
+                    masks[key] = ug_m.one_mod(_ideal_from_factors(field, local))
+                if k[masks[key]].any():
+                    local[pr] += 1
+                    break
+        key = tuple(local.values())
+        if key not in by_conductor:
+            f_chi = m if local == factors_m else _ideal_from_factors(field, local)
+            ug_f = unit_group_mod(field, f_chi)
+            gen_rows = ug_f.box_row[[y * f_chi.a + x for x, y in ug_f.gens]]
+            # reps avoid the twist modulus too, so rho has a value at each
+            lifts = _class_lifts(field, f_chi.norm * rho.c)
+            by_conductor[key] = (f_chi, ug_f, ug_f.rows(ug_m.xs, ug_m.ys), gen_rows, lifts)
+        f_chi, ug_f, r, gen_rows, lifts = by_conductor[key]
 
-    # restriction to f_chi: every unit mod f_chi, one exponent above each
-    ug_f = unit_group_mod(field, f_chi)
-    r = ug_f.rows(ug_m.xs, ug_m.ys)
-    k_f = np.full(ug_f.order, -1, dtype=np.int64)
-    k_f[r] = k
-    if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
-        raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
-    M_new = math.lcm(Mc, field.wK, ug_f.exponent)
-    exps = tuple(int(k_f[ug_f.box_row[y * f_chi.a + x]]) * (M_new // Mc) for x, y in ug_f.gens)
-    eps_chi = FinitePart(field, f_chi, M_new, ug_f, exps)
+        # restriction to f_chi: every unit mod f_chi, one exponent above each
+        k_f = np.full(ug_f.order, -1, dtype=np.int64)
+        k_f[r] = k
+        if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
+            raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
+        M_new = math.lcm(Mc, field.wK, ug_f.exponent)
+        exps = tuple(int(e) * (M_new // Mc) for e in k_f[gen_rows])
+        eps_chi = FinitePart(field, f_chi, M_new, ug_f, exps)
+        _require_unit_consistent(eps_chi)
+        exponents = tuple(j * t % h for t, h in zip(rho.exponents, rho._pic_orders))
+        base = _assemble(field, eps_chi, lifts, None, (rho.c, exponents))
 
-    # root choices matching phi(a_i) * rho(a_i) numerically; with no choices
-    # given, each radical is the principal root
-    base = build_hecke_character(field, eps_chi, twist_data=(rho.c, rho.exponents))
-    choices, radicals = [], []
-    for a_i, h_i, principal in zip(base.class_reps, base.class_orders, base.radicals):
-        target = evaluate_char(phi, a_i).complex() * rho.value_complex(a_i)
-        roots = [principal * cmath.exp(2j * cmath.pi * j / h_i) for j in range(h_i)]
-        best = min(range(h_i), key=lambda j: abs(roots[j] - target))
-        err = abs(roots[best] - target)
-        if err >= 1e-6 * max(1.0, abs(target)):
-            raise NumericalInstability(f"twisted value {target} is {err:.3g} from every root")
-        choices.append(best)
-        radicals.append(roots[best])
-    return replace(base, root_choices=tuple(choices), radicals=tuple(radicals))
+        # root choices matching phi(a_i) * rho^j(a_i) numerically
+        choices, radicals = [], []
+        for a_i, h_i, principal in zip(base.class_reps, base.class_orders, base.radicals):
+            if a_i not in at_reps:
+                at_reps[a_i] = (evaluate_char(phi, a_i).complex(), rho.value_exponent(a_i))
+            phi_a, s = at_reps[a_i]
+            target = phi_a * cmath.exp(2j * cmath.pi * (j * s % n) / n)
+            roots = [principal * cmath.exp(2j * cmath.pi * i / h_i) for i in range(h_i)]
+            best = min(range(h_i), key=lambda i: abs(roots[i] - target))
+            err = abs(roots[best] - target)
+            if err >= 1e-6 * max(1.0, abs(target)):
+                raise NumericalInstability(f"twisted value {target} is {err:.3g} from every root")
+            choices.append(best)
+            radicals.append(roots[best])
+        out.append(replace(base, root_choices=tuple(choices), radicals=tuple(radicals)))
+    return out
 
 
 # ---------------------------------------------------------------------------

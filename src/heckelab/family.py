@@ -12,17 +12,20 @@ This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.
 
-Every coefficient table of a scan, for the central values, the
-theta-quotient root number and the orbit-mean check, is lseries.theta_coeffs
-of a character twist() built: a lattice sum that reads the finite part's
-exponent array and evaluates no character at an ideal.  The first member
-of each orbit gets one table, to the larger of its FE bound and its
-central-value truncation T; the theta quotient and its central value read
-their prefixes of it.  The checks keep their independence: the
-theta-quotient root number sums the first member's table against the
-Gauss sum of its finite part, and the orbit-mean check adds the members'
-tables into one dense array over n and compares it with exact orbit
-averages from evaluate_char(phi) and the integer exponents of rho.
+Each orbit's members are built together by characters.twist_orbit.  A
+scan enumerates ideals again only at a larger bound, reads rho once per
+ideal per orbit for the counts and the orbit-mean check, and evaluates
+phi once per ideal.  Every coefficient table is lseries.theta_coeffs of
+a member: a lattice sum that reads the finite part's exponent array and
+evaluates no character at an ideal.  Each member gets one table, to the
+larger of its truncation T and the check's bound f^max(T_EXPONENTS), the
+first member's also to its FE bound; the theta quotient, the central
+values and the orbit-mean check read prefixes of these tables.  The
+checks keep their independence: the theta-quotient root number sums the
+first member's table against the Gauss sum of its finite part, and the
+orbit-mean check adds the members' tables into one dense array over n
+and compares it with exact orbit averages from evaluate_char(phi) and
+the integer exponents of rho.
 
 A scan checks, in this order:
 
@@ -34,10 +37,11 @@ A scan checks, in this order:
 
 and per record, which keeps the first failure as its error:
 
-* the twists are built once each; every finite part must be unit
-  consistent and primitive;
-* the ideals are enumerated once, to f^max(T_EXPONENTS), and counted at
-  every t = f^alpha;
+* the twists are built once per orbit; every finite part must be unit
+  consistent, and its modulus is certified twice: the scatter onto
+  (O/f(chi))^x shows it is a modulus, and the conductor descent that
+  found it shows it is the least (characters.twist_orbit);
+* the ideals to f^max(T_EXPONENTS) are counted at every t = f^alpha;
 * the Main Lemma bound |m_p/2 - n_p| <= 3 + mu + h, with the local orders
   on 1 + p^3 O powers of p;
 * the Gauss-sum root number of every member is a clean sign, one sign
@@ -63,8 +67,10 @@ import io
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +85,7 @@ from .characters import (
     evaluate_char,
     main_lemma_quantities,
     ring_class_character,
-    twist,
+    twist_orbit,
 )
 from .errors import DomainError, HeckeLabError, NumericalInstability, SignMismatch
 from .lseries import (
@@ -224,58 +230,31 @@ def enumerate_twists(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AverageValue:
-    """phi(a) scaled by the exact rational c_n(k)/eulerphi(n)."""
-
-    scale: Fraction
-    base: CharValue
-
-    @property
-    def is_zero(self) -> bool:
-        return self.scale == 0 or self.base.zero
-
-    def complex(self) -> complex:
-        return self.base.complex() * float(self.scale)
-
-
-def twist_average_value(
-    phi: HeckeCharacter, rho: RingClassCharacter, a: Ideal
-) -> AverageValue:
-    """Exact mean of (phi rho^m)(a) over m coprime to n = ord(rho)."""
-    k = rho.value_exponent(a)
+def twist_average_value(base: CharValue, n: int, k: int | None) -> complex:
+    """Exact mean of (phi rho^m)(a) over m prime to n = ord(rho), from
+    base = phi(a) and rho(a) = zeta_n^k (k None where a meets c)."""
     if k is None:
-        raise ValueError("ideal shares a factor with the twist modulus")
-    base = evaluate_char(phi, a)
+        raise DomainError("ideal shares a factor with the twist modulus")
     if base.zero:
-        raise ValueError("ideal shares a factor with the base conductor")
-    n = rho.order
-    return AverageValue(scale=Fraction(ramanujan_trace(n, k), euler_phi(n)), base=base)
+        raise DomainError("ideal shares a factor with the base conductor")
+    return base.complex() * float(Fraction(ramanujan_trace(n, k), euler_phi(n)))
 
 
-def count_N_total(
-    phi: HeckeCharacter, rho: RingClassCharacter, ideals: list[Ideal], t: float
-) -> int:
+def count_N_total(ideals: list[Ideal], ks: list, n: int, t: float) -> int:
     """Ideals with nonzero orbit average, a != conj(a), 1 < Na <= t, all classes.
 
     ideals lists every integral ideal up to some bound >= t in norm order,
-    as enumerate_ideals does.  Coprimality to both the base conductor and
-    the twist modulus is required for the exact average; other ideals
-    contribute zero.
+    as enumerate_ideals does, and ks[i] is k with rho(ideals[i]) = zeta_n^k,
+    None where the exact average does not apply (a meets f(phi) or c).
     """
-    n = rho.order
     count = 0
-    for a in ideals:
+    for a, k in zip(ideals, ks):
         if a.norm > t:
             break
-        if a.norm == 1 or a.is_self_conjugate():
+        if k is None or a.norm == 1 or a.is_self_conjugate():
             continue
-        if not a.is_coprime(phi.conductor):
-            continue
-        k = rho.value_exponent(a)
-        if k is None or ramanujan_trace(n, k) == 0:
-            continue
-        count += 1
+        if ramanujan_trace(n, k):
+            count += 1
     return count
 
 
@@ -287,12 +266,7 @@ def count_N_total(
 def orbit_characters(
     phi: HeckeCharacter, orbit: TwistOrbit
 ) -> list[HeckeCharacter]:
-    field = phi.field
-    out = []
-    for m in orbit.members:
-        rho_m = orbit.rho(field, m)
-        out.append(phi if rho_m.is_trivial() else twist(phi, rho_m))
-    return out
+    return twist_orbit(phi, orbit.rho(phi.field), orbit.members)
 
 
 def averaged_L(
@@ -300,44 +274,66 @@ def averaged_L(
     v: int,
     tol: float,
     w: float,
-    table: ThetaTable | None = None,
+    tables: list[ThetaTable],
 ) -> list[SmoothedValue]:
     """The central value of each orbit member, in member order; a record averages them.
 
-    table, when given, is the first member's theta table, read for its prefix.
+    tables holds each member's theta table, read for its prefix.
     """
     return [
-        central_value(chi, v, tol=tol, w=w, table=table if i == 0 else None)
-        for i, chi in enumerate(members)
+        central_value(chi, v, tol=tol, w=w, table=table) for chi, table in zip(members, tables)
     ]
 
 
+class _ScanWalk:
+    """The ideal list and phi values that one scan's records share.
+
+    The list is enumerated again only at a bound above all before it; its
+    norm <= bound prefix is enumerate_ideals(field, bound), which sorts by
+    (norm, HNF).  phi is evaluated once per ideal.
+    """
+
+    def __init__(self, phi: HeckeCharacter):
+        self.phi = phi
+        self._ideals: list[Ideal] = []
+        self._bound = 0
+        self._phi_values: dict[Ideal, CharValue] = {}
+
+    def ideals(self, bound: int) -> list[Ideal]:
+        if bound > self._bound:
+            self._ideals, self._bound = enumerate_ideals(self.phi.field, bound), bound
+        return self._ideals[: bisect_right(self._ideals, bound, key=attrgetter("norm"))]
+
+    def phi_value(self, a: Ideal) -> CharValue:
+        if a not in self._phi_values:
+            self._phi_values[a] = evaluate_char(self.phi, a)
+        return self._phi_values[a]
+
+
 def _check_orbit_mean(
-    phi: HeckeCharacter,
+    walk: _ScanWalk,
     rho: RingClassCharacter,
-    members: list[HeckeCharacter],
     ideals: list[Ideal],
+    ks: list,
+    tables: list[ThetaTable],
     bound: int,
 ) -> None:
     """Orbit mean of the members' a_n against the exact average, n coprime to c N(f(phi)).
 
-    One side sums the theta series of the characters that twist() built into
-    one dense array over n <= bound; the other sums phi(a) c_n(k)/eulerphi(n)
-    over the ideals a of norm n <= bound, taken from ideals, which lists
-    every ideal to that bound in norm order.
+    One side adds the members' theta tables to bound into one dense array
+    over n; the other sums phi(a) c_n(k)/eulerphi(n) over the ideals a,
+    every ideal to bound in norm order, with ks as in count_N_total.
     """
-    modulus = rho.c * phi.conductor_norm
+    modulus = rho.c * walk.phi.conductor_norm
     exact = np.zeros(bound + 1, dtype=np.complex128)
-    for a in ideals:
-        if a.norm > bound:
-            break
+    for a, k in zip(ideals, ks):
         if math.gcd(a.norm, modulus) == 1:
-            exact[a.norm] += twist_average_value(phi, rho, a).complex()
+            exact[a.norm] += twist_average_value(walk.phi_value(a), rho.order, k)
     total = np.zeros(bound + 1, dtype=np.complex128)
-    for chi in members:
-        table = theta_coeffs(chi, bound)
-        total[table.n] += table.a
-    mean = total / len(members)
+    for table in tables:
+        n, a = table.upto(bound)
+        total[n] += a
+    mean = total / len(tables)
     n = np.arange(bound + 1)
     coprime = (np.gcd(n, modulus) == 1) & (n > 0)
     bad = np.flatnonzero(coprime & (abs(mean - exact) > 1e-9 * np.maximum(1.0, abs(exact))))
@@ -401,10 +397,11 @@ def scan_report(
         raise DomainError(f"P must list primes, not {P}")
     check_property1(phi)
     L1 = dirichlet_L1(field)
+    walk = _ScanWalk(phi)
     records = []
     for orbit in enumerate_twists(field, phi, P, c_max):
         try:
-            records.append(_orbit_record(field, phi, orbit, L1, tol))
+            records.append(_orbit_record(field, phi, orbit, L1, tol, walk))
         except HeckeLabError as exc:
             records.append(_failed_record(orbit, exc))
     return records
@@ -432,18 +429,24 @@ def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyReco
     )
 
 
-def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
+def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
     members = orbit_characters(phi, orbit)
     chi = members[0]
-    rho = orbit.rho(field, orbit.members[0])
+    rho = orbit.rho(field)
     # exact fields first: counts and the p-adic bookkeeping need no W;
-    # one ideal walk to the largest threshold serves the counts and the orbit mean
+    # one read of rho over the ideals to the largest threshold serves the
+    # counts and the orbit mean
     bound = int(chi.f_value ** max(T_EXPONENTS))
-    ideals = enumerate_ideals(field, bound)
+    ideals = walk.ideals(bound)
+    f, Nf = phi.conductor, phi.conductor_norm
+    ks = [
+        rho.value_exponent(a) if math.gcd(a.norm, Nf) == 1 or a.is_coprime(f) else None
+        for a in ideals
+    ]
     counts = {}
     for alpha in T_EXPONENTS:
         t = chi.f_value**alpha
-        counts[repr(alpha)] = {"t": int(t), "N": count_N_total(phi, rho, ideals, t)}
+        counts[repr(alpha)] = {"t": int(t), "N": count_N_total(ideals, ks, orbit.order, t)}
     lemma = main_lemma_quantities(chi)
     try:
         signs = [root_number(m) for m in members]
@@ -454,17 +457,20 @@ def _orbit_record(field, phi, orbit, L1, tol) -> FamilyRecord:
                 f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}"
             )
         W = int(signs[0])
-        # one table of the first member serves the theta quotient and its central value
+        # one table per member, to its truncation T and the check's bound;
+        # the first member's also reaches the FE bound of its theta quotient
         Af = field.A * chi.f_value
-        table = theta_coeffs(chi, max(fe_bound(chi), int(truncation(Af, tol))))
-        W_fe = root_number_via_fe(chi, table=table)
+        X = max(int(truncation(Af, tol)), bound)
+        tables = [theta_coeffs(chi, max(fe_bound(chi), X))]
+        W_fe = root_number_via_fe(chi, table=tables[0])
         if abs(W_fe - W) > 1e-6:
             raise NumericalInstability(
                 f"root numbers disagree: Gauss sum W = {W:+d}, theta quotient W = {W_fe:.6g}"
             )
         v = (1 - W) // 2
-        values = averaged_L(members, v, tol=tol, w=float(W), table=table)
-        _check_orbit_mean(phi, rho, members, ideals, bound)
+        tables += [theta_coeffs(m, X) for m in members[1:]]
+        values = averaged_L(members, v, tol=tol, w=float(W), tables=tables)
+        _check_orbit_mean(walk, rho, ideals, ks, tables, bound)
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
     sv = values[0]

@@ -11,20 +11,40 @@
 * The scalar kernel I_v(u), one u at a time with a convergence test per
   term: the reference for the package's array kernel.
 * table_dict, which reads a theta table as {n: a_n}.
+* twist_per_member, the per-character twist: one (O/m)^x pass, one
+  conductor descent and one fully checked build_hecke_character per
+  character phi * rho, the reference for characters.twist_orbit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
 from heckelab.arith import primes_up_to
-from heckelab.characters import HeckeCharacter
-from heckelab.errors import DomainError, NonPositiveArgument, NumericalInstability
+from heckelab.characters import (
+    FinitePart,
+    HeckeCharacter,
+    RingClassCharacter,
+    _ideal_from_factors,
+    _unit_exponents,
+    build_hecke_character,
+    evaluate_char,
+    ideal_lcm,
+    unit_group_mod,
+)
+from heckelab.errors import (
+    DomainError,
+    NoConsistentLift,
+    NonPositiveArgument,
+    NumericalInstability,
+)
 from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
-from heckelab.quadfield import FieldContext, Ideal, prime_ideals_above
+from heckelab.quadfield import FieldContext, Ideal, KElt, prime_ideals_above, principal_ideal
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
@@ -208,3 +228,71 @@ def kernel_I(v: int, u: float) -> float:
     if not 0.0 < out <= math.exp(-u):
         raise NumericalInstability(f"E_1({u}) = {out} escaped its bracket")
     return out
+
+
+def combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w: KElt):
+    """Exponent of eps_phi(w) * rho((w)) in mu_Mc for w coprime to both."""
+    k1 = phi.eps.exponent_of(w)
+    if k1 is None:
+        return None
+    s = rho.value_exponent(principal_ideal(phi.field, w))
+    if s is None:
+        return None
+    return (k1 * (Mc // phi.M) + s * (Mc // rho.order)) % Mc
+
+
+def conductor_descent(field: FieldContext, m: Ideal, k: np.ndarray, ug_m) -> dict:
+    """Exponents of the conductor of k on (O/m)^x: each prime's exponent
+    drops while k vanishes on the units 1 mod the smaller ideal."""
+    local = m.factor()
+    for pr in local:
+        while local[pr]:
+            g = _ideal_from_factors(field, {**local, pr: local[pr] - 1})
+            if k[ug_m.one_mod(g)].any():
+                break
+            local[pr] -= 1
+    return local
+
+
+def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
+    """The primitive Hecke character inducing phi * rho, built on its own.
+
+    The combined exponent comes from eps_phi and rho at each generator of
+    (O/m)^x, m = lcm(f(phi), cO); its conductor from conductor_descent;
+    its finite part from a scatter onto (O/f(chi))^x; and the character
+    from build_hecke_character, whose primitivity check certifies the
+    descent.  The roots are those nearest phi(a_i) rho(a_i).
+    """
+    field = phi.field
+    if rho.is_trivial():
+        return phi
+    m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
+    Mc = math.lcm(phi.M, rho.order)
+    ug_m = unit_group_mod(field, m)
+    gen_exps = [combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
+    if None in gen_exps:
+        raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
+    k = _unit_exponents(ug_m, gen_exps, Mc)
+    f_chi = _ideal_from_factors(field, conductor_descent(field, m, k, ug_m))
+
+    ug_f = unit_group_mod(field, f_chi)
+    r = ug_f.rows(ug_m.xs, ug_m.ys)
+    k_f = np.full(ug_f.order, -1, dtype=np.int64)
+    k_f[r] = k
+    if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
+        raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
+    M_new = math.lcm(Mc, field.wK, ug_f.exponent)
+    exps = tuple(int(k_f[ug_f.box_row[y * f_chi.a + x]]) * (M_new // Mc) for x, y in ug_f.gens)
+    eps_chi = FinitePart(field, f_chi, M_new, ug_f, exps)
+
+    base = build_hecke_character(field, eps_chi, twist_data=(rho.c, rho.exponents))
+    choices, radicals = [], []
+    for a_i, h_i, principal in zip(base.class_reps, base.class_orders, base.radicals):
+        target = evaluate_char(phi, a_i).complex() * rho.value_complex(a_i)
+        roots = [principal * cmath.exp(2j * cmath.pi * j / h_i) for j in range(h_i)]
+        best = min(range(h_i), key=lambda j: abs(roots[j] - target))
+        if abs(roots[best] - target) >= 1e-6 * max(1.0, abs(target)):
+            raise NumericalInstability(f"twisted value {target} is far from every root")
+        choices.append(best)
+        radicals.append(roots[best])
+    return replace(base, root_choices=tuple(choices), radicals=tuple(radicals))

@@ -8,7 +8,6 @@ import pytest
 from heckelab.arith import factorize
 from heckelab.characters import (
     CharValue,
-    _combined_exponent,
     build_hecke_character,
     canonical_epsilon,
     check_property1,
@@ -19,10 +18,12 @@ from heckelab.characters import (
     main_lemma_quantities,
     ring_class_character,
     twist,
+    twist_orbit,
     unit_group_mod,
 )
 from heckelab.errors import (
     ConductorNotSupported,
+    DomainError,
     ImprimitiveFinitePart,
     NoConsistentLift,
     RestrictionMismatch,
@@ -42,6 +43,8 @@ from heckelab.quadfield import (
     principal_ideal,
     unit_ideal,
 )
+
+import oracles
 
 
 def coprime_ideals(field, char, bound):
@@ -592,21 +595,124 @@ def test_twist_builds_its_character_once(chi23, monkeypatch):
     import heckelab.characters as characters
 
     f = chi23.field
-    builds = []
-    real = characters.build_hecke_character
+    assemblies = []
+    assemble = characters._assemble
 
     def counted(*args, **kwargs):
-        builds.append(args)
-        return real(*args, **kwargs)
+        assemblies.append(args)
+        return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(characters, "build_hecke_character", counted)
+    monkeypatch.setattr(characters, "_assemble", counted)
     for exps in ((1,), (2,), (3,)):
-        builds.clear()
+        assemblies.clear()
         chi = twist(chi23, ring_class_character(f, 4, exps))
-        assert len(builds) == 1
-        # the radicals set after the one build are those a build with the chosen roots makes
-        rebuilt = real(f, chi.eps, root_choices=chi.root_choices, twist_data=chi.twist_data)
+        assert len(assemblies) == 1
+        # the radicals set after the one assembly are those a fully checked
+        # build with the chosen roots makes
+        rebuilt = build_hecke_character(
+            f, chi.eps, root_choices=chi.root_choices, twist_data=chi.twist_data
+        )
         assert rebuilt.radicals == chi.radicals and rebuilt.descriptor() == chi.descriptor()
+
+
+# twist_orbit against the per-member oracle: the families of test_orbit_values,
+# and Q(i) with 2 in P, where conductors drop below lcm(f(phi), cO) at (1+i)
+ORACLE_FAMILIES = [
+    (-4, (5, 13), 25),
+    (-23, (2, 3), 8),
+    (-4, (2, 5), 20),
+    (-4, (2,), 64),
+    (-4, (2, 5), 40),
+]
+
+
+def _base_character(D):
+    field = make_field(D)
+    return build_hecke_character(
+        field, gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    )
+
+
+@pytest.mark.parametrize("D, P, c_max", ORACLE_FAMILIES)
+def test_twist_orbit_matches_per_member_oracle(D, P, c_max):
+    phi = _base_character(D)
+    field = phi.field
+    members_seen = 0
+    for orbit in enumerate_twists(field, phi, P, c_max):
+        chars = twist_orbit(phi, orbit.rho(field), orbit.members)
+        assert len(chars) == len(orbit.members)
+        for m, chi in zip(orbit.members, chars):
+            want = oracles.twist_per_member(phi, orbit.rho(field, m))
+            assert chi.descriptor() == want.descriptor(), (orbit, m)
+            assert chi.radicals == want.radicals, (orbit, m)
+            assert chi.conductor == want.conductor, (orbit, m)
+            assert chi.eps.unit_exponents.tobytes() == want.eps.unit_exponents.tobytes()
+            # the descent certified what build_hecke_character checks again
+            assert chi.eps.is_primitive() and chi.eps.is_unit_consistent()
+            members_seen += 1
+    assert members_seen > 1
+
+
+def test_twist_orbit_groups_members_by_conductor(chi4):
+    # over phi' = phi rho_13, the orbit of rho_13^-1 holds phi' rho_13^-1 = phi,
+    # of conductor (1+i)^3, and phi' rho_13^-5 = phi rho_13^2, of conductor (1+i)^3 13
+    field = chi4.field
+    phi = twist(chi4, ring_class_character(field, 13, (1,)))
+    rho = ring_class_character(field, 13, (5,))
+    chars = twist_orbit(phi, rho, (1, 5))
+    assert [chi.conductor_norm for chi in chars] == [8, 8 * 13**2]
+    # the same finite part as phi's, in mu_12 rather than mu_4
+    assert (chars[0].eps.unit_exponents * chi4.M == chi4.eps.unit_exponents * chars[0].M).all()
+    for j, chi in zip((1, 5), chars):
+        want = oracles.twist_per_member(phi, ring_class_character(field, 13, (5 * j,)))
+        assert chi.descriptor() == want.descriptor() and chi.radicals == want.radicals
+        assert chi.eps.unit_exponents.tobytes() == want.eps.unit_exponents.tobytes()
+        assert chi.eps.is_primitive()
+
+
+def test_twist_orbit_members_must_be_prime_to_the_order(chi4):
+    rho = ring_class_character(chi4.field, 13, (1,))  # order 6
+    with pytest.raises(DomainError):
+        twist_orbit(chi4, rho, (1, 2))
+
+
+def test_descent_certifies_primitivity(monkeypatch):
+    # a descent that keeps one prime exponent above the conductor yields an
+    # imprimitive finite part, which the fully checked build rejects
+    phi = _base_character(-4)
+    field = phi.field
+    descent = oracles.conductor_descent
+    kept = []
+
+    def one_too_many(field, m, k, ug_m):
+        local = descent(field, m, k, ug_m)
+        full = m.factor()
+        pr = next(pr for pr in local if local[pr] < full[pr])
+        kept.append(pr)
+        return {**local, pr: local[pr] + 1}
+
+    # a rho of Pic(O_c) that factors through Pic(O_(c/p)) has a conductor
+    # smaller than cO, and so has phi rho: the descent lowers an exponent
+    rhos = [ring_class_character(field, c, (t,)) for c, t in ((8, 2), (16, 2), (16, 4), (25, 5))]
+    dropped = [
+        rho
+        for rho in rhos
+        if twist(phi, rho).conductor != ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
+    ]
+    assert len(dropped) == len(rhos)
+    monkeypatch.setattr(oracles, "conductor_descent", one_too_many)
+    for rho in dropped:
+        with pytest.raises(ImprimitiveFinitePart):
+            oracles.twist_per_member(phi, rho)
+    assert len(kept) == len(dropped)
+
+
+def test_exponent_of_fraction_off_the_conductor_is_a_domain_error(chi4):
+    f = chi4.field
+    with pytest.raises(DomainError, match="not coprime to the conductor"):
+        chi4.eps.exponent_of_fraction(KElt(f, 2, 0))
+    with pytest.raises(DomainError, match="not coprime to the conductor"):
+        chi4.eps.exponent_of_fraction(KElt(f, 3, 0) / KElt(f, 2, 0))
 
 
 def test_ideal_lcm():
@@ -666,7 +772,7 @@ def _oracle_twist_finite_part(phi, rho):
     m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
     Mc = math.lcm(phi.M, rho.order)
     ug_m = unit_group_mod(field, m)
-    gen_exps = [_combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
+    gen_exps = [oracles.combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
     eps_m = finite_part(field, m, gen_exps, M=Mc)
 
     divisors = [unit_ideal(field)]

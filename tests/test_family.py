@@ -2,7 +2,6 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from heckelab.characters import (
     finite_part,
     gaussian_epsilon,
 )
-from heckelab.errors import NumericalInstability, RestrictionMismatch
-from heckelab.quadfield import class_group, enumerate_ideals, make_field, principal_ideal
+from heckelab.errors import DomainError, NumericalInstability, RestrictionMismatch
+from heckelab.quadfield import class_group, make_field, prime_ideals_above, principal_ideal
 from heckelab.rootnumber import root_number
 
 
@@ -89,8 +88,8 @@ def test_root_number_routes_must_agree(gauss, monkeypatch):
 def test_orbit_mean_is_checked(gauss, monkeypatch):
     field, phi = gauss
 
-    def zero_average(phi, rho, a):
-        return family.AverageValue(scale=Fraction(0), base=evaluate_char(phi, a))
+    def zero_average(base, n, k):
+        return 0j
 
     monkeypatch.setattr(family, "twist_average_value", zero_average)
     records = family.scan_report(field, phi, (5,), 5)
@@ -100,35 +99,107 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
         assert "orbit mean" in r.error
 
 
+def _orbit_mean_inputs(field, phi, orbit):
+    """(walk, rho, ideals, ks, tables, bound) of the orbit-mean check, as a scan builds them."""
+    members = family.orbit_characters(phi, orbit)
+    rho = orbit.rho(field)
+    bound = int(members[0].f_value ** max(family.T_EXPONENTS))
+    walk = family._ScanWalk(phi)
+    ideals = walk.ideals(bound)
+    ks = [rho.value_exponent(a) if a.is_coprime(phi.conductor) else None for a in ideals]
+    tables = [family.theta_coeffs(chi, bound) for chi in members]
+    return walk, rho, ideals, ks, tables, bound
+
+
 def test_orbit_mean_names_the_first_bad_n(gauss, monkeypatch):
     field, phi = gauss
     (orbit,) = [o for o in family.enumerate_twists(field, phi, (5,), 5) if o.c == 5]
-    members = family.orbit_characters(phi, orbit)
-    rho = orbit.rho(field, orbit.members[0])
-    bound = int(members[0].f_value ** max(family.T_EXPONENTS))
-    ideals = enumerate_ideals(field, bound)
-    family._check_orbit_mean(phi, rho, members, ideals, bound)
+    walk, rho, ideals, ks, tables, bound = _orbit_mean_inputs(field, phi, orbit)
+    family._check_orbit_mean(walk, rho, ideals, ks, tables, bound)
     # n = 10 shares a factor with c N(f(phi)) = 40, where no exact average applies
-    theta = family.theta_coeffs
-
-    def off_at_10(chi, X):
-        table = theta(chi, X)
-        return replace(table, a=np.where(table.n == 10, table.a + 1.0, table.a))
-
-    monkeypatch.setattr(family, "theta_coeffs", off_at_10)
-    family._check_orbit_mean(phi, rho, members, ideals, bound)
+    off_at_10 = [replace(t, a=np.where(t.n == 10, t.a + 1.0, t.a)) for t in tables]
+    family._check_orbit_mean(walk, rho, ideals, ks, off_at_10, bound)
     exact = family.twist_average_value
 
-    def perturbed(phi, rho, a):
-        value = exact(phi, rho, a)
-        if a.norm not in (13, 17):
-            return value
-        return SimpleNamespace(complex=lambda: value.complex() + 1e-6)
+    def perturbed(base, n, k):
+        value = exact(base, n, k)
+        # h = 1: phi(a) = eps(g) g with a = (g), so N(g) = N(a)
+        return value + 1e-6 if base.q.norm() in (13, 17) else value
 
     # one exact average off by 1e-6 at n = 13 and at n = 17: the error names n = 13
     monkeypatch.setattr(family, "twist_average_value", perturbed)
     with pytest.raises(NumericalInstability, match=r"orbit mean of a_13 is"):
-        family._check_orbit_mean(phi, rho, members, ideals, bound)
+        family._check_orbit_mean(walk, rho, ideals, ks, tables, bound)
+
+
+def test_twist_average_value_off_the_moduli_is_a_domain_error(gauss):
+    field, phi = gauss
+    (two,) = prime_ideals_above(field, 2)
+    five = prime_ideals_above(field, 5)[0]
+    with pytest.raises(DomainError, match="twist modulus"):
+        family.twist_average_value(evaluate_char(phi, five), 2, None)
+    with pytest.raises(DomainError, match="base conductor"):
+        family.twist_average_value(evaluate_char(phi, two), 2, 1)
+
+
+def test_scan_shares_orbit_work(gauss, monkeypatch):
+    """Work a D=-4 P=(5,13) c<=25 scan does once per orbit or once per scan.
+
+    phi is evaluated outside the Gauss sums at most once per ideal (33 of
+    them reach the orbit-mean checks), the three c = 13 orbits of 1, 2 and
+    2 members over one modulus make equal numbers of one_mod calls, and
+    the ideal list is enumerated again only at a larger bound.
+    """
+    from heckelab import rootnumber
+
+    field, phi = gauss
+    phi_calls, in_gauss, one_mod_calls, bounds = [], [0], [0], []
+    evaluate, gauss_root = characters.evaluate_char, rootnumber.gauss_sum_root_number
+    one_mod, orbit_chars = characters.UnitGroupMod.one_mod, family.orbit_characters
+    enumerate_ideals_ = family.enumerate_ideals
+    per_orbit = {}
+
+    def counted_evaluate(char, ideal):
+        if char is phi and not in_gauss[0]:
+            phi_calls.append(ideal)
+        return evaluate(char, ideal)
+
+    def traced_gauss(chi, *args, **kwargs):
+        in_gauss[0] += 1
+        try:
+            return gauss_root(chi, *args, **kwargs)
+        finally:
+            in_gauss[0] -= 1
+
+    def counted_one_mod(self, g):
+        one_mod_calls[0] += 1
+        return one_mod(self, g)
+
+    def traced_orbit(phi, orbit):
+        before = one_mod_calls[0]
+        out = orbit_chars(phi, orbit)
+        per_orbit[orbit.c, orbit.exponents] = (len(out), one_mod_calls[0] - before)
+        return out
+
+    def counted_enumerate(field, bound):
+        bounds.append(bound)
+        return enumerate_ideals_(field, bound)
+
+    for module in (characters, family, rootnumber):
+        monkeypatch.setattr(module, "evaluate_char", counted_evaluate)
+    monkeypatch.setattr(rootnumber, "gauss_sum_root_number", traced_gauss)
+    monkeypatch.setattr(characters.UnitGroupMod, "one_mod", counted_one_mod)
+    monkeypatch.setattr(family, "orbit_characters", traced_orbit)
+    monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
+    records = family.scan_report(field, phi, (5, 13), 25)
+    assert all(r.error is None for r in records)
+
+    assert len(phi_calls) == len(set(phi_calls)) <= 33
+    c13 = [(size, calls) for (c, _), (size, calls) in per_orbit.items() if c == 13]
+    assert sorted(size for size, _ in c13) == [1, 2, 2]
+    # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per orbit
+    assert len({calls for _, calls in c13}) == 1 and c13[0][1] > 0
+    assert len(bounds) <= 4 and bounds == sorted(set(bounds))
 
 
 def test_main_lemma_violation_is_recorded(gauss, monkeypatch):
@@ -190,6 +261,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("scan_D-4_P2_c64.json", -4, (2,), 64),
         # class number 3: cube-root class values and root choices
         ("scan_D-23_P2-3_c8.json", -23, (2, 3), 8),
+        # the scan-gauss family: orbits of 1, 2 and 4 members over one modulus each
+        ("scan_D-4_P5-13_c25.json", -4, (5, 13), 25),
     ],
 )
 def test_scan_json_matches_golden(name, D, P, c_max):

@@ -142,9 +142,9 @@ def test_theta_coeffs_evaluates_no_character(monkeypatch):
             monkeypatch.setattr(module, "theta_coeffs", traced)
     records = family.scan_report(field, phi, (5, 13), 25)
     assert all(r.error is None for r in records)
-    # one table per first member, read by its FE root number and its central
-    # value (7), the other members' central values (8) and 15 orbit-mean tables
-    assert tables[0] == 30
+    # one table per member (15): the first member's is read by its FE root
+    # number, and every member's by its central value and the orbit-mean check
+    assert tables[0] == 15
     assert inside == []
 
 

@@ -16,6 +16,7 @@ ALLOWED = {
     "main": "the `heckelab` console script of pyproject.toml",
     "make_field": "the public constructor that heckelab/__init__.py exports",
     "minkowski_bound": "the class-number reference of the quadratic-field tests",
+    "twist": "the public single-character entry point; scans build orbits with twist_orbit",
 }
 
 
