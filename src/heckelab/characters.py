@@ -25,7 +25,6 @@ import numpy as np
 
 from .arith import abelian_group_structure, factorize, is_prime, v_p
 from .errors import (
-    ConductorNotSupported,
     DomainError,
     FactorizationMismatch,
     ImprimitiveFinitePart,
@@ -689,13 +688,7 @@ class RingClassCharacter:
         return cmath.exp(2j * cmath.pi * s / self.order)
 
 
-def ring_class_character(
-    field: FieldContext, c: int, exponents, allowed_primes=None
-) -> RingClassCharacter:
-    if allowed_primes is not None:
-        for p, _ in factorize(c):
-            if p not in allowed_primes:
-                raise ConductorNotSupported(f"conductor prime {p} outside {allowed_primes}")
+def ring_class_character(field: FieldContext, c: int, exponents) -> RingClassCharacter:
     orders = class_group(c * c * field.D).orders
     exponents = tuple(exponents)
     if len(exponents) != len(orders):

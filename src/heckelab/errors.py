@@ -66,10 +66,6 @@ class MainLemmaViolation(HeckeLabError):
     """|m_p/2 - n_p| > 3 + mu + h, or the order on 1 + p^3 O is not a power of p."""
 
 
-class ConductorNotSupported(HeckeLabError):
-    """Requested conductor clashes with a precondition (e.g. not coprime where needed)."""
-
-
 class NonPositiveArgument(HeckeLabError):
     """Kernel argument u must be positive."""
 

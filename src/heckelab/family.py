@@ -34,6 +34,10 @@ A scan checks, in this order:
   phi|_Q = kappa_K, exactly over one period (characters.check_property1);
   a base character that breaks the theorem's hypothesis raises
   RestrictionMismatch;
+* once per conductor c and prime p | c, while the twists are enumerated:
+  every alpha in O_{c/p} prime to c that _dropdown_kernel reads is trivial
+  in Pic(O_{c/p}), and the classes of the alpha O reach h(O_c)/h(O_{c/p})
+  inside its box of residues mod cO, else GroupStructureMismatch;
 
 and per record, which keeps the first failure as its error:
 
@@ -87,7 +91,13 @@ from .characters import (
     ring_class_character,
     twist_orbit,
 )
-from .errors import DomainError, HeckeLabError, NumericalInstability, SignMismatch
+from .errors import (
+    DomainError,
+    GroupStructureMismatch,
+    HeckeLabError,
+    NumericalInstability,
+    SignMismatch,
+)
 from .lseries import (
     SmoothedValue,
     ThetaTable,
@@ -99,8 +109,10 @@ from .lseries import (
 from .quadfield import (
     FieldContext,
     Ideal,
+    KElt,
+    class_group,
     enumerate_ideals,
-    ideals_by_norm,
+    principal_ideal,
     ring_class_dlog,
     ring_class_number,
 )
@@ -122,12 +134,6 @@ def _supported_conductors(P: tuple[int, ...], c_max: int) -> list[int]:
     return sorted(set(out))
 
 
-def _pic_orders(field: FieldContext, c: int) -> tuple[int, ...]:
-    from .quadfield import class_group
-
-    return tuple(class_group(c * c * field.D).orders)
-
-
 def _vector_exponent(exponents, vec, orders, N: int) -> int:
     return sum(t * e * (N // h) for t, e, h in zip(exponents, vec, orders)) % N
 
@@ -146,30 +152,37 @@ def _subgroup_closure(vectors: list[tuple[int, ...]], orders: tuple[int, ...]) -
 
 
 def _dropdown_kernel(field: FieldContext, c: int, p: int) -> list[tuple[int, ...]]:
-    """Generators of ker(Pic(O_c) -> Pic(O_{c/p})) as dlog vectors."""
+    """Generators of ker(Pic(O_c) -> Pic(O_{c/p})) as dlog vectors.
+
+    The kernel consists of the classes of alpha O with alpha in
+    O_{c/p} = Z + (c/p)O prime to c, and alpha mod cO fixes the class (Cox,
+    Primes of the Form x^2 + ny^2, Prop. 7.22).  Integers are trivial, so
+    x + (c/p) y omega with 0 <= x < c and 0 < y < p generate it.
+    """
     sub = c // p
-    orders = _pic_orders(field, c)
+    orders = class_group(c * c * field.D).orders
     want = ring_class_number(field, c) // ring_class_number(field, sub)
     found: list[tuple[int, ...]] = []
     if want == 1:
         return found
-    for ideal in ideals_by_norm(field):
-        if ideal.norm == 1 or math.gcd(ideal.norm, c) != 1:
-            continue
-        if any(ring_class_dlog(field, sub, ideal)):
-            continue
-        vec = tuple(ring_class_dlog(field, c, ideal))
-        if any(vec) and vec not in found:
-            found.append(vec)
-            if len(_subgroup_closure(found, orders)) >= want:
-                return found
-
-
-def _char_order(exponents, orders) -> int:
-    n = 1
-    for t, h in zip(exponents, orders):
-        n = math.lcm(n, h // math.gcd(t, h))
-    return n
+    closure = _subgroup_closure(found, orders)
+    for y in range(1, p):
+        for x in range(c):
+            alpha = KElt(field, x, sub * y)
+            if math.gcd(alpha.norm(), c) != 1:
+                continue
+            ideal = principal_ideal(field, alpha)
+            if any(ring_class_dlog(field, sub, ideal)):
+                raise GroupStructureMismatch(f"{alpha!r} is nontrivial in Pic(O_{sub})")
+            vec = ring_class_dlog(field, c, ideal)
+            if vec not in closure:
+                found.append(vec)
+                closure = _subgroup_closure(found, orders)
+                if len(closure) >= want:
+                    return found
+    raise GroupStructureMismatch(
+        f"O_{sub} mod {c}O gives {len(closure)} of the {want} kernel classes, D={field.D}"
+    )
 
 
 def _conductor_exact(exponents, orders, kernels) -> bool:
@@ -196,23 +209,19 @@ class TwistOrbit:
         return ring_class_character(field, self.c, tuple(m * t for t in self.exponents))
 
 
-def enumerate_twists(
-    field: FieldContext, phi: HeckeCharacter, P: tuple[int, ...], c_max: int
-) -> list[TwistOrbit]:
+def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> list[TwistOrbit]:
     """All ring-class twist orbits with conductor exactly c, supp(c) in P, c <= c_max."""
     orbits: list[TwistOrbit] = []
     for c in _supported_conductors(tuple(P), c_max):
-        orders = _pic_orders(field, c)
+        orders = class_group(c * c * field.D).orders
         kernels = [_dropdown_kernel(field, c, p) for p, _ in factorize(c)]
         seen: set[tuple[int, ...]] = set()
         for exponents in itertools.product(*(range(h) for h in orders)):
             if exponents in seen:
                 continue
-            if c > 1 and not any(exponents):
-                continue  # the trivial character has conductor 1, listed there
             if not _conductor_exact(exponents, orders, kernels):
                 continue
-            n = _char_order(exponents, orders)
+            n = RingClassCharacter(field, c, exponents).order
             members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
             orbit_vectors = sorted(
                 tuple((m * t) % h for t, h in zip(exponents, orders)) for m in members
@@ -399,7 +408,7 @@ def scan_report(
     L1 = dirichlet_L1(field)
     walk = _ScanWalk(phi)
     records = []
-    for orbit in enumerate_twists(field, phi, P, c_max):
+    for orbit in enumerate_twists(field, P, c_max):
         try:
             records.append(_orbit_record(field, phi, orbit, L1, tol, walk))
         except HeckeLabError as exc:

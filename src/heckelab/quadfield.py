@@ -11,9 +11,9 @@ Conventions used throughout the package:
   forms (A, B, C) of the relevant discriminant (D for the maximal order,
   c^2 * D for the ring of conductor c) under Gaussian composition.
 * Ideals are listed by one builder, enumerate_ideals(field, bound), and
-  searched through one stream, ideals_by_norm(field): every search for
-  the first ideal with some property (class representatives, auxiliary
-  ideals, kernel generators) is a plain for loop over that stream.
+  searched through one stream, ideals_by_norm(field): the two searches
+  for the first ideal with some property (class representatives and the
+  root number's auxiliary ideal) are plain for loops over that stream.
 """
 
 from __future__ import annotations
@@ -427,12 +427,14 @@ def enumerate_ideals(field: FieldContext, bound: int) -> list[Ideal]:
 
 
 def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
-    """Every integral ideal exactly once, in (norm, HNF) order: the one search stream.
+    """Every integral ideal exactly once, in (norm, HNF) order.
 
-    The unit ideal comes first and costs nothing.  After it the stream
-    lists enumerate_ideals(field, bound) for bound = 8, 16, 32, ... and
-    yields only the ideals of norm above the previous bound, so a search
-    that stops at its first hit enumerates no further than it needs.
+    It serves the two searches for the first ideal in that order with some
+    property: class_representatives and rootnumber._auxiliary_for_ideal.
+    The unit ideal comes first and costs nothing.  After it the stream lists
+    enumerate_ideals(field, bound) for bound = 8, 16, 32, ... and yields
+    only the ideals of norm above the previous bound, so a search that
+    stops at its first hit enumerates no further than it needs.
     Raises IdealSearchExhausted once the bound would pass 10**7.
     """
     yield unit_ideal(field)

@@ -14,6 +14,10 @@
 * twist_per_member, the per-character twist: one (O/m)^x pass, one
   conductor descent and one fully checked build_hecke_character per
   character phi * rho, the reference for characters.twist_orbit.
+* dropdown_kernel_by_search, the kernel of Pic(O_c) -> Pic(O_{c/p}) from
+  the classes of the first ideals, in (norm, HNF) order, that are trivial
+  in Pic(O_{c/p}): the reference for family._dropdown_kernel, which builds
+  the kernel from principal ideals of elements of O_{c/p}.
 """
 
 from __future__ import annotations
@@ -43,8 +47,19 @@ from heckelab.errors import (
     NonPositiveArgument,
     NumericalInstability,
 )
+from heckelab.family import _subgroup_closure
 from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
-from heckelab.quadfield import FieldContext, Ideal, KElt, prime_ideals_above, principal_ideal
+from heckelab.quadfield import (
+    FieldContext,
+    Ideal,
+    KElt,
+    class_group,
+    ideals_by_norm,
+    prime_ideals_above,
+    principal_ideal,
+    ring_class_dlog,
+    ring_class_number,
+)
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
@@ -296,3 +311,28 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
         choices.append(best)
         radicals.append(roots[best])
     return replace(base, root_choices=tuple(choices), radicals=tuple(radicals))
+
+
+def dropdown_kernel_by_search(field: FieldContext, c: int, p: int) -> list[tuple[int, ...]]:
+    """Generators of ker(Pic(O_c) -> Pic(O_{c/p})) as dlog vectors, by an ideal search.
+
+    Walks ideals_by_norm and keeps the classes in Pic(O_c) of the ideals
+    coprime to c that are trivial in Pic(O_{c/p}), until they generate a
+    subgroup of order h(O_c)/h(O_{c/p}).
+    """
+    sub = c // p
+    orders = class_group(c * c * field.D).orders
+    want = ring_class_number(field, c) // ring_class_number(field, sub)
+    found: list[tuple[int, ...]] = []
+    if want == 1:
+        return found
+    for ideal in ideals_by_norm(field):
+        if ideal.norm == 1 or math.gcd(ideal.norm, c) != 1:
+            continue
+        if any(ring_class_dlog(field, sub, ideal)):
+            continue
+        vec = tuple(ring_class_dlog(field, c, ideal))
+        if any(vec) and vec not in found:
+            found.append(vec)
+            if len(_subgroup_closure(found, orders)) >= want:
+                return found

@@ -4,9 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
-from heckelab import characters, family
+from heckelab import characters, family, quadfield
 from heckelab.arith import factorize
 from heckelab.characters import (
     build_hecke_character,
@@ -15,7 +16,12 @@ from heckelab.characters import (
     finite_part,
     gaussian_epsilon,
 )
-from heckelab.errors import DomainError, NumericalInstability, RestrictionMismatch
+from heckelab.errors import (
+    DomainError,
+    GroupStructureMismatch,
+    NumericalInstability,
+    RestrictionMismatch,
+)
 from heckelab.quadfield import class_group, make_field, prime_ideals_above, principal_ideal
 from heckelab.rootnumber import root_number
 
@@ -58,7 +64,7 @@ def test_scan_requires_property1(monkeypatch):
 
 
 def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
-    field, phi = gauss
+    field, _ = gauss
     calls = Counter()
     kernel = family._dropdown_kernel
 
@@ -67,9 +73,54 @@ def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
         return kernel(field, c, p)
 
     monkeypatch.setattr(family, "_dropdown_kernel", counted)
-    orbits = family.enumerate_twists(field, phi, (5, 13), 25)
+    orbits = family.enumerate_twists(field, (5, 13), 25)
     assert len(orbits) == 7
     assert calls == {(c, p): 1 for c in (5, 13, 25) for p, _ in factorize(c)}
+
+
+# (D, P, c_max): at c <= 32 the D = -23 ideal search still takes under a second
+KERNEL_FAMILIES = [(-23, (2, 3), 32), (-4, (2, 5), 40), (-7, (2, 3), 12), (-47, (2, 3), 12)]
+
+
+@pytest.mark.parametrize("D, P, c_max", KERNEL_FAMILIES)
+def test_dropdown_kernels_match_ideal_search(D, P, c_max, monkeypatch):
+    field = make_field(D)
+    orbits = family.enumerate_twists(field, P, c_max)
+    searched = {}
+    for c in family._supported_conductors(P, c_max):
+        orders = class_group(c * c * D).orders
+        for p, _ in factorize(c):
+            searched[c, p] = oracles.dropdown_kernel_by_search(field, c, p)
+            want = family._subgroup_closure(searched[c, p], orders)
+            assert family._subgroup_closure(family._dropdown_kernel(field, c, p), orders) == want
+    monkeypatch.setattr(family, "_dropdown_kernel", lambda field, c, p: searched[c, p])
+    assert family.enumerate_twists(field, P, c_max) == orbits
+
+
+def test_enumerate_twists_enumerates_no_ideals(monkeypatch):
+    def fail(field, bound):
+        raise AssertionError("enumerate_ideals called")
+
+    monkeypatch.setattr(quadfield, "enumerate_ideals", fail)
+    monkeypatch.setattr(family, "enumerate_ideals", fail)
+    # h = 3 and two primes: the widest of the reference families
+    assert len(family.enumerate_twists(make_field(-23), (2, 3), 72)) == 42
+
+
+def test_dropdown_kernel_certificates_raise(monkeypatch):
+    # D = -23, c = 4, p = 2: the kernel has order h(O_4)/h(O_2) = 6/3 = 2
+    field = make_field(-23)
+    assert len(family._subgroup_closure(family._dropdown_kernel(field, 4, 2), (6,))) == 2
+    dlog = family.ring_class_dlog
+    with monkeypatch.context() as m:
+        # every alpha in O_2 looks nontrivial in Pic(O_2)
+        m.setattr(family, "ring_class_dlog", lambda f, c, a: (1,) if c == 2 else dlog(f, c, a))
+        with pytest.raises(GroupStructureMismatch, match="nontrivial in Pic"):
+            family._dropdown_kernel(field, 4, 2)
+    # the closure never reaches its target before the box runs out
+    monkeypatch.setattr(family, "_subgroup_closure", lambda vectors, orders: {(0,)})
+    with pytest.raises(GroupStructureMismatch, match="gives 1 of the 2 kernel classes"):
+        family._dropdown_kernel(field, 4, 2)
 
 
 def test_root_number_routes_must_agree(gauss, monkeypatch):
@@ -113,7 +164,7 @@ def _orbit_mean_inputs(field, phi, orbit):
 
 def test_orbit_mean_names_the_first_bad_n(gauss, monkeypatch):
     field, phi = gauss
-    (orbit,) = [o for o in family.enumerate_twists(field, phi, (5,), 5) if o.c == 5]
+    (orbit,) = [o for o in family.enumerate_twists(field, (5,), 5) if o.c == 5]
     walk, rho, ideals, ks, tables, bound = _orbit_mean_inputs(field, phi, orbit)
     family._check_orbit_mean(walk, rho, ideals, ks, tables, bound)
     # n = 10 shares a factor with c N(f(phi)) = 40, where no exact average applies

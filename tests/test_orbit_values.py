@@ -32,8 +32,9 @@ from heckelab.rootnumber import fe_bound
 from oracles import sieve_theta_coeffs, table_dict
 
 # (D, P, c_max): two-member orbits over Q(i), an h = 3 field whose c = 1 orbits
-# are class group characters, and Q(i) with 2 in P, where the conductor of
-# phi rho^m drops below lcm(f(phi), cO) at (1+i)
+# are class group characters, and Q(i) with 2 in P, where c and f(phi) = (1+i)^3
+# share (1+i), so lcm(f(phi), cO) properly divides f(phi) cO; every member of
+# these families has conductor exactly that lcm
 FAMILIES = [(-4, (5, 13), 25), (-23, (2, 3), 8), (-4, (2, 5), 20)]
 
 
@@ -47,8 +48,9 @@ def _phi(D):
 def _orbit_values(phi, rho, orbit, m, chi):
     """chi_m(P) as phi(P) zeta_n^{m k_P}, rho(P) = zeta_n^{k_P}, away from c N(f(phi)).
 
-    At P over c N(f(phi)) the conductor of twist()'s chi_m can drop below
-    lcm(f(phi), cO), so the value there is evaluate_char(chi_m, P).
+    At P over c N(f(phi)) rho or phi has no value, so the value there is
+    evaluate_char(chi_m, P); it is 0 while P divides the conductor of chi_m,
+    which in the FAMILIES is lcm(f(phi), cO).
     """
     if rho.is_trivial():
         return lambda P: evaluate_char(phi, P).complex()
@@ -73,7 +75,7 @@ def member_tables():
     out = []
     for D, P, c_max in FAMILIES:
         field, phi = _phi(D)
-        for orbit in family.enumerate_twists(field, phi, P, c_max):
+        for orbit in family.enumerate_twists(field, P, c_max):
             members = family.orbit_characters(phi, orbit)
             rho = orbit.rho(field, orbit.members[0])
             for m, chi in zip(orbit.members, members):

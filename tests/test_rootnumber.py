@@ -206,7 +206,7 @@ def _transversal_gauss_sum(chi, c, b):
 def _gauss_oracle_characters():
     f4 = make_field(-4)
     phi4 = build_hecke_character(f4, gaussian_epsilon(f4))
-    for orbit in enumerate_twists(f4, phi4, (5, 13), 25):
+    for orbit in enumerate_twists(f4, (5, 13), 25):
         for m, chi in zip(orbit.members, orbit_characters(phi4, orbit)):
             yield f"D=-4 c={orbit.c} {orbit.exponents} m={m}", chi
     yield "D=-4 c=43 (11,)", twist(phi4, ring_class_character(f4, 43, (11,)))
