@@ -20,12 +20,18 @@ a member: a lattice sum that reads the finite part's exponent array and
 evaluates no character at an ideal.  Each member gets one table, to the
 larger of its truncation T and the check's bound f^max(T_EXPONENTS), the
 first member's also to its FE bound; the theta quotient, the central
-values and the orbit-mean check read prefixes of these tables.  The
-checks keep their independence: the theta-quotient root number sums the
-first member's table against the Gauss sum of its finite part, and the
-orbit-mean check adds the members' tables into one dense array over n
-and compares it with exact orbit averages from evaluate_char(phi) and
-the integer exponents of rho.
+values and the orbit-mean check read prefixes of these tables.  What
+depends only on a member's conductor f_chi is built once per f_chi in a
+scan, not once per member: the theta lattice the tables are summed over
+(to the largest bound a member asks of it), the Gauss-sum data (the
+auxiliary pair, N(delta b) and the additive phases over (O/f_chi)^x) and
+the smoothing kernel of each v.  A member adds only its own exponent
+gathers, phases and sums.  The scan keeps that data for the current c
+only, as orbits arrive sorted by c.  The checks keep their independence:
+the theta-quotient root number sums the first member's table against the
+Gauss sum of its finite part, and the orbit-mean check adds the members'
+tables into one dense array over n and compares it with exact orbit
+averages from evaluate_char(phi) and the integer exponents of rho.
 
 A scan checks, in this order:
 
@@ -100,10 +106,14 @@ from .errors import (
 )
 from .lseries import (
     SmoothedValue,
+    SmoothingKernel,
+    ThetaLattice,
     ThetaTable,
     central_value,
     dirichlet_L1,
+    smoothing_kernel,
     theta_coeffs,
+    theta_lattice,
     truncation,
 )
 from .quadfield import (
@@ -116,7 +126,7 @@ from .quadfield import (
     ring_class_dlog,
     ring_class_number,
 )
-from .rootnumber import fe_bound, root_number, root_number_via_fe
+from .rootnumber import GaussData, fe_bound, gauss_data, root_number, root_number_via_fe
 
 # exponents alpha of the counting thresholds t = f^alpha in every scan record
 T_EXPONENTS = (0.9, 1.1)
@@ -284,22 +294,31 @@ def averaged_L(
     tol: float,
     w: float,
     tables: list[ThetaTable],
+    walk: "_ScanWalk",
 ) -> list[SmoothedValue]:
     """The central value of each orbit member, in member order; a record averages them.
 
-    tables holds each member's theta table, read for its prefix.
+    tables holds each member's theta table, read for its prefix; each
+    member reads the smoothing kernel of its conductor from walk.
     """
-    return [
-        central_value(chi, v, tol=tol, w=w, table=table) for chi, table in zip(members, tables)
-    ]
+    out = []
+    for chi, table in zip(members, tables):
+        n, _ = table.upto(int(truncation(chi.field.A * chi.f_value, tol)))
+        kernel = walk.kernel(chi, v, n)
+        out.append(central_value(chi, v, tol=tol, w=w, table=table, kernel=kernel))
+    return out
 
 
 class _ScanWalk:
-    """The ideal list and phi values that one scan's records share.
+    """The ideal list, phi values and per-conductor data that one scan's records share.
 
     The list is enumerated again only at a bound above all before it; its
     norm <= bound prefix is enumerate_ideals(field, bound), which sorts by
-    (norm, HNF).  phi is evaluated once per ideal.
+    (norm, HNF).  phi is evaluated once per ideal.  Every member of a
+    conductor f_chi reads one theta lattice (per set of class
+    representatives, built again only to a larger bound), one set of
+    Gauss-sum data and one smoothing kernel per v.  Orbits arrive sorted
+    by c, so at_c drops that data when the scan moves on to the next c.
     """
 
     def __init__(self, phi: HeckeCharacter):
@@ -307,6 +326,8 @@ class _ScanWalk:
         self._ideals: list[Ideal] = []
         self._bound = 0
         self._phi_values: dict[Ideal, CharValue] = {}
+        self._c = 0
+        self._shared: dict[tuple, object] = {}
 
     def ideals(self, bound: int) -> list[Ideal]:
         if bound > self._bound:
@@ -317,6 +338,30 @@ class _ScanWalk:
         if a not in self._phi_values:
             self._phi_values[a] = evaluate_char(self.phi, a)
         return self._phi_values[a]
+
+    def at_c(self, c: int) -> None:
+        if c != self._c:
+            self._c, self._shared = c, {}
+
+    def lattice(self, chi: HeckeCharacter, X: int) -> ThetaLattice:
+        key = ("lattice", chi.conductor, chi.class_reps)
+        lattice = self._shared.get(key)
+        if lattice is None or lattice.X < X:
+            lattice = self._shared[key] = theta_lattice(chi, X)
+        return lattice
+
+    def gauss(self, chi: HeckeCharacter) -> GaussData:
+        key = ("gauss", chi.conductor)
+        if key not in self._shared:
+            self._shared[key] = gauss_data(chi)
+        return self._shared[key]
+
+    def kernel(self, chi: HeckeCharacter, v: int, n: np.ndarray) -> SmoothingKernel:
+        # n is the table's n <= T, and T depends only on f_chi and the scan's tol
+        key = ("kernel", chi.conductor, v)
+        if key not in self._shared:
+            self._shared[key] = smoothing_kernel(chi, v, n)
+        return self._shared[key]
 
 
 def _check_orbit_mean(
@@ -409,6 +454,7 @@ def scan_report(
     walk = _ScanWalk(phi)
     records = []
     for orbit in enumerate_twists(field, P, c_max):
+        walk.at_c(orbit.c)
         try:
             records.append(_orbit_record(field, phi, orbit, L1, tol, walk))
         except HeckeLabError as exc:
@@ -458,7 +504,7 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
         counts[repr(alpha)] = {"t": int(t), "N": count_N_total(ideals, ks, orbit.order, t)}
     lemma = main_lemma_quantities(chi)
     try:
-        signs = [root_number(m) for m in members]
+        signs = [root_number(m, walk.gauss(m)) for m in members]
         if len(set(signs)) != 1:
             # the twist orbit exceeds the value-field Galois orbit; the
             # averaged value is not defined for it
@@ -470,15 +516,16 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
         # the first member's also reaches the FE bound of its theta quotient
         Af = field.A * chi.f_value
         X = max(int(truncation(Af, tol)), bound)
-        tables = [theta_coeffs(chi, max(fe_bound(chi), X))]
+        X1 = max(fe_bound(chi), X)
+        tables = [theta_coeffs(chi, X1, walk.lattice(chi, X1))]
         W_fe = root_number_via_fe(chi, table=tables[0])
         if abs(W_fe - W) > 1e-6:
             raise NumericalInstability(
                 f"root numbers disagree: Gauss sum W = {W:+d}, theta quotient W = {W_fe:.6g}"
             )
         v = (1 - W) // 2
-        tables += [theta_coeffs(m, X) for m in members[1:]]
-        values = averaged_L(members, v, tol=tol, w=float(W), tables=tables)
+        tables += [theta_coeffs(m, X, walk.lattice(m, X)) for m in members[1:]]
+        values = averaged_L(members, v, tol=tol, w=float(W), tables=tables, walk=walk)
         _check_orbit_mean(walk, rho, ideals, ks, tables, bound)
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)

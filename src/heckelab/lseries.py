@@ -16,9 +16,13 @@ evaluates chi at no ideal: every value is one gather from the finite
 part's exponent array.  A table is a ThetaTable of two arrays, the n in
 ascending order and their a_n; a table to X holds the table to any
 smaller bound as its prefix, bit for bit, so one table can serve two
-truncations.  central_value forms every term 2 a_n n^{-1} I_v(n / Af) in
+truncations.  The lattice points, their rows in (O/f)^x and their norms
+depend only on the conductor and the class representatives: theta_lattice
+builds them once, and theta_coeffs reads them for every character that
+shares them.  central_value forms every term 2 a_n n^{-1} I_v(n / Af) in
 one array expression, with the array kernel kernel_I (a power series and
-a fixed-depth continued fraction for E_1).
+a fixed-depth continued fraction for E_1), which smoothing_kernel
+evaluates once for all characters of one Af.
 
 All arithmetic is float64; math.fsum adds the terms of each sum exactly
 rounded.  The stated tolerances (1e-8 functional equation, 1e-10
@@ -35,6 +39,7 @@ import numpy as np
 
 from .characters import HeckeCharacter
 from .errors import (
+    DomainError,
     NoConsistentLift,
     NonPositiveArgument,
     NumericalInstability,
@@ -118,7 +123,77 @@ class ThetaTable:
         return self.n[:k], self.a[:k]
 
 
-def theta_coeffs(chi: HeckeCharacter, X: int) -> ThetaTable:
+@dataclass(frozen=True, eq=False)
+class ThetaLattice:
+    """The lattice points of theta_coeffs to X, shared by every character of
+    one conductor f and one set of class representatives.
+
+    classes holds, per class vector e, (e, N(J_e), the unit-group row of
+    N(J_e), and for the g in J_e prime to f: n = N(g)/N(J_e), the row of g
+    in (O/f)^x and g as a complex number), each array in the order
+    _ideal_elements lists g; counts[n] is the number of ideals of norm n.
+    The lattice to X holds the one to any smaller bound as the elements of
+    n <= bound, in the same order.
+    """
+
+    X: int
+    f: Ideal
+    class_reps: tuple
+    classes: tuple
+    counts: np.ndarray
+
+
+def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
+    """The lattice theta_coeffs(chi, X) sums, with its three certificates.
+
+    N(J_e) divides every N(g) (else NoConsistentLift), w_K divides the
+    number of generators of each norm (else UnitCountMismatch), and no
+    int64 intermediate can overflow, checked before any is formed (else
+    PhaseOverflow).
+    """
+    if X < 1:
+        raise ValueError("X must be at least 1")
+    field, ug = chi.field, chi.eps.unit_group
+    Js = []
+    for e in itertools.product(*(range(h) for h in chi.class_orders)):
+        J = unit_ideal(field)
+        for rep, ei in zip(chi.class_reps, e):
+            J = J * rep.conjugate() ** ei
+        Js.append((e, J))
+    d_max = max(J.norm for _, J in Js)
+    B = X * d_max
+    # |y| <= 2 sqrt(B/|D|) and |x| <= sqrt(B) (sqrt|D| + 1), so the terms of
+    # the norm form add up to at most B (4|D| + 4 sqrt|D| + 2) in absolute
+    # value; the HNF step v b and rows()' box reduction stay below
+    # 4 (sqrt(B) + 1) max(N(J), N(f))
+    if max(8 * (1 - field.D) * B, 4 * (math.isqrt(B) + 1) * max(d_max, ug.f.norm)) > _INT64_MAX:
+        raise PhaseOverflow(f"norms up to {B} overflow int64 in the lattice sum to X = {X}")
+    counts = np.zeros(X + 1, dtype=np.int64)
+    classes = []
+    for e, J in Js:
+        d = J.norm
+        row_d = int(ug.rows([d], [0])[0])
+        if row_d < 0:
+            raise NoConsistentLift(f"N{J!r} = {d} is not coprime to the conductor")
+        x, y = _ideal_elements(J, X * d)
+        norms = x * x + field.D * x * y + field.nm * y * y
+        if (norms % d).any():
+            raise NoConsistentLift(f"N(J) = {d} does not divide the norm of an element of {J!r}")
+        n = norms // d
+        per_n = np.bincount(n, minlength=X + 1)
+        if (per_n % field.wK).any():
+            raise UnitCountMismatch(f"the elements of {J!r} are not w_K = {field.wK} per ideal")
+        counts += per_n
+        rows = ug.rows(x, y)
+        unit = rows >= 0
+        g = x[unit] + y[unit] * field.omega_complex
+        classes.append((e, d, row_d, n[unit], rows[unit], g))
+    return ThetaLattice(
+        X=X, f=ug.f, class_reps=chi.class_reps, classes=tuple(classes), counts=counts
+    )
+
+
+def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice | None = None) -> ThetaTable:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
     The table lists exactly the n <= X that are the norm of some integral
@@ -133,58 +208,39 @@ def theta_coeffs(chi: HeckeCharacter, X: int) -> ThetaTable:
         a_n = (1/w_K) sum_e sum_{g in J_e, N(g) = n N(J_e)} eps(g/N J_e) (g/N J_e) prod v_i^{e_i}.
 
     Every g in J_e with 0 < N(g) <= X N(J_e) is one row of an int64
-    array, eps(g) is one gather from eps.unit_exponents (zero where g meets
-    the conductor), and the sum over n is two bincounts.  Three
-    certificates hold the table to that formula: N(J_e) divides every N(g)
-    (else NoConsistentLift), w_K divides the number of generators of each
-    norm (else UnitCountMismatch), and no int64 intermediate can overflow,
-    checked before any is formed (else PhaseOverflow).
+    array (theta_lattice), eps(g) is one gather from eps.unit_exponents
+    (zero where g meets the conductor), and the sum over n is two
+    bincounts.  lattice, when given, is theta_lattice of a character with
+    chi's conductor and class representatives to at least X, built once
+    for all of them; else it is built here and used once.  Either way the
+    table is the same, bit for bit.  A lattice of another conductor, other
+    representatives or a bound below X raises DomainError.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    field, eps = chi.field, chi.eps
-    ug, M = eps.unit_group, eps.M
+    if lattice is None:
+        lattice = theta_lattice(chi, X)
+    if lattice.f != chi.conductor or lattice.class_reps != chi.class_reps:
+        raise DomainError(f"the theta lattice of {lattice.f!r} is not one of {chi.conductor!r}")
+    if X > lattice.X:
+        raise DomainError(f"the theta lattice reaches n = {lattice.X}, not {X}")
+    field, eps, M = chi.field, chi.eps, chi.M
     # zeta_M^k = i^q exp(i pi r / 2M) with 4k = qM + r: exact at the fourth roots of unity
     q, r = np.divmod(4 * np.arange(M), M)
     roots = np.array([1, 1j, -1, -1j])[q] * np.exp(0.5j * np.pi * r / M)
-    classes = []
-    for e in itertools.product(*(range(h) for h in chi.class_orders)):
-        J, weight = unit_ideal(field), 1 + 0j
-        for rep, v, ei in zip(chi.class_reps, chi.radicals, e):
-            J, weight = J * rep.conjugate() ** ei, weight * v**ei
-        classes.append((J, weight))
-    d_max = max(J.norm for J, _ in classes)
-    B = X * d_max
-    # |y| <= 2 sqrt(B/|D|) and |x| <= sqrt(B) (sqrt|D| + 1), so the terms of
-    # the norm form add up to at most B (4|D| + 4 sqrt|D| + 2) in absolute
-    # value; the HNF step v b and rows()' box reduction stay below
-    # 4 (sqrt(B) + 1) max(N(J), N(f))
-    if max(8 * (1 - field.D) * B, 4 * (math.isqrt(B) + 1) * max(d_max, ug.f.norm)) > _INT64_MAX:
-        raise PhaseOverflow(f"norms up to {B} overflow int64 in the lattice sum to X = {X}")
-    counts = np.zeros(X + 1, dtype=np.int64)
     re, im = np.zeros(X + 1), np.zeros(X + 1)
-    for J, weight in classes:
-        d = J.norm
-        k_d = eps.exponent_of(KElt(field, d, 0))
-        if k_d is None:
-            raise NoConsistentLift(f"N{J!r} = {d} is not coprime to the conductor")
-        x, y = _ideal_elements(J, X * d)
-        norms = x * x + field.D * x * y + field.nm * y * y
-        if (norms % d).any():
-            raise NoConsistentLift(f"N(J) = {d} does not divide the norm of an element of {J!r}")
-        n = norms // d
-        per_n = np.bincount(n, minlength=X + 1)
-        if (per_n % field.wK).any():
-            raise UnitCountMismatch(f"the elements of {J!r} are not w_K = {field.wK} per ideal")
-        counts += per_n
-        rows = ug.rows(x, y)
-        unit = rows >= 0
-        k = (eps.unit_exponents[rows[unit]] - k_d) % M
-        g = x[unit] + y[unit] * field.omega_complex
+    for e, d, row_d, n, rows, g in lattice.classes:
+        weight = 1 + 0j
+        for v, ei in zip(chi.radicals, e):
+            weight = weight * v**ei
+        if X < lattice.X:
+            keep = n <= X
+            n, rows, g = n[keep], rows[keep], g[keep]
+        k = (eps.unit_exponents[rows] - int(eps.unit_exponents[row_d])) % M
         values = roots[k] * g * (weight / d)
-        re += np.bincount(n[unit], weights=values.real, minlength=X + 1)
-        im += np.bincount(n[unit], weights=values.imag, minlength=X + 1)
-    n = np.flatnonzero(counts)
+        re += np.bincount(n, weights=values.real, minlength=X + 1)
+        im += np.bincount(n, weights=values.imag, minlength=X + 1)
+    n = np.flatnonzero(lattice.counts[: X + 1])
     a = (re[n] + 1j * im[n]) / field.wK
     n.flags.writeable = a.flags.writeable = False
     return ThetaTable(X=X, n=n, a=a)
@@ -261,19 +317,39 @@ def _real_part(terms: np.ndarray, scale: float, what: str) -> float:
     return re
 
 
+@dataclass(frozen=True, eq=False)
+class SmoothingKernel:
+    """I_v(n / Af) at the n of a theta table, shared by the characters of one Af."""
+
+    v: int
+    Af: float
+    n: np.ndarray
+    values: np.ndarray
+
+
+def smoothing_kernel(chi: HeckeCharacter, v: int, n: np.ndarray) -> SmoothingKernel:
+    """The kernel central_value weighs chi's a_n with, at the table's n."""
+    Af = _scale(chi)[1]
+    return SmoothingKernel(v=v, Af=Af, n=n, values=kernel_I(v, n / Af))
+
+
 def central_value(
     chi: HeckeCharacter,
     v: int,
     tol: float = 1e-10,
     w: float | None = None,
     table: ThetaTable | None = None,
+    kernel: SmoothingKernel | None = None,
 ) -> SmoothedValue:
     """L(1, chi) for v = 0 or L'(1, chi) for v = 1, truncated with a tail bound.
 
     The requested v must match the root number: v = (1 - W)/2.  The other
     parity would sum to an uninformative 0.  table, when given, is chi's
     theta table to at least T, built by the caller for another use as well;
-    its prefix n <= T is exactly theta_coeffs(chi, int(T)).
+    its prefix n <= T is exactly theta_coeffs(chi, int(T)).  kernel, when
+    given, is smoothing_kernel at v and chi's Af over at least those n,
+    built once for every character of chi's conductor; one of another v or
+    Af, or that stops short of T, raises DomainError.
     """
     _require_sign(chi, v, w)
     f, Af = _scale(chi)
@@ -281,7 +357,13 @@ def central_value(
     if table is None:
         table = theta_coeffs(chi, int(T))
     n, a = table.upto(int(T))
-    value = _real_part(2.0 * a / n * kernel_I(v, n / Af), 1.0, "central value")
+    if kernel is None:
+        kernel = smoothing_kernel(chi, v, n)
+    if kernel.v != v or kernel.Af != Af:
+        raise DomainError(f"the kernel of v = {kernel.v}, Af = {kernel.Af} is not one of {v}, {Af}")
+    if not np.array_equal(kernel.n[: len(n)], n):
+        raise DomainError(f"the smoothing kernel stops short of T = {T} or is not at these n")
+    value = _real_part(2.0 * a / n * kernel.values[: len(n)], 1.0, "central value")
     tail = 4.0 * (Af + 1.0) * math.exp(-T / Af)
     if not tail < tol:
         raise NumericalInstability(f"tail bound {tail} did not clear {tol}")

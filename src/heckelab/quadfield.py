@@ -41,6 +41,7 @@ from .arith import (
 )
 from .errors import (
     BadDiscriminant,
+    DomainError,
     FactorizationMismatch,
     IdealSearchExhausted,
     NonFundamental,
@@ -272,6 +273,11 @@ class Ideal:
         return KElt(self.field, x % self.a, y)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
+        # a == 1 only for the unit ideal, and the other factor is already in HNF
+        if self.a == 1:
+            return other
+        if other.a == 1:
+            return self
         f = self.field
         a1, b1, c1 = self.a, self.b, self.c
         a2, b2, c2 = other.a, other.b, other.c
@@ -284,12 +290,16 @@ class Ideal:
         return Ideal(f, *_hnf_from_vectors(vecs))
 
     def __pow__(self, k: int) -> "Ideal":
+        """Binary powering: bitlen(k) - 1 squarings and popcount(k) - 1 products."""
+        if k < 0:
+            raise DomainError(f"ideal exponent must be non-negative, got {k}")
         out, base = unit_ideal(self.field), self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self) -> "Ideal":

@@ -10,11 +10,14 @@ where eps is extended by zero off the units.  An element E of c with
 E = 1 mod f (it exists because c + f = O) turns the sum over c/fc into one
 over (O/f)^x: r -> rE is a bijection O/f -> c/fc with eps(rE) = eps(r).
 The trace is linear in the coordinates of r, so the sum is one array pass
-over the unit group's discrete-log table.  Changing b by a unit or E by an
-element of fc reindexes the sum without changing W.  Every term's phase
-is an exact integer j modulo L = lcm(M, N(delta b)), so the sum is
-accumulated as a count per phase, with no floating-point fallback however
-large L grows; phases that could leave int64 raise PhaseOverflow.
+over the unit group's discrete-log table.  All of it but eps depends on
+the conductor alone: gauss_data builds c, b, E's additive phases and
+N(delta b) once, and every character of that conductor adds its own eps
+exponents to them.  Changing b by a unit or E by an element of fc
+reindexes the sum without changing W.  Every term's phase is an exact
+integer j modulo L = lcm(M, N(delta b)), so the sum is accumulated as a
+count per phase, with no floating-point fallback however large L grows;
+phases that could leave int64 raise PhaseOverflow.
 
 The independent route, root_number_via_fe, reads W off the theta
 transformation theta(1/t) = W t^2 theta(t), which is the functional
@@ -27,7 +30,9 @@ each probe t is one array sum, sum a_n e^{-n t / Af}, over that table.
 It sums well past the central-value truncation, so the Gauss-sum route
 never runs it: callers that want the cross-check run it themselves, as a
 family scan does once per record, passing the table it also reads the
-first member's central value from.
+first member's central value from.  That table is summed over the theta
+lattice that every member of the conductor shares; the Gauss sum reads
+none of it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 from .characters import HeckeCharacter, evaluate_char
 from .errors import (
     DegenerateQuotient,
+    DomainError,
     NoAuxiliaryGenerator,
     NoCRTLift,
     NumericalInstability,
@@ -103,56 +109,93 @@ def _one_mod_f_in_c(f: Ideal, c: Ideal) -> KElt:
     raise NoCRTLift(f"no E in {c!r} with E = 1 mod {f!r}")
 
 
-def _gauss_sum(chi: HeckeCharacter, c: Ideal, b: KElt, shift: KElt | None = None) -> complex:
-    """sum over r in (O/f)^x of eps(r) e^{2 pi i Tr(r E/(delta b))}.
+@dataclass(frozen=True, eq=False)
+class GaussData:
+    """The part of the Gauss sum shared by every character of conductor f.
 
-    E in c with E = 1 mod f makes r -> rE a bijection O/f -> c/fc with
-    eps(rE) = eps(r), so this is the sum over c/fc of the module docstring;
-    shift (an element of fc) replaces E by E + shift.  With u = E conj(delta b)
-    and N = N(delta b), Tr(rE/(delta b)) = Tr(ru)/N, and for r = x + y omega
-    Tr(ru) = x Tr(u) + y Tr(omega u).  So every term is an exact L-th root of
-    unity, L = lcm(M, N), with phase
-
-        j = ((x alpha + y beta) mod N) (L/N) + k_r (L/M)  mod L,
-
-    alpha = Tr(u), beta = Tr(omega u) and k_r = dlog(r) . exps mod M, read
-    for all of (O/f)^x at once from eps.unit_exponents.  The terms
-    are counted by phase and only the final sum of the counts, in ascending
-    phase, is taken in floating point.
+    The auxiliary pair (c, b), N = N(delta b) and phase, the additive phase
+    (x alpha + y beta) mod N of E at each row x + y omega of (O/f)^x; see
+    _gauss_sum.
     """
-    eps, field, f = chi.eps, chi.field, chi.conductor
+
+    f: Ideal
+    c: Ideal
+    b: KElt
+    N: int
+    phase: np.ndarray
+
+
+def gauss_data(chi: HeckeCharacter, shift: KElt | None = None) -> GaussData:
+    """The Gauss-sum data of chi's conductor; shift (an element of fc)
+    replaces E by E + shift."""
+    field, f = chi.field, chi.conductor
+    c, b = auxiliary_pair(chi)
     E = _one_mod_f_in_c(f, c)
     if shift is not None:
         E = E + shift
     if not (c.contains(E) and f.contains(E - field.one)):
         raise NoCRTLift(f"E = {E!r} is not in {c!r} and 1 mod {f!r}")
     db = different_gen(field) * b
-    N, M = db.norm(), chi.M
-    L = math.lcm(M, N)
+    N = db.norm()
     u = E * db.conjugate()
     alpha, beta = u.trace() % N, (KElt(field, 0, 1) * u).trace() % N
-    ug = eps.unit_group
-    # largest intermediates below: x alpha + y beta and j; unit_exponents guards dlog . exps
-    if max((f.a + f.c) * N, 2 * L) > _INT64_MAX:
+    ug = chi.eps.unit_group
+    # the largest intermediate is x alpha + y beta
+    if (f.a + f.c) * N > _INT64_MAX:
+        raise PhaseOverflow(f"additive phases mod N = {N} overflow int64 over (O/{f!r})^x")
+    phase = (ug.xs * alpha + ug.ys * beta) % N
+    phase.flags.writeable = False
+    return GaussData(f=f, c=c, b=b, N=N, phase=phase)
+
+
+def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
+    """sum over r in (O/f)^x of eps(r) e^{2 pi i Tr(r E/(delta b))}.
+
+    E in c with E = 1 mod f makes r -> rE a bijection O/f -> c/fc with
+    eps(rE) = eps(r), so this is the sum over c/fc of the module docstring.
+    With u = E conj(delta b) and N = N(delta b), Tr(rE/(delta b)) = Tr(ru)/N,
+    and for r = x + y omega Tr(ru) = x Tr(u) + y Tr(omega u).  So every term
+    is an exact L-th root of unity, L = lcm(M, N), with phase
+
+        j = ((x alpha + y beta) mod N) (L/N) + k_r (L/M)  mod L,
+
+    alpha = Tr(u), beta = Tr(omega u) and k_r = dlog(r) . exps mod M, read
+    for all of (O/f)^x at once from eps.unit_exponents.  Only k_r and M
+    are chi's own; the rest is gauss, which must be of chi's conductor
+    (else DomainError).  The terms are counted by phase and only the final
+    sum of the counts, in ascending phase, is taken in floating point.
+    """
+    f = chi.conductor
+    if gauss.f != f:
+        raise DomainError(f"the Gauss-sum data of {gauss.f!r} is not that of {f!r}")
+    N, M = gauss.N, chi.M
+    L = math.lcm(M, N)
+    # the largest intermediate below is j < 2L; gauss_data guards the additive
+    # phases and unit_exponents guards dlog . exps
+    if 2 * L > _INT64_MAX:
         raise PhaseOverflow(f"phases mod L = {L} overflow int64 over (O/{f!r})^x")
-    k = eps.unit_exponents
-    j = ((ug.xs * alpha + ug.ys * beta) % N * (L // N) + k * (L // M)) % L
+    j = (gauss.phase * (L // N) + chi.eps.unit_exponents * (L // M)) % L
     phases, counts = np.unique(j, return_counts=True)
     return sum(
         n * cmath.exp(2j * cmath.pi * p / L) for p, n in zip(phases.tolist(), counts.tolist())
     )
 
 
-def gauss_sum_root_number(chi: HeckeCharacter, shift: KElt | None = None) -> RootNumberResult:
+def gauss_sum_root_number(
+    chi: HeckeCharacter, gauss: GaussData | None = None
+) -> RootNumberResult:
     """W by the explicit formula, with the auxiliary data it used.
 
-    The theta-quotient route is not run here; compare with
+    gauss, when given, is gauss_data of a character of chi's conductor,
+    built once for all of them; else it is built here and used once.  The
+    theta-quotient route is not run here; compare with
     root_number_via_fe(chi) where a cross-check is wanted.
     """
-    field = chi.field
-    c, b = auxiliary_pair(chi)
-    delta = different_gen(field)
-    s = _gauss_sum(chi, c, b, shift=shift)
+    if gauss is None:
+        gauss = gauss_data(chi)
+    c, b = gauss.c, gauss.b
+    delta = different_gen(chi.field)
+    s = _gauss_sum(chi, gauss)
     dz = delta.complex()
     bz = b.complex()
     chi_c = evaluate_char(chi, c).complex()
@@ -208,9 +251,11 @@ def fe_bound(chi: HeckeCharacter) -> int:
     return int(math.ceil(90.0 * chi.field.A * chi.f_value)) + 90
 
 
-def root_number(chi: HeckeCharacter) -> float:
-    """W rounded to a real sign; raises if the value is not a clean +-1."""
-    w = gauss_sum_root_number(chi).W_gauss
+def root_number(chi: HeckeCharacter, gauss: GaussData | None = None) -> float:
+    """W rounded to a real sign; raises if the value is not a clean +-1.
+
+    gauss is as in gauss_sum_root_number."""
+    w = gauss_sum_root_number(chi, gauss).W_gauss
     sign = round(w.real)
     if abs(w - sign) > 1e-6 or sign not in (-1, 1):
         raise NumericalInstability(f"root number {w} is not a real sign")

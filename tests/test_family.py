@@ -7,7 +7,7 @@ import numpy as np
 import oracles
 import pytest
 
-from heckelab import characters, family, quadfield
+from heckelab import characters, family, quadfield, rootnumber
 from heckelab.arith import factorize
 from heckelab.characters import (
     build_hecke_character,
@@ -15,6 +15,9 @@ from heckelab.characters import (
     evaluate_char,
     finite_part,
     gaussian_epsilon,
+    ring_class_character,
+    twist,
+    twist_orbit,
 )
 from heckelab.errors import (
     DomainError,
@@ -22,8 +25,15 @@ from heckelab.errors import (
     NumericalInstability,
     RestrictionMismatch,
 )
+from heckelab.lseries import (
+    central_value,
+    smoothing_kernel,
+    theta_coeffs,
+    theta_lattice,
+    truncation,
+)
 from heckelab.quadfield import class_group, make_field, prime_ideals_above, principal_ideal
-from heckelab.rootnumber import root_number
+from heckelab.rootnumber import fe_bound, gauss_data, gauss_sum_root_number, root_number
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +261,127 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per orbit
     assert len({calls for _, calls in c13}) == 1 and c13[0][1] > 0
     assert len(bounds) <= 4 and bounds == sorted(set(bounds))
+
+
+def _scan_members(D, P, c_max):
+    field = make_field(D)
+    eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    phi = build_hecke_character(field, eps)
+    orbits = family.enumerate_twists(field, P, c_max)
+    return phi, [(o.c, family.orbit_characters(phi, o)) for o in orbits]
+
+
+def _check_shared_reads(phi, groups, tol=1e-8):
+    """Every read of a scan walk's shared data equals the standalone call, bit for bit.
+
+    groups lists (c, characters) in scan order.  Each character asks for its
+    table to the bounds a scan asks (the first of each group also to its FE
+    bound), so a later character of a conductor reads the prefix of a
+    lattice built for an earlier one, and the Gauss-sum data and smoothing
+    kernel built for the first character of its conductor.  Returns the
+    number of characters that read data built for another.
+    """
+    walk = family._ScanWalk(phi)
+    built_by, borrowed = {}, 0
+    for c, chars in groups:
+        walk.at_c(c)
+        for i, chi in enumerate(chars):
+            T = int(truncation(chi.field.A * chi.f_value, tol))
+            X = max(T, int(chi.f_value ** max(family.T_EXPONENTS)))
+            for bound in (max(fe_bound(chi), X), X) if i == 0 else (X,):
+                lattice = walk.lattice(chi, bound)
+                shared, alone = theta_coeffs(chi, bound, lattice), theta_coeffs(chi, bound)
+                assert shared.n.tobytes() == alone.n.tobytes(), (chi.descriptor(), bound)
+                assert shared.a.tobytes() == alone.a.tobytes(), (chi.descriptor(), bound)
+            borrowed += built_by.setdefault(lattice, chi) is not chi
+            gauss = walk.gauss(chi)
+            assert gauss_sum_root_number(chi, gauss) == gauss_sum_root_number(chi)
+            W = root_number(chi, gauss)
+            assert W == root_number(chi)
+            v = (1 - int(W)) // 2
+            kernel = walk.kernel(chi, v, shared.upto(T)[0])
+            assert central_value(chi, v, tol, W, shared, kernel) == central_value(chi, v, tol, W)
+    return borrowed
+
+
+def test_shared_data_reads_match_standalone_calls(gauss):
+    # scan-gauss: 15 members of 7 orbits over 4 conductors
+    phi, groups = _scan_members(-4, (5, 13), 25)
+    assert sum(len(chars) for _, chars in groups) == 15
+    assert _check_shared_reads(phi, groups) == 15 - 4
+    # h = 3: an orbit of two members shares lattices of three classes
+    phi, groups = _scan_members(-23, (2, 3), 8)
+    pairs = [(c, chars) for c, chars in groups if len(chars) >= 2 and len(chars[0].class_reps)]
+    assert pairs
+    assert _check_shared_reads(phi, pairs[:1]) == len(pairs[0][1]) - 1
+    # an orbit mixing conductors 8 and 8 13^2, keyed by conductor: listed in
+    # reverse, its conductor-8 member (M = 12) builds that conductor's data to
+    # a bound below phi's (M = 4) FE bound, so phi's lattice is built again
+    # and read by that member in a third orbit
+    field, phi = gauss
+    base = twist(phi, ring_class_character(field, 13, (1,)))
+    mixed = twist_orbit(base, ring_class_character(field, 13, (5,)), (1, 5))
+    assert [chi.conductor_norm for chi in mixed] == [8, 8 * 13**2]
+    assert mixed[0].M != phi.M
+    groups = [(13, mixed[::-1]), (13, [phi]), (13, mixed[:1])]
+    assert _check_shared_reads(phi, groups) == 1
+
+
+def test_shared_data_of_another_conductor_or_bound_raises(gauss):
+    field, phi = gauss
+    chi = twist(phi, ring_class_character(field, 5, (1,)))
+    other = twist(phi, ring_class_character(field, 13, (1,)))
+    lattice = theta_lattice(chi, 200)
+    with pytest.raises(DomainError):
+        theta_coeffs(other, 200, lattice)
+    with pytest.raises(DomainError):
+        theta_coeffs(chi, 201, lattice)
+    with pytest.raises(DomainError):
+        theta_coeffs(chi, 200, replace(lattice, class_reps=(quadfield.unit_ideal(field),)))
+    with pytest.raises(DomainError):
+        root_number(other, gauss_data(chi))
+    W = root_number(chi)
+    v = (1 - int(W)) // 2
+    n, _ = theta_coeffs(chi, 200).upto(150)
+    kernel = smoothing_kernel(chi, v, n)
+    for bad in (smoothing_kernel(other, v, n), smoothing_kernel(chi, 1 - v, n), kernel):
+        # the last reaches n = 150, short of T at tol 1e-8
+        with pytest.raises(DomainError):
+            central_value(chi, v, 1e-8, W, kernel=bad)
+
+
+def test_scan_records_a_failed_read_of_shared_data(gauss, monkeypatch):
+    field, phi = gauss
+    at_8 = gauss_data(phi)
+    monkeypatch.setattr(family._ScanWalk, "gauss", lambda self, chi: at_8)
+    records = family.scan_report(field, phi, (5,), 5)
+    assert (records[0].c, records[0].error) == (1, None)
+    assert records[1].error.startswith("DomainError: the Gauss-sum data of")
+    monkeypatch.undo()
+    monkeypatch.setattr(family._ScanWalk, "lattice", lambda self, chi, X: theta_lattice(chi, X - 1))
+    records = family.scan_report(field, phi, (5,), 5)
+    assert all(r.error.startswith("DomainError: the theta lattice reaches") for r in records)
+
+
+def test_scan_builds_conductor_data_once_per_conductor(gauss, monkeypatch):
+    # scan-gauss: 15 members, 4 conductors (N(f) = 8, 200, 1352 and 5000)
+    field, phi = gauss
+    seen = {"auxiliary_pair": [], "theta_lattice": []}
+    auxiliary_pair, lattice = rootnumber.auxiliary_pair, family.theta_lattice
+
+    def counted_auxiliary(chi):
+        seen["auxiliary_pair"].append(chi.conductor_norm)
+        return auxiliary_pair(chi)
+
+    def counted_lattice(chi, X):
+        seen["theta_lattice"].append(chi.conductor_norm)
+        return lattice(chi, X)
+
+    monkeypatch.setattr(rootnumber, "auxiliary_pair", counted_auxiliary)
+    monkeypatch.setattr(family, "theta_lattice", counted_lattice)
+    records = family.scan_report(field, phi, (5, 13), 25)
+    assert sum(r.orbit_size for r in records) == 15 and all(r.error is None for r in records)
+    assert seen == {name: [8, 200, 1352, 5000] for name in seen}
 
 
 def test_main_lemma_violation_is_recorded(gauss, monkeypatch):

@@ -119,34 +119,42 @@ def test_orbit_table_coefficient_bound_and_multiplicativity(member_tables, data)
 
 def test_theta_coeffs_evaluates_no_character(monkeypatch):
     # every table of a scan, central values, FE root numbers and the orbit-mean
-    # check's, is read off the finite parts' exponent arrays
+    # check's, and every lattice they are summed over, is read off the finite
+    # parts' exponent arrays
     field, phi = _phi(-4)
-    evaluate, theta = characters.evaluate_char, lseries.theta_coeffs
-    depth, tables, inside = [0], [0], []
+    evaluate = characters.evaluate_char
+    depth, calls, inside = [0], {"theta_coeffs": 0, "theta_lattice": 0}, []
 
     def counted(char, ideal):
         if depth[0]:
             inside.append((char.descriptor(), ideal))
         return evaluate(char, ideal)
 
-    def traced(chi, X):
-        depth[0] += 1
-        tables[0] += 1
-        try:
-            return theta(chi, X)
-        finally:
-            depth[0] -= 1
+    def traced(name):
+        fn = getattr(lseries, name)
+
+        def wrapper(chi, X, *shared):
+            depth[0] += 1
+            calls[name] += 1
+            try:
+                return fn(chi, X, *shared)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
 
     for module in (characters, family, lseries, rootnumber):
         if hasattr(module, "evaluate_char"):
             monkeypatch.setattr(module, "evaluate_char", counted)
-        if hasattr(module, "theta_coeffs"):
-            monkeypatch.setattr(module, "theta_coeffs", traced)
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, traced(name))
     records = family.scan_report(field, phi, (5, 13), 25)
     assert all(r.error is None for r in records)
     # one table per member (15): the first member's is read by its FE root
-    # number, and every member's by its central value and the orbit-mean check
-    assert tables[0] == 15
+    # number, and every member's by its central value and the orbit-mean check;
+    # the tables are summed over one lattice per conductor (4)
+    assert calls == {"theta_coeffs": 15, "theta_lattice": 4}
     assert inside == []
 
 

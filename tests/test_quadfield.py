@@ -10,7 +10,7 @@ from heckelab.characters import (
     finite_part,
     gaussian_epsilon,
 )
-from heckelab.errors import BadDiscriminant, NonFundamental, UnitCountMismatch
+from heckelab.errors import BadDiscriminant, DomainError, NonFundamental, UnitCountMismatch
 from heckelab.lseries import theta_coeffs
 from heckelab.quadfield import (
     BinaryForm,
@@ -155,6 +155,33 @@ def test_ideal_norm_multiplicative_and_conjugate():
             assert (I * J).norm == I.norm * J.norm
             n = I.norm
             assert I * I.conjugate() == Ideal(f, n, 0, n)
+
+
+def test_ideal_powers_multiply_as_binary_powering(monkeypatch):
+    # every product of two ideals other than O is one HNF reduction; P^e costs
+    # bitlen(e) - 1 squarings and popcount(e) - 1 products, O none
+    hnf, reductions = quadfield._hnf_from_vectors, [0]
+
+    def counted(vecs):
+        reductions[0] += 1
+        return hnf(vecs)
+
+    monkeypatch.setattr(quadfield, "_hnf_from_vectors", counted)
+    for D, p in ((-4, 5), (-4, 2), (-23, 2), (-23, 3)):
+        f = make_field(D)
+        O = unit_ideal(f)
+        for P in prime_ideals_above(f, p):
+            reductions[0] = 0
+            assert O * P is P and P * O is P and O * O is O and reductions[0] == 0
+            repeated = O
+            for e in range(9):
+                reductions[0] = 0
+                power = P**e
+                assert reductions[0] == max(e.bit_length() + bin(e).count("1") - 2, 0), (D, P, e)
+                assert power == repeated, (D, P, e)
+                repeated = repeated * P
+            with pytest.raises(DomainError):
+                P**-1
 
 
 def test_prime_ideals():

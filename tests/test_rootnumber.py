@@ -22,6 +22,7 @@ from heckelab.rootnumber import (
     _one_mod_f_in_c,
     auxiliary_pair,
     different_gen,
+    gauss_data,
     gauss_sum_root_number,
     root_number,
     root_number_via_fe,
@@ -122,7 +123,7 @@ def test_shifted_transversal_invariance(chi4):
     c, _ = auxiliary_pair(chi4)
     fc = chi4.conductor * c
     shift = KElt(chi4.field, fc.a, 0)  # an element of fc
-    shifted = gauss_sum_root_number(chi4, shift=shift).W_gauss
+    shifted = gauss_sum_root_number(chi4, gauss_data(chi4, shift=shift)).W_gauss
     assert abs(base - shifted) < 1e-10
 
 
@@ -219,8 +220,10 @@ def _gauss_oracle_characters():
 def test_gauss_sum_matches_transversal_oracle():
     checked = 0
     for label, chi in _gauss_oracle_characters():
-        c, b = auxiliary_pair(chi)
-        assert abs(_gauss_sum(chi, c, b) - _transversal_gauss_sum(chi, c, b)) < 1e-12, label
+        gauss = gauss_data(chi)
+        c, b = gauss.c, gauss.b
+        assert (c, b) == auxiliary_pair(chi), label
+        assert abs(_gauss_sum(chi, gauss) - _transversal_gauss_sum(chi, c, b)) < 1e-12, label
         checked += 1
     assert checked == 15 + 1 + 2
 
@@ -238,7 +241,7 @@ def test_one_mod_f_in_c_nontrivial():
 def test_gauss_sum_rejects_lift_outside_coset(chi4, monkeypatch):
     # a shift outside fc moves E off 1 mod f
     with pytest.raises(NoCRTLift) as info:
-        gauss_sum_root_number(chi4, shift=chi4.field.one)
+        gauss_data(chi4, shift=chi4.field.one)
     assert isinstance(info.value, HeckeLabError)
     # an auxiliary ideal sharing a prime with f has no E at all
     f = chi4.conductor
