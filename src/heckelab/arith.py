@@ -164,18 +164,6 @@ def ramanujan_trace(n: int, k: int) -> int:
     return mu * euler_phi(n) // euler_phi(m)
 
 
-def primes_up_to(x: int) -> list[int]:
-    """Primes <= x by sieve."""
-    if x < 2:
-        return []
-    sieve = bytearray([1]) * (x + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(math.isqrt(x)) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 def v_p(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:

@@ -10,23 +10,22 @@ Conventions used throughout the package:
 * Ideal classes are handled through reduced primitive binary quadratic
   forms (A, B, C) of the relevant discriminant (D for the maximal order,
   c^2 * D for the ring of conductor c) under Gaussian composition.
-* Ideals are listed by one builder, enumerate_ideals(field, bound), and
-  searched through one stream, ideals_by_norm(field): the two searches
-  for the first ideal with some property (class representatives and the
-  root number's auxiliary ideal) are plain for loops over that stream.
+* Ideals come from one stream, ideals_by_norm(field), which builds them
+  norm by norm from the lists of smaller norms.  enumerate_ideals(field,
+  bound) is its norm <= bound prefix, and the two searches for the first
+  ideal with some property (class representatives and the root number's
+  auxiliary ideal) are plain for loops over it.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from itertools import takewhile
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .arith import (
     abelian_group_structure,
     factorize,
     kronecker,
-    primes_up_to,
     solve_linmod,
     sqrt_mod_prime,
     xgcd,
@@ -394,67 +392,48 @@ def prime_ideals_above(field: FieldContext, p: int) -> tuple[Ideal, ...]:
     return (first,)
 
 
+# The ideal stream gives up past this norm: a search still running there
+# is taken to have no answer.
+_NORM_CAP = 10**7
+
+
 def enumerate_ideals(field: FieldContext, bound: int) -> list[Ideal]:
     """All integral ideals of norm <= bound, sorted by (norm, HNF).
 
-    Built multiplicatively from prime ideals, so each ideal appears exactly once.
-    The list is kept sorted by norm, so the ideals that one prime power may
-    multiply form a prefix of it, and each batch of products is merged in.
+    The norm <= bound prefix of ideals_by_norm(field); bound stays below
+    _NORM_CAP.
     """
-    out = [unit_ideal(field)]
-    norms = [1]
-    for p in primes_up_to(bound):
-        primes = prime_ideals_above(field, p)
-        locals_: list[Ideal] = []
-        if len(primes) == 1:
-            # inert (norm p^2) or ramified (norm p): powers of the one prime
-            acc = primes[0]
-            while acc.norm <= bound:
-                locals_.append(acc)
-                acc = acc * primes[0]
-        else:
-            pr, prc = primes
-            pows = [unit_ideal(field)]
-            while pows[-1].norm * p <= bound:
-                pows.append(pows[-1] * pr)
-            cpows = [unit_ideal(field)]
-            while cpows[-1].norm * p <= bound:
-                cpows.append(cpows[-1] * prc)
-            for i in range(len(pows)):
-                for j in range(len(cpows)):
-                    if i == j == 0 or pows[i].norm * cpows[j].norm > bound:
-                        continue
-                    locals_.append(pows[i] * cpows[j])
-        if not locals_:
-            continue
-        batches = [
-            [prev * loc for prev in out[: bisect_right(norms, bound // loc.norm)]]
-            for loc in locals_
-        ]
-        out = list(heapq.merge(out, *batches, key=attrgetter("norm")))
-        norms = [ideal.norm for ideal in out]
-    return sorted(out, key=Ideal.sort_key)
+    return list(takewhile(lambda ideal: ideal.norm <= bound, ideals_by_norm(field)))
 
 
 def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
     """Every integral ideal exactly once, in (norm, HNF) order.
 
-    It serves the two searches for the first ideal in that order with some
-    property: class_representatives and rootnumber._auxiliary_for_ideal.
-    The unit ideal comes first and costs nothing.  After it the stream lists
-    enumerate_ideals(field, bound) for bound = 8, 16, 32, ... and yields
-    only the ideals of norm above the previous bound, so a search that
-    stops at its first hit enumerates no further than it needs.
-    Raises IdealSearchExhausted once the bound would pass 10**7.
+    The ideals of norm n come from the lists of smaller norms.  Let p be the
+    least prime of n and p^e its power in n.  If n != p^e they are the
+    products P*J with N(P) = p^e and N(J) = n/p^e, each once by unique
+    factorization; if n = p^e they are the distinct products of a prime
+    above p with the ideals of norm n/N(prime).  The unit ideal comes first
+    and costs nothing, so a search that stops at its first hit builds no
+    further than it needs.  Raises IdealSearchExhausted past norm _NORM_CAP.
     """
-    yield unit_ideal(field)
-    done, bound = 1, 8
-    while bound <= 10**7:
-        for ideal in enumerate_ideals(field, bound):
-            if ideal.norm > done:
-                yield ideal
-        done, bound = bound, 2 * bound
-    raise IdealSearchExhausted(f"no ideal of norm <= {done} of {field!r} ended the search")
+    unit = unit_ideal(field)
+    yield unit
+    by_norm: list[list[Ideal]] = [[], [unit]]
+    for n in range(2, _NORM_CAP + 1):
+        p, e = factorize(n)[0]
+        if p**e < n:
+            products = [P * J for P in by_norm[p**e] for J in by_norm[n // p**e]]
+        else:
+            products = {
+                P * J
+                for P in prime_ideals_above(field, p)
+                if n % P.norm == 0
+                for J in by_norm[n // P.norm]
+            }
+        by_norm.append(sorted(products, key=Ideal.sort_key))
+        yield from by_norm[n]
+    raise IdealSearchExhausted(f"no ideal of norm <= {_NORM_CAP} of {field!r} ended the search")
 
 
 def is_principal_with_generator(ideal: Ideal) -> KElt | None:

@@ -1,5 +1,8 @@
 """Reference routes the tests compare the package against.
 
+* enumerate_ideals_by_merge, the ideals of norm <= bound built
+  multiplicatively from prime ideals and heapq-merged once per prime: the
+  reference for quadfield.ideals_by_norm, which builds them norm by norm.
 * A multiplicative prime sieve for theta coefficients: a_n built from the
   local factors a_{p^e}, which need chi only at the (at most two) prime
   ideals above p.  The package sums Hecke's theta series over lattice
@@ -23,13 +26,15 @@
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
-from heckelab.arith import primes_up_to
 from heckelab.characters import (
     FinitePart,
     HeckeCharacter,
@@ -59,6 +64,7 @@ from heckelab.quadfield import (
     principal_ideal,
     ring_class_dlog,
     ring_class_number,
+    unit_ideal,
 )
 
 # chi at a prime ideal P, as a complex number
@@ -70,6 +76,60 @@ _EULER_GAMMA = 0.5772156649015328606
 def table_dict(table: ThetaTable) -> dict[int, complex]:
     """A theta table as {n: a_n}, in ascending n."""
     return dict(zip(table.n.tolist(), table.a.tolist()))
+
+
+def primes_up_to(x: int) -> list[int]:
+    """Primes <= x by sieve."""
+    if x < 2:
+        return []
+    sieve = bytearray([1]) * (x + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(math.isqrt(x)) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+def enumerate_ideals_by_merge(field: FieldContext, bound: int) -> list[Ideal]:
+    """All integral ideals of norm <= bound, sorted by (norm, HNF).
+
+    Built multiplicatively from prime ideals, so each ideal appears exactly once.
+    The list is kept sorted by norm, so the ideals that one prime power may
+    multiply form a prefix of it, and each batch of products is merged in.
+    """
+    out = [unit_ideal(field)]
+    norms = [1]
+    for p in primes_up_to(bound):
+        primes = prime_ideals_above(field, p)
+        locals_: list[Ideal] = []
+        if len(primes) == 1:
+            # inert (norm p^2) or ramified (norm p): powers of the one prime
+            acc = primes[0]
+            while acc.norm <= bound:
+                locals_.append(acc)
+                acc = acc * primes[0]
+        else:
+            pr, prc = primes
+            pows = [unit_ideal(field)]
+            while pows[-1].norm * p <= bound:
+                pows.append(pows[-1] * pr)
+            cpows = [unit_ideal(field)]
+            while cpows[-1].norm * p <= bound:
+                cpows.append(cpows[-1] * prc)
+            for i in range(len(pows)):
+                for j in range(len(cpows)):
+                    if i == j == 0 or pows[i].norm * cpows[j].norm > bound:
+                        continue
+                    locals_.append(pows[i] * cpows[j])
+        if not locals_:
+            continue
+        batches = [
+            [prev * loc for prev in out[: bisect_right(norms, bound // loc.norm)]]
+            for loc in locals_
+        ]
+        out = list(heapq.merge(out, *batches, key=attrgetter("norm")))
+        norms = [ideal.norm for ideal in out]
+    return sorted(out, key=Ideal.sort_key)
 
 
 def multiplicative_table(bound: int, local, dtype, columns: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -88,8 +89,9 @@ def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
     assert calls == {(c, p): 1 for c in (5, 13, 25) for p, _ in factorize(c)}
 
 
-# (D, P, c_max): at c <= 32 the D = -23 ideal search still takes under a second
-KERNEL_FAMILIES = [(-23, (2, 3), 32), (-4, (2, 5), 40), (-7, (2, 3), 12), (-47, (2, 3), 12)]
+# (D, P, c_max): D = -23 at c <= 72 is the 42-orbit family; its ideal
+# search walks the ideal stream in under half a second
+KERNEL_FAMILIES = [(-23, (2, 3), 72), (-4, (2, 5), 40), (-7, (2, 3), 12), (-47, (2, 3), 12)]
 
 
 @pytest.mark.parametrize("D, P, c_max", KERNEL_FAMILIES)
@@ -111,8 +113,13 @@ def test_enumerate_twists_enumerates_no_ideals(monkeypatch):
     def fail(field, bound):
         raise AssertionError("enumerate_ideals called")
 
+    def stepped(field, p):
+        raise AssertionError("ideal stream stepped past the unit ideal")
+
     monkeypatch.setattr(quadfield, "enumerate_ideals", fail)
     monkeypatch.setattr(family, "enumerate_ideals", fail)
+    # norm 2 is the stream's first step past the unit ideal; it needs the primes above 2
+    monkeypatch.setattr(quadfield, "prime_ideals_above", stepped)
     # h = 3 and two primes: the widest of the reference families
     assert len(family.enumerate_twists(make_field(-23), (2, 3), 72)) == 42
 
@@ -260,6 +267,31 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     assert sorted(size for size, _ in c13) == [1, 2, 2]
     # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per orbit
     assert len({calls for _, calls in c13}) == 1 and c13[0][1] > 0
+    assert len(bounds) <= 4 and bounds == sorted(set(bounds))
+
+
+def test_scan_lists_ideals_only_for_the_walk(monkeypatch):
+    """A D=-23 P=(2,3) c<=8 scan (h = 3) lists ideals only in its scan walk.
+
+    The class representatives of every twist orbit walk the ideal stream to
+    their first hits instead of listing ideals, so enumerate_ideals is
+    called only by _ScanWalk.ideals, at most four times, each time to a
+    larger bound.
+    """
+    field = make_field(-23)
+    phi = build_hecke_character(field, canonical_epsilon(field))
+    enumerate_ideals_, calls = quadfield.enumerate_ideals, []
+
+    def counted_enumerate(field, bound):
+        calls.append((sys._getframe(1).f_code.co_qualname, bound))
+        return enumerate_ideals_(field, bound)
+
+    monkeypatch.setattr(quadfield, "enumerate_ideals", counted_enumerate)
+    monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
+    records = family.scan_report(field, phi, (2, 3), 8)
+    assert records and all(r.error is None for r in records)
+    assert {caller for caller, _ in calls} == {"_ScanWalk.ideals"}
+    bounds = [bound for _, bound in calls]
     assert len(bounds) <= 4 and bounds == sorted(set(bounds))
 
 

@@ -35,7 +35,7 @@ from heckelab.quadfield import (
     ring_class_number,
     unit_ideal,
 )
-from oracles import count_and_coeff_table, table_dict
+from oracles import count_and_coeff_table, enumerate_ideals_by_merge, primes_up_to, table_dict
 
 FIELDS = [-3, -4, -7, -8, -20, -23, -47, -84]
 
@@ -364,18 +364,27 @@ def test_class_representatives_h1_enumerates_nothing(monkeypatch):
     def fail(field, bound):
         raise AssertionError("enumerate_ideals called")
 
+    def stepped(field, p):
+        raise AssertionError("ideal stream stepped past the unit ideal")
+
     monkeypatch.setattr(quadfield, "enumerate_ideals", fail)
+    # norm 2 is the stream's first step past the unit ideal; it needs the primes above 2
+    monkeypatch.setattr(quadfield, "prime_ideals_above", stepped)
     f = make_field(-4)
     assert class_representatives(f, coprime_to=10) == {(): unit_ideal(f)}
 
 
-@pytest.mark.parametrize("D", [-4, -23, -84])
-def test_ideals_by_norm_matches_enumerate_ideals(D):
-    # 300 lies past six doubling bounds of the stream (8, 16, ..., 256)
+@pytest.mark.parametrize("D", [-3, -4, -7, -8, -23, -47, -84])
+def test_ideal_stream_matches_merge_oracle(D):
     f = make_field(D)
-    want = enumerate_ideals(f, 300)
+    want = enumerate_ideals_by_merge(f, 2000)
     stream = ideals_by_norm(f)
     assert [next(stream) for _ in want] == want
+    assert next(stream).norm > 2000
+
+
+def test_primes_up_to_oracle():
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_compose_rejects_mixed_discriminants():

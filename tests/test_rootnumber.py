@@ -80,8 +80,9 @@ def test_auxiliary_pair_nonprincipal_ideal():
 
 
 def test_auxiliary_search_exhausted_is_a_domain_error(monkeypatch):
-    # with no ideal but the unit ideal to search, the stream gives up past norm 10**7
-    monkeypatch.setattr(quadfield, "enumerate_ideals", lambda field, bound: [unit_ideal(field)])
+    # with no ideal c that makes f*c principal, the stream gives up past its norm cap
+    monkeypatch.setattr(quadfield, "_NORM_CAP", 64)
+    monkeypatch.setattr(rootnumber, "ideal_class_of", lambda ideal: (1,))
     field = make_field(-23)
     with pytest.raises(IdealSearchExhausted) as info:
         _auxiliary_for_ideal(field, Ideal(field, 2, 1, 1))
