@@ -11,6 +11,16 @@ A character is assembled from two ingredients:
 
 Values are kept in the exact algebra zeta_M^k * q * prod v_i^{e_i} with
 q in K, so |chi(a)|^2 = N(a) and multiplicativity are checkable exactly.
+
+A finite part is read through CRT, (O/f)^x = prod (O/P^a)^x over the
+P^a exactly dividing f: eps is the sum of its local exponents k_P,
+eps(r) = zeta_M^(sum_P k_P(r mod P^a)).  unit_group_mod builds the
+discrete logs of one prime power (O/P^a)^x, and local_unit_groups joins
+them with the CRT idempotents e_P, so no table over all of (O/f)^x is
+built for a composite f.  Twists, their conductors, values, theta
+lattices, Gauss sums and the Main Lemma's local orders all read eps
+through that sum, and the conductor descent and primitivity are checks
+inside one local group each.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from .quadfield import (
     class_group,
     class_representatives,
     ideal_class_of,
+    idempotent,
     principal_ideal,
     ring_class_dlog,
     unit_ideal,
@@ -84,7 +95,8 @@ def unit_root_table(field: FieldContext) -> dict:
 @dataclass(frozen=True)
 class UnitGroupMod:
     """Structure of (O/f)^x: generators (as reduced residues), orders and
-    discrete logs.
+    discrete logs.  The package builds it for prime powers f = P^a only, as
+    the parts of LocalUnitGroups; it works for any f.
 
     The group is held as int64 arrays with one row per unit residue
     x + y omega of the HNF box 0 <= x < a, 0 <= y < c of f (y outer, x
@@ -214,24 +226,97 @@ def _decimal_key(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# (O/f)^x as the product of its local groups
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LocalUnitGroups:
+    """(O/f)^x as the product of the (O/P^a)^x over the P^a exactly dividing f.
+
+    By CRT (Cohen, Advanced Topics in Computational Number Theory, GTM 193,
+    4.2), r mod f is the tuple of its residues mod the P^a.  factors lists
+    (P, a) in f.factor() order, parts holds unit_group_mod(P^a) for each,
+    and idempotents the e_P with e_P = 1 mod P^a and e_P = 0 mod f/P^a.
+    rows(xs, ys) gives a batch of residues as one row per part.  The
+    generators are the parts' generators r lifted to r e_P + 1 - e_P mod f,
+    part by part, with the parts' orders: such a lift is 1 at every other
+    part, so an exponent vector on them is the parts' exponent vectors
+    side by side.  No array over all of (O/f)^x is formed.
+    """
+
+    field: FieldContext
+    f: Ideal
+    factors: tuple
+    parts: tuple
+    idempotents: tuple
+    gens: tuple
+    orders: tuple
+
+    @property
+    def exponent(self) -> int:
+        return math.lcm(*self.orders) if self.orders else 1
+
+    def rows(self, xs, ys) -> np.ndarray:
+        """(parts, len(xs)) int64: the rows of the residues x + y omega in
+        each part, -1 where one is not a unit mod that part's P^a."""
+        return np.array([part.rows(xs, ys) for part in self.parts], dtype=np.int64).reshape(
+            len(self.parts), len(xs)
+        )
+
+
+def local_unit_groups(field: FieldContext, f: Ideal) -> LocalUnitGroups:
+    """The local groups of (O/f)^x, their CRT idempotents and lifted generators.
+
+    Only prime powers reach unit_group_mod; each e_P is one solve of
+    quadfield.idempotent, so no residue ring is walked.
+    """
+    factors = tuple(f.factor().items())
+    parts, idempotents, gens, orders = [], [], [], []
+    for pr, a in factors:
+        q = pr**a
+        part = unit_group_mod(field, q)
+        rest = _ideal_from_factors(field, {p2: e for p2, e in factors if p2 != pr})
+        e = f.reduce_element(idempotent(q, rest))
+        for x, y in part.gens:
+            g = f.reduce_element(KElt(field, x, y) * e + field.one - e)
+            gens.append((g.x, g.y))
+        parts.append(part)
+        idempotents.append(e)
+        orders.extend(part.orders)
+    return LocalUnitGroups(
+        field=field,
+        f=f,
+        factors=factors,
+        parts=tuple(parts),
+        idempotents=tuple(idempotents),
+        gens=tuple(gens),
+        orders=tuple(orders),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Finite parts
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FinitePart:
-    """Homomorphism (O/f)^x -> mu_M, stored as exponents on the unit group
-    generators.
+    """Homomorphism (O/f)^x -> mu_M, stored as exponents on the generators
+    of unit_group, the local generators lifted by CRT.
 
-    Every reading of eps goes through unit_exponents, the exponent k(r) of
-    eps at each row r of the unit group: a value is one entry, and eps on a
-    congruence subgroup is k under a mask of the unit group's one_mod.
+    eps is the product of its local parts eps_P on (O/P^a)^x.  Every
+    reading of eps goes through one sum: local_exponents holds, per part,
+    the exponent k_P(r) of eps_P at each of its rows r, and eps at a batch
+    of residues is zeta_M^k with k = sum_P k_P[rows_P] (exponents_at).  A value is one
+    entry per part, and eps on a congruence subgroup is one k_P under a
+    mask of its part's one_mod.
     """
 
     field: FieldContext
     f: Ideal
     M: int
-    unit_group: UnitGroupMod
+    unit_group: LocalUnitGroups
     exps: tuple
 
     def __post_init__(self):
@@ -242,15 +327,34 @@ class FinitePart:
                 raise ValueError("exponents do not define a homomorphism")
 
     @cached_property
-    def unit_exponents(self) -> np.ndarray:
-        """k with eps(r) = zeta_M^k[r] at each row r of the unit group."""
-        return _unit_exponents(self.unit_group, self.exps, self.M)
+    def local_exponents(self) -> tuple:
+        """Per part (O/P^a)^x, k_P with eps_P(r) = zeta_M^k_P[r] at each row r."""
+        out, i = [], 0
+        for part in self.unit_group.parts:
+            j = i + len(part.orders)
+            out.append(_unit_exponents(part, self.exps[i:j], self.M))
+            i = j
+        return tuple(out)
+
+    def exponents_at(self, rows: np.ndarray) -> np.ndarray:
+        """sum_P k_P[rows_P] at the residues of rows, as unit_group.rows gives
+        them, every entry a unit row: eps = zeta_M^k there with k that sum,
+        which is left unreduced, below len(rows) M."""
+        k = np.zeros(rows.shape[1], dtype=np.int64)
+        for k_P, r in zip(self.local_exponents, rows):
+            k += k_P[r]
+        return k
 
     def exponent_of(self, z: KElt) -> int | None:
         """k with eps(z) = zeta_M^k, or None when z is not coprime to f."""
-        x, y = self.unit_group.reduce(z)
-        row = self.unit_group.box_row[y * self.f.a + x]
-        return None if row < 0 else int(self.unit_exponents[row])
+        k = 0
+        for part, k_P in zip(self.unit_group.parts, self.local_exponents):
+            x, y = part.reduce(z)
+            row = part.box_row[y * part.f.a + x]
+            if row < 0:
+                return None
+            k += int(k_P[row])
+        return k % self.M
 
     def exponent_of_fraction(self, w: KElt) -> int:
         """eps extended to w = z/d with d a rational integer coprime to f."""
@@ -272,12 +376,12 @@ class FinitePart:
         return True
 
     def is_primitive(self) -> bool:
-        """f is the conductor of eps: for each prime P | f, eps is nontrivial
-        on the units r = 1 mod f/P, the kernel of (O/f)^x -> (O/(f/P))^x."""
-        factors = self.f.factor()
-        for pr in factors:
-            g = _ideal_from_factors(self.field, {q: e - (q == pr) for q, e in factors.items()})
-            if not self.unit_exponents[self.unit_group.one_mod(g)].any():
+        """f is the conductor of eps: for each P^a || f, eps is nontrivial on
+        the units r = 1 mod f/P, which by CRT is eps_P nontrivial on the
+        units 1 mod P^(a-1) of its part."""
+        units = self.unit_group
+        for (pr, a), part, k_P in zip(units.factors, units.parts, self.local_exponents):
+            if not k_P[part.one_mod(pr ** (a - 1))].any():
                 return False
         return True
 
@@ -302,7 +406,8 @@ def _unit_exponents(ug: UnitGroupMod, exps, M: int) -> np.ndarray:
 
 
 def finite_part(field: FieldContext, f: Ideal, exps, M: int | None = None) -> FinitePart:
-    ug = unit_group_mod(field, f)
+    """The finite part on f with exponents exps on local_unit_groups(f).gens."""
+    ug = local_unit_groups(field, f)
     if M is None:
         M = math.lcm(ug.exponent, field.wK)
     return FinitePart(field=field, f=f, M=M, unit_group=ug, exps=tuple(k % M for k in exps))
@@ -722,19 +827,23 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
     """The primitive Hecke characters inducing phi * rho^j, one per j in members.
 
     All members live on m = lcm(f(phi), cO) in mu_Mc, Mc = lcm(M_phi, n),
-    n = ord(rho).  eps_phi and rho are read once at the generators of
-    (O/m)^x; as rho^j = zeta_n^(j s) where rho = zeta_n^s, member j's
-    exponent there is k_phi (Mc/M_phi) + j k_rho (Mc/n) mod Mc, and one
-    pass gives its k at every row.  The conductor f_chi is found prime by
-    prime: P's exponent drops while k vanishes on one_mod of the smaller
-    ideal (one mask per ideal per orbit).  Scattering k through rows()
-    onto (O/f_chi)^x, every row hit by one exponent, certifies f_chi is a
-    modulus; the descent certifies it is the least, since at each P | f_chi
-    it stopped at a g divisible by f_chi/P with k nontrivial on the units
-    1 mod g, which lie among the units 1 mod f_chi/P that is_primitive
-    tests.  So members skip that check; unit consistency is still checked.
-    Members of one conductor share its unit group, scatter map and class
-    lifts.  Each j must be prime to n, else DomainError.
+    n = ord(rho), and are read through the local groups (O/P^a)^x of m.
+    eps_phi and rho are read once at the lifted local generators of m; as
+    rho^j = zeta_n^(j s) where rho = zeta_n^s, member j's exponent there
+    is k_phi (Mc/M_phi) + j k_rho (Mc/n) mod Mc, and one pass per part
+    gives its local k_P at every row.  The conductor f_chi is found prime
+    by prime: P's exponent drops while k_P vanishes on the units 1 mod the
+    smaller power of P in its part (one mask per power per orbit).  A P
+    whose exponent a stays keeps its local exponents as they are.  For a P
+    lowered to b >= 1, scattering k_P through rows() onto (O/P^b)^x, every
+    row hit by one exponent, certifies P^b is a modulus of eps_P; a
+    dropped P has k_P = 0 on all of its part, the descent's last check.
+    The descent certifies f_chi is the least: at each
+    P^b || f_chi it stopped with k_P nontrivial on the units 1 mod P^(b-1),
+    which is what is_primitive tests.  So members skip that check; unit
+    consistency is still checked.  Members of one conductor share its local
+    groups, scatter maps and class lifts.  Each j must be prime to n, else
+    DomainError.
     """
     field = phi.field
     if rho.is_trivial():
@@ -744,9 +853,9 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
         raise DomainError(f"orbit members {tuple(members)} are not all prime to ord(rho) = {n}")
     m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
     Mc = math.lcm(phi.M, n)
-    ug_m = unit_group_mod(field, m)
+    units_m = local_unit_groups(field, m)
     k_phi, k_rho = [], []
-    for g in ug_m.gens:
+    for g in units_m.gens:
         w = KElt(field, *g)
         k1 = phi.eps.exponent_of(w)
         s = None if k1 is None else rho.value_exponent(principal_ideal(field, w))
@@ -755,43 +864,72 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
         k_phi.append(k1 * (Mc // phi.M))
         k_rho.append(s * (Mc // n))
 
-    masks: dict[tuple, np.ndarray] = {}  # keyed by exponents on m's primes, as by_conductor
-    by_conductor: dict[tuple, tuple] = {}
+    masks: dict[tuple, np.ndarray] = {}  # (P, j) -> units 1 mod P^j in P's part
+    by_conductor: dict[tuple, tuple] = {}  # keyed by the exponents of m's primes in f_chi
     at_reps: dict[Ideal, tuple] = {}  # class representative -> (phi value, rho exponent)
-    factors_m = m.factor()
     out = []
     for j in members:
-        k = _unit_exponents(ug_m, [(a + j * b) % Mc for a, b in zip(k_phi, k_rho)], Mc)
-
-        # conductor: lower each prime's exponent while U(g) = {1 mod g} stays in the kernel
-        local = dict(factors_m)
-        for pr in local:
-            while local[pr]:
-                local[pr] -= 1
-                key = tuple(local.values())
-                if key not in masks:
-                    masks[key] = ug_m.one_mod(_ideal_from_factors(field, local))
-                if k[masks[key]].any():
-                    local[pr] += 1
+        exps_m = [(a + j * b) % Mc for a, b in zip(k_phi, k_rho)]
+        ks, key, i = [], [], 0
+        for (pr, a), part in zip(units_m.factors, units_m.parts):
+            exps_P = exps_m[i : i + len(part.orders)]
+            i += len(part.orders)
+            k = _unit_exponents(part, exps_P, Mc)
+            # conductor: lower P's exponent while U(P^b) = {1 mod P^b} stays in the kernel
+            b = a
+            while b:
+                if (pr, b - 1) not in masks:
+                    masks[pr, b - 1] = part.one_mod(pr ** (b - 1))
+                if k[masks[pr, b - 1]].any():
                     break
-        key = tuple(local.values())
+                b -= 1
+            ks.append((exps_P, k))
+            key.append(b)
+        key = tuple(key)
         if key not in by_conductor:
-            f_chi = m if local == factors_m else _ideal_from_factors(field, local)
-            ug_f = unit_group_mod(field, f_chi)
-            gen_rows = ug_f.box_row[[y * f_chi.a + x for x, y in ug_f.gens]]
+            if key == tuple(a for _, a in units_m.factors):
+                f_chi, units_f = m, units_m
+            else:
+                powers = {pr: b for (pr, _), b in zip(units_m.factors, key)}
+                f_chi = _ideal_from_factors(field, powers)
+                units_f = local_unit_groups(field, f_chi)
+            # per part of m: None where P drops out, () where P^a stays whole,
+            # else the scatter onto (O/P^b)^x
+            parts_f = dict(zip((pr for pr, _ in units_f.factors), units_f.parts))
+            scatter = []
+            for (pr, a), part, b in zip(units_m.factors, units_m.parts, key):
+                if b == 0:
+                    scatter.append(None)
+                elif b == a:
+                    scatter.append(())
+                else:
+                    part_f = parts_f[pr]
+                    gen_rows = part_f.box_row[[y * part_f.f.a + x for x, y in part_f.gens]]
+                    scatter.append((part_f.rows(part.xs, part.ys), gen_rows, part_f.order))
             # reps avoid the twist modulus too, so rho has a value at each
             lifts = _class_lifts(field, f_chi.norm * rho.c)
-            by_conductor[key] = (f_chi, ug_f, ug_f.rows(ug_m.xs, ug_m.ys), gen_rows, lifts)
-        f_chi, ug_f, r, gen_rows, lifts = by_conductor[key]
+            by_conductor[key] = (f_chi, units_f, scatter, lifts)
+        f_chi, units_f, scatter, lifts = by_conductor[key]
 
-        # restriction to f_chi: every unit mod f_chi, one exponent above each
-        k_f = np.full(ug_f.order, -1, dtype=np.int64)
-        k_f[r] = k
-        if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
-            raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
-        M_new = math.lcm(Mc, field.wK, ug_f.exponent)
-        exps = tuple(int(e) * (M_new // Mc) for e in k_f[gen_rows])
-        eps_chi = FinitePart(field, f_chi, M_new, ug_f, exps)
+        # restriction to f_chi, part by part: every unit mod P^b, one exponent above each
+        exps_f = []
+        for (exps_P, k), sc in zip(ks, scatter):
+            if sc is None:
+                continue
+            if not sc:
+                exps_f.extend(exps_P)
+                continue
+            r, gen_rows, order = sc
+            k_f = np.full(order, -1, dtype=np.int64)
+            k_f[r] = k
+            if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
+                raise NoConsistentLift(
+                    f"the twist's finite part does not factor through {f_chi!r}"
+                )
+            exps_f.extend(k_f[gen_rows].tolist())
+        M_new = math.lcm(Mc, field.wK, units_f.exponent)
+        exps = tuple(e * (M_new // Mc) for e in exps_f)
+        eps_chi = FinitePart(field, f_chi, M_new, units_f, exps)
         _require_unit_consistent(eps_chi)
         exponents = tuple(j * t % h for t, h in zip(rho.exponents, rho._pic_orders))
         base = _assemble(field, eps_chi, lifts, None, (rho.c, exponents))
@@ -855,31 +993,36 @@ def main_lemma_quantities(
     raises MainLemmaViolation when it fails.
 
     o_p is the order of eps on the residues 1 mod p^3 O + f_p lifted to 1 mod
-    the prime-to-p part f_cop of f: the units r = 1 mod h_p = p^3 f_cop + f,
-    one mask over (O/f)^x with N(f)/N(h_p) rows.  Their exponents generate a
+    the prime-to-p part of f.  By CRT that subgroup is, at each P^a || f
+    over p, the units 1 mod p^3 O + P^a of P's part, and trivial at the
+    other parts: one mask per part over p.  The exponents there generate a
     cyclic subgroup of mu_M, of order M / gcd(M, their gcd).
     """
     if mu < 1:
         raise ValueError("mu must be a positive integer")
     field = char.field
-    f = char.eps.f
-    Nf = f.norm
+    Nf = char.eps.f.norm
     ps = sorted(primes) if primes is not None else [p for p, _ in factorize(Nf)]
     h = field.h
-    f_factors = f.factor()
-    ug, k = char.eps.unit_group, char.eps.unit_exponents
+    units = char.eps.unit_group
     entries = []
     for p in ps:
         m_p = v_p(Nf, p)
         if m_p == 0:
             entries.append(MainLemmaEntry(p=p, m_p=0, o_p=0, n_p=0))
             continue
-        f_cop = _ideal_from_factors(field, {pr: e for pr, e in f_factors.items() if pr.norm % p})
-        h_p = (Ideal(field, p, 0, p) ** 3 * f_cop).add(f)
-        mask = ug.one_mod(h_p)
-        if int(mask.sum()) * h_p.norm != Nf:
-            raise NoConsistentLift(f"{int(mask.sum())} units = 1 mod {h_p!r} in (O/{f!r})^x")
-        order = char.M // math.gcd(char.M, int(np.gcd.reduce(k[mask])))
+        g = 0
+        for (pr, _), part, k in zip(units.factors, units.parts, char.eps.local_exponents):
+            if pr.norm % p:
+                continue
+            h_P = (Ideal(field, p, 0, p) ** 3).add(part.f)
+            mask = part.one_mod(h_P)
+            if int(mask.sum()) * h_P.norm != part.f.norm:
+                raise NoConsistentLift(
+                    f"{int(mask.sum())} units = 1 mod {h_P!r} in (O/{part.f!r})^x"
+                )
+            g = math.gcd(g, int(np.gcd.reduce(k[mask])))
+        order = char.M // math.gcd(char.M, g)
         o_p = v_p(order, p)
         if order != p**o_p:
             raise MainLemmaViolation(f"restriction to 1 + {p}^3 O has order {order}, not a p-power")

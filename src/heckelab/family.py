@@ -16,15 +16,17 @@ Each orbit's members are built together by characters.twist_orbit.  A
 scan enumerates ideals again only at a larger bound, reads rho once per
 ideal per orbit for the counts and the orbit-mean check, and evaluates
 phi once per ideal.  Every coefficient table is lseries.theta_coeffs of
-a member: a lattice sum that reads the finite part's exponent array and
-evaluates no character at an ideal.  Each member gets one table, to the
-larger of its truncation T and the check's bound f^max(T_EXPONENTS), the
-first member's also to its FE bound; the theta quotient, the central
-values and the orbit-mean check read prefixes of these tables.  What
+a member: a lattice sum that reads the finite part's local exponent
+arrays and evaluates no character at an ideal.  Each member gets one
+table, to the larger of its truncation T and the check's bound
+f^max(T_EXPONENTS), the first member's also to its FE bound; the theta
+quotient, the central values and the orbit-mean check read prefixes of
+these tables.  What
 depends only on a member's conductor f_chi is built once per f_chi in a
 scan, not once per member: the theta lattice the tables are summed over
 (to the largest bound a member asks of it), the Gauss-sum data (the
-auxiliary pair, N(delta b) and the additive phases over (O/f_chi)^x) and
+auxiliary pair, N(delta b) and the additive phases over each local group
+(O/P^a)^x of f_chi) and
 the smoothing kernel of each v.  A member adds only its own exponent
 gathers, phases and sums.  The scan keeps that data for the current c
 only, as orbits arrive sorted by c.  The checks keep their independence:
@@ -48,9 +50,10 @@ A scan checks, in this order:
 and per record, which keeps the first failure as its error:
 
 * the twists are built once per orbit; every finite part must be unit
-  consistent, and its modulus is certified twice: the scatter onto
-  (O/f(chi))^x shows it is a modulus, and the conductor descent that
-  found it shows it is the least (characters.twist_orbit);
+  consistent, and its modulus is certified twice, prime by prime: the
+  scatter onto each (O/P^b)^x, P^b || f(chi), shows it is a modulus, and
+  the conductor descent that found it shows it is the least
+  (characters.twist_orbit);
 * the ideals to f^max(T_EXPONENTS) are counted at every t = f^alpha;
 * the Main Lemma bound |m_p/2 - n_p| <= 3 + mu + h, with the local orders
   on 1 + p^3 O powers of p;

@@ -12,16 +12,17 @@ Every sum here is truncated at a certified point: the coefficient bound
 The coefficients a_n are Hecke's theta series, summed over the lattice
 points of one ideal per ideal class (theta_coeffs).  central_value and
 rootnumber.root_number_via_fe read their tables from theta_coeffs, which
-evaluates chi at no ideal: every value is one gather from the finite
-part's exponent array.  A table is a ThetaTable of two arrays, the n in
-ascending order and their a_n; a table to X holds the table to any
-smaller bound as its prefix, bit for bit, so one table can serve two
-truncations.  The lattice points, their rows in (O/f)^x and their norms
-depend only on the conductor and the class representatives: theta_lattice
-builds them once, and theta_coeffs reads them for every character that
-shares them.  central_value forms every term 2 a_n n^{-1} I_v(n / Af) in
-one array expression, with the array kernel kernel_I (a power series and
-a fixed-depth continued fraction for E_1), which smoothing_kernel
+evaluates chi at no ideal: every value is one gather per local group
+(O/P^a)^x from the finite part's local exponent arrays.  A table is a
+ThetaTable of two arrays, the n in ascending order and their a_n; a
+table to X holds the table to any smaller bound as its prefix, bit for
+bit, so one table can serve two truncations.  The lattice points, their
+rows in the local groups of f and their norms depend only on the
+conductor and the class representatives: theta_lattice builds them once,
+and theta_coeffs reads them for every character that shares them.
+central_value forms every term 2 a_n n^{-1} I_v(n / Af) in one array
+expression, with the array kernel kernel_I (a power series and a
+fixed-depth continued fraction for E_1), which smoothing_kernel
 evaluates once for all characters of one Af.
 
 All arithmetic is float64; math.fsum adds the terms of each sum exactly
@@ -128,10 +129,12 @@ class ThetaLattice:
     """The lattice points of theta_coeffs to X, shared by every character of
     one conductor f and one set of class representatives.
 
-    classes holds, per class vector e, (e, N(J_e), the unit-group row of
-    N(J_e), and for the g in J_e prime to f: n = N(g)/N(J_e), the row of g
-    in (O/f)^x and g as a complex number), each array in the order
-    _ideal_elements lists g; counts[n] is the number of ideals of norm n.
+    classes holds, per class vector e, (e, N(J_e), and for the g in J_e
+    prime to f: n = N(g)/N(J_e), the rows of g in the local groups
+    (O/P^a)^x of f, one row of a (parts, elements) array per P^a || f, and
+    g as a complex number), each array in the order _ideal_elements lists
+    g; counts[n] is the number of ideals of norm n.  No array is indexed
+    by all of (O/f)^x.
     The lattice to X holds the one to any smaller bound as the elements of
     n <= bound, in the same order.
     """
@@ -153,7 +156,7 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    field, ug = chi.field, chi.eps.unit_group
+    field, units = chi.field, chi.eps.unit_group
     Js = []
     for e in itertools.product(*(range(h) for h in chi.class_orders)):
         J = unit_ideal(field)
@@ -165,15 +168,14 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
     # |y| <= 2 sqrt(B/|D|) and |x| <= sqrt(B) (sqrt|D| + 1), so the terms of
     # the norm form add up to at most B (4|D| + 4 sqrt|D| + 2) in absolute
     # value; the HNF step v b and rows()' box reduction stay below
-    # 4 (sqrt(B) + 1) max(N(J), N(f))
-    if max(8 * (1 - field.D) * B, 4 * (math.isqrt(B) + 1) * max(d_max, ug.f.norm)) > _INT64_MAX:
+    # 4 (sqrt(B) + 1) max(N(J), N(f)), and each local group's box lies inside f's
+    if max(8 * (1 - field.D) * B, 4 * (math.isqrt(B) + 1) * max(d_max, units.f.norm)) > _INT64_MAX:
         raise PhaseOverflow(f"norms up to {B} overflow int64 in the lattice sum to X = {X}")
     counts = np.zeros(X + 1, dtype=np.int64)
     classes = []
     for e, J in Js:
         d = J.norm
-        row_d = int(ug.rows([d], [0])[0])
-        if row_d < 0:
+        if (units.rows([d], [0]) < 0).any():
             raise NoConsistentLift(f"N{J!r} = {d} is not coprime to the conductor")
         x, y = _ideal_elements(J, X * d)
         norms = x * x + field.D * x * y + field.nm * y * y
@@ -184,12 +186,12 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
         if (per_n % field.wK).any():
             raise UnitCountMismatch(f"the elements of {J!r} are not w_K = {field.wK} per ideal")
         counts += per_n
-        rows = ug.rows(x, y)
-        unit = rows >= 0
+        rows = units.rows(x, y)
+        unit = np.flatnonzero((rows >= 0).all(axis=0))
         g = x[unit] + y[unit] * field.omega_complex
-        classes.append((e, d, row_d, n[unit], rows[unit], g))
+        classes.append((e, d, n[unit], rows.take(unit, axis=1), g))
     return ThetaLattice(
-        X=X, f=ug.f, class_reps=chi.class_reps, classes=tuple(classes), counts=counts
+        X=X, f=units.f, class_reps=chi.class_reps, classes=tuple(classes), counts=counts
     )
 
 
@@ -208,9 +210,9 @@ def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice | None = Non
         a_n = (1/w_K) sum_e sum_{g in J_e, N(g) = n N(J_e)} eps(g/N J_e) (g/N J_e) prod v_i^{e_i}.
 
     Every g in J_e with 0 < N(g) <= X N(J_e) is one row of an int64
-    array (theta_lattice), eps(g) is one gather from eps.unit_exponents
-    (zero where g meets the conductor), and the sum over n is two
-    bincounts.  lattice, when given, is theta_lattice of a character with
+    array (theta_lattice), eps(g) is one gather per local group of f from
+    eps.local_exponents (zero where g meets the conductor), and the sum
+    over n is two bincounts.  lattice, when given, is theta_lattice of a character with
     chi's conductor and class representatives to at least X, built once
     for all of them; else it is built here and used once.  Either way the
     table is the same, bit for bit.  A lattice of another conductor, other
@@ -225,18 +227,21 @@ def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice | None = Non
     if X > lattice.X:
         raise DomainError(f"the theta lattice reaches n = {lattice.X}, not {X}")
     field, eps, M = chi.field, chi.eps, chi.M
-    # zeta_M^k = i^q exp(i pi r / 2M) with 4k = qM + r: exact at the fourth roots of unity
+    # zeta_M^k = i^q exp(i pi r / 2M) with 4k = qM + r: exact at the fourth roots
+    # of unity; tiled so that it covers the unreduced exponents k + M - k_d below
     q, r = np.divmod(4 * np.arange(M), M)
     roots = np.array([1, 1j, -1, -1j])[q] * np.exp(0.5j * np.pi * r / M)
+    roots = np.tile(roots, len(eps.local_exponents) + 1)
     re, im = np.zeros(X + 1), np.zeros(X + 1)
-    for e, d, row_d, n, rows, g in lattice.classes:
+    for e, d, n, rows, g in lattice.classes:
         weight = 1 + 0j
         for v, ei in zip(chi.radicals, e):
             weight = weight * v**ei
         if X < lattice.X:
-            keep = n <= X
-            n, rows, g = n[keep], rows[keep], g[keep]
-        k = (eps.unit_exponents[rows] - int(eps.unit_exponents[row_d])) % M
+            keep = np.flatnonzero(n <= X)
+            n, rows, g = n[keep], rows.take(keep, axis=1), g[keep]
+        k = eps.exponents_at(rows)
+        k += M - eps.exponent_of(KElt(field, d, 0))
         values = roots[k] * g * (weight / d)
         re += np.bincount(n, weights=values.real, minlength=X + 1)
         im += np.bincount(n, weights=values.imag, minlength=X + 1)

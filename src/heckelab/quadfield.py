@@ -42,6 +42,7 @@ from .errors import (
     DomainError,
     FactorizationMismatch,
     IdealSearchExhausted,
+    NoCRTLift,
     NonFundamental,
     UnitCountMismatch,
 )
@@ -368,6 +369,27 @@ def coset_reps(big: Ideal, sub: Ideal):
     for s in range(sub.a // big.a):
         for r in range(sub.c // big.c):
             yield KElt(field, s * big.a + r * big.b, r * big.c)
+
+
+def idempotent(p: Ideal, q: Ideal) -> KElt:
+    """e in q with e = 1 mod p, for coprime p and q (p + q = O).
+
+    One solve of 1 - e = x with x in p and e in q over the HNF bases
+    p = a1 Z + (b1 + c1 omega) Z and q = a2 Z + (b2 + c2 omega) Z: the omega
+    coordinates force the multiples t c2/g and -t c1/g of the second basis
+    vectors, g = gcd(c1, c2), and the rational ones leave
+    u1 a1 + u2 a2 + t (b1 c2 - b2 c1)/g = 1, two extended gcds.  Raises
+    NoCRTLift when p + q is not O.
+    """
+    field = p.field
+    g = math.gcd(p.c, q.c)
+    g1, s1, s2 = xgcd(p.a, q.a)
+    one, s3, t = xgcd(g1, (p.b * q.c - q.b * p.c) // g)
+    v = -t * (p.c // g)
+    e = KElt(field, s3 * s2 * q.a + v * q.b, v * q.c)
+    if one != 1 or not (q.contains(e) and p.contains(field.one - e)):
+        raise NoCRTLift(f"{p!r} and {q!r} are not coprime")
+    return e
 
 
 @lru_cache(maxsize=None)

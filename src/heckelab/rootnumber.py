@@ -9,15 +9,26 @@ an auxiliary ideal c in the inverse class of the conductor, f(chi) c = (b),
 where eps is extended by zero off the units.  An element E of c with
 E = 1 mod f (it exists because c + f = O) turns the sum over c/fc into one
 over (O/f)^x: r -> rE is a bijection O/f -> c/fc with eps(rE) = eps(r).
-The trace is linear in the coordinates of r, so the sum is one array pass
-over the unit group's discrete-log table.  All of it but eps depends on
-the conductor alone: gauss_data builds c, b, E's additive phases and
-N(delta b) once, and every character of that conductor adds its own eps
-exponents to them.  Changing b by a unit or E by an element of fc
-reindexes the sum without changing W.  Every term's phase is an exact
-integer j modulo L = lcm(M, N(delta b)), so the sum is accumulated as a
-count per phase, with no floating-point fallback however large L grows;
-phases that could leave int64 raise PhaseOverflow.
+That sum is a product of local Gauss sums.  With e_P = 1 mod P^a and
+e_P = 0 mod f/P^a for each P^a || f, and u = E conj(delta b),
+
+    tau = prod_P sum_{r in (O/P^a)^x} eps_P(r) e^{2 pi i Tr(r e_P u) / N(delta b)},
+
+because r = sum_P r_P e_P mod f, eps(r) = prod_P eps_P(r_P), and the
+additive character is trivial on f (Iwaniec-Kowalski, Analytic Number
+Theory, ch. 12, for character sums to composite moduli; Tate, "Number
+theoretic background", Corvallis 1979, 3, for the root number as a
+product of local epsilon factors).  The trace is linear in the
+coordinates of r, so each local sum is one array pass over its local
+group's discrete-log table, and no array over all of (O/f)^x is formed.
+All of it but eps depends on the conductor alone: gauss_data builds c,
+b, each local group's additive phases and N(delta b) once, and every
+character of that conductor adds its own local eps exponents to them.
+Changing b by a unit or E by an element of fc reindexes the sum without
+changing W.  Every term's phase is an exact integer j modulo
+L = lcm(M, N(delta b)), so each local sum is accumulated as a count per
+phase, with no floating-point fallback however large L grows; phases
+that could leave int64 raise PhaseOverflow.
 
 The independent route, root_number_via_fe, reads W off the theta
 transformation theta(1/t) = W t^2 theta(t), which is the functional
@@ -113,16 +124,17 @@ def _one_mod_f_in_c(f: Ideal, c: Ideal) -> KElt:
 class GaussData:
     """The part of the Gauss sum shared by every character of conductor f.
 
-    The auxiliary pair (c, b), N = N(delta b) and phase, the additive phase
-    (x alpha + y beta) mod N of E at each row x + y omega of (O/f)^x; see
-    _gauss_sum.
+    The auxiliary pair (c, b), N = N(delta b) and phases: per local group
+    (O/P^a)^x of f, the additive phase (x alpha_P + y beta_P) mod N of
+    e_P u at each of its rows x + y omega, one array of length N(P^a)
+    (1 - 1/N(P)) per P^a || f; see _gauss_sum.
     """
 
     f: Ideal
     c: Ideal
     b: KElt
     N: int
-    phase: np.ndarray
+    phases: tuple
 
 
 def gauss_data(chi: HeckeCharacter, shift: KElt | None = None) -> GaussData:
@@ -138,32 +150,44 @@ def gauss_data(chi: HeckeCharacter, shift: KElt | None = None) -> GaussData:
     db = different_gen(field) * b
     N = db.norm()
     u = E * db.conjugate()
-    alpha, beta = u.trace() % N, (KElt(field, 0, 1) * u).trace() % N
-    ug = chi.eps.unit_group
-    # the largest intermediate is x alpha + y beta
+    units = chi.eps.unit_group
+    # the largest intermediate is x alpha + y beta, with each part's box inside f's
     if (f.a + f.c) * N > _INT64_MAX:
         raise PhaseOverflow(f"additive phases mod N = {N} overflow int64 over (O/{f!r})^x")
-    phase = (ug.xs * alpha + ug.ys * beta) % N
-    phase.flags.writeable = False
-    return GaussData(f=f, c=c, b=b, N=N, phase=phase)
+    phases = []
+    for part, e in zip(units.parts, units.idempotents):
+        v = e * u
+        alpha, beta = v.trace() % N, (KElt(field, 0, 1) * v).trace() % N
+        phase = (part.xs * alpha + part.ys * beta) % N
+        phase.flags.writeable = False
+        phases.append(phase)
+    return GaussData(f=f, c=c, b=b, N=N, phases=tuple(phases))
 
 
 def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
-    """sum over r in (O/f)^x of eps(r) e^{2 pi i Tr(r E/(delta b))}.
+    """sum over r in (O/f)^x of eps(r) e^{2 pi i Tr(r E/(delta b))}, as the
+    product of its local sums.
 
     E in c with E = 1 mod f makes r -> rE a bijection O/f -> c/fc with
     eps(rE) = eps(r), so this is the sum over c/fc of the module docstring.
-    With u = E conj(delta b) and N = N(delta b), Tr(rE/(delta b)) = Tr(ru)/N,
-    and for r = x + y omega Tr(ru) = x Tr(u) + y Tr(omega u).  So every term
-    is an exact L-th root of unity, L = lcm(M, N), with phase
+    With u = E conj(delta b) and N = N(delta b), Tr(rE/(delta b)) = Tr(ru)/N.
+    By CRT r = sum_P r_P e_P mod f, eps(r) = prod_P eps_P(r_P), and
+    Tr(ru)/N mod 1 depends on r mod f only, so the sum is
 
-        j = ((x alpha + y beta) mod N) (L/N) + k_r (L/M)  mod L,
+        prod_P sum_{r_P in (O/P^a)^x} eps_P(r_P) e^{2 pi i Tr(r_P e_P u)/N}.
 
-    alpha = Tr(u), beta = Tr(omega u) and k_r = dlog(r) . exps mod M, read
-    for all of (O/f)^x at once from eps.unit_exponents.  Only k_r and M
-    are chi's own; the rest is gauss, which must be of chi's conductor
-    (else DomainError).  The terms are counted by phase and only the final
-    sum of the counts, in ascending phase, is taken in floating point.
+    For r_P = x + y omega, Tr(r_P e_P u) = x Tr(e_P u) + y Tr(omega e_P u),
+    so every term of a local sum is an exact L-th root of unity,
+    L = lcm(M, N), with phase
+
+        j = ((x alpha_P + y beta_P) mod N) (L/N) + k_P(r_P) (L/M)  mod L,
+
+    alpha_P = Tr(e_P u), beta_P = Tr(omega e_P u), and k_P read for all of
+    (O/P^a)^x at once from eps.local_exponents.  Only k_P and M are chi's
+    own; the rest is gauss, which must be of chi's conductor (else
+    DomainError).  The terms of each local sum are counted by phase and
+    only the sum of the counts, in ascending phase, is taken in floating
+    point; the local sums are then multiplied.
     """
     f = chi.conductor
     if gauss.f != f:
@@ -171,14 +195,17 @@ def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     N, M = gauss.N, chi.M
     L = math.lcm(M, N)
     # the largest intermediate below is j < 2L; gauss_data guards the additive
-    # phases and unit_exponents guards dlog . exps
+    # phases and local_exponents guards dlog . exps
     if 2 * L > _INT64_MAX:
         raise PhaseOverflow(f"phases mod L = {L} overflow int64 over (O/{f!r})^x")
-    j = (gauss.phase * (L // N) + chi.eps.unit_exponents * (L // M)) % L
-    phases, counts = np.unique(j, return_counts=True)
-    return sum(
-        n * cmath.exp(2j * cmath.pi * p / L) for p, n in zip(phases.tolist(), counts.tolist())
-    )
+    out = 1 + 0j
+    for phase, k in zip(gauss.phases, chi.eps.local_exponents):
+        j = (phase * (L // N) + k * (L // M)) % L
+        phases, counts = np.unique(j, return_counts=True)
+        out *= sum(
+            n * cmath.exp(2j * cmath.pi * p / L) for p, n in zip(phases.tolist(), counts.tolist())
+        )
+    return out
 
 
 def gauss_sum_root_number(

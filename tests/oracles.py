@@ -14,9 +14,19 @@
 * The scalar kernel I_v(u), one u at a time with a convergence test per
   term: the reference for the package's array kernel.
 * table_dict, which reads a theta table as {n: a_n}.
-* twist_per_member, the per-character twist: one (O/m)^x pass, one
-  conductor descent and one fully checked build_hecke_character per
-  character phi * rho, the reference for characters.twist_orbit.
+* twist_per_member, the per-character twist: one pass over a global
+  dlog table of (O/m)^x, one conductor descent over it and one fully
+  checked build_hecke_character per character phi * rho, the reference
+  for characters.twist_orbit, which reads the local groups (O/P^a)^x.
+* global_unit_exponents, eps at every residue of the global table
+  unit_group_mod(f) of a composite f, from eps at that table's own
+  generators; the reference for FinitePart's sum over its local parts.
+* global_gauss_sum, the Gauss sum as one pass over that global table with
+  the N(f)-long additive phase: the reference for rootnumber._gauss_sum,
+  which multiplies local sums over the (O/P^a)^x.
+* local_part_twists, every twist of conductor exactly c of the families
+  LOCAL_PART_FAMILIES, on which the two references above are compared
+  with the local parts.
 * dropdown_kernel_by_search, the kernel of Pic(O_c) -> Pic(O_{c/p}) from
   the classes of the first ideals, in (norm, HNF) order, that are trivial
   in Pic(O_{c/p}): the reference for family._dropdown_kernel, which builds
@@ -42,8 +52,12 @@ from heckelab.characters import (
     _ideal_from_factors,
     _unit_exponents,
     build_hecke_character,
+    canonical_epsilon,
     evaluate_char,
+    finite_part,
+    gaussian_epsilon,
     ideal_lcm,
+    local_unit_groups,
     unit_group_mod,
 )
 from heckelab.errors import (
@@ -52,7 +66,7 @@ from heckelab.errors import (
     NonPositiveArgument,
     NumericalInstability,
 )
-from heckelab.family import _subgroup_closure
+from heckelab.family import _subgroup_closure, enumerate_twists, orbit_characters
 from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
 from heckelab.quadfield import (
     FieldContext,
@@ -60,12 +74,14 @@ from heckelab.quadfield import (
     KElt,
     class_group,
     ideals_by_norm,
+    make_field,
     prime_ideals_above,
     principal_ideal,
     ring_class_dlog,
     ring_class_number,
     unit_ideal,
 )
+from heckelab.rootnumber import GaussData, _one_mod_f_in_c, different_gen
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
@@ -333,10 +349,12 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
     """The primitive Hecke character inducing phi * rho, built on its own.
 
     The combined exponent comes from eps_phi and rho at each generator of
-    (O/m)^x, m = lcm(f(phi), cO); its conductor from conductor_descent;
-    its finite part from a scatter onto (O/f(chi))^x; and the character
-    from build_hecke_character, whose primitivity check certifies the
-    descent.  The roots are those nearest phi(a_i) rho(a_i).
+    the global table (O/m)^x, m = lcm(f(phi), cO); its conductor from
+    conductor_descent over that table; its finite part from a scatter onto
+    the global table of (O/f(chi))^x, read at the lifted local generators
+    that finite parts store exponents on; and the character from
+    build_hecke_character, whose primitivity check certifies the descent.
+    The roots are those nearest phi(a_i) rho(a_i).
     """
     field = phi.field
     if rho.is_trivial():
@@ -357,8 +375,9 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
     if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
         raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
     M_new = math.lcm(Mc, field.wK, ug_f.exponent)
-    exps = tuple(int(k_f[ug_f.box_row[y * f_chi.a + x]]) * (M_new // Mc) for x, y in ug_f.gens)
-    eps_chi = FinitePart(field, f_chi, M_new, ug_f, exps)
+    gen_rows = [int(ug_f.rows([x], [y])[0]) for x, y in local_unit_groups(field, f_chi).gens]
+    exps = tuple(int(k_f[row]) * (M_new // Mc) for row in gen_rows)
+    eps_chi = finite_part(field, f_chi, exps, M=M_new)
 
     base = build_hecke_character(field, eps_chi, twist_data=(rho.c, rho.exponents))
     choices, radicals = [], []
@@ -371,6 +390,48 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
         choices.append(best)
         radicals.append(roots[best])
     return replace(base, root_choices=tuple(choices), radicals=tuple(radicals))
+
+
+def global_unit_exponents(eps: FinitePart):
+    """(ug, k): the global table ug = unit_group_mod(eps.f) and eps at its
+    every row, as vecs . (eps at ug's own generators) mod M.
+
+    Only eps's values at ug.gens are read from the finite part, one
+    exponent_of each; the rest is the global table's dlogs.
+    """
+    ug = unit_group_mod(eps.field, eps.f)
+    at_gens = [eps.exponent_of(KElt(eps.field, *g)) for g in ug.gens]
+    return ug, _unit_exponents(ug, at_gens, eps.M)
+
+
+def local_matches_global(eps: FinitePart) -> bool:
+    """eps read through its local parts equals the global-table route at
+    every unit residue mod eps.f."""
+    ug, k = global_unit_exponents(eps)
+    rows = eps.unit_group.rows(ug.xs, ug.ys)
+    return bool((rows >= 0).all()) and (eps.exponents_at(rows) % eps.M).tobytes() == k.tobytes()
+
+
+def global_gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
+    """The Gauss sum of rootnumber._gauss_sum as one pass over (O/f)^x.
+
+    u = E conj(delta b) with E = _one_mod_f_in_c(f, gauss.c), the additive
+    phase (x Tr(u) + y Tr(omega u)) mod N at every residue x + y omega of
+    the global table, and eps there from global_unit_exponents; the terms
+    are counted per exact phase mod L = lcm(M, N), as the package does.
+    """
+    field, f = chi.field, chi.conductor
+    db = different_gen(field) * gauss.b
+    N, M = db.norm(), chi.M
+    u = _one_mod_f_in_c(f, gauss.c) * db.conjugate()
+    ug, k = global_unit_exponents(chi.eps)
+    phase = (ug.xs * (u.trace() % N) + ug.ys * ((KElt(field, 0, 1) * u).trace() % N)) % N
+    L = math.lcm(M, N)
+    j = (phase * (L // N) + k * (L // M)) % L
+    phases, counts = np.unique(j, return_counts=True)
+    return sum(
+        n * cmath.exp(2j * cmath.pi * p / L) for p, n in zip(phases.tolist(), counts.tolist())
+    )
 
 
 def dropdown_kernel_by_search(field: FieldContext, c: int, p: int) -> list[tuple[int, ...]]:
@@ -396,3 +457,30 @@ def dropdown_kernel_by_search(field: FieldContext, c: int, p: int) -> list[tuple
             found.append(vec)
             if len(_subgroup_closure(found, orders)) >= want:
                 return found
+
+
+# (D, P, c): inert primes (3 over Q(i)), split ones with P and conj(P) both
+# in f, the ramified (1+i) at exponents up to 8, and h = 3 (D = -23)
+LOCAL_PART_FAMILIES = [
+    (-4, (5,), 125),
+    (-4, (5, 13), 65),
+    (-4, (3,), 27),
+    (-4, (3,), 81),
+    (-4, (2, 5), 40),
+    (-4, (2,), 32),
+    (-23, (2, 3), 72),
+    (-7, (2, 3), 12),
+]
+
+
+def local_part_twists():
+    """(label, chi) for every member of every twist orbit of conductor
+    exactly c in LOCAL_PART_FAMILIES, over the canonical base character."""
+    for D, P, c in LOCAL_PART_FAMILIES:
+        field = make_field(D)
+        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        phi = build_hecke_character(field, eps)
+        for orbit in enumerate_twists(field, P, c):
+            if orbit.c == c:
+                for m, chi in zip(orbit.members, orbit_characters(phi, orbit)):
+                    yield f"D={D} c={c} {orbit.exponents} m={m}", chi

@@ -8,6 +8,7 @@ import pytest
 from heckelab.arith import factorize
 from heckelab.characters import (
     CharValue,
+    _unit_exponents,
     build_hecke_character,
     canonical_epsilon,
     check_property1,
@@ -15,6 +16,7 @@ from heckelab.characters import (
     finite_part,
     gaussian_epsilon,
     ideal_lcm,
+    local_unit_groups,
     main_lemma_quantities,
     ring_class_character,
     twist,
@@ -24,6 +26,7 @@ from heckelab.characters import (
 from heckelab.errors import (
     DomainError,
     ImprimitiveFinitePart,
+    NoCRTLift,
     NoConsistentLift,
     RestrictionMismatch,
     UnitInconsistent,
@@ -37,6 +40,7 @@ from heckelab.quadfield import (
     coset_reps,
     enumerate_ideals,
     ideal_class_of,
+    idempotent,
     make_field,
     prime_ideals_above,
     principal_ideal,
@@ -265,6 +269,56 @@ def test_unit_group_matches_dict_oracle():
     assert len(bases) == 2062
     # the oracle's basis of the c = 43 twist-deep modulus is the pinned one
     assert bases[-4, 172, 86, 86] == (((128, 43), (169, 6)), (4, 1848))
+
+
+def test_local_parts_match_the_global_table():
+    # eps read through its local parts (O/P^a)^x against the global table of
+    # (O/f)^x at every unit residue: a random finite part on every composite
+    # modulus of the dict oracle, and every twist of the local-part families
+    rng = random.Random(45)
+    composite = 0
+    for field, f in _oracle_moduli():
+        units = local_unit_groups(field, f)
+        if len(units.parts) < 2:
+            continue
+        M = math.lcm(units.exponent, field.wK)
+        exps = [rng.randrange(n) * (M // n) for n in units.orders]
+        eps = finite_part(field, f, exps, M=M)
+        # each lifted generator is 1 at every other part
+        assert [eps.exponent_of(KElt(field, *g)) for g in units.gens] == exps, (field.D, f)
+        assert oracles.local_matches_global(eps), (field.D, f)
+        composite += 1
+    assert composite == 1653
+    twists = 0
+    for label, chi in oracles.local_part_twists():
+        assert oracles.local_matches_global(chi.eps), label
+        twists += 1
+    assert twists == 146
+
+
+def test_crt_idempotents():
+    # e_P = 1 mod P^a and e_P in f/P^a, with P and conj(P) both dividing f
+    # over Q(i), the non-principal P2 P3 over D = -23 and the twist-deep moduli
+    f4, f23 = make_field(-4), make_field(-23)
+    cube = principal_ideal(f4, KElt(f4, 3, 1)) ** 3
+    p5, q5 = prime_ideals_above(f4, 5)
+    (p2,), (p3, _) = prime_ideals_above(f23, 2)[:1], prime_ideals_above(f23, 3)
+    moduli = [(f4, cube * p5 * q5**2), (f23, p2 * p3)]
+    moduli += [(f4, cube * principal_ideal(f4, KElt(f4, n, 0))) for n in (43, 67)]
+    for field, f in moduli:
+        units = local_unit_groups(field, f)
+        assert len(units.factors) >= 2
+        for (pr, a), e in zip(units.factors, units.idempotents):
+            rest = unit_ideal(field)
+            for other, b in units.factors:
+                if other != pr:
+                    rest = rest * other**b
+            assert (pr**a).contains(e - field.one) and rest.contains(e), (f, pr)
+    # one solve, no walk over residues: coprime ideals of norm 5^40 each
+    e = idempotent(p5**40, q5**40)
+    assert (p5**40).contains(e - f4.one) and (q5**40).contains(e)
+    with pytest.raises(NoCRTLift):
+        idempotent(p5 * q5, p5)
 
 
 def test_unit_group_order_formula():
@@ -639,7 +693,7 @@ def test_twist_orbit_matches_per_member_oracle(D, P, c_max):
             assert chi.descriptor() == want.descriptor(), (orbit, m)
             assert chi.radicals == want.radicals, (orbit, m)
             assert chi.conductor == want.conductor, (orbit, m)
-            assert chi.eps.unit_exponents.tobytes() == want.eps.unit_exponents.tobytes()
+            assert oracles.local_matches_global(chi.eps), (orbit, m)
             # the descent certified what build_hecke_character checks again
             assert chi.eps.is_primitive() and chi.eps.is_unit_consistent()
             members_seen += 1
@@ -654,12 +708,13 @@ def test_twist_orbit_groups_members_by_conductor(chi4):
     rho = ring_class_character(field, 13, (5,))
     chars = twist_orbit(phi, rho, (1, 5))
     assert [chi.conductor_norm for chi in chars] == [8, 8 * 13**2]
-    # the same finite part as phi's, in mu_12 rather than mu_4
-    assert (chars[0].eps.unit_exponents * chi4.M == chi4.eps.unit_exponents * chars[0].M).all()
+    # the same finite part as phi's, in mu_12 rather than mu_4, at every residue
+    (_, k0), (_, k_phi) = (oracles.global_unit_exponents(chi.eps) for chi in (chars[0], chi4))
+    assert (k0 * chi4.M == k_phi * chars[0].M).all()
     for j, chi in zip((1, 5), chars):
         want = oracles.twist_per_member(phi, ring_class_character(field, 13, (5 * j,)))
         assert chi.descriptor() == want.descriptor() and chi.radicals == want.radicals
-        assert chi.eps.unit_exponents.tobytes() == want.eps.unit_exponents.tobytes()
+        assert oracles.local_matches_global(chi.eps)
         assert chi.eps.is_primitive()
 
 
@@ -746,27 +801,30 @@ def test_main_lemma_large_mu(chi4):
 
 
 # Oracles for twist() and main_lemma_quantities: the divisor search,
-# generator lifts and coset loops that the masks over (O/f)^x replaced,
-# visiting one residue at a time.
+# generator lifts and coset loops that the masks over the local groups
+# replaced, visiting one residue at a time of a global dlog table.
 
 
-def _oracle_exponent(eps, z):
-    ug = eps.unit_group
-    r = eps.f.reduce_element(z)
-    row = ug.box_row[r.y * eps.f.a + r.x]
-    return None if row < 0 else sum(k * int(e) for k, e in zip(eps.exps, ug.vecs[row])) % eps.M
+def _oracle_exponent(table, z):
+    """eps(z) from a global table (ug, k) of eps at every row, None off the units."""
+    ug, k = table
+    r = ug.f.reduce_element(z)
+    row = ug.box_row[r.y * ug.f.a + r.x]
+    return None if row < 0 else int(k[row])
 
 
 def _oracle_twist_finite_part(phi, rho):
-    """(f, M, exps) of twist(phi, rho)'s finite part: the conductor is the
-    gcd of every divisor g of m whose units 1 + t, t in g, the combined
-    character kills; each generator mod f lifts by trial to a unit mod m."""
+    """(f, M, table) of twist(phi, rho)'s finite part, table = (ug, k) with
+    ug = unit_group_mod(f) and k the finite part at its every row: the
+    conductor is the gcd of every divisor g of m whose units 1 + t, t in g,
+    the combined character kills; each generator mod f lifts by trial to a
+    unit mod m."""
     field = phi.field
     m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
     Mc = math.lcm(phi.M, rho.order)
     ug_m = unit_group_mod(field, m)
     gen_exps = [oracles.combined_exponent(phi, rho, Mc, KElt(field, *g)) for g in ug_m.gens]
-    eps_m = finite_part(field, m, gen_exps, M=Mc)
+    eps_m = (ug_m, _unit_exponents(ug_m, gen_exps, Mc))
 
     divisors = [unit_ideal(field)]
     for pr, e in m.factor().items():
@@ -788,7 +846,7 @@ def _oracle_twist_finite_part(phi, rho):
         ks = (_oracle_exponent(eps_m, z + t) for t in coset_reps(f_chi, m))
         exps.append(next(k for k in ks if k is not None))
     M = math.lcm(Mc, field.wK, ug_f.exponent)
-    return f_chi, M, tuple(k * (M // Mc) % M for k in exps)
+    return f_chi, M, (ug_f, _unit_exponents(ug_f, [k * (M // Mc) % M for k in exps], M))
 
 
 def _oracle_main_lemma(char, mu=2):
@@ -796,6 +854,7 @@ def _oracle_main_lemma(char, mu=2):
     1 mod p^3 O + f_p, each lifted by trial to 1 mod the rest of f."""
     field, f = char.field, char.eps.f
     one, factors = unit_ideal(field), f.factor()
+    table = oracles.global_unit_exponents(char.eps)
     out = []
     for p, m_p in factorize(f.norm):
         f_p = math.prod((pr**e for pr, e in factors.items() if pr.norm % p == 0), start=one)
@@ -804,7 +863,7 @@ def _oracle_main_lemma(char, mu=2):
         for t in coset_reps((Ideal(field, p, 0, p) ** 3).add(f_p), f_p):
             z = field.one + t
             w = next(z + s for s in coset_reps(f_p, f) if f_cop.contains(z + s - field.one))
-            k = _oracle_exponent(char.eps, w)
+            k = _oracle_exponent(table, w)
             order = math.lcm(order, char.M // math.gcd(char.M, k))
         o_p = round(math.log(order, p))
         assert order == p**o_p
@@ -826,7 +885,11 @@ def test_twist_and_main_lemma_match_residue_oracles(D, cs, o_ps):
         for m in orbit.members:
             rho = orbit.rho(field, m)
             chi = twist(phi, rho)
-            assert (chi.eps.f, chi.eps.M, chi.eps.exps) == _oracle_twist_finite_part(phi, rho)
+            f_chi, M, (ug, k) = _oracle_twist_finite_part(phi, rho)
+            assert (chi.eps.f, chi.eps.M) == (f_chi, M)
+            # eps at every unit residue mod f_chi, through the local parts
+            rows = chi.eps.unit_group.rows(ug.xs, ug.ys)
+            assert (chi.eps.exponents_at(rows) % M).tobytes() == k.tobytes()
             entries = [(e.p, e.m_p, e.o_p, e.n_p) for e in main_lemma_quantities(chi).entries]
             assert entries == _oracle_main_lemma(chi)
             seen_o.update(e[2] for e in entries)

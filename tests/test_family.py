@@ -215,8 +215,10 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
 
     phi is evaluated outside the Gauss sums at most once per ideal (33 of
     them reach the orbit-mean checks), the three c = 13 orbits of 1, 2 and
-    2 members over one modulus make equal numbers of one_mod calls, and
-    the ideal list is enumerated again only at a larger bound.
+    2 members over one modulus make equal numbers of one_mod calls, one
+    mask of the conductor descent per local group (O/P^a)^x of
+    m = (1+i)^3 P13 conj(P13), and the ideal list is enumerated again only
+    at a larger bound.
     """
     from heckelab import rootnumber
 
@@ -265,9 +267,37 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     assert len(phi_calls) == len(set(phi_calls)) <= 33
     c13 = [(size, calls) for (c, _), (size, calls) in per_orbit.items() if c == 13]
     assert sorted(size for size, _ in c13) == [1, 2, 2]
-    # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per orbit
-    assert len({calls for _, calls in c13}) == 1 and c13[0][1] > 0
+    # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per
+    # orbit and local group
+    assert [calls for _, calls in c13] == [3, 3, 3]
     assert len(bounds) <= 4 and bounds == sorted(set(bounds))
+
+
+def test_only_prime_powers_reach_unit_group_mod(monkeypatch):
+    # scans and twists read (O/f)^x through its local groups (O/P^a)^x, so no
+    # unit group of a composite modulus is built: scan-gauss, D = -23 at h = 3
+    # and the two twist-deep characters, root numbers and central values included
+    build, moduli = characters.unit_group_mod, []
+
+    def counted(field, f):
+        moduli.append(f)
+        return build(field, f)
+
+    monkeypatch.setattr(characters, "unit_group_mod", counted)
+    for D, P, c_max in ((-4, (5, 13), 25), (-23, (2, 3), 8)):
+        field = make_field(D)
+        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        phi = build_hecke_character(field, eps)
+        records = family.scan_report(field, phi, P, c_max)
+        assert records and all(r.error is None for r in records)
+    field = make_field(-4)
+    phi = build_hecke_character(field, gaussian_epsilon(field))
+    for c, t in ((43, 11), (67, 17)):
+        chi = twist(phi, ring_class_character(field, c, (t,)))
+        W = root_number(chi)
+        central_value(chi, (1 - int(W)) // 2, 1e-10, W)
+    assert [f for f in moduli if len(f.factor()) != 1] == []
+    assert {f.norm for f in moduli} >= {8, 43**2, 67**2}
 
 
 def test_scan_lists_ideals_only_for_the_walk(monkeypatch):
@@ -453,8 +483,9 @@ def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
 
     def collapsed(elements, mul, identity):
         # a law sending every product to 1 fails the certificate on any group
-        # larger than phi's (O/(1+i)^3)^x, such as the c = 5 twist's (O/m)^x
-        if len(elements) > 4:
+        # of two or more elements; phi already holds its (O/(1+i)^3)^x, and
+        # the c = 5 twist's local groups, of 4 elements each, are built anew
+        if len(elements) > 1:
             mul = lambda u, v: np.full(np.broadcast(u, v).shape, identity)
         return structure(elements, mul, identity)
 

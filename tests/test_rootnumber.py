@@ -27,7 +27,7 @@ from heckelab.rootnumber import (
     root_number,
     root_number_via_fe,
 )
-from oracles import lambda_value
+from oracles import global_gauss_sum, lambda_value, local_part_twists
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +229,19 @@ def test_gauss_sum_matches_transversal_oracle():
     assert checked == 15 + 1 + 2
 
 
+def test_local_gauss_sums_match_the_global_sum():
+    # the product of local sums over the (O/P^a)^x against one pass over the
+    # global table of (O/f)^x, on every twist of the local-part families
+    checked = 0
+    for label, chi in local_part_twists():
+        gauss = gauss_data(chi)
+        want = global_gauss_sum(chi, gauss)
+        assert abs(_gauss_sum(chi, gauss) - want) <= 1e-12 * abs(want), label
+        assert len(gauss.phases) == len(chi.conductor.factor()), label
+        checked += 1
+    assert checked == 146
+
+
 def test_one_mod_f_in_c_nontrivial():
     field = make_field(-23)
     for p3 in prime_ideals_above(field, 3):
@@ -264,5 +277,5 @@ def test_unit_exponent_overflow_is_a_domain_error(chi4):
     # of order 4 could leave int64 there
     eps = finite_part(chi4.field, chi4.conductor, (2**60,), M=2**62)
     with pytest.raises(PhaseOverflow) as info:
-        eps.unit_exponents
+        eps.local_exponents
     assert isinstance(info.value, HeckeLabError)
