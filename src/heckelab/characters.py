@@ -983,11 +983,10 @@ class MainLemmaReport:
         return None
 
 
-def main_lemma_quantities(
-    char: HeckeCharacter, mu: int = 2, primes=None
-) -> MainLemmaReport:
+def main_lemma_quantities(char: HeckeCharacter) -> MainLemmaReport:
     """Per-prime conductor exponents m_p, local orders o_p on 1 + p^3 O, and
-    the counting exponents n_p = max(0, o_p - mu - h) with q = prod p^{n_p}.
+    the counting exponents n_p = max(0, o_p - mu - h) with q = prod p^{n_p},
+    for the primes p of N(f), with p^{m_p} || N(f) and mu = 2.
 
     The bound |m_p/2 - n_p| <= 3 + mu + h is checked for every prime and
     raises MainLemmaViolation when it fails.
@@ -998,19 +997,10 @@ def main_lemma_quantities(
     other parts: one mask per part over p.  The exponents there generate a
     cyclic subgroup of mu_M, of order M / gcd(M, their gcd).
     """
-    if mu < 1:
-        raise ValueError("mu must be a positive integer")
-    field = char.field
-    Nf = char.eps.f.norm
-    ps = sorted(primes) if primes is not None else [p for p, _ in factorize(Nf)]
-    h = field.h
+    field, mu, h = char.field, 2, char.field.h
     units = char.eps.unit_group
     entries = []
-    for p in ps:
-        m_p = v_p(Nf, p)
-        if m_p == 0:
-            entries.append(MainLemmaEntry(p=p, m_p=0, o_p=0, n_p=0))
-            continue
+    for p, m_p in factorize(char.eps.f.norm):
         g = 0
         for (pr, _), part, k in zip(units.factors, units.parts, char.eps.local_exponents):
             if pr.norm % p:

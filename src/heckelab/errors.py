@@ -87,8 +87,7 @@ class DegenerateQuotient(HeckeLabError):
 
 
 class NoCRTLift(HeckeLabError):
-    """No E in the auxiliary ideal c with E = 1 mod f: c + f is not all of O,
-    or a shift moved E out of that coset."""
+    """No e in q with e = 1 mod p (the root number's E in c, 1 mod f): p + q is not O."""
 
 
 class PhaseOverflow(HeckeLabError):

@@ -218,8 +218,8 @@ class TwistOrbit:
     order: int
     members: tuple[int, ...]  # the exponents m
 
-    def rho(self, field: FieldContext, m: int = 1) -> RingClassCharacter:
-        return ring_class_character(field, self.c, tuple(m * t for t in self.exponents))
+    def rho(self, field: FieldContext) -> RingClassCharacter:
+        return ring_class_character(field, self.c, self.exponents)
 
 
 def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> list[TwistOrbit]:
@@ -641,16 +641,11 @@ def save_scan(
     tol: float,
     records: list[FamilyRecord],
     outdir: str | Path,
-    stem: str = "scan",
 ) -> dict[str, Path]:
-    """Write stem.json and stem.csv (deterministic) and append to stem.log."""
+    """Write scan.json and scan.csv (deterministic) and append to scan.log."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "json": outdir / f"{stem}.json",
-        "csv": outdir / f"{stem}.csv",
-        "log": outdir / f"{stem}.log",
-    }
+    paths = {kind: outdir / f"scan.{kind}" for kind in ("json", "csv", "log")}
     paths["json"].write_text(scan_to_json(field, phi, P, c_max, tol, records))
     paths["csv"].write_text(scan_to_csv(field, records))
     with paths["log"].open("a") as fh:

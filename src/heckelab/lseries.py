@@ -13,10 +13,11 @@ The coefficients a_n are Hecke's theta series, summed over the lattice
 points of one ideal per ideal class (theta_coeffs).  central_value and
 rootnumber.root_number_via_fe read their tables from theta_coeffs, which
 evaluates chi at no ideal: every value is one gather per local group
-(O/P^a)^x from the finite part's local exponent arrays.  A table is a
-ThetaTable of two arrays, the n in ascending order and their a_n; a
-table to X holds the table to any smaller bound as its prefix, bit for
-bit, so one table can serve two truncations.  The lattice points, their
+(O/P^a)^x from the finite part's local exponent arrays.  central_value
+takes W from its caller, so this module imports nothing from rootnumber.
+A table is a ThetaTable of two arrays, the n in ascending order and their
+a_n; a table to X holds the table to any smaller bound as its prefix, bit
+for bit, so one table can serve two truncations.  The lattice points, their
 rows in the local groups of f and their norms depend only on the
 conductor and the class representatives: theta_lattice builds them once,
 and theta_coeffs reads them for every character that shares them.
@@ -300,18 +301,13 @@ def truncation(Af: float, tol: float) -> float:
     return Af * max(40.0, math.log(8.0 / tol) + 2.0 * math.log(1.0 + Af))
 
 
-def _require_sign(chi: HeckeCharacter, v: int, w: float | None) -> float:
-    if w is None:
-        from .rootnumber import root_number
-
-        w = root_number(chi)
+def _require_sign(v: int, w: float) -> None:
     if v not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {v}")
     if (1 - round(w)) // 2 != v:
         raise SignMismatch(
             f"W = {w:+.0f} forces vanishing order {(1 - round(w)) // 2}, not v = {v}"
         )
-    return float(round(w))
 
 
 def _real_part(terms: np.ndarray, scale: float, what: str) -> float:
@@ -341,22 +337,23 @@ def smoothing_kernel(chi: HeckeCharacter, v: int, n: np.ndarray) -> SmoothingKer
 def central_value(
     chi: HeckeCharacter,
     v: int,
-    tol: float = 1e-10,
-    w: float | None = None,
+    tol: float,
+    w: float,
     table: ThetaTable | None = None,
     kernel: SmoothingKernel | None = None,
 ) -> SmoothedValue:
     """L(1, chi) for v = 0 or L'(1, chi) for v = 1, truncated with a tail bound.
 
-    The requested v must match the root number: v = (1 - W)/2.  The other
-    parity would sum to an uninformative 0.  table, when given, is chi's
+    w is chi's root number W, from rootnumber.root_number; the requested v
+    must match it, v = (1 - W)/2, since the other parity would sum to an
+    uninformative 0.  table, when given, is chi's
     theta table to at least T, built by the caller for another use as well;
     its prefix n <= T is exactly theta_coeffs(chi, int(T)).  kernel, when
     given, is smoothing_kernel at v and chi's Af over at least those n,
     built once for every character of chi's conductor; one of another v or
     Af, or that stops short of T, raises DomainError.
     """
-    _require_sign(chi, v, w)
+    _require_sign(v, w)
     f, Af = _scale(chi)
     T = truncation(Af, tol)
     if table is None:

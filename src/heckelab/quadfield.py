@@ -15,6 +15,10 @@ Conventions used throughout the package:
   bound) is its norm <= bound prefix, and the two searches for the first
   ideal with some property (class representatives and the root number's
   auxiliary ideal) are plain for loops over it.
+* Elements are never searched for among residues: an e in q with
+  e = 1 mod p, for coprime ideals p and q, is one lattice solve,
+  idempotent(p, q).  It gives the CRT idempotents of the local unit groups
+  and the root number's E in c with E = 1 mod f.
 """
 
 from __future__ import annotations
@@ -359,16 +363,6 @@ def principal_ideal(field: FieldContext, z: KElt) -> Ideal:
     """The ideal z*O for an integral z != 0."""
     zw = z * KElt(field, 0, 1)
     return Ideal(field, *_hnf_from_vectors([(z.x, z.y), (zw.x, zw.y)]))
-
-
-def coset_reps(big: Ideal, sub: Ideal):
-    """Box transversal of big/sub for nested HNF lattices (sub inside big)."""
-    field = big.field
-    if sub.a % big.a or sub.c % big.c:
-        raise ValueError("not a nested pair of HNF lattices")
-    for s in range(sub.a // big.a):
-        for r in range(sub.c // big.c):
-            yield KElt(field, s * big.a + r * big.b, r * big.c)
 
 
 def idempotent(p: Ideal, q: Ideal) -> KElt:

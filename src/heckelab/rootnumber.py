@@ -9,7 +9,10 @@ an auxiliary ideal c in the inverse class of the conductor, f(chi) c = (b),
 where eps is extended by zero off the units.  An element E of c with
 E = 1 mod f (it exists because c + f = O) turns the sum over c/fc into one
 over (O/f)^x: r -> rE is a bijection O/f -> c/fc with eps(rE) = eps(r).
-That sum is a product of local Gauss sums.  With e_P = 1 mod P^a and
+E is one lattice solve, quadfield.idempotent(f, c), the CRT lift of
+Cohen, Advanced Topics in Computational Number Theory (GTM 193), 4.2,
+which checks E in c and E = 1 mod f before it returns.  That sum is a
+product of local Gauss sums.  With e_P = 1 mod P^a and
 e_P = 0 mod f/P^a for each P^a || f, and u = E conj(delta b),
 
     tau = prod_P sum_{r in (O/P^a)^x} eps_P(r) e^{2 pi i Tr(r e_P u) / N(delta b)},
@@ -48,7 +51,6 @@ none of it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,18 +61,17 @@ from .errors import (
     DegenerateQuotient,
     DomainError,
     NoAuxiliaryGenerator,
-    NoCRTLift,
     NumericalInstability,
     PhaseOverflow,
 )
-from .lseries import ThetaTable, theta_coeffs
+from .lseries import ThetaTable
 from .quadfield import (
     FieldContext,
     Ideal,
     KElt,
     canonical_generator,
-    coset_reps,
     ideal_class_of,
+    idempotent,
     ideals_by_norm,
 )
 
@@ -100,26 +101,6 @@ def _auxiliary_for_ideal(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
             return c, b
 
 
-@dataclass(frozen=True)
-class RootNumberResult:
-    W_gauss: complex
-    delta: KElt
-    auxiliary: tuple[Ideal, KElt]
-
-
-def _one_mod_f_in_c(f: Ideal, c: Ideal) -> KElt:
-    """E in c with E = 1 mod f, as E = 1 + t for the t in f/fc with 1 + t in c.
-
-    Such t exists exactly when c + f = O and is then unique mod fc, so the
-    search visits at most N(c) residues.
-    """
-    one = f.field.one
-    for t in coset_reps(f, f * c):
-        if c.contains(one + t):
-            return one + t
-    raise NoCRTLift(f"no E in {c!r} with E = 1 mod {f!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class GaussData:
     """The part of the Gauss sum shared by every character of conductor f.
@@ -137,16 +118,11 @@ class GaussData:
     phases: tuple
 
 
-def gauss_data(chi: HeckeCharacter, shift: KElt | None = None) -> GaussData:
-    """The Gauss-sum data of chi's conductor; shift (an element of fc)
-    replaces E by E + shift."""
+def gauss_data(chi: HeckeCharacter) -> GaussData:
+    """The Gauss-sum data of chi's conductor, with E = idempotent(f, c)."""
     field, f = chi.field, chi.conductor
     c, b = auxiliary_pair(chi)
-    E = _one_mod_f_in_c(f, c)
-    if shift is not None:
-        E = E + shift
-    if not (c.contains(E) and f.contains(E - field.one)):
-        raise NoCRTLift(f"E = {E!r} is not in {c!r} and 1 mod {f!r}")
+    E = idempotent(f, c)
     db = different_gen(field) * b
     N = db.norm()
     u = E * db.conjugate()
@@ -185,9 +161,10 @@ def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     alpha_P = Tr(e_P u), beta_P = Tr(omega e_P u), and k_P read for all of
     (O/P^a)^x at once from eps.local_exponents.  Only k_P and M are chi's
     own; the rest is gauss, which must be of chi's conductor (else
-    DomainError).  The terms of each local sum are counted by phase and
-    only the sum of the counts, in ascending phase, is taken in floating
-    point; the local sums are then multiplied.
+    DomainError).  The terms of each local sum are counted by phase, and
+    the local sum is the counts' dot product with e^{2 pi i j/L} at the
+    distinct phases j, the only floating-point step; the local sums are
+    then multiplied.
     """
     f = chi.conductor
     if gauss.f != f:
@@ -202,28 +179,23 @@ def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     for phase, k in zip(gauss.phases, chi.eps.local_exponents):
         j = (phase * (L // N) + k * (L // M)) % L
         phases, counts = np.unique(j, return_counts=True)
-        out *= sum(
-            n * cmath.exp(2j * cmath.pi * p / L) for p, n in zip(phases.tolist(), counts.tolist())
-        )
+        out *= complex(counts @ np.exp(2j * np.pi / L * phases))
     return out
 
 
-def gauss_sum_root_number(
-    chi: HeckeCharacter, gauss: GaussData | None = None
-) -> RootNumberResult:
-    """W by the explicit formula, with the auxiliary data it used.
+def gauss_sum_root_number(chi: HeckeCharacter, gauss: GaussData | None = None) -> complex:
+    """W by the explicit formula, as a complex number.
 
     gauss, when given, is gauss_data of a character of chi's conductor,
     built once for all of them; else it is built here and used once.  The
     theta-quotient route is not run here; compare with
-    root_number_via_fe(chi) where a cross-check is wanted.
+    root_number_via_fe(chi, table) where a cross-check is wanted.
     """
     if gauss is None:
         gauss = gauss_data(chi)
     c, b = gauss.c, gauss.b
-    delta = different_gen(chi.field)
     s = _gauss_sum(chi, gauss)
-    dz = delta.complex()
+    dz = different_gen(chi.field).complex()
     bz = b.complex()
     chi_c = evaluate_char(chi, c).complex()
     w = (
@@ -236,20 +208,18 @@ def gauss_sum_root_number(
     )
     if abs(abs(w) - 1.0) > 1e-6:
         raise NumericalInstability(f"|W| = {abs(w)} strayed from 1")
-    return RootNumberResult(W_gauss=w, delta=delta, auxiliary=(c, b))
+    return w
 
 
-def root_number_via_fe(chi: HeckeCharacter, table: ThetaTable | None = None) -> complex:
+def root_number_via_fe(chi: HeckeCharacter, table: ThetaTable) -> complex:
     """W from theta(1/t) = W t^2 theta(t), checked at two independent t.
 
     The theta series is theta_coeffs' lattice sum to fe_bound(chi), which
-    shares only the character's own data with the Gauss sum.  table, when
-    given, is chi's theta table to at least fe_bound(chi), built by the
-    caller for another use as well; only its prefix n <= fe_bound(chi) is read.
+    shares only the character's own data with the Gauss sum.  table is
+    chi's theta table to at least fe_bound(chi), built by the caller for
+    another use as well; only its prefix n <= fe_bound(chi) is read.
     """
     Af = chi.field.A * chi.f_value
-    if table is None:
-        table = theta_coeffs(chi, fe_bound(chi))
     n, a = table.upto(fe_bound(chi))
 
     def theta(t: float) -> complex:
@@ -282,7 +252,7 @@ def root_number(chi: HeckeCharacter, gauss: GaussData | None = None) -> float:
     """W rounded to a real sign; raises if the value is not a clean +-1.
 
     gauss is as in gauss_sum_root_number."""
-    w = gauss_sum_root_number(chi, gauss).W_gauss
+    w = gauss_sum_root_number(chi, gauss)
     sign = round(w.real)
     if abs(w - sign) > 1e-6 or sign not in (-1, 1):
         raise NumericalInstability(f"root number {w} is not a real sign")

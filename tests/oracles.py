@@ -21,9 +21,13 @@
 * global_unit_exponents, eps at every residue of the global table
   unit_group_mod(f) of a composite f, from eps at that table's own
   generators; the reference for FinitePart's sum over its local parts.
+* coset_reps, the box transversal of big/sub for nested HNF lattices, and
+  one_mod_f_in_c_by_search, the E in c with E = 1 mod f found by walking
+  the transversal of f/fc: the reference for quadfield.idempotent(f, c),
+  the lattice solve that rootnumber.gauss_data takes E from.
 * global_gauss_sum, the Gauss sum as one pass over that global table with
-  the N(f)-long additive phase: the reference for rootnumber._gauss_sum,
-  which multiplies local sums over the (O/P^a)^x.
+  the N(f)-long additive phase and the searched E: the reference for
+  rootnumber._gauss_sum, which multiplies local sums over the (O/P^a)^x.
 * local_part_twists, every twist of conductor exactly c of the families
   LOCAL_PART_FAMILIES, on which the two references above are compared
   with the local parts.
@@ -63,6 +67,7 @@ from heckelab.characters import (
 from heckelab.errors import (
     DomainError,
     NoConsistentLift,
+    NoCRTLift,
     NonPositiveArgument,
     NumericalInstability,
 )
@@ -81,7 +86,7 @@ from heckelab.quadfield import (
     ring_class_number,
     unit_ideal,
 )
-from heckelab.rootnumber import GaussData, _one_mod_f_in_c, different_gen
+from heckelab.rootnumber import GaussData, different_gen
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
@@ -412,18 +417,42 @@ def local_matches_global(eps: FinitePart) -> bool:
     return bool((rows >= 0).all()) and (eps.exponents_at(rows) % eps.M).tobytes() == k.tobytes()
 
 
+def coset_reps(big: Ideal, sub: Ideal):
+    """Box transversal of big/sub for nested HNF lattices (sub inside big)."""
+    field = big.field
+    if sub.a % big.a or sub.c % big.c:
+        raise ValueError("not a nested pair of HNF lattices")
+    for s in range(sub.a // big.a):
+        for r in range(sub.c // big.c):
+            yield KElt(field, s * big.a + r * big.b, r * big.c)
+
+
+def one_mod_f_in_c_by_search(f: Ideal, c: Ideal) -> KElt:
+    """E in c with E = 1 mod f, as E = 1 + t for the t in f/fc with 1 + t in c.
+
+    Such t exists exactly when c + f = O and is then unique mod fc, so the
+    search visits at most N(c) residues.
+    """
+    one = f.field.one
+    for t in coset_reps(f, f * c):
+        if c.contains(one + t):
+            return one + t
+    raise NoCRTLift(f"no E in {c!r} with E = 1 mod {f!r}")
+
+
 def global_gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     """The Gauss sum of rootnumber._gauss_sum as one pass over (O/f)^x.
 
-    u = E conj(delta b) with E = _one_mod_f_in_c(f, gauss.c), the additive
-    phase (x Tr(u) + y Tr(omega u)) mod N at every residue x + y omega of
-    the global table, and eps there from global_unit_exponents; the terms
-    are counted per exact phase mod L = lcm(M, N), as the package does.
+    u = E conj(delta b) with E = one_mod_f_in_c_by_search(f, gauss.c), so
+    not the E of gauss_data; the additive phase (x Tr(u) + y Tr(omega u))
+    mod N at every residue x + y omega of the global table, and eps there
+    from global_unit_exponents; the terms are counted per exact phase mod
+    L = lcm(M, N), as the package does.
     """
     field, f = chi.field, chi.conductor
     db = different_gen(field) * gauss.b
     N, M = db.norm(), chi.M
-    u = _one_mod_f_in_c(f, gauss.c) * db.conjugate()
+    u = one_mod_f_in_c_by_search(f, gauss.c) * db.conjugate()
     ug, k = global_unit_exponents(chi.eps)
     phase = (ug.xs * (u.trace() % N) + ug.ys * ((KElt(field, 0, 1) * u).trace() % N)) % N
     L = math.lcm(M, N)

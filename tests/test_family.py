@@ -448,13 +448,13 @@ def test_scan_builds_conductor_data_once_per_conductor(gauss, monkeypatch):
 
 def test_main_lemma_violation_is_recorded(gauss, monkeypatch):
     field, phi = gauss
-    real_v_p = characters.v_p
+    real_factorize = characters.factorize
 
-    def v_p(n, p):
-        # conductor norms here are 8 * 5^k; the local orders are 1 or powers of 5
-        return 40 if n % 8 == 0 else real_v_p(n, p)
+    def factorize(n):
+        # conductor norms here are 8 * 5^k: every m_p becomes 40
+        return tuple((p, 40) for p, _ in real_factorize(n)) if n % 8 == 0 else real_factorize(n)
 
-    monkeypatch.setattr(characters, "v_p", v_p)
+    monkeypatch.setattr(characters, "factorize", factorize)
     records = family.scan_report(field, phi, (5,), 5)
     assert [r.c for r in records] == [1, 5]
     for r in records:
@@ -525,3 +525,22 @@ def test_scan_json_matches_golden(name, D, P, c_max):
     phi = build_hecke_character(field, eps)
     records = family.scan_report(field, phi, P, c_max, tol=1e-8)
     assert family.scan_to_json(field, phi, P, c_max, 1e-8, records) == (GOLDEN / name).read_text()
+
+
+def test_save_scan_writes_the_csv_and_appends_one_log_line_per_record(gauss, tmp_path):
+    field, phi = gauss
+    records = family.scan_report(field, phi, (5, 13), 25, tol=1e-8)
+    for calls in (1, 2):
+        paths = family.save_scan(field, phi, (5, 13), 25, 1e-8, records, tmp_path)
+        assert paths == {kind: tmp_path / f"scan.{kind}" for kind in ("json", "csv", "log")}
+        assert paths["json"].read_text() == family.scan_to_json(
+            field, phi, (5, 13), 25, 1e-8, records
+        )
+        rows = paths["csv"].read_text()
+        assert rows == family.scan_to_csv(field, records)
+        assert rows.splitlines()[0] == "D,c,n,f,W,v,Lv,Lv_av,ratio,verdict"
+        assert len(rows.splitlines()) == 1 + len(records)
+        log = paths["log"].read_text().splitlines()
+        assert len(log) == calls * len(records)
+        assert log[-len(records) :] == log[: len(records)]
+        assert all(line.startswith("D=-4 c=") for line in log)

@@ -77,7 +77,7 @@ def member_tables():
         field, phi = _phi(D)
         for orbit in family.enumerate_twists(field, P, c_max):
             members = family.orbit_characters(phi, orbit)
-            rho = orbit.rho(field, orbit.members[0])
+            rho = orbit.rho(field)
             for m, chi in zip(orbit.members, members):
                 X = fe_bound(chi)
                 exact = lambda pr, chi=chi: evaluate_char(chi, pr).complex()

@@ -1,12 +1,18 @@
-"""Every top-level function and class of src/heckelab is used inside the package.
+"""Every top-level function and class of src/heckelab is used inside the package,
+and its modules import each other without a cycle.
 
 A definition that no code in src/ refers to, outside its own body, runs only
 under the tests or not at all.  It is either deleted or listed in ALLOWED with
 the reason it stays.  A use is a name or attribute in code; import
 statements and mentions in docstrings or comments do not count.
+
+The relative imports of src/, at module level or inside a function, form
+an acyclic graph: a module that needs a value of a later layer takes it as
+an argument rather than importing that layer.
 """
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckelab"
@@ -60,3 +66,25 @@ def test_every_definition_is_reached():
 def test_allowlist_names_definitions():
     defined = {node.name for _, node in _definitions(_trees())}
     assert set(ALLOWED) <= defined
+
+
+def _relative_imports(trees):
+    """module -> the modules of src/ it imports with a relative import, anywhere."""
+    graph = {}
+    for module, tree in trees.items():
+        graph[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[module].update(f"{name}.py" for name in names)
+    return graph
+
+
+def test_relative_imports_are_acyclic():
+    graph = _relative_imports(_trees())
+    assert "rootnumber.py" in graph["family.py"]  # the graph sees the package's imports
+    try:
+        order = list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise AssertionError("import cycle in src/: " + " -> ".join(exc.args[1])) from None
+    assert set(graph) <= set(order)

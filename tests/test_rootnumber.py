@@ -15,19 +15,31 @@ from heckelab.characters import (
 )
 from heckelab.errors import HeckeLabError, IdealSearchExhausted, NoCRTLift, PhaseOverflow
 from heckelab.family import TwistOrbit, enumerate_twists, orbit_characters
-from heckelab.quadfield import Ideal, KElt, coset_reps, make_field, prime_ideals_above, unit_ideal
+from heckelab.lseries import theta_coeffs
+from heckelab.quadfield import Ideal, KElt, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
     _auxiliary_for_ideal,
     _gauss_sum,
-    _one_mod_f_in_c,
     auxiliary_pair,
     different_gen,
+    fe_bound,
     gauss_data,
     gauss_sum_root_number,
     root_number,
     root_number_via_fe,
 )
-from oracles import global_gauss_sum, lambda_value, local_part_twists
+from oracles import (
+    coset_reps,
+    global_gauss_sum,
+    lambda_value,
+    local_part_twists,
+    one_mod_f_in_c_by_search,
+)
+
+
+def _fe(chi):
+    """W by the theta quotient, over chi's theta table to fe_bound(chi)."""
+    return root_number_via_fe(chi, theta_coeffs(chi, fe_bound(chi)))
 
 
 @pytest.fixture(scope="module")
@@ -107,25 +119,26 @@ def test_gauss_root_numbers_canonical():
         field = make_field(D)
         eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
         chi = build_hecke_character(field, eps)
-        res = gauss_sum_root_number(chi)
-        assert abs(abs(res.W_gauss) - 1) < 1e-8
-        assert abs(res.W_gauss.imag) < 1e-8
-        assert abs(res.W_gauss - root_number_via_fe(chi)) < 1e-6
-        assert round(res.W_gauss.real) in (-1, 1)
+        w = gauss_sum_root_number(chi)
+        assert abs(abs(w) - 1) < 1e-8
+        assert abs(w.imag) < 1e-8
+        assert abs(w - _fe(chi)) < 1e-6
+        assert round(w.real) in (-1, 1)
 
 
 def test_gauss_matches_known_sign(chi4, chi23):
-    assert abs(gauss_sum_root_number(chi4).W_gauss - 1) < 1e-8
-    assert abs(gauss_sum_root_number(chi23).W_gauss - 1) < 1e-8
+    assert abs(gauss_sum_root_number(chi4) - 1) < 1e-8
+    assert abs(gauss_sum_root_number(chi23) - 1) < 1e-8
 
 
-def test_shifted_transversal_invariance(chi4):
-    base = gauss_sum_root_number(chi4).W_gauss
+def test_shifted_transversal_invariance(chi4, monkeypatch):
+    base = gauss_sum_root_number(chi4)
     c, _ = auxiliary_pair(chi4)
     fc = chi4.conductor * c
-    shift = KElt(chi4.field, fc.a, 0)  # an element of fc
-    shifted = gauss_sum_root_number(chi4, gauss_data(chi4, shift=shift)).W_gauss
-    assert abs(base - shifted) < 1e-10
+    t = KElt(chi4.field, fc.a, 0)  # an element of fc
+    solve = rootnumber.idempotent
+    monkeypatch.setattr(rootnumber, "idempotent", lambda f, c: solve(f, c) + t)
+    assert abs(base - gauss_sum_root_number(chi4)) < 1e-10
 
 
 def test_twisted_family_signs(chi4):
@@ -135,11 +148,11 @@ def test_twisted_family_signs(chi4):
         pic_order = None
         rho = ring_class_character(field, c, (1,))
         chi = twist(chi4, rho)
-        res = gauss_sum_root_number(chi)
-        assert abs(abs(res.W_gauss) - 1) < 1e-8
-        assert abs(res.W_gauss - root_number_via_fe(chi)) < 1e-6
-        assert abs(res.W_gauss.imag) < 1e-8
-        if round(res.W_gauss.real) == -1:
+        w = gauss_sum_root_number(chi)
+        assert abs(abs(w) - 1) < 1e-8
+        assert abs(w - _fe(chi)) < 1e-6
+        assert abs(w.imag) < 1e-8
+        if round(w.real) == -1:
             found_odd = chi
     assert found_odd is not None
     # odd sign forces a central zero of the completed L-function
@@ -151,11 +164,11 @@ def test_twisted_family_signs(chi4):
 def test_gauss_sum_with_large_phase_modulus(chi4):
     # conductor norm 8 * 43^2: the phase modulus L = lcm(M, N(delta b)) exceeds 10^4
     chi = twist(chi4, ring_class_character(chi4.field, 43, (11,)))
-    res = gauss_sum_root_number(chi)
-    _, b = res.auxiliary
-    assert math.lcm(chi.M, (res.delta * b).norm()) > 10**4
-    assert abs(res.W_gauss - 1) < 1e-8
-    assert abs(res.W_gauss - root_number_via_fe(chi)) < 1e-6
+    gauss = gauss_data(chi)
+    assert math.lcm(chi.M, (different_gen(chi.field) * gauss.b).norm()) > 10**4
+    w = gauss_sum_root_number(chi, gauss)
+    assert abs(w - 1) < 1e-8
+    assert abs(w - _fe(chi)) < 1e-6
 
 
 def test_root_number_scalar(chi4):
@@ -163,7 +176,7 @@ def test_root_number_scalar(chi4):
 
 
 def test_fe_route_alone(chi23):
-    w = root_number_via_fe(chi23)
+    w = _fe(chi23)
     assert abs(w - 1) < 1e-6
 
 
@@ -173,7 +186,7 @@ def _orbit_root_numbers(phi, c, exponents):
     members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
     orbit = TwistOrbit(c=c, exponents=exponents, order=n, members=members)
     chars = orbit_characters(phi, orbit)
-    return [root_number(chi) for chi in chars], [gauss_sum_root_number(chi).W_gauss for chi in chars]
+    return [root_number(chi) for chi in chars], [gauss_sum_root_number(chi) for chi in chars]
 
 
 def test_orbit_constancy_order2(chi4):
@@ -242,26 +255,54 @@ def test_local_gauss_sums_match_the_global_sum():
     assert checked == 146
 
 
-def test_one_mod_f_in_c_nontrivial():
-    field = make_field(-23)
-    for p3 in prime_ideals_above(field, 3):
-        c, _ = _auxiliary_for_ideal(field, p3)
-        assert c != unit_ideal(field)
-        E = _one_mod_f_in_c(p3, c)
-        assert E != field.one
-        assert c.contains(E) and p3.contains(E - field.one)
+def _conductor_characters():
+    """(label, chi): one member per conductor f of each of five twist
+    families, then the two D=-23 characters whose conductor is a prime
+    above 3, the only ones here whose auxiliary ideal c is not O."""
+    for D, P, c_max in ((-4, (5, 13), 65), (-4, (2, 5), 40), (-23, (2, 3), 72), (-7, (2, 3), 24)):
+        field = make_field(D)
+        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        phi = build_hecke_character(field, eps)
+        seen = set()
+        for orbit in enumerate_twists(field, P, c_max):
+            for chi in orbit_characters(phi, orbit):
+                if chi.conductor not in seen:
+                    seen.add(chi.conductor)
+                    yield f"D={D} c={orbit.c} f={chi.conductor!r}", chi
+    f23 = make_field(-23)
+    for p3 in prime_ideals_above(f23, 3):
+        yield f"D=-23 f={p3!r}", build_hecke_character(f23, finite_part(f23, p3, (1,)))
+
+
+def test_idempotent_E_matches_the_search():
+    # gauss_data's E = idempotent(f, c) against the E the coset search finds:
+    # they differ by an element of fc, and give the same phases and W
+    nonprincipal = 0
+    checked = 0
+    for label, chi in _conductor_characters():
+        gauss = gauss_data(chi)
+        f, c = gauss.f, gauss.c
+        E = quadfield.idempotent(f, c)
+        assert (f * c).contains(E - one_mod_f_in_c_by_search(f, c)), label
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rootnumber, "idempotent", one_mod_f_in_c_by_search)
+            searched = gauss_data(chi)
+        assert (searched.c, searched.b) == (c, gauss.b), label
+        assert [p.tobytes() for p in searched.phases] == [p.tobytes() for p in gauss.phases], label
+        assert gauss_sum_root_number(chi, searched) == gauss_sum_root_number(chi, gauss), label
+        nonprincipal += c != unit_ideal(chi.field)
+        checked += 1
+    assert nonprincipal == 2
+    assert checked == 36 + 2
 
 
 def test_gauss_sum_rejects_lift_outside_coset(chi4, monkeypatch):
-    # a shift outside fc moves E off 1 mod f
-    with pytest.raises(NoCRTLift) as info:
-        gauss_data(chi4, shift=chi4.field.one)
-    assert isinstance(info.value, HeckeLabError)
     # an auxiliary ideal sharing a prime with f has no E at all
     f = chi4.conductor
     monkeypatch.setattr(rootnumber, "auxiliary_pair", lambda chi: (f, KElt(chi.field, 8, 0)))
-    with pytest.raises(NoCRTLift):
+    with pytest.raises(NoCRTLift) as info:
         gauss_sum_root_number(chi4)
+    assert isinstance(info.value, HeckeLabError)
 
 
 def test_gauss_sum_phase_overflow_is_a_domain_error(chi4, monkeypatch):
