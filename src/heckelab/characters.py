@@ -72,12 +72,16 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 @lru_cache(maxsize=None)
 def unit_root_table(field: FieldContext) -> dict:
-    """Map each torsion unit u to j with u = zeta_wK^j, computed exactly."""
-    units = field.units()
-    gen = min(
-        (u for u in units),
-        key=lambda u: abs(cmath.phase(u.complex()) % TWO_PI - TWO_PI / field.wK),
-    )
+    """Map each torsion unit u to j with u = zeta_wK^j, computed exactly.
+
+    zeta_wK = exp(2 pi i / w_K) is -1 for w_K = 2, and for w_K = 4 or 6 the
+    unit with y > 0 and x = 2y, on the upper edge of canonical_generator's
+    sector.
+    """
+    if field.wK == 2:
+        gen = -field.one
+    else:
+        gen = next(u for u in field.units() if u.y > 0 and u.x == 2 * u.y)
     table, acc = {}, field.one
     for j in range(field.wK):
         table[acc] = j
@@ -511,15 +515,6 @@ class CharValue:
             e.append(hi - ei)
         return CharValue(char=ch, zero=False, k=k, q=q, e=tuple(e))
 
-    def abs_squared(self) -> Fraction:
-        """|value|^2, exact: N(q) * prod N(rep_i)^{e_i}."""
-        if self.zero:
-            return Fraction(0)
-        out = Fraction(self.q.norm())
-        for ei, rep in zip(self.e, self.char.class_reps):
-            out *= rep.norm**ei
-        return out
-
     def complex(self) -> complex:
         if self.zero:
             return 0j
@@ -527,22 +522,6 @@ class CharValue:
         for ei, v in zip(self.e, self.char.radicals):
             out *= v**ei
         return out
-
-    def equals_exact(self, other: "CharValue") -> bool:
-        """Exact equality within the value algebra (radical exponents must
-        already agree; the remaining ambiguity is a root of unity in K)."""
-        ch = self.char
-        if self.zero or other.zero:
-            return self.zero == other.zero
-        if self.e != other.e:
-            return False
-        ratio = self.q / other.q
-        table = unit_root_table(ch.field)
-        if ratio not in table:
-            return False
-        j = table[ratio]
-        dk = (self.k - other.k) % ch.M
-        return (dk * ch.field.wK + j * ch.M) % (ch.M * ch.field.wK) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +765,6 @@ class RingClassCharacter:
             )
         return (kN // step) % self.order
 
-    def value_complex(self, a: Ideal) -> complex:
-        s = self.value_exponent(a)
-        if s is None:
-            return 0j
-        return cmath.exp(2j * cmath.pi * s / self.order)
-
 
 def ring_class_character(field: FieldContext, c: int, exponents) -> RingClassCharacter:
     orders = class_group(c * c * field.D).orders
@@ -975,12 +948,6 @@ class MainLemmaReport:
     @property
     def bound(self) -> int:
         return 3 + self.mu + self.h
-
-    def entry(self, p: int) -> MainLemmaEntry | None:
-        for e in self.entries:
-            if e.p == p:
-                return e
-        return None
 
 
 def main_lemma_quantities(char: HeckeCharacter) -> MainLemmaReport:

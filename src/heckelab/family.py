@@ -13,15 +13,15 @@ average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.
 
 Each orbit's members are built together by characters.twist_orbit.  A
-scan enumerates ideals again only at a larger bound, reads rho once per
-ideal per orbit for the counts and the orbit-mean check, and evaluates
-phi once per ideal.  Every coefficient table is lseries.theta_coeffs of
-a member: a lattice sum that reads the finite part's local exponent
-arrays and evaluates no character at an ideal.  Each member gets one
-table, to the larger of its truncation T and the check's bound
-f^max(T_EXPONENTS), the first member's also to its FE bound; the theta
-quotient, the central values and the orbit-mean check read prefixes of
-these tables.  What
+scan enumerates ideals once, to the largest bound any of its records can
+ask for, reads rho once per ideal per orbit for the counts and the
+orbit-mean check, and evaluates phi once per ideal.  Every coefficient
+table is lseries.theta_coeffs of a member: a lattice sum that reads the
+finite part's local exponent arrays and evaluates no character at an
+ideal.  Each member gets one table, to the larger of its truncation T
+and the check's bound f^max(T_EXPONENTS), the first member's also to its
+FE bound; the theta quotient, the central values and the orbit-mean
+check read prefixes of these tables.  What
 depends only on a member's conductor f_chi is built once per f_chi in a
 scan, not once per member: the theta lattice the tables are summed over
 (to the largest bound a member asks of it), the Gauss-sum data (the
@@ -315,26 +315,36 @@ def averaged_L(
 class _ScanWalk:
     """The ideal list, phi values and per-conductor data that one scan's records share.
 
-    The list is enumerated again only at a bound above all before it; its
-    norm <= bound prefix is enumerate_ideals(field, bound), which sorts by
-    (norm, HNF).  phi is evaluated once per ideal.  Every member of a
+    The list is enumerated once per scan, by the first record that reads
+    it, to the largest bound any record can ask for: a record asks for
+    f(chi)^max(T_EXPONENTS), and f(chi) divides m = lcm(f(phi), cO), so
+    the bound is the largest N(m)^(max(T_EXPONENTS)/2) over the scan's
+    conductors c.  enumerate_ideals sorts by (norm, HNF), so each record
+    reads a prefix.  phi is evaluated once per ideal.  Every member of a
     conductor f_chi reads one theta lattice (per set of class
     representatives, built again only to a larger bound), one set of
     Gauss-sum data and one smoothing kernel per v.  Orbits arrive sorted
     by c, so at_c drops that data when the scan moves on to the next c.
     """
 
-    def __init__(self, phi: HeckeCharacter):
+    def __init__(self, phi: HeckeCharacter, conductors: set[int]):
         self.phi = phi
-        self._ideals: list[Ideal] = []
-        self._bound = 0
+        f = phi.conductor
+        # N(lcm(f, cO)) = N(f) N(cO) / N(f + cO), with cO = (c, 0, c) of norm c^2
+        lcm_norms = [f.norm * c * c // f.add(Ideal(phi.field, c, 0, c)).norm for c in conductors]
+        self._bound = max((int(math.sqrt(n) ** max(T_EXPONENTS)) for n in lcm_norms), default=0)
+        self._ideals: list[Ideal] | None = None
         self._phi_values: dict[Ideal, CharValue] = {}
         self._c = 0
         self._shared: dict[tuple, object] = {}
 
     def ideals(self, bound: int) -> list[Ideal]:
         if bound > self._bound:
-            self._ideals, self._bound = enumerate_ideals(self.phi.field, bound), bound
+            raise DomainError(
+                f"a record asks for ideals to norm {bound}, past the scan's bound {self._bound}"
+            )
+        if self._ideals is None:
+            self._ideals = enumerate_ideals(self.phi.field, self._bound)
         return self._ideals[: bisect_right(self._ideals, bound, key=attrgetter("norm"))]
 
     def phi_value(self, a: Ideal) -> CharValue:
@@ -454,9 +464,10 @@ def scan_report(
         raise DomainError(f"P must list primes, not {P}")
     check_property1(phi)
     L1 = dirichlet_L1(field)
-    walk = _ScanWalk(phi)
+    orbits = enumerate_twists(field, P, c_max)
+    walk = _ScanWalk(phi, {orbit.c for orbit in orbits})
     records = []
-    for orbit in enumerate_twists(field, P, c_max):
+    for orbit in orbits:
         walk.at_c(orbit.c)
         try:
             records.append(_orbit_record(field, phi, orbit, L1, tol, walk))

@@ -9,7 +9,15 @@ Conventions used throughout the package:
   a*Z + (b + c*omega)*Z with c | a, c | b and 0 <= b < a.  Its norm is a*c.
 * Ideal classes are handled through reduced primitive binary quadratic
   forms (A, B, C) of the relevant discriminant (D for the maximal order,
-  c^2 * D for the ring of conductor c) under Gaussian composition.
+  c^2 * D for the ring of conductor c) under Gaussian composition.  An
+  ideal meets them through one map, the form of its contraction to the
+  order of conductor c (Cox, Primes of the Form x^2 + ny^2, Sec. 7); the
+  class of an O-ideal is its ring class at c = 1.
+* Elements of norm n in an ideal J come from one walk over J's HNF basis,
+  elements_of_norm(J, n).  The roots of unity are its n = 1 list on O,
+  and a principal ideal's canonical generator is the one element of its
+  n = N(I) list with argument in [0, 2 pi / w_K), an exact test on the
+  coordinates (x, y).
 * Ideals come from one stream, ideals_by_norm(field), which builds them
   norm by norm from the lists of smaller norms.  enumerate_ideals(field,
   bound) is its norm <= bound prefix, and the two searches for the first
@@ -23,7 +31,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -83,9 +90,6 @@ class FieldContext:
         """The quadratic character kappa(n) = (D | n)."""
         return kronecker(self.D, n)
 
-    def element(self, x, y=0) -> "KElt":
-        return KElt(self, x, y)
-
     @property
     def one(self) -> "KElt":
         return KElt(self, 1, 0)
@@ -108,22 +112,10 @@ class FieldContext:
 
 @lru_cache(maxsize=None)
 def _units(field: FieldContext) -> tuple["KElt", ...]:
-    out = []
-    ymax = math.isqrt(4 // -field.D) if -field.D <= 4 else 0
-    for y in range(-ymax, ymax + 1):
-        disc = 4 + field.D * y * y
-        if disc < 0:
-            continue
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        for sgn in ((r, -r) if r else (0,)):
-            num = -field.D * y + sgn
-            if num % 2 == 0:
-                out.append(KElt(field, num // 2, y))
-    if len(out) != field.wK:
-        raise UnitCountMismatch(f"{field!r} has {len(out)} roots of unity, not wK = {field.wK}")
-    return tuple(sorted(out, key=lambda u: (u.y, u.x)))
+    units = elements_of_norm(unit_ideal(field), 1)
+    if len(units) != field.wK:
+        raise UnitCountMismatch(f"{field!r} has {len(units)} roots of unity, not wK = {field.wK}")
+    return tuple(units)
 
 
 @lru_cache(maxsize=None)
@@ -452,43 +444,42 @@ def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
     raise IdealSearchExhausted(f"no ideal of norm <= {_NORM_CAP} of {field!r} ended the search")
 
 
-def is_principal_with_generator(ideal: Ideal) -> KElt | None:
-    """A generator of the ideal if principal, else None.
+def elements_of_norm(J: Ideal, n: int) -> list[KElt]:
+    """Every g in J with N(g) = n, in ascending (y, x) order.
 
-    Solves nm(x + y*omega) = N(ideal) over the finite ellipse and checks
-    membership; equality of norms then forces equality of ideals.
+    g = u a + v (b + c omega) on J's HNF basis has y = v c, and
+    4n = (2x + D y)^2 + |D| y^2 bounds |y| by sqrt(4n/|D|), so v runs over
+    |v| <= isqrt(4n/|D|) / c.  Each y leaves x = (-D y -+ r)/2 with
+    r^2 = 4n + D y^2, kept when it is an integer and x = v b mod a.
     """
-    f, N = ideal.field, ideal.norm
-    ymax = math.isqrt(4 * N // -f.D)
-    for y in range(-ymax, ymax + 1):
-        disc = 4 * N + f.D * y * y
-        if disc < 0:
-            continue
+    field, D = J.field, J.field.D
+    vmax = math.isqrt(4 * n // -D) // J.c
+    out = []
+    for v in range(-vmax, vmax + 1):
+        y = v * J.c
+        disc = 4 * n + D * y * y
         r = math.isqrt(disc)
         if r * r != disc:
             continue
-        for sgn in ((r, -r) if r else (0,)):
-            num = -f.D * y + sgn
-            if num % 2:
-                continue
-            z = KElt(f, num // 2, y)
-            if ideal.contains(z):
-                return z
-    return None
+        for num in ((-r - D * y, r - D * y) if r else (-D * y,)):
+            if num % 2 == 0 and (num // 2 - v * J.b) % J.a == 0:
+                out.append(KElt(field, num // 2, y))
+    return out
 
 
 def canonical_generator(ideal: Ideal) -> KElt | None:
-    """Principal generator with argument in [0, 2 pi), smallest first."""
-    z = is_principal_with_generator(ideal)
-    if z is None:
-        return None
-    best, best_arg = None, None
-    for u in ideal.field.units():
-        w = z * u
-        arg = cmath.phase(w.complex()) % (2 * math.pi)
-        if best is None or arg < best_arg - 1e-12:
-            best, best_arg = w, arg
-    return best
+    """The generator of a principal ideal with argument in [0, 2 pi / w_K), else None.
+
+    The generators are the elements of norm N(ideal) in it, one per root of
+    unity, and exactly one lies in the sector, read off the coordinates:
+    for w_K = 2 it is y > 0, or y = 0 < x; for w_K = 4 or 6 (omega = -2 + i
+    or (-3 + sqrt(-3))/2) it is y >= 0 and x > 2y.
+    """
+    half_plane = ideal.field.wK == 2
+    for g in elements_of_norm(ideal, ideal.norm):
+        if (g.y > 0 or g.y == 0 < g.x) if half_plane else (g.y >= 0 and g.x > 2 * g.y):
+            return g
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +516,6 @@ class BinaryForm:
             f = BinaryForm(f.c, -f.b + 2 * s * f.c, f.c * s * s - f.b * s + f.a)
             f = f.normalized()
         return f
-
-    def inverse(self) -> "BinaryForm":
-        return BinaryForm(self.a, -self.b, self.c).reduced()
 
     def compose(self, other: "BinaryForm") -> "BinaryForm":
         """Gaussian composition, reduced."""
@@ -626,19 +614,10 @@ def minkowski_bound(disc: int) -> int:
     return math.floor(2 * math.sqrt(-disc) / math.pi)
 
 
-def form_of_ideal(ideal: Ideal) -> BinaryForm:
-    """Reduced form of discriminant D attached to an ideal of the maximal order."""
-    f = ideal.field
-    ap, bp = ideal.a // ideal.c, ideal.b // ideal.c
-    A = ap
-    B = 2 * bp + f.D
-    C = (bp * bp + f.D * bp + f.nm) // ap
-    return BinaryForm(A, B, C).reduced()
-
-
 def ideal_class_of(ideal: Ideal) -> tuple[int, ...]:
-    """Exponent vector of the ideal's class on the class group generators."""
-    return ideal.field.class_group().dlog_of(form_of_ideal(ideal))
+    """Exponent vector of the ideal's class on the class group generators:
+    its ring class at conductor 1, where the contraction is the ideal itself."""
+    return ring_class_dlog(ideal.field, 1, ideal)
 
 
 def class_representatives(field: FieldContext, coprime_to: int = 1) -> dict[tuple[int, ...], Ideal]:
@@ -662,12 +641,13 @@ def class_representatives(field: FieldContext, coprime_to: int = 1) -> dict[tupl
 
 
 def contract_to_order(ideal: Ideal, c: int) -> tuple[int, int, int]:
-    """Triangular basis (A, B, C) of ideal & (Z + Z c omega) in the basis {1, c*omega}."""
-    a, b, cid = ideal.a, ideal.b, ideal.c
-    g = math.gcd(cid, c)
-    gy = cid // g
-    v2 = ((b * (c * gy // cid)) % a, gy)
-    return _hnf_from_vectors([(a, 0), v2])
+    """Triangular basis (A, B, C) of ideal & (Z + Z c omega) in the basis {1, c*omega}.
+
+    k (b + c_I omega) has omega coordinate divisible by c exactly when c/g
+    divides k, g = gcd(c_I, c), so a and (c/g)(b + c_I omega) span it.
+    """
+    g = math.gcd(ideal.c, c)
+    return ideal.a, ideal.b * (c // g) % ideal.a, ideal.c // g
 
 
 def form_of_contraction(field: FieldContext, ideal: Ideal, c: int) -> BinaryForm:

@@ -3,6 +3,17 @@
 * enumerate_ideals_by_merge, the ideals of norm <= bound built
   multiplicatively from prime ideals and heapq-merged once per prime: the
   reference for quadfield.ideals_by_norm, which builds them norm by norm.
+* elements_by_ellipse, is_principal_with_generator and
+  canonical_generator_by_phase, the element searches over the ellipse
+  nm(x + y omega) = n, every y in range, with the generator picked by its
+  float argument: the references for quadfield.elements_of_norm, which
+  walks the ideal's HNF basis, and for canonical_generator's exact sector
+  test.  form_of_ideal and ideal_class_by_form, the form read off an
+  O-ideal's own HNF: the reference for ideal_class_of, which reads the
+  ideal's contraction at conductor 1.
+* abs_squared, equals_exact and rho_value_complex: |chi(a)|^2 and exact
+  equality of values in the package's value algebra, and rho(a) as a
+  complex number, which the tests check characters with.
 * A multiplicative prime sieve for theta coefficients: a_n built from the
   local factors a_{p^e}, which need chi only at the (at most two) prime
   ideals above p.  The package sums Hecke's theta series over lattice
@@ -45,11 +56,13 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import replace
+from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
 
 from heckelab.characters import (
+    CharValue,
     FinitePart,
     HeckeCharacter,
     RingClassCharacter,
@@ -63,6 +76,7 @@ from heckelab.characters import (
     ideal_lcm,
     local_unit_groups,
     unit_group_mod,
+    unit_root_table,
 )
 from heckelab.errors import (
     DomainError,
@@ -74,6 +88,7 @@ from heckelab.errors import (
 from heckelab.family import _subgroup_closure, enumerate_twists, orbit_characters
 from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
 from heckelab.quadfield import (
+    BinaryForm,
     FieldContext,
     Ideal,
     KElt,
@@ -151,6 +166,99 @@ def enumerate_ideals_by_merge(field: FieldContext, bound: int) -> list[Ideal]:
         out = list(heapq.merge(out, *batches, key=attrgetter("norm")))
         norms = [ideal.norm for ideal in out]
     return sorted(out, key=Ideal.sort_key)
+
+
+def elements_by_ellipse(field: FieldContext, n: int) -> list[KElt]:
+    """Every x + y omega of norm n, the integer points of the ellipse
+    (2x + D y)^2 + |D| y^2 = 4n walked over every y in range, sorted by (y, x).
+    At n = 1 these are the roots of unity."""
+    out = []
+    ymax = math.isqrt(4 * n // -field.D)
+    for y in range(-ymax, ymax + 1):
+        disc = 4 * n + field.D * y * y
+        if disc < 0:
+            continue
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        for sgn in ((r, -r) if r else (0,)):
+            num = -field.D * y + sgn
+            if num % 2 == 0:
+                out.append(KElt(field, num // 2, y))
+    return sorted(out, key=lambda z: (z.y, z.x))
+
+
+def is_principal_with_generator(ideal: Ideal) -> KElt | None:
+    """A generator of the ideal if principal, else None: the first point of
+    norm N(ideal) on the ellipse that the ideal contains, since equality of
+    norms then forces equality of ideals."""
+    points = elements_by_ellipse(ideal.field, ideal.norm)
+    return next((z for z in points if ideal.contains(z)), None)
+
+
+def canonical_generator_by_phase(ideal: Ideal) -> KElt | None:
+    """The unit multiple of is_principal_with_generator's generator with the
+    least float argument in [0, 2 pi), ties within 1e-12 to the first."""
+    z = is_principal_with_generator(ideal)
+    if z is None:
+        return None
+    best, best_arg = None, None
+    for u in elements_by_ellipse(ideal.field, 1):
+        w = z * u
+        arg = cmath.phase(w.complex()) % (2 * math.pi)
+        if best is None or arg < best_arg - 1e-12:
+            best, best_arg = w, arg
+    return best
+
+
+def form_of_ideal(ideal: Ideal) -> BinaryForm:
+    """Reduced form of discriminant D read off the ideal's own HNF."""
+    f = ideal.field
+    ap, bp = ideal.a // ideal.c, ideal.b // ideal.c
+    A = ap
+    B = 2 * bp + f.D
+    C = (bp * bp + f.D * bp + f.nm) // ap
+    return BinaryForm(A, B, C).reduced()
+
+
+def ideal_class_by_form(ideal: Ideal) -> tuple[int, ...]:
+    """The class vector of form_of_ideal on the class group of D."""
+    return class_group(ideal.field.D).dlog_of(form_of_ideal(ideal))
+
+
+def abs_squared(value: CharValue) -> Fraction:
+    """|value|^2 of an exact character value: N(q) * prod N(rep_i)^{e_i}."""
+    if value.zero:
+        return Fraction(0)
+    out = Fraction(value.q.norm())
+    for ei, rep in zip(value.e, value.char.class_reps):
+        out *= rep.norm**ei
+    return out
+
+
+def equals_exact(value: CharValue, other: CharValue) -> bool:
+    """Exact equality within the value algebra (radical exponents must
+    already agree; the remaining ambiguity is a root of unity in K)."""
+    ch = value.char
+    if value.zero or other.zero:
+        return value.zero == other.zero
+    if value.e != other.e:
+        return False
+    ratio = value.q / other.q
+    table = unit_root_table(ch.field)
+    if ratio not in table:
+        return False
+    j = table[ratio]
+    dk = (value.k - other.k) % ch.M
+    return (dk * ch.field.wK + j * ch.M) % (ch.M * ch.field.wK) == 0
+
+
+def rho_value_complex(rho: RingClassCharacter, ideal: Ideal) -> complex:
+    """rho(ideal) as a complex number, 0 where the ideal meets c."""
+    s = rho.value_exponent(ideal)
+    if s is None:
+        return 0j
+    return cmath.exp(2j * cmath.pi * s / rho.order)
 
 
 def multiplicative_table(bound: int, local, dtype, columns: int) -> np.ndarray:
@@ -387,7 +495,7 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
     base = build_hecke_character(field, eps_chi, twist_data=(rho.c, rho.exponents))
     choices, radicals = [], []
     for a_i, h_i, principal in zip(base.class_reps, base.class_orders, base.radicals):
-        target = evaluate_char(phi, a_i).complex() * rho.value_complex(a_i)
+        target = evaluate_char(phi, a_i).complex() * rho_value_complex(rho, a_i)
         roots = [principal * cmath.exp(2j * cmath.pi * j / h_i) for j in range(h_i)]
         best = min(range(h_i), key=lambda j: abs(roots[j] - target))
         if abs(roots[best] - target) >= 1e-6 * max(1.0, abs(target)):

@@ -23,6 +23,7 @@ from heckelab.characters import (
 from heckelab.errors import (
     DomainError,
     GroupStructureMismatch,
+    IdealSearchExhausted,
     NumericalInstability,
     RestrictionMismatch,
 )
@@ -172,7 +173,7 @@ def _orbit_mean_inputs(field, phi, orbit):
     members = family.orbit_characters(phi, orbit)
     rho = orbit.rho(field)
     bound = int(members[0].f_value ** max(family.T_EXPONENTS))
-    walk = family._ScanWalk(phi)
+    walk = family._ScanWalk(phi, {orbit.c})
     ideals = walk.ideals(bound)
     ks = [rho.value_exponent(a) if a.is_coprime(phi.conductor) else None for a in ideals]
     tables = [family.theta_coeffs(chi, bound) for chi in members]
@@ -217,8 +218,8 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     them reach the orbit-mean checks), the three c = 13 orbits of 1, 2 and
     2 members over one modulus make equal numbers of one_mod calls, one
     mask of the conductor descent per local group (O/P^a)^x of
-    m = (1+i)^3 P13 conj(P13), and the ideal list is enumerated again only
-    at a larger bound.
+    m = (1+i)^3 P13 conj(P13), and the ideal list is enumerated once, to
+    the largest bound a record asks for: 5000^(1.1/2), 85 ideals.
     """
     from heckelab import rootnumber
 
@@ -270,7 +271,7 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per
     # orbit and local group
     assert [calls for _, calls in c13] == [3, 3, 3]
-    assert len(bounds) <= 4 and bounds == sorted(set(bounds))
+    assert bounds == [max(int(r.f ** max(family.T_EXPONENTS)) for r in records)] == [108]
 
 
 def test_only_prime_powers_reach_unit_group_mod(monkeypatch):
@@ -305,8 +306,8 @@ def test_scan_lists_ideals_only_for_the_walk(monkeypatch):
 
     The class representatives of every twist orbit walk the ideal stream to
     their first hits instead of listing ideals, so enumerate_ideals is
-    called only by _ScanWalk.ideals, at most four times, each time to a
-    larger bound.
+    called only by _ScanWalk.ideals, once, to the largest bound a record
+    asks for.
     """
     field = make_field(-23)
     phi = build_hecke_character(field, canonical_epsilon(field))
@@ -322,7 +323,28 @@ def test_scan_lists_ideals_only_for_the_walk(monkeypatch):
     assert records and all(r.error is None for r in records)
     assert {caller for caller, _ in calls} == {"_ScanWalk.ideals"}
     bounds = [bound for _, bound in calls]
-    assert len(bounds) <= 4 and bounds == sorted(set(bounds))
+    assert bounds == [max(int(r.f ** max(family.T_EXPONENTS)) for r in records)]
+
+
+def test_scan_records_a_failed_ideal_enumeration(gauss, monkeypatch):
+    # the walk enumerates inside the first record that reads it, so a failed
+    # enumeration fails every record and raises nothing
+    field, phi = gauss
+
+    def exhausted(field, bound):
+        raise IdealSearchExhausted(f"no ideals to norm {bound}")
+
+    monkeypatch.setattr(family, "enumerate_ideals", exhausted)
+    records = family.scan_report(field, phi, (5,), 5)
+    assert [r.error for r in records] == ["IdealSearchExhausted: no ideals to norm 18"] * 2
+
+
+def test_scan_walk_refuses_a_bound_past_the_scan(gauss):
+    field, phi = gauss
+    walk = family._ScanWalk(phi, {1, 5})  # m = (1+i)^3 (5) at c = 5: N(m) = 200
+    assert walk.ideals(18)[-1].norm == 18  # int(200^0.55) = 18
+    with pytest.raises(DomainError):
+        walk.ideals(19)
 
 
 def _scan_members(D, P, c_max):
@@ -343,7 +365,7 @@ def _check_shared_reads(phi, groups, tol=1e-8):
     kernel built for the first character of its conductor.  Returns the
     number of characters that read data built for another.
     """
-    walk = family._ScanWalk(phi)
+    walk = family._ScanWalk(phi, {c for c, _ in groups})
     built_by, borrowed = {}, 0
     for c, chars in groups:
         walk.at_c(c)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -20,11 +21,11 @@ from heckelab.quadfield import (
     canonical_generator,
     class_group,
     class_representatives,
+    elements_of_norm,
     enumerate_ideals,
-    form_of_ideal,
+    form_of_contraction,
     ideals_by_norm,
     ideal_class_of,
-    is_principal_with_generator,
     make_field,
     minkowski_bound,
     prime_ideals_above,
@@ -35,7 +36,15 @@ from heckelab.quadfield import (
     ring_class_number,
     unit_ideal,
 )
-from oracles import count_and_coeff_table, enumerate_ideals_by_merge, primes_up_to, table_dict
+from oracles import (
+    canonical_generator_by_phase,
+    count_and_coeff_table,
+    elements_by_ellipse,
+    enumerate_ideals_by_merge,
+    ideal_class_by_form,
+    primes_up_to,
+    table_dict,
+)
 
 FIELDS = [-3, -4, -7, -8, -20, -23, -47, -84]
 
@@ -260,7 +269,8 @@ def test_class_number_via_minkowski_ideals():
     # Minkowski bound, and distinct classes give distinct reduced forms
     for D in [-4, -23, -47, -84]:
         f = make_field(D)
-        forms = {form_of_ideal(I) for I in enumerate_ideals(f, max(1, minkowski_bound(D)))}
+        ideals = enumerate_ideals(f, max(1, minkowski_bound(D)))
+        forms = {form_of_contraction(f, I, 1) for I in ideals}
         assert len(forms) == CLASS_NUMBERS[D]
 
 
@@ -282,7 +292,7 @@ def test_form_composition_group_laws():
         for f1 in forms:
             assert f1.reduced() == f1 and f1.disc == disc
             assert f1.compose(e) == f1
-            assert f1.compose(f1.inverse()) == e
+            assert f1.compose(BinaryForm(f1.a, -f1.b, f1.c).reduced()) == e
         for _ in range(30):
             f1, f2, f3 = (rng.choice(forms) for _ in range(3))
             assert f1.compose(f2) == f2.compose(f1)
@@ -307,12 +317,12 @@ def test_ideal_class_homomorphism():
         assert ideal_class_of(principal_ideal(f, z)) == (0,)
 
 
-def test_is_principal_with_generator():
+def test_canonical_generator_decides_principality():
     f = make_field(-23)
     p2 = prime_ideals_above(f, 2)[0]
-    assert is_principal_with_generator(p2) is None
-    assert is_principal_with_generator(p2 * p2) is None
-    g = is_principal_with_generator(p2**3)
+    assert canonical_generator(p2) is None
+    assert canonical_generator(p2 * p2) is None
+    g = canonical_generator(p2**3)
     assert g is not None and principal_ideal(f, g) == p2**3
     rng = random.Random(17)
     for D in FIELDS:
@@ -321,21 +331,51 @@ def test_is_principal_with_generator():
             z = rand_elt(fld, rng, 8)
             if z.norm() == 0:
                 continue
-            w = is_principal_with_generator(principal_ideal(fld, z))
+            w = canonical_generator(principal_ideal(fld, z))
             assert w is not None and (z / w).norm() == 1
 
 
-def test_canonical_generator_deterministic():
-    import cmath
+def test_elements_of_norm_match_ellipse_oracle():
+    # every n <= 120 in every ideal of norm <= 30, against the ellipse's
+    # points filtered by membership: order included, n = 0 and empty lists too
+    for D in FIELDS:
+        f = make_field(D)
+        points = [elements_by_ellipse(f, n) for n in range(121)]
+        for J in enumerate_ideals(f, 30):
+            for n, zs in enumerate(points):
+                assert elements_of_norm(J, n) == [z for z in zs if J.contains(z)], (D, J, n)
 
+
+ORACLE_FIELDS = [-3, -4, -7, -8, -15, -20, -23, -47, -84, -163]
+
+
+@pytest.mark.parametrize("D", ORACLE_FIELDS)
+def test_element_search_matches_phase_and_form_oracles(D):
+    """Units (order included), canonical generators (None off the principal
+    ideals) and ideal classes of every ideal of norm <= 2000 equal the float
+    phase search and the HNF form map they replaced."""
+    f = make_field(D)
+    assert list(f.units()) == elements_by_ellipse(f, 1)
+    for I in enumerate_ideals(f, 2000):
+        assert canonical_generator(I) == canonical_generator_by_phase(I), I
+        assert ideal_class_of(I) == ideal_class_by_form(I), I
+
+
+def test_canonical_generator_deterministic():
     f = make_field(-4)
     p5 = prime_ideals_above(f, 5)[0]
     w = canonical_generator(p5)
-    assert w is not None
-    arg = cmath.phase(w.complex()) % (2 * math.pi)
-    # every unit multiple has argument at least as large
-    for u in f.units():
-        assert cmath.phase((w * u).complex()) % (2 * math.pi) >= arg - 1e-12
+    assert w == KElt(f, 5, 2)  # 1 + 2i, not -2 + i, -1 - 2i or 2 - i
+    # w is the one unit multiple in the sector [0, 2 pi / w_K) of every field
+    for D in FIELDS:
+        fld = make_field(D)
+        for I in enumerate_ideals(fld, 200):
+            w = canonical_generator(I)
+            if w is None:
+                continue
+            args = [cmath.phase((w * u).complex()) % (2 * math.pi) for u in fld.units()]
+            assert args.index(min(args)) == fld.units().index(fld.one)
+            assert 0 <= args[fld.units().index(fld.one)] < 2 * math.pi / fld.wK
 
 
 def test_class_representatives():
@@ -440,12 +480,13 @@ def test_hnf_validation_rejects_bad_triples():
         Ideal(f, 2, 3, 1)  # b out of range
 
 
-def test_form_of_ideal_discriminant():
+def test_contraction_form_discriminant():
+    # at conductor 1 the contraction is the ideal itself, with a form of discriminant D
     rng = random.Random(20)
     for D in FIELDS:
         f = make_field(D)
         for _ in range(15):
             I = rand_ideal(f, rng)
-            form = form_of_ideal(I)
+            form = form_of_contraction(f, I, 1)
             assert form.disc == D
             assert form.is_primitive()

@@ -1,10 +1,13 @@
-"""Every top-level function and class of src/heckelab is used inside the package,
-and its modules import each other without a cycle.
+"""Every top-level function and class of src/heckelab, and every method of its
+classes, is used inside the package, and its modules import each other
+without a cycle.
 
 A definition that no code in src/ refers to, outside its own body, runs only
 under the tests or not at all.  It is either deleted or listed in ALLOWED with
 the reason it stays.  A use is a name or attribute in code; import
-statements and mentions in docstrings or comments do not count.
+statements and mentions in docstrings or comments do not count.  Methods
+are matched by name, so a method counts as used when any attribute of that
+name is read; dunder methods are used by the language and are not checked.
 
 The relative imports of src/, at module level or inside a function, form
 an acyclic graph: a module that needs a value of a later layer takes it as
@@ -30,11 +33,20 @@ def _trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _definitions(trees):
+    """(module, qualified name, node) for every top-level definition and
+    every non-dunder method of a top-level class."""
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield module, node
+            if isinstance(node, _DEFS):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, _DEFS) and not method.name.startswith("__"):
+                        yield module, f"{node.name}.{method.name}", method
 
 
 def _uses(trees):
@@ -51,20 +63,20 @@ def test_every_definition_is_reached():
     trees = _trees()
     uses = list(_uses(trees))
     unreached = []
-    for module, node in _definitions(trees):
-        if node.name in ALLOWED:
+    for module, qualname, node in _definitions(trees):
+        if qualname in ALLOWED:
             continue
         if not any(
             name == node.name
             and not (module == use_module and node.lineno <= line <= node.end_lineno)
             for use_module, line, name in uses
         ):
-            unreached.append(f"{module}:{node.lineno} {node.name}")
+            unreached.append(f"{module}:{node.lineno} {qualname}")
     assert unreached == [], "referenced nowhere in src/: " + ", ".join(unreached)
 
 
 def test_allowlist_names_definitions():
-    defined = {node.name for _, node in _definitions(_trees())}
+    defined = {qualname for _, qualname, _ in _definitions(_trees())}
     assert set(ALLOWED) <= defined
 
 
