@@ -2,14 +2,14 @@
 
 All routines are exact integer arithmetic at desk scale; factorization is
 trial division, which is plenty for the conductors and norms we touch.
-The exception works on numpy arrays: abelian_group_structure takes a
-group on element indices.
+The exception works on numpy arrays: abelian_group_structure and
+cyclic_group_structure take a group on element indices.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,19 +29,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
-    """Smallest non-negative x with a*x = b (mod m), plus the solution spacing.
-
-    Returns (x0, m//g); raises ValueError when g = gcd(a, m) does not divide b.
-    """
-    g, inv, _ = xgcd(a, m)
-    if b % g:
-        raise ValueError(f"{a}*x = {b} (mod {m}) has no solution")
-    mg = m // g
-    x0 = ((b // g) * inv) % mg
-    return x0, mg
 
 
 def kronecker(a: int, n: int) -> int:
@@ -194,6 +181,17 @@ def v_p(n: int, p: int) -> int:
 # enumeration: row e_1 + d_1 (e_2 + d_2 (e_3 + ...)) holds g_1^e_1 ... g_k^e_k,
 # so an exponent vector and its row are one mixed-radix conversion apart,
 # and every table is enumerated from a basis.
+#
+# A cyclic group needs none of this.  Given the powers g^k of one generator
+# (found by cyclic_generator), the elements of largest order in its Sylow
+# p-part (p^a || n) are the g^(k n/p^a) with p not dividing k.  The greedy
+# step takes the least-key one of them, needs no correction and stops, and
+# the merge multiplies the picks into one generator, so
+# cyclic_group_structure returns the basis and table that
+# abelian_group_structure would, from the keys of n powers.  The package
+# takes that route for (O/P)^x = F_q^x and for class groups found cyclic,
+# and this one for the rest: prime powers P^a with a >= 2 and non-cyclic
+# class groups.
 # ---------------------------------------------------------------------------
 
 
@@ -203,7 +201,11 @@ class _IndexGroup:
     def __init__(self, n: int, mul, identity: int):
         self.n, self._mul, self.identity = n, mul, identity
         self.everything = np.arange(n, dtype=np.int64)
-        self.square = self.mul(self.everything, self.everything)
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """The squaring map x -> x^2 over all n elements, built on first use."""
+        return self.mul(self.everything, self.everything)
 
     def mul(self, u, v) -> np.ndarray:
         """The products of two index arrays; raises once one leaves 0..n-1."""
@@ -343,3 +345,76 @@ def abelian_group_structure(keys, mul, identity: int):
     # row r holds the element with exponents e_i = (r // stride_i) mod d_i
     digits = rows[:, None] // np.cumprod([1] + orders[:-1])
     return gens, orders, digits - digits // orders * orders
+
+
+def cyclic_group_structure(keys, powers):
+    """abelian_group_structure's (gens, orders, vecs) for a cyclic group,
+    read off the powers of one generator g.
+
+    The elements are the indices 0..n-1 with n = len(keys), ranked by keys
+    as there, and powers[k] is the index of g^k for k = 0..n-1.  The
+    elements of largest order p^a in the Sylow p-part (p^a || n) are the
+    g^(k n/p^a) with p not dividing k; of these the one with the least key
+    (then the least index) is abelian_group_structure's pick.  The picks'
+    product g^m is its one generator, of order n, and the exponent of g^k
+    on it is k m^-1 mod n.  The certificate is that the powers reach every
+    index exactly once: GroupStructureMismatch otherwise.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    powers = np.asarray(powers, dtype=np.int64)
+    n = len(keys)
+    log = np.full(n, -1, dtype=np.int64)  # log[g^k] = k
+    # a negative index reads as a huge unsigned one
+    if len(powers) == n and not (powers.view(np.uint64) >= n).any():
+        log[powers] = np.arange(n)
+    if (log < 0).any():
+        raise GroupStructureMismatch("the powers do not reach each element exactly once")
+    if n == 1:
+        return [], [], np.zeros((1, 0), dtype=np.int64)
+    m = 0
+    for p, a in factorize(n):
+        step = n // p**a
+        ks = np.arange(1, p**a)
+        ks = ks[ks % p != 0]
+        picks = powers[ks * step]
+        least = np.flatnonzero(keys[picks] == keys[picks].min())
+        m += int(ks[least[picks[least].argmin()]]) * step
+    m %= n
+    return [int(powers[m])], [n], (log * pow(m, -1, n) % n)[:, None]
+
+
+def cyclic_generator(candidates, mul, one, n: int):
+    """A generator of the group of order n that the candidates lie in, or None.
+
+    For each prime l with l^a || n, the first candidate x with
+    x^(n/l) != one has an l-part of order l^a, so x^(n/l^a) has order l^a,
+    and the product of these over the l has order n.  mul multiplies two
+    elements and one is the identity; the candidates are read lazily and
+    only until every l has its element.  When they generate the group, None
+    means that the group is not cyclic: its exponent then divides some n/l.
+    """
+
+    def power(x, k: int):
+        out = one
+        while k:
+            if k & 1:
+                out = x if out == one else mul(out, x)
+            k >>= 1
+            if k:
+                x = mul(x, x)
+        return out
+
+    pending = [(p, p**a) for p, a in factorize(n)]
+    g, candidates = one, iter(candidates)
+    while pending:
+        x = next(candidates, None)
+        if x is None:
+            return None
+        if x == one:
+            continue
+        for p, q in list(pending):
+            y = power(x, n // q)
+            if power(y, q // p) != one:
+                g = y if g == one else mul(g, y)
+                pending.remove((p, q))
+    return g

@@ -33,10 +33,19 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import abelian_group_structure, factorize, is_prime, v_p
+from .arith import (
+    _IndexGroup,
+    abelian_group_structure,
+    cyclic_generator,
+    cyclic_group_structure,
+    factorize,
+    is_prime,
+    v_p,
+)
 from .errors import (
     DomainError,
     FactorizationMismatch,
+    GroupStructureMismatch,
     ImprimitiveFinitePart,
     MainLemmaViolation,
     NoConsistentLift,
@@ -162,7 +171,7 @@ def _box_rows(x: np.ndarray, y: np.ndarray, f: Ideal, box_row: np.ndarray) -> np
 
 @lru_cache(maxsize=None)
 def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
-    """Generators, orders and discrete logs of (O/f)^x by direct residue enumeration.
+    """Generators, orders and discrete logs of (O/f)^x, on its unit residues.
 
     The unit residues are the points x + y omega of the HNF box of f that
     lie in no prime above f, found by one mask over the box.  The group
@@ -171,6 +180,13 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
     Ideal.reduce_element, and box_row back to rows.  Basis candidates are
     tried in the order of the residues' reprs, which fixes the generators
     that descriptors store exponents on.
+
+    For a prime f = P the group is F_q^x, cyclic: cyclic_generator finds a
+    generator among the residues multiplied as integer pairs, its powers
+    are one span of the group law, and cyclic_group_structure reads off
+    them the basis and logs that abelian_group_structure would find.  Any
+    other f (the package passes P^a with a >= 2) goes through
+    abelian_group_structure.
     """
     a, c = f.a, f.c
     D, nm = field.D, field.nm
@@ -203,7 +219,25 @@ def unit_group_mod(field: FieldContext, f: Ideal) -> UnitGroupMod:
     y_key = _decimal_key(ys)
     keys = _decimal_key(xs) * (int(y_key.max()) + 1) + y_key
     one = f.reduce_element(field.one)
-    gens, orders, vecs = abelian_group_structure(keys, mul, int(box_row[one.y * a + one.x]))
+    one_row = int(box_row[one.y * a + one.x])
+    if primes != [f]:
+        gens, orders, vecs = abelian_group_structure(keys, mul, one_row)
+    else:
+        # O/P is a field, so (O/P)^x is cyclic; the candidates run from the
+        # last row down, so for an inert P the residues off F_p come first
+        def pair_mul(u, v):
+            (x1, y1), (x2, y2) = u, v
+            x, y = x1 * x2 - nm * y1 * y2, y1 * x2 + (x1 + D * y1) * y2
+            return ((x - y // c * f.b) % a, y % c)
+
+        n = len(xs)
+        candidates = ((int(xs[i]), int(ys[i])) for i in reversed(range(n)))
+        g = cyclic_generator(candidates, pair_mul, (one.x, one.y), n)
+        if g is None:
+            raise GroupStructureMismatch(f"(O/{f!r})^x is not cyclic")
+        g_row = int(box_row[g[1] * a + g[0]])
+        powers = _IndexGroup(n, mul, one_row).span(np.array([one_row]), g_row, n)
+        gens, orders, vecs = cyclic_group_structure(keys, powers)
     for arr in (xs, ys, vecs, box_row):
         arr.flags.writeable = False  # shared by every caller of the cached unit group
     return UnitGroupMod(

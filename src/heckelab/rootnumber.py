@@ -162,9 +162,10 @@ def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     (O/P^a)^x at once from eps.local_exponents.  Only k_P and M are chi's
     own; the rest is gauss, which must be of chi's conductor (else
     DomainError).  The terms of each local sum are counted by phase, and
-    the local sum is the counts' dot product with e^{2 pi i j/L} at the
-    distinct phases j, the only floating-point step; the local sums are
-    then multiplied.
+    the local sum is the sum of the counts times e^{2 pi i j/L} at the
+    distinct phases j, the only floating-point step (an elementwise
+    product and np.sum, not a BLAS dot product, whose first call costs
+    resident memory); the local sums are then multiplied.
     """
     f = chi.conductor
     if gauss.f != f:
@@ -179,7 +180,7 @@ def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     for phase, k in zip(gauss.phases, chi.eps.local_exponents):
         j = (phase * (L // N) + k * (L // M)) % L
         phases, counts = np.unique(j, return_counts=True)
-        out *= complex(counts @ np.exp(2j * np.pi / L * phases))
+        out *= complex(np.sum(counts * np.exp(2j * np.pi / L * phases)))
     return out
 
 

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from heckelab.arith import (
     abelian_group_structure,
+    cyclic_generator,
+    cyclic_group_structure,
     euler_phi,
     factorize,
     is_prime,
     kronecker,
     moebius,
-    solve_linmod,
     sqrt_mod_prime,
     v_p,
     xgcd,
@@ -28,24 +29,6 @@ def test_xgcd_bezout():
         g, x, y = xgcd(a, b)
         assert g == math.gcd(a, b)
         assert a * x + b * y == g
-
-
-def test_solve_linmod():
-    rng = random.Random(2)
-    for _ in range(300):
-        a, m = rng.randint(-50, 50), rng.randint(1, 60)
-        b = rng.randint(-50, 50)
-        g = math.gcd(a, m)
-        if b % g:
-            with pytest.raises(ValueError):
-                solve_linmod(a, b, m)
-            continue
-        x0, step = solve_linmod(a, b, m)
-        assert (a * x0 - b) % m == 0
-        assert step == m // g
-        # all solutions mod m form the arithmetic progression x0 + step*Z
-        sols = {x for x in range(m) if (a * x - b) % m == 0}
-        assert sols == {(x0 + k * step) % m for k in range(g)}
 
 
 def test_kronecker_small_table():
@@ -189,3 +172,51 @@ def test_abelian_group_structure_certificate():
     with pytest.raises(GroupStructureMismatch):
         abelian_group_structure([0, 1, 2, 3], lambda u, v: (u + v) % 4, 4)
     assert issubclass(GroupStructureMismatch, HeckeLabError) and issubclass(GroupStructureMismatch, ValueError)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 30, 97, 360])
+def test_cyclic_group_structure_matches_abelian_group_structure(n):
+    # Z/n under addition with shuffled keys: every generator's powers give
+    # the basis and table that the general route finds
+    keys = random.Random(n).sample(range(10 * n), n)
+    gens, orders, vecs = abelian_group_structure(keys, lambda u, v: (u + v) % n, 0)
+    for g in [g for g in range(n) if math.gcd(g, n) == 1][:6]:
+        got = cyclic_group_structure(keys, [k * g % n for k in range(n)])
+        assert (got[0], got[1]) == (gens, orders) and np.array_equal(got[2], vecs), (n, g)
+
+
+def test_cyclic_group_structure_certificate():
+    keys = [3, 1, 4, 0, 2]
+    for powers in (
+        [0, 2, 4, 1, 1],  # one element twice, another never
+        [0, 2, 4, 1],  # too few powers
+        [0, 2, 4, 1, 5],  # past the listed indices
+        [0, 2, 4, 1, -2],  # below them
+    ):
+        with pytest.raises(GroupStructureMismatch):
+            cyclic_group_structure(keys, powers)
+    gens, orders, vecs = cyclic_group_structure(keys, [0, 2, 4, 1, 3])
+    # the least key among the elements of order 5 is that of g^4 = 3, and
+    # g^k = 3^(4^-1 k) = 3^(4k) mod 5
+    assert (gens, orders, vecs[:, 0].tolist()) == ([3], [5], [0, 2, 4, 1, 3])
+
+
+def test_cyclic_generator():
+    add = lambda n: lambda u, v: (u + v) % n  # noqa: E731
+    for n in (1, 2, 12, 360, 1024):
+        g = cyclic_generator(range(n), add(n), 0, n)
+        assert math.gcd(g, n) == 1, n
+    # Z/12 from the candidates 4 and 6 alone: 4 has the 3-part, 6 the 2-part
+    # only up to order 2, so none holds the 2-part of order 4; 9 does, and
+    # the generator is 4^(12/3) 9^(12/4)
+    assert cyclic_generator([4, 6], add(12), 0, 12) is None
+    assert cyclic_generator([4, 6, 9], add(12), 0, 12) == (4 * 4 + 9 * 3) % 12
+    # the candidates are read only until every prime has its part: here 1
+    # holds both, and the generator is 1^3 1^4
+    candidates = iter(range(1, 100))
+    assert cyclic_generator(candidates, add(12), 0, 12) == 7
+    assert next(candidates) == 2
+    # Z/2 x Z/4 as pairs: no element of order 8, so not cyclic
+    pairs = [(a, b) for a in range(2) for b in range(4)]
+    mul = lambda u, v: ((u[0] + v[0]) % 2, (u[1] + v[1]) % 4)  # noqa: E731
+    assert cyclic_generator(pairs, mul, (0, 0), 8) is None

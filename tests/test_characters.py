@@ -4,11 +4,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.arith import factorize
+from heckelab.arith import abelian_group_structure, factorize, is_prime
 from heckelab.characters import (
     CharValue,
     _unit_exponents,
@@ -271,6 +272,40 @@ def test_unit_group_matches_dict_oracle():
     assert len(bases) == 2062
     # the oracle's basis of the c = 43 twist-deep modulus is the pinned one
     assert bases[-4, 172, 86, 86] == (((128, 43), (169, 6)), (4, 1848))
+
+
+def _unit_group_by_general_route(ug):
+    """(gens, orders, vecs) of ug's group through abelian_group_structure:
+    the residues' reprs rank the candidates, and products are read back
+    through ug.rows."""
+    field, xs, ys = ug.field, ug.xs, ug.ys
+
+    def mul(u, v):
+        x1, y1, x2, y2 = xs[u], ys[u], xs[v], ys[v]
+        return ug.rows(x1 * x2 - field.nm * y1 * y2, x1 * y2 + x2 * y1 + field.D * y1 * y2)
+
+    by_repr = sorted(range(ug.order), key=lambda i: repr((int(xs[i]), int(ys[i]))))
+    keys = np.empty(ug.order, dtype=np.int64)
+    keys[by_repr] = np.arange(ug.order)
+    gens, orders, vecs = abelian_group_structure(keys, mul, int(ug.rows([1], [0])[0]))
+    return tuple((int(xs[g]), int(ys[g])) for g in gens), tuple(orders), vecs
+
+
+def test_prime_unit_groups_match_the_general_route():
+    # (O/P)^x = F_q^x is read off one generator's powers; its basis and logs
+    # are those of the general route, for every P over p <= 101 in 12 fields
+    norms = []
+    for D in (-3, -4, -7, -8, -11, -15, -20, -23, -24, -40, -67, -163):
+        field = make_field(D)
+        for p in filter(is_prime, range(102)):
+            for P in prime_ideals_above(field, p):
+                ug = unit_group_mod(field, P)
+                gens, orders, vecs = _unit_group_by_general_route(ug)
+                assert (ug.gens, ug.orders) == (gens, orders), (D, P)
+                assert np.array_equal(ug.vecs, vecs), (D, P)
+                norms.append(P.norm)
+    # N(P) = 2 and 3 give the groups of one and two elements
+    assert len(norms) == 444 and {2, 3, 4, 9} <= set(norms)
 
 
 def test_local_parts_match_the_global_table():

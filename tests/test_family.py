@@ -506,7 +506,8 @@ def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
     def collapsed(elements, mul, identity):
         # a law sending every product to 1 fails the certificate on any group
         # of two or more elements; phi already holds its (O/(1+i)^3)^x, and
-        # the c = 5 twist's local groups, of 4 elements each, are built anew
+        # the c = 5 twist builds it anew (its prime parts (O/P)^x, of 4
+        # elements each, are cyclic and do not come here)
         if len(elements) > 1:
             mul = lambda u, v: np.full(np.broadcast(u, v).shape, identity)
         return structure(elements, mul, identity)
@@ -516,6 +517,17 @@ def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
     records = family.scan_report(field, phi, (5,), 5)
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error.startswith("GroupStructureMismatch")
+
+
+def test_failed_prime_unit_group_certificate_is_recorded(gauss, monkeypatch):
+    field, phi = gauss
+    # a generator search that answers the identity: its powers reach one of
+    # the 4 elements of each (O/P)^x, N(P) = 5, of the c = 5 twist
+    monkeypatch.setattr(characters, "cyclic_generator", lambda candidates, mul, one, n: one)
+    characters.unit_group_mod.cache_clear()
+    records = family.scan_report(field, phi, (5,), 5)
+    assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
+    assert records[1].error == "GroupStructureMismatch: the powers do not reach each element exactly once"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -2,9 +2,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from heckelab import quadfield
+from heckelab.arith import abelian_group_structure
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
@@ -282,6 +284,94 @@ def test_class_group_structure():
     cg = class_group(-1472)
     assert cg.orders == (2, 6)
     assert [(g.a, g.b, g.c) for g in cg.gens] == [(16, 16, 27), (12, -4, 31)]
+
+
+def _class_group_by_adapter(disc):
+    """(gens, orders, dlog) of the form class group through abelian_group_structure
+    on the indices of reduced_forms(disc), candidates ranked by the forms' reprs."""
+    forms = reduced_forms(disc)
+    index = {form: i for i, form in enumerate(forms)}
+
+    def mul(u, v):
+        u, v = np.broadcast_arrays(u, v)
+        out = [index[forms[i].compose(forms[j])] for i, j in zip(u.ravel().tolist(), v.ravel().tolist())]
+        return np.array(out, dtype=np.int64).reshape(u.shape)
+
+    rank = {form: r for r, form in enumerate(sorted(forms, key=repr))}
+    gens, orders, vecs = abelian_group_structure([rank[f] for f in forms], mul, index[principal_form(disc)])
+    return tuple(forms[g] for g in gens), tuple(orders), dict(zip(forms, map(tuple, vecs.tolist())))
+
+
+# Non-cyclic class groups, their pinned bases (descriptors store exponents on
+# them) and, where more than two forms are ambiguous, the number of
+# compositions the adapter makes, as before the cyclic route existed.
+NON_CYCLIC = {
+    -1472: ((2, 6), ((16, 16, 27), (12, -4, 31)), 53),
+    -16900: ((2, 12), ((2, 2, 2113), (53, 22, 82)), 101),
+    -448: ((2, 2), ((4, 4, 29), (11, 6, 11)), 16),
+    -1792: ((2, 4), ((23, 18, 23), (11, -10, 43)), 33),
+    # one ambiguous form: the search runs, gives up and the adapter follows
+    -972: ((3, 3), ((4, -2, 61), (13, -4, 19)), None),
+}
+
+
+def _counted_class_group(monkeypatch, disc):
+    """class_group(disc) built anew, with its compositions and adapter calls counted."""
+    counts = {"compose": 0, "adapter": 0}
+    compose, adapter = BinaryForm.compose, quadfield.abelian_group_structure
+
+    def counted_compose(self, other):
+        counts["compose"] += 1
+        return compose(self, other)
+
+    def counted_adapter(*args):
+        counts["adapter"] += 1
+        return adapter(*args)
+
+    monkeypatch.setattr(BinaryForm, "compose", counted_compose)
+    monkeypatch.setattr(quadfield, "abelian_group_structure", counted_adapter)
+    class_group.cache_clear()
+    cg = class_group(disc)
+    class_group.cache_clear()  # drop what was built under the counters
+    monkeypatch.undo()
+    return cg, counts
+
+
+def test_cyclic_class_groups_match_the_adapter(monkeypatch):
+    # Pic(O_c) for c <= 40 over four fields: every cyclic one is read off one
+    # generator's powers, with the adapter's basis and discrete logs
+    cyclic = 0
+    for D in (-3, -4, -7, -23):
+        for c in range(1, 41):
+            gens, orders, dlog = _class_group_by_adapter(c * c * D)
+            if len(orders) <= 1:
+                cg, counts = _counted_class_group(monkeypatch, c * c * D)
+                assert (cg.gens, cg.orders, cg.dlog) == (gens, orders, dlog), (D, c)
+                assert counts["adapter"] == 0, (D, c)
+                cyclic += 1
+    assert cyclic == 110
+
+
+@pytest.mark.parametrize("disc", sorted(NON_CYCLIC))
+def test_non_cyclic_class_groups_take_the_adapter(monkeypatch, disc):
+    orders, gens, compositions = NON_CYCLIC[disc]
+    cg, counts = _counted_class_group(monkeypatch, disc)
+    assert cg.orders == orders
+    assert tuple((g.a, g.b, g.c) for g in cg.gens) == gens
+    assert (cg.gens, cg.orders, cg.dlog) == _class_group_by_adapter(disc)
+    assert counts["adapter"] == 1
+    if compositions is not None:
+        # more than two ambiguous forms: no generator search at all
+        assert sum(f.b == 0 or f.b == f.a or f.a == f.c for f in cg.forms) > 2
+        assert counts["compose"] == compositions
+
+
+def test_cyclic_class_group_cost():
+    # Pic(O_67) over Q(i), cyclic of order 34: the adapter made 86
+    # compositions; the generator search and the powers make 50
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cg, counts = _counted_class_group(monkeypatch, -4 * 67**2)
+    assert cg.orders == (34,) and counts == {"compose": 50, "adapter": 0}
 
 
 def test_form_composition_group_laws():
