@@ -359,10 +359,10 @@ class FinitePart:
 
     def __post_init__(self):
         if len(self.exps) != len(self.unit_group.orders):
-            raise ValueError("need one exponent per unit group generator")
+            raise GroupStructureMismatch("need one exponent per unit group generator")
         for k, n in zip(self.exps, self.unit_group.orders):
             if (k * n) % self.M:
-                raise ValueError("exponents do not define a homomorphism")
+                raise GroupStructureMismatch("exponents do not define a homomorphism")
 
     @cached_property
     def local_exponents(self) -> tuple:
@@ -510,44 +510,6 @@ class CharValue:
     @staticmethod
     def zero_value(char) -> "CharValue":
         return CharValue(char=char, zero=True, k=0, q=None, e=())
-
-    def __mul__(self, other: "CharValue") -> "CharValue":
-        ch = self.char
-        if self.zero or other.zero:
-            return CharValue.zero_value(ch)
-        k = (self.k + other.k) % ch.M
-        q = self.q * other.q
-        e = []
-        for ei, fi, hi, ki, wi in zip(self.e, other.e, ch.class_orders, ch.base_exps, ch.base_ws):
-            s = ei + fi
-            t, r = divmod(s, hi)
-            if t:
-                # v_i^{h_i} = zeta_M^{k_i} * w_i folds back into (k, q)
-                k = (k + t * ki) % ch.M
-                for _ in range(t):
-                    q = q * wi
-            e.append(r)
-        return CharValue(char=ch, zero=False, k=k, q=q, e=tuple(e))
-
-    def conjugate(self) -> "CharValue":
-        """Exact complex conjugate, using conj(v_i) = N(rep_i) / v_i."""
-        ch = self.char
-        if self.zero:
-            return self
-        k = (-self.k) % ch.M
-        q = self.q.conjugate()
-        e = []
-        for ei, hi, ki, wi, rep in zip(
-            self.e, ch.class_orders, ch.base_exps, ch.base_ws, ch.class_reps
-        ):
-            if ei == 0:
-                e.append(0)
-                continue
-            # conj(v)^e = N(rep)^e * v^{-e} = N(rep)^e * v^{h-e} / (zeta^k w)
-            k = (k - ki) % ch.M
-            q = (q * rep.norm**ei) / wi
-            e.append(hi - ei)
-        return CharValue(char=ch, zero=False, k=k, q=q, e=tuple(e))
 
     def complex(self) -> complex:
         if self.zero:
@@ -833,23 +795,26 @@ def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
 def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[HeckeCharacter]:
     """The primitive Hecke characters inducing phi * rho^j, one per j in members.
 
-    All members live on m = lcm(f(phi), cO) in mu_Mc, Mc = lcm(M_phi, n),
-    n = ord(rho), and are read through the local groups (O/P^a)^x of m.
-    eps_phi and rho are read once at the lifted local generators of m; as
-    rho^j = zeta_n^(j s) where rho = zeta_n^s, member j's exponent there
-    is k_phi (Mc/M_phi) + j k_rho (Mc/n) mod Mc, and one pass per part
-    gives its local k_P at every row.  The conductor f_chi is found prime
-    by prime: P's exponent drops while k_P vanishes on the units 1 mod the
-    smaller power of P in its part (one mask per power per orbit).  A P
-    whose exponent a stays keeps its local exponents as they are.  For a P
-    lowered to b >= 1, scattering k_P through rows() onto (O/P^b)^x, every
-    row hit by one exponent, certifies P^b is a modulus of eps_P; a
-    dropped P has k_P = 0 on all of its part, the descent's last check.
-    The descent certifies f_chi is the least: at each
-    P^b || f_chi it stopped with k_P nontrivial on the units 1 mod P^(b-1),
-    which is what is_primitive tests.  So members skip that check; unit
-    consistency is still checked.  Members of one conductor share its local
-    groups, scatter maps and class lifts.  Each j must be prime to n, else
+    eps_phi and rho are read once at the lifted local generators of
+    m = lcm(f(phi), cO), in mu_Mc with Mc = lcm(M_phi, n, w_K, exponent of
+    (O/m)^x) and n = ord(rho): A = k_phi (Mc/M_phi) and, as rho^j =
+    zeta_n^(j s) where rho = zeta_n^s, B = s (Mc/n).  Member j is built as
+    the FinitePart on m with exponents A + j B mod Mc.  Its conductor f_chi
+    is found prime by prime on that part's local exponents: P's exponent
+    drops while k_P vanishes on the units 1 mod the smaller power of P in
+    its part (one mask per power per orbit).  When f_chi = m, the member's
+    finite part is that FinitePart, a modulus by construction.  Only a
+    lowered f_chi is scattered: each surviving k_P goes through rows() onto
+    (O/P^b)^x, every row hit by one exponent, which certifies P^b is a
+    modulus of eps_P (a dropped P has k_P = 0 on all of its part, the
+    descent's last check).  The exponents at the generators of f_chi are
+    then divided by Mc/M, M = lcm(M_phi, n, w_K, exponent of (O/f_chi)^x);
+    A and B are multiples of Mc/lcm(M_phi, n), so the division is exact.
+    The descent certifies f_chi is the least: at each P^b || f_chi it
+    stopped with k_P nontrivial on the units 1 mod P^(b-1), which is what
+    is_primitive tests.  So members skip that check; unit consistency is
+    still checked.  Members of one conductor share its local groups,
+    scatter maps and class lifts.  Each j must be prime to n, else
     DomainError.
     """
     field = phi.field
@@ -859,29 +824,26 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
     if any(math.gcd(j, n) != 1 for j in members):
         raise DomainError(f"orbit members {tuple(members)} are not all prime to ord(rho) = {n}")
     m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
-    Mc = math.lcm(phi.M, n)
     units_m = local_unit_groups(field, m)
-    k_phi, k_rho = [], []
+    Mc = math.lcm(phi.M, n, field.wK, units_m.exponent)
+    A, B = [], []
     for g in units_m.gens:
         w = KElt(field, *g)
         k1 = phi.eps.exponent_of(w)
         s = None if k1 is None else rho.value_exponent(principal_ideal(field, w))
         if s is None:
             raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
-        k_phi.append(k1 * (Mc // phi.M))
-        k_rho.append(s * (Mc // n))
+        A.append(k1 * (Mc // phi.M))
+        B.append(s * (Mc // n))
 
     masks: dict[tuple, np.ndarray] = {}  # (P, j) -> units 1 mod P^j in P's part
     by_conductor: dict[tuple, tuple] = {}  # keyed by the exponents of m's primes in f_chi
     at_reps: dict[Ideal, tuple] = {}  # class representative -> (phi value, rho exponent)
     out = []
     for j in members:
-        exps_m = [(a + j * b) % Mc for a, b in zip(k_phi, k_rho)]
-        ks, key, i = [], [], 0
-        for (pr, a), part in zip(units_m.factors, units_m.parts):
-            exps_P = exps_m[i : i + len(part.orders)]
-            i += len(part.orders)
-            k = _unit_exponents(part, exps_P, Mc)
+        eps_m = FinitePart(field, m, Mc, units_m, tuple((a + j * b) % Mc for a, b in zip(A, B)))
+        key = []
+        for (pr, a), part, k in zip(units_m.factors, units_m.parts, eps_m.local_exponents):
             # conductor: lower P's exponent while U(P^b) = {1 mod P^b} stays in the kernel
             b = a
             while b:
@@ -890,26 +852,22 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
                 if k[masks[pr, b - 1]].any():
                     break
                 b -= 1
-            ks.append((exps_P, k))
             key.append(b)
         key = tuple(key)
         if key not in by_conductor:
             if key == tuple(a for _, a in units_m.factors):
-                f_chi, units_f = m, units_m
+                f_chi, units_f, scatter = m, units_m, None
             else:
                 powers = {pr: b for (pr, _), b in zip(units_m.factors, key)}
                 f_chi = _ideal_from_factors(field, powers)
                 units_f = local_unit_groups(field, f_chi)
-            # per part of m: None where P drops out, () where P^a stays whole,
-            # else the scatter onto (O/P^b)^x
-            parts_f = dict(zip((pr for pr, _ in units_f.factors), units_f.parts))
-            scatter = []
-            for (pr, a), part, b in zip(units_m.factors, units_m.parts, key):
-                if b == 0:
-                    scatter.append(None)
-                elif b == a:
-                    scatter.append(())
-                else:
+                # per part of m: None where P drops out, else the scatter onto (O/P^b)^x
+                parts_f = dict(zip((pr for pr, _ in units_f.factors), units_f.parts))
+                scatter = []
+                for (pr, _), part, b in zip(units_m.factors, units_m.parts, key):
+                    if b == 0:
+                        scatter.append(None)
+                        continue
                     part_f = parts_f[pr]
                     gen_rows = part_f.box_row[[y * part_f.f.a + x for x, y in part_f.gens]]
                     scatter.append((part_f.rows(part.xs, part.ys), gen_rows, part_f.order))
@@ -918,25 +876,24 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
             by_conductor[key] = (f_chi, units_f, scatter, lifts)
         f_chi, units_f, scatter, lifts = by_conductor[key]
 
-        # restriction to f_chi, part by part: every unit mod P^b, one exponent above each
-        exps_f = []
-        for (exps_P, k), sc in zip(ks, scatter):
-            if sc is None:
-                continue
-            if not sc:
-                exps_f.extend(exps_P)
-                continue
-            r, gen_rows, order = sc
-            k_f = np.full(order, -1, dtype=np.int64)
-            k_f[r] = k
-            if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
-                raise NoConsistentLift(
-                    f"the twist's finite part does not factor through {f_chi!r}"
-                )
-            exps_f.extend(k_f[gen_rows].tolist())
-        M_new = math.lcm(Mc, field.wK, units_f.exponent)
-        exps = tuple(e * (M_new // Mc) for e in exps_f)
-        eps_chi = FinitePart(field, f_chi, M_new, units_f, exps)
+        if scatter is None:
+            eps_chi = eps_m
+        else:
+            # restriction to f_chi, part by part: every unit mod P^b, one exponent above each
+            exps_f = []
+            for k, sc in zip(eps_m.local_exponents, scatter):
+                if sc is None:
+                    continue
+                r, gen_rows, order = sc
+                k_f = np.full(order, -1, dtype=np.int64)
+                k_f[r] = k
+                if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
+                    raise NoConsistentLift(
+                        f"the twist's finite part does not factor through {f_chi!r}"
+                    )
+                exps_f.extend(k_f[gen_rows].tolist())
+            M = math.lcm(phi.M, n, field.wK, units_f.exponent)
+            eps_chi = FinitePart(field, f_chi, M, units_f, tuple(e // (Mc // M) for e in exps_f))
         _require_unit_consistent(eps_chi)
         exponents = tuple(j * t % h for t, h in zip(rho.exponents, rho._pic_orders))
         base = _assemble(field, eps_chi, lifts, None, (rho.c, exponents))
@@ -978,10 +935,6 @@ class MainLemmaReport:
     mu: int
     h: int
     q: int
-
-    @property
-    def bound(self) -> int:
-        return 3 + self.mu + self.h
 
 
 def main_lemma_quantities(char: HeckeCharacter) -> MainLemmaReport:

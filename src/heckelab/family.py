@@ -49,11 +49,12 @@ A scan checks, in this order:
 
 and per record, which keeps the first failure as its error:
 
-* the twists are built once per orbit; every finite part must be unit
-  consistent, and its modulus is certified twice, prime by prime: the
-  scatter onto each (O/P^b)^x, P^b || f(chi), shows it is a modulus, and
-  the conductor descent that found it shows it is the least
-  (characters.twist_orbit);
+* the twists are built once per orbit, each member as a finite part on
+  m = lcm(f(phi), cO), which is a modulus by construction; every finite
+  part must be unit consistent.  The conductor descent, prime by prime,
+  shows f(chi) is the least modulus, and only a lowered f(chi) is
+  scattered onto each (O/P^b)^x, P^b || f(chi), which shows it is a
+  modulus too (characters.twist_orbit);
 * the ideals to f^max(T_EXPONENTS) are counted at every t = f^alpha;
 * the Main Lemma bound |m_p/2 - n_p| <= 3 + mu + h, with the local orders
   on 1 + p^3 O powers of p;

@@ -254,9 +254,6 @@ class Ideal:
     def norm(self) -> int:
         return self.a * self.c
 
-    def basis(self) -> tuple[KElt, KElt]:
-        return KElt(self.field, self.a, 0), KElt(self.field, self.b, self.c)
-
     def contains(self, z: KElt) -> bool:
         if z.y % self.c:
             return False

@@ -11,8 +11,9 @@
   test.  form_of_ideal and ideal_class_by_form, the form read off an
   O-ideal's own HNF: the reference for ideal_class_of, which reads the
   ideal's contraction at conductor 1.
-* abs_squared, equals_exact and rho_value_complex: |chi(a)|^2 and exact
-  equality of values in the package's value algebra, and rho(a) as a
+* abs_squared, equals_exact, value_product, value_conjugate and
+  rho_value_complex: |chi(a)|^2, exact equality, products and complex
+  conjugates of values in the package's value algebra, and rho(a) as a
   complex number, which the tests check characters with.
 * A multiplicative prime sieve for theta coefficients: a_n built from the
   local factors a_{p^e}, which need chi only at the (at most two) prime
@@ -251,6 +252,46 @@ def equals_exact(value: CharValue, other: CharValue) -> bool:
     j = table[ratio]
     dk = (value.k - other.k) % ch.M
     return (dk * ch.field.wK + j * ch.M) % (ch.M * ch.field.wK) == 0
+
+
+def value_product(value: CharValue, other: CharValue) -> CharValue:
+    """The exact product of two values of one character."""
+    ch = value.char
+    if value.zero or other.zero:
+        return CharValue.zero_value(ch)
+    k = (value.k + other.k) % ch.M
+    q = value.q * other.q
+    e = []
+    for ei, fi, hi, ki, wi in zip(value.e, other.e, ch.class_orders, ch.base_exps, ch.base_ws):
+        t, r = divmod(ei + fi, hi)
+        if t:
+            # v_i^{h_i} = zeta_M^{k_i} * w_i folds back into (k, q)
+            k = (k + t * ki) % ch.M
+            for _ in range(t):
+                q = q * wi
+        e.append(r)
+    return CharValue(char=ch, zero=False, k=k, q=q, e=tuple(e))
+
+
+def value_conjugate(value: CharValue) -> CharValue:
+    """The exact complex conjugate of a value, using conj(v_i) = N(rep_i) / v_i."""
+    ch = value.char
+    if value.zero:
+        return value
+    k = (-value.k) % ch.M
+    q = value.q.conjugate()
+    e = []
+    for ei, hi, ki, wi, rep in zip(
+        value.e, ch.class_orders, ch.base_exps, ch.base_ws, ch.class_reps
+    ):
+        if ei == 0:
+            e.append(0)
+            continue
+        # conj(v)^e = N(rep)^e * v^{-e} = N(rep)^e * v^{h-e} / (zeta^k w)
+        k = (k - ki) % ch.M
+        q = (q * rep.norm**ei) / wi
+        e.append(hi - ei)
+    return CharValue(char=ch, zero=False, k=k, q=q, e=tuple(e))
 
 
 def rho_value_complex(rho: RingClassCharacter, ideal: Ideal) -> complex:

@@ -530,6 +530,52 @@ def test_failed_prime_unit_group_certificate_is_recorded(gauss, monkeypatch):
     assert records[1].error == "GroupStructureMismatch: the powers do not reach each element exactly once"
 
 
+def test_each_member_finite_part_is_built_once(monkeypatch):
+    # twist_orbit builds member j as one FinitePart on m, which is its finite
+    # part when f(chi) = m: one exponent table per local part and member,
+    # where building the member's tables and then its FinitePart's made two
+    calls = []
+    unit_exponents = characters._unit_exponents
+
+    def counted(ug, exps, M):
+        calls.append(ug.f)
+        return unit_exponents(ug, exps, M)
+
+    monkeypatch.setattr(characters, "_unit_exponents", counted)
+    for D, P, c_max, expected in ((-4, (5, 13), 25, 42), (-23, (2, 3), 8, 38)):
+        field = make_field(D)
+        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        phi = build_hecke_character(field, eps)
+        calls.clear()
+        family.scan_report(field, phi, P, c_max)
+        assert len(calls) == expected, (D, P, c_max)
+    # twist-deep's two characters, of conductor (1+i)^3 c with c = 43 and 67
+    # inert: a twist, its root number and its central value read two parts
+    field = make_field(-4)
+    phi = build_hecke_character(field, gaussian_epsilon(field))
+    calls.clear()
+    for c, exponents in ((43, (11,)), (67, (17,))):
+        chi = twist(phi, ring_class_character(field, c, exponents))
+        W = root_number(chi)
+        central_value(chi, int(1 - W) // 2, tol=1e-10, w=W)
+    assert len(calls) == 4
+
+
+def test_failed_finite_part_check_is_recorded(gauss, monkeypatch):
+    field, phi = gauss
+    local_unit_groups = characters.local_unit_groups
+
+    def one_order_too_many(field, f):
+        # every member's finite part on m then has one exponent too few
+        units = local_unit_groups(field, f)
+        return replace(units, orders=units.orders + (1,))
+
+    monkeypatch.setattr(characters, "local_unit_groups", one_order_too_many)
+    records = family.scan_report(field, phi, (5,), 5)
+    assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
+    assert records[1].error == "GroupStructureMismatch: need one exponent per unit group generator"
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

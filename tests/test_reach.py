@@ -7,11 +7,16 @@ under the tests or not at all.  It is either deleted or listed in ALLOWED with
 the reason it stays.  A use is a name or attribute in code; import
 statements and mentions in docstrings or comments do not count.  Methods
 are matched by name, so a method counts as used when any attribute of that
-name is read; dunder methods are used by the language and are not checked.
+name is read; a bare name does not count for a method, as a local variable
+of the same name is no use of it.  Dunder methods are used by the language
+and are not checked.
 
 The relative imports of src/, at module level or inside a function, form
 an acyclic graph: a module that needs a value of a later layer takes it as
 an argument rather than importing that layer.
+
+src/ has no assert statement: its invariants raise HeckeLabError
+subclasses, which still hold under python -O and are recorded by a scan.
 """
 
 import ast
@@ -50,13 +55,13 @@ def _definitions(trees):
 
 
 def _uses(trees):
-    """(module, line, name) for every Name load and attribute access in src/."""
+    """(module, line, name, is_attribute) for every Name load and attribute
+    read in src/."""
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                yield module, node.lineno, node.id
-            elif isinstance(node, ast.Attribute):
-                yield module, node.lineno, node.attr
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                attribute = isinstance(node, ast.Attribute)
+                yield module, node.lineno, node.attr if attribute else node.id, attribute
 
 
 def test_every_definition_is_reached():
@@ -66,10 +71,12 @@ def test_every_definition_is_reached():
     for module, qualname, node in _definitions(trees):
         if qualname in ALLOWED:
             continue
+        is_method = "." in qualname
         if not any(
             name == node.name
+            and (attribute or not is_method)
             and not (module == use_module and node.lineno <= line <= node.end_lineno)
-            for use_module, line, name in uses
+            for use_module, line, name, attribute in uses
         ):
             unreached.append(f"{module}:{node.lineno} {qualname}")
     assert unreached == [], "referenced nowhere in src/: " + ", ".join(unreached)
@@ -100,3 +107,13 @@ def test_relative_imports_are_acyclic():
     except CycleError as exc:
         raise AssertionError("import cycle in src/: " + " -> ".join(exc.args[1])) from None
     assert set(graph) <= set(order)
+
+
+def test_src_has_no_assert():
+    asserts = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == [], "assert statements in src/: " + ", ".join(asserts)
