@@ -43,9 +43,9 @@ A scan checks, in this order:
   a base character that breaks the theorem's hypothesis raises
   RestrictionMismatch;
 * once per conductor c and prime p | c, while the twists are enumerated:
-  every alpha in O_{c/p} prime to c that _dropdown_kernel reads is trivial
-  in Pic(O_{c/p}), and the classes of the alpha O reach h(O_c)/h(O_{c/p})
-  inside its box of residues mod cO, else GroupStructureMismatch;
+  each of the p elements 1 + (c/p)(x + omega) prime to c is trivial in
+  Pic(O_{c/p}), and exactly h(O_{c/p}) characters of Pic(O_c) are trivial
+  on all of them, else GroupStructureMismatch (_exact_conductor);
 
 and per record, which keeps the first failure as its error:
 
@@ -148,66 +148,48 @@ def _supported_conductors(P: tuple[int, ...], c_max: int) -> list[int]:
     return sorted(set(out))
 
 
-def _vector_exponent(exponents, vec, orders, N: int) -> int:
-    return sum(t * e * (N // h) for t, e, h in zip(exponents, vec, orders)) % N
+def _exact_conductor(field: FieldContext, c: int, vectors: list[tuple[int, ...]]) -> np.ndarray:
+    """Mask over exponent vectors of Pic(O_c): True where the character has conductor exactly c.
 
-
-def _subgroup_closure(vectors: list[tuple[int, ...]], orders: tuple[int, ...]) -> set:
-    seen = {tuple(0 for _ in orders)}
-    frontier = list(seen)
-    while frontier:
-        base = frontier.pop()
-        for v in vectors:
-            nxt = tuple((b + x) % h for b, x, h in zip(base, v, orders))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _dropdown_kernel(field: FieldContext, c: int, p: int) -> list[tuple[int, ...]]:
-    """Generators of ker(Pic(O_c) -> Pic(O_{c/p})) as dlog vectors.
-
-    The kernel consists of the classes of alpha O with alpha in
-    O_{c/p} = Z + (c/p)O prime to c, and alpha mod cO fixes the class (Cox,
-    Primes of the Form x^2 + ny^2, Prop. 7.22).  Integers are trivial, so
-    x + (c/p) y omega with 0 <= x < c and 0 < y < p generate it.
+    A character has a smaller conductor when it factors through some
+    Pic(O_{c/p}), i.e. is trivial on ker(Pic(O_c) -> Pic(O_{c/p})).  That
+    kernel is the classes of alpha O with alpha in 1 + (c/p)O prime to c,
+    rational integers being trivial (Cox, Primes of the Form x^2 + ny^2,
+    Prop. 7.22).  If p^2 | c it is cyclic, generated by the class of
+    1 + (c/p)omega; if p || c it is a quotient of (O/pO)^x / (Z/p)^x, whose
+    nontrivial classes have representatives a + omega.  So the
+    alpha_x = 1 + (c/p)(x + omega), 0 <= x < p, prime to c, reach every
+    kernel class.  Raises GroupStructureMismatch unless every alpha_x is
+    trivial in Pic(O_{c/p}) and exactly h(O_{c/p}) characters are trivial
+    on all of them.
     """
-    sub = c // p
     orders = class_group(c * c * field.D).orders
-    want = ring_class_number(field, c) // ring_class_number(field, sub)
-    found: list[tuple[int, ...]] = []
-    if want == 1:
-        return found
-    closure = _subgroup_closure(found, orders)
-    for y in range(1, p):
-        for x in range(c):
-            alpha = KElt(field, x, sub * y)
+    N = math.lcm(*orders)
+    # entries of scaled and dlogs are below N: each dot product is below rank N^2
+    scaled = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(orders))
+    scaled = scaled * np.array([N // h for h in orders], dtype=np.int64)
+    exact = np.ones(len(vectors), dtype=bool)
+    for p, _ in factorize(c):
+        sub = c // p
+        dlogs = []
+        for x in range(p):
+            alpha = KElt(field, 1 + sub * x, sub)
             if math.gcd(alpha.norm(), c) != 1:
                 continue
             ideal = principal_ideal(field, alpha)
             if any(ring_class_dlog(field, sub, ideal)):
                 raise GroupStructureMismatch(f"{alpha!r} is nontrivial in Pic(O_{sub})")
-            vec = ring_class_dlog(field, c, ideal)
-            if vec not in closure:
-                found.append(vec)
-                closure = _subgroup_closure(found, orders)
-                if len(closure) >= want:
-                    return found
-    raise GroupStructureMismatch(
-        f"O_{sub} mod {c}O gives {len(closure)} of the {want} kernel classes, D={field.D}"
-    )
-
-
-def _conductor_exact(exponents, orders, kernels) -> bool:
-    """True when the ring class character has conductor exactly c.
-
-    kernels lists the dropdown kernel generators of c, one list per prime p | c.
-    """
-    N = math.lcm(*orders)
-    return not any(
-        all(_vector_exponent(exponents, v, orders, N) == 0 for v in kern) for kern in kernels
-    )
+            dlogs.append(ring_class_dlog(field, c, ideal))
+        dlogs = np.array(dlogs, dtype=np.int64).reshape(len(dlogs), len(orders))
+        trivial = ~(dlogs @ scaled.T % N).any(axis=0)
+        found, want = int(trivial.sum()), ring_class_number(field, sub)
+        if found != want:
+            raise GroupStructureMismatch(
+                f"{found} characters of Pic(O_{c}) are trivial on its kernel to"
+                f" Pic(O_{sub}), not h(O_{sub}) = {want}, D={field.D}"
+            )
+        exact &= ~trivial
+    return exact
 
 
 @dataclass(frozen=True)
@@ -228,12 +210,10 @@ def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> lis
     orbits: list[TwistOrbit] = []
     for c in _supported_conductors(tuple(P), c_max):
         orders = class_group(c * c * field.D).orders
-        kernels = [_dropdown_kernel(field, c, p) for p, _ in factorize(c)]
+        vectors = list(itertools.product(*(range(h) for h in orders)))
         seen: set[tuple[int, ...]] = set()
-        for exponents in itertools.product(*(range(h) for h in orders)):
-            if exponents in seen:
-                continue
-            if not _conductor_exact(exponents, orders, kernels):
+        for exponents, exact in zip(vectors, _exact_conductor(field, c, vectors)):
+            if not exact or exponents in seen:
                 continue
             n = RingClassCharacter(field, c, exponents).order
             members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
@@ -284,12 +264,6 @@ def count_N_total(ideals: list[Ideal], ks: list, n: int, t: float) -> int:
 # ---------------------------------------------------------------------------
 # Averaged L-values
 # ---------------------------------------------------------------------------
-
-
-def orbit_characters(
-    phi: HeckeCharacter, orbit: TwistOrbit
-) -> list[HeckeCharacter]:
-    return twist_orbit(phi, orbit.rho(phi.field), orbit.members)
 
 
 def averaged_L(
@@ -500,9 +474,9 @@ def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyReco
 
 
 def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
-    members = orbit_characters(phi, orbit)
-    chi = members[0]
     rho = orbit.rho(field)
+    members = twist_orbit(phi, rho, orbit.members)
+    chi = members[0]
     # exact fields first: counts and the p-adic bookkeeping need no W;
     # one read of rho over the ideals to the largest threshold serves the
     # counts and the orbit mean

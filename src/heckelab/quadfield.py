@@ -641,10 +641,6 @@ def class_group(disc: int) -> ClassGroup:
     )
 
 
-def minkowski_bound(disc: int) -> int:
-    return math.floor(2 * math.sqrt(-disc) / math.pi)
-
-
 def ideal_class_of(ideal: Ideal) -> tuple[int, ...]:
     """Exponent vector of the ideal's class on the class group generators:
     its ring class at conductor 1, where the contraction is the ideal itself."""

@@ -43,10 +43,15 @@
 * local_part_twists, every twist of conductor exactly c of the families
   LOCAL_PART_FAMILIES, on which the two references above are compared
   with the local parts.
-* dropdown_kernel_by_search, the kernel of Pic(O_c) -> Pic(O_{c/p}) from
-  the classes of the first ideals, in (norm, HNF) order, that are trivial
-  in Pic(O_{c/p}): the reference for family._dropdown_kernel, which builds
-  the kernel from principal ideals of elements of O_{c/p}.
+* dropdown_kernel_by_search, generators of the kernel of
+  Pic(O_c) -> Pic(O_{c/p}) from the classes of the first ideals, in
+  (norm, HNF) order, that are trivial in Pic(O_{c/p}), grown until their
+  subgroup closure reaches h(O_c)/h(O_{c/p}); and exact_conductor_by_search,
+  which tests each character against those generators one by one: the
+  reference for family._exact_conductor, which reads the kernel off the p
+  elements 1 + (c/p)(x + omega) and tests every character at once.
+* minkowski_bound, the bound below which every ideal class has an ideal:
+  the composition-free class-number reference.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from heckelab.arith import factorize
 from heckelab.characters import (
     CharValue,
     FinitePart,
@@ -76,6 +82,7 @@ from heckelab.characters import (
     gaussian_epsilon,
     ideal_lcm,
     local_unit_groups,
+    twist_orbit,
     unit_group_mod,
     unit_root_table,
 )
@@ -86,7 +93,7 @@ from heckelab.errors import (
     NonPositiveArgument,
     NumericalInstability,
 )
-from heckelab.family import _subgroup_closure, enumerate_twists, orbit_characters
+from heckelab.family import enumerate_twists
 from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
 from heckelab.quadfield import (
     BinaryForm,
@@ -612,6 +619,20 @@ def global_gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     )
 
 
+def subgroup_closure(vectors: list[tuple[int, ...]], orders: tuple[int, ...]) -> set:
+    """The subgroup of Z/orders[0] x Z/orders[1] x ... that vectors generate, breadth first."""
+    seen = {tuple(0 for _ in orders)}
+    frontier = list(seen)
+    while frontier:
+        base = frontier.pop()
+        for v in vectors:
+            nxt = tuple((b + x) % h for b, x, h in zip(base, v, orders))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def dropdown_kernel_by_search(field: FieldContext, c: int, p: int) -> list[tuple[int, ...]]:
     """Generators of ker(Pic(O_c) -> Pic(O_{c/p})) as dlog vectors, by an ideal search.
 
@@ -633,8 +654,28 @@ def dropdown_kernel_by_search(field: FieldContext, c: int, p: int) -> list[tuple
         vec = tuple(ring_class_dlog(field, c, ideal))
         if any(vec) and vec not in found:
             found.append(vec)
-            if len(_subgroup_closure(found, orders)) >= want:
+            if len(subgroup_closure(found, orders)) >= want:
                 return found
+
+
+def exact_conductor_by_search(field: FieldContext, c: int, vectors) -> list[bool]:
+    """For each exponent vector of Pic(O_c): whether no prime p | c has its
+    character trivial on every generator of dropdown_kernel_by_search(c, p)."""
+    orders = class_group(c * c * field.D).orders
+    N = math.lcm(*orders)
+
+    def exponent(vec, kernel_vec):
+        return sum(t * e * (N // h) for t, e, h in zip(vec, kernel_vec, orders)) % N
+
+    kernels = [dropdown_kernel_by_search(field, c, p) for p, _ in factorize(c)]
+    return [
+        not any(all(exponent(vec, k) == 0 for k in kernel) for kernel in kernels)
+        for vec in vectors
+    ]
+
+
+def minkowski_bound(disc: int) -> int:
+    return math.floor(2 * math.sqrt(-disc) / math.pi)
 
 
 # (D, P, c): inert primes (3 over Q(i)), split ones with P and conj(P) both
@@ -660,5 +701,5 @@ def local_part_twists():
         phi = build_hecke_character(field, eps)
         for orbit in enumerate_twists(field, P, c):
             if orbit.c == c:
-                for m, chi in zip(orbit.members, orbit_characters(phi, orbit)):
+                for m, chi in zip(orbit.members, twist_orbit(phi, orbit.rho(field), orbit.members)):
                     yield f"D={D} c={c} {orbit.exponents} m={m}", chi

@@ -1,5 +1,5 @@
+import itertools
 import sys
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +9,6 @@ import oracles
 import pytest
 
 from heckelab import characters, family, quadfield, rootnumber
-from heckelab.arith import factorize
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
@@ -75,39 +74,44 @@ def test_scan_requires_property1(monkeypatch):
         family.scan_report(field, broken, (2,), 1)
 
 
-def test_dropdown_kernels_built_once_per_conductor_prime(gauss, monkeypatch):
-    field, _ = gauss
-    calls = Counter()
-    kernel = family._dropdown_kernel
+def test_exact_conductor_dlog_calls(monkeypatch):
+    # two per element 1 + (c/p)(x + omega) prime to c, x < p: its class at c/p and at c
+    calls = [0]
+    dlog = family.ring_class_dlog
 
-    def counted(field, c, p):
-        calls[c, p] += 1
-        return kernel(field, c, p)
+    def counted(field, c, ideal):
+        calls[0] += 1
+        return dlog(field, c, ideal)
 
-    monkeypatch.setattr(family, "_dropdown_kernel", counted)
-    orbits = family.enumerate_twists(field, (5, 13), 25)
-    assert len(orbits) == 7
-    assert calls == {(c, p): 1 for c in (5, 13, 25) for p, _ in factorize(c)}
+    monkeypatch.setattr(family, "ring_class_dlog", counted)
+    for D, P, c_max, orbits, dlogs in ((-4, (5, 13), 25, 7, 38), (-23, (2, 3), 72, 42, 86)):
+        calls[0] = 0
+        assert len(family.enumerate_twists(make_field(D), P, c_max)) == orbits
+        assert calls[0] == dlogs, (D, P, c_max)
 
 
 # (D, P, c_max): D = -23 at c <= 72 is the 42-orbit family; its ideal
-# search walks the ideal stream in under half a second
-KERNEL_FAMILIES = [(-23, (2, 3), 72), (-4, (2, 5), 40), (-7, (2, 3), 12), (-47, (2, 3), 12)]
+# search walks the ideal stream in under half a second.  The last two add
+# ramified primes: 7 over Q(sqrt(-7)), where 2 splits, and 3 over
+# Q(sqrt(-3)), where 2 is inert
+KERNEL_FAMILIES = [
+    (-23, (2, 3), 72),
+    (-4, (2, 5), 40),
+    (-7, (2, 3), 12),
+    (-47, (2, 3), 12),
+    (-7, (2, 7), 49),
+    (-3, (2, 3), 54),
+]
 
 
 @pytest.mark.parametrize("D, P, c_max", KERNEL_FAMILIES)
-def test_dropdown_kernels_match_ideal_search(D, P, c_max, monkeypatch):
+def test_exact_conductor_matches_kernel_search(D, P, c_max):
     field = make_field(D)
-    orbits = family.enumerate_twists(field, P, c_max)
-    searched = {}
     for c in family._supported_conductors(P, c_max):
         orders = class_group(c * c * D).orders
-        for p, _ in factorize(c):
-            searched[c, p] = oracles.dropdown_kernel_by_search(field, c, p)
-            want = family._subgroup_closure(searched[c, p], orders)
-            assert family._subgroup_closure(family._dropdown_kernel(field, c, p), orders) == want
-    monkeypatch.setattr(family, "_dropdown_kernel", lambda field, c, p: searched[c, p])
-    assert family.enumerate_twists(field, P, c_max) == orbits
+        vectors = list(itertools.product(*(range(h) for h in orders)))
+        mask = family._exact_conductor(field, c, vectors)
+        assert mask.tolist() == oracles.exact_conductor_by_search(field, c, vectors), c
 
 
 def test_enumerate_twists_enumerates_no_ideals(monkeypatch):
@@ -125,20 +129,21 @@ def test_enumerate_twists_enumerates_no_ideals(monkeypatch):
     assert len(family.enumerate_twists(make_field(-23), (2, 3), 72)) == 42
 
 
-def test_dropdown_kernel_certificates_raise(monkeypatch):
-    # D = -23, c = 4, p = 2: the kernel has order h(O_4)/h(O_2) = 6/3 = 2
+def test_exact_conductor_certificates_raise(monkeypatch):
+    # D = -23, c = 4: h(O_4) = 6 over h(O_2) = 3, so 3 characters have conductor exactly 4
     field = make_field(-23)
-    assert len(family._subgroup_closure(family._dropdown_kernel(field, 4, 2), (6,))) == 2
+    vectors = [(t,) for t in range(6)]
+    assert family._exact_conductor(field, 4, vectors).sum() == 3
     dlog = family.ring_class_dlog
     with monkeypatch.context() as m:
-        # every alpha in O_2 looks nontrivial in Pic(O_2)
+        # every element 1 + 2(x + omega) looks nontrivial in Pic(O_2)
         m.setattr(family, "ring_class_dlog", lambda f, c, a: (1,) if c == 2 else dlog(f, c, a))
         with pytest.raises(GroupStructureMismatch, match="nontrivial in Pic"):
-            family._dropdown_kernel(field, 4, 2)
-    # the closure never reaches its target before the box runs out
-    monkeypatch.setattr(family, "_subgroup_closure", lambda vectors, orders: {(0,)})
-    with pytest.raises(GroupStructureMismatch, match="gives 1 of the 2 kernel classes"):
-        family._dropdown_kernel(field, 4, 2)
+            family._exact_conductor(field, 4, vectors)
+    # the kernel looks trivial in Pic(O_4): all 6 characters factor through Pic(O_2)
+    monkeypatch.setattr(family, "ring_class_dlog", lambda f, c, a: (0,) if c == 4 else dlog(f, c, a))
+    with pytest.raises(GroupStructureMismatch, match="6 characters of Pic"):
+        family._exact_conductor(field, 4, vectors)
 
 
 def test_root_number_routes_must_agree(gauss, monkeypatch):
@@ -170,8 +175,8 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
 
 def _orbit_mean_inputs(field, phi, orbit):
     """(walk, rho, ideals, ks, tables, bound) of the orbit-mean check, as a scan builds them."""
-    members = family.orbit_characters(phi, orbit)
     rho = orbit.rho(field)
+    members = twist_orbit(phi, rho, orbit.members)
     bound = int(members[0].f_value ** max(family.T_EXPONENTS))
     walk = family._ScanWalk(phi, {orbit.c})
     ideals = walk.ideals(bound)
@@ -226,7 +231,7 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     field, phi = gauss
     phi_calls, in_gauss, one_mod_calls, bounds = [], [0], [0], []
     evaluate, gauss_root = characters.evaluate_char, rootnumber.gauss_sum_root_number
-    one_mod, orbit_chars = characters.UnitGroupMod.one_mod, family.orbit_characters
+    one_mod, orbit_chars = characters.UnitGroupMod.one_mod, family.twist_orbit
     enumerate_ideals_ = family.enumerate_ideals
     per_orbit = {}
 
@@ -246,10 +251,10 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
         one_mod_calls[0] += 1
         return one_mod(self, g)
 
-    def traced_orbit(phi, orbit):
+    def traced_orbit(phi, rho, members):
         before = one_mod_calls[0]
-        out = orbit_chars(phi, orbit)
-        per_orbit[orbit.c, orbit.exponents] = (len(out), one_mod_calls[0] - before)
+        out = orbit_chars(phi, rho, members)
+        per_orbit[rho.c, rho.exponents] = (len(out), one_mod_calls[0] - before)
         return out
 
     def counted_enumerate(field, bound):
@@ -260,7 +265,7 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
         monkeypatch.setattr(module, "evaluate_char", counted_evaluate)
     monkeypatch.setattr(rootnumber, "gauss_sum_root_number", traced_gauss)
     monkeypatch.setattr(characters.UnitGroupMod, "one_mod", counted_one_mod)
-    monkeypatch.setattr(family, "orbit_characters", traced_orbit)
+    monkeypatch.setattr(family, "twist_orbit", traced_orbit)
     monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
     records = family.scan_report(field, phi, (5, 13), 25)
     assert all(r.error is None for r in records)
@@ -352,7 +357,7 @@ def _scan_members(D, P, c_max):
     eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
     phi = build_hecke_character(field, eps)
     orbits = family.enumerate_twists(field, P, c_max)
-    return phi, [(o.c, family.orbit_characters(phi, o)) for o in orbits]
+    return phi, [(o.c, twist_orbit(phi, o.rho(field), o.members)) for o in orbits]
 
 
 def _check_shared_reads(phi, groups, tol=1e-8):

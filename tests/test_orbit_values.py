@@ -76,8 +76,8 @@ def member_tables():
     for D, P, c_max in FAMILIES:
         field, phi = _phi(D)
         for orbit in family.enumerate_twists(field, P, c_max):
-            members = family.orbit_characters(phi, orbit)
             rho = orbit.rho(field)
+            members = characters.twist_orbit(phi, rho, orbit.members)
             for m, chi in zip(orbit.members, members):
                 X = fe_bound(chi)
                 exact = lambda pr, chi=chi: evaluate_char(chi, pr).complex()

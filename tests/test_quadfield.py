@@ -29,7 +29,6 @@ from heckelab.quadfield import (
     ideals_by_norm,
     ideal_class_of,
     make_field,
-    minkowski_bound,
     prime_ideals_above,
     principal_form,
     principal_ideal,
@@ -44,6 +43,7 @@ from oracles import (
     elements_by_ellipse,
     enumerate_ideals_by_merge,
     ideal_class_by_form,
+    minkowski_bound,
     primes_up_to,
     table_dict,
 )

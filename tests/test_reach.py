@@ -29,7 +29,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "heckelab"
 ALLOWED = {
     "main": "the `heckelab` console script of pyproject.toml",
     "make_field": "the public constructor that heckelab/__init__.py exports",
-    "minkowski_bound": "the class-number reference of the quadratic-field tests",
     "twist": "the public single-character entry point; scans build orbits with twist_orbit",
 }
 
@@ -117,3 +116,34 @@ def test_src_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == [], "assert statements in src/: " + ", ".join(asserts)
+
+
+# parameters with a default value in src/: each is an option a caller can
+# set, and a later change may only remove them
+MAX_DEFAULTED_PARAMETERS = 13
+
+
+def _defaulted_parameters(node, prefix=""):
+    """(qualified name, number of parameters with a default) for every
+    function under node that has one."""
+    for child in ast.iter_child_nodes(node):
+        name = f"{prefix}{getattr(child, 'name', 'lambda')}"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            n = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            if n:
+                yield name, n
+        nested = isinstance(child, _DEFS + (ast.Lambda,))
+        yield from _defaulted_parameters(child, f"{name}." if nested else prefix)
+
+
+def test_optional_parameters_do_not_grow():
+    found = [
+        (f"{module}:{name}", n)
+        for module, tree in _trees().items()
+        for name, n in _defaulted_parameters(tree)
+    ]
+    total = sum(n for _, n in found)
+    assert total <= MAX_DEFAULTED_PARAMETERS, f"{total} defaulted parameters: " + ", ".join(
+        f"{name} ({n})" for name, n in found
+    )

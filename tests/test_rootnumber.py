@@ -12,9 +12,10 @@ from heckelab.characters import (
     gaussian_epsilon,
     ring_class_character,
     twist,
+    twist_orbit,
 )
 from heckelab.errors import HeckeLabError, IdealSearchExhausted, NoCRTLift, PhaseOverflow
-from heckelab.family import TwistOrbit, enumerate_twists, orbit_characters
+from heckelab.family import enumerate_twists
 from heckelab.lseries import theta_coeffs
 from heckelab.quadfield import Ideal, KElt, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
@@ -182,10 +183,9 @@ def test_fe_route_alone(chi23):
 
 def _orbit_root_numbers(phi, c, exponents):
     """Gauss-sum W of every member phi rho^m of the Galois orbit of rho."""
-    n = ring_class_character(phi.field, c, exponents).order
-    members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
-    orbit = TwistOrbit(c=c, exponents=exponents, order=n, members=members)
-    chars = orbit_characters(phi, orbit)
+    rho = ring_class_character(phi.field, c, exponents)
+    members = tuple(m for m in range(1, rho.order + 1) if math.gcd(m, rho.order) == 1)
+    chars = twist_orbit(phi, rho, members)
     return [root_number(chi) for chi in chars], [gauss_sum_root_number(chi) for chi in chars]
 
 
@@ -222,7 +222,7 @@ def _gauss_oracle_characters():
     f4 = make_field(-4)
     phi4 = build_hecke_character(f4, gaussian_epsilon(f4))
     for orbit in enumerate_twists(f4, (5, 13), 25):
-        for m, chi in zip(orbit.members, orbit_characters(phi4, orbit)):
+        for m, chi in zip(orbit.members, twist_orbit(phi4, orbit.rho(f4), orbit.members)):
             yield f"D=-4 c={orbit.c} {orbit.exponents} m={m}", chi
     yield "D=-4 c=43 (11,)", twist(phi4, ring_class_character(f4, 43, (11,)))
     # conductor a non-principal prime above 3: the auxiliary ideal is not O
@@ -265,7 +265,7 @@ def _conductor_characters():
         phi = build_hecke_character(field, eps)
         seen = set()
         for orbit in enumerate_twists(field, P, c_max):
-            for chi in orbit_characters(phi, orbit):
+            for chi in twist_orbit(phi, orbit.rho(field), orbit.members):
                 if chi.conductor not in seen:
                     seen.add(chi.conductor)
                     yield f"D={D} c={orbit.c} f={chi.conductor!r}", chi
