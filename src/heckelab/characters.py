@@ -19,8 +19,9 @@ discrete logs of one prime power (O/P^a)^x, and local_unit_groups joins
 them with the CRT idempotents e_P, so no table over all of (O/f)^x is
 built for a composite f.  Twists, their conductors, values, theta
 lattices, Gauss sums and the Main Lemma's local orders all read eps
-through that sum, and the conductor descent and primitivity are checks
-inside one local group each.
+through that sum.  The conductor exponents, primitivity and the local
+orders read one more array per local group, its rows' levels in the
+filtration by the subgroups 1 + P^j (LocalUnitGroups.levels).
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ class UnitGroupMod:
     x + y omega of the HNF box 0 <= x < a, 0 <= y < c of f (y outer, x
     inner): xs, ys and vecs, the exponent vector of each residue in the
     generators.  box_row maps a box position y a + x to that row, or -1
-    off the units.  Subgroups are read as masks over the rows: one_mod(g)
-    marks the kernel of (O/f)^x -> (O/g)^x, and rows(xs, ys) finds the
-    rows of arbitrary residues.
+    off the units, and rows(xs, ys) finds the rows of arbitrary residues.
+    The congruence subgroups 1 + P^j of a part P^a are read off
+    LocalUnitGroups.levels.
     """
 
     field: FieldContext
@@ -140,10 +141,6 @@ class UnitGroupMod:
     def reduce(self, z: KElt) -> tuple:
         r = self.f.reduce_element(z)
         return (r.x, r.y)
-
-    def one_mod(self, g: Ideal) -> np.ndarray:
-        """Mask of the rows r = 1 mod g, for an ideal g dividing f."""
-        return _in_ideal(self.xs - 1, self.ys, g)
 
     def rows(self, xs, ys) -> np.ndarray:
         """Rows of the residues x + y omega (integer arrays), -1 where one is
@@ -302,6 +299,30 @@ class LocalUnitGroups:
             len(self.parts), len(xs)
         )
 
+    @cached_property
+    def levels(self) -> tuple:
+        """Per part (O/P^a)^x, int8: at each row r the largest j <= a with
+        r = 1 mod P^j, its place in the filtration by the subgroups
+        (1 + P^j)/(1 + P^a) (Neukirch, Algebraic Number Theory, II.5).
+
+        Level j is tested only on the rows that reached level j - 1, one
+        mask each, so the build costs about one pass over the part.
+        N(P)^(a-j) rows must reach level j for every j >= 1, else
+        GroupStructureMismatch.
+        """
+        out = []
+        for (pr, a), part in zip(self.factors, self.parts):
+            level = np.zeros(part.order, dtype=np.int8)
+            rows = np.arange(part.order)
+            for j in range(1, a + 1):
+                rows = rows[_in_ideal(part.xs[rows] - 1, part.ys[rows], pr**j)]
+                if len(rows) != pr.norm ** (a - j):
+                    raise GroupStructureMismatch(f"{len(rows)} units = 1 mod {pr!r}^{j}, a = {a}")
+                level[rows] = j
+            level.flags.writeable = False
+            out.append(level)
+        return tuple(out)
+
 
 def local_unit_groups(field: FieldContext, f: Ideal) -> LocalUnitGroups:
     """The local groups of (O/f)^x, their CRT idempotents and lifted generators.
@@ -347,8 +368,8 @@ class FinitePart:
     reading of eps goes through one sum: local_exponents holds, per part,
     the exponent k_P(r) of eps_P at each of its rows r, and eps at a batch
     of residues is zeta_M^k with k = sum_P k_P[rows_P] (exponents_at).  A value is one
-    entry per part, and eps on a congruence subgroup is one k_P under a
-    mask of its part's one_mod.
+    entry per part, and eps on a congruence subgroup 1 + P^j is one k_P
+    where its part's unit_group.levels reach j.
     """
 
     field: FieldContext
@@ -413,15 +434,18 @@ class FinitePart:
                 return False
         return True
 
+    def conductor_exponents(self) -> tuple:
+        """Per P^a || f, the exponent b of P in the conductor of eps: the
+        least b with eps_P trivial on 1 + P^b, which is 1 + the largest
+        level of a row where k_P != 0, or 0 where eps_P is trivial."""
+        return tuple(
+            1 + int(np.max(level, where=k_P != 0, initial=-1))
+            for level, k_P in zip(self.unit_group.levels, self.local_exponents)
+        )
+
     def is_primitive(self) -> bool:
-        """f is the conductor of eps: for each P^a || f, eps is nontrivial on
-        the units r = 1 mod f/P, which by CRT is eps_P nontrivial on the
-        units 1 mod P^(a-1) of its part."""
-        units = self.unit_group
-        for (pr, a), part, k_P in zip(units.factors, units.parts, self.local_exponents):
-            if not k_P[part.one_mod(pr ** (a - 1))].any():
-                return False
-        return True
+        """f is the conductor of eps: P's exponent is a at every P^a || f."""
+        return self.conductor_exponents() == tuple(a for _, a in self.unit_group.factors)
 
     def restriction_to_integers(self, n: int) -> int | None:
         """kappa_1(n): +1/-1 for eps(n) = 1/-1, None if not coprime or
@@ -799,23 +823,22 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
     m = lcm(f(phi), cO), in mu_Mc with Mc = lcm(M_phi, n, w_K, exponent of
     (O/m)^x) and n = ord(rho): A = k_phi (Mc/M_phi) and, as rho^j =
     zeta_n^(j s) where rho = zeta_n^s, B = s (Mc/n).  Member j is built as
-    the FinitePart on m with exponents A + j B mod Mc.  Its conductor f_chi
-    is found prime by prime on that part's local exponents: P's exponent
-    drops while k_P vanishes on the units 1 mod the smaller power of P in
-    its part (one mask per power per orbit).  When f_chi = m, the member's
-    finite part is that FinitePart, a modulus by construction.  Only a
-    lowered f_chi is scattered: each surviving k_P goes through rows() onto
-    (O/P^b)^x, every row hit by one exponent, which certifies P^b is a
-    modulus of eps_P (a dropped P has k_P = 0 on all of its part, the
-    descent's last check).  The exponents at the generators of f_chi are
-    then divided by Mc/M, M = lcm(M_phi, n, w_K, exponent of (O/f_chi)^x);
-    A and B are multiples of Mc/lcm(M_phi, n), so the division is exact.
-    The descent certifies f_chi is the least: at each P^b || f_chi it
-    stopped with k_P nontrivial on the units 1 mod P^(b-1), which is what
-    is_primitive tests.  So members skip that check; unit consistency is
-    still checked.  Members of one conductor share its local groups,
-    scatter maps and class lifts.  Each j must be prime to n, else
-    DomainError.
+    the FinitePart eps_m on m with exponents A + j B mod Mc, and its
+    conductor f_chi is eps_m.conductor_exponents(), read off the levels of
+    m's local groups, which the orbit builds once.  When f_chi = m, the
+    member's finite part is eps_m, a modulus by construction.  A lowered
+    f_chi is restricted at its generators: each generator g of
+    local_unit_groups(f_chi) is lifted to z = g e + 1 - e, with e = 1 mod
+    f_chi and e = 0 at the primes that dropped out, and eps_chi(g) is
+    eps_m(z) divided by Mc/M, M = lcm(M_phi, n, w_K, exponent of
+    (O/f_chi)^x).  Two homomorphisms of (O/m)^x that agree on its
+    generators are equal, so eps_chi times Mc/M equal to eps_m at every
+    generator of m certifies eps_m = eps_chi mod f_chi, else
+    NoConsistentLift.  f_chi is the least modulus by the definition of the
+    conductor exponents, which is what is_primitive tests, so members skip
+    that check; unit consistency is still checked.  Members of one
+    conductor share its local groups, lifted generators and class lifts.
+    Each j must be prime to n, else DomainError.
     """
     field = phi.field
     if rho.is_trivial():
@@ -826,9 +849,9 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
     m = ideal_lcm(phi.eps.f, Ideal(field, rho.c, 0, rho.c))
     units_m = local_unit_groups(field, m)
     Mc = math.lcm(phi.M, n, field.wK, units_m.exponent)
+    gens_m = [KElt(field, *g) for g in units_m.gens]
     A, B = [], []
-    for g in units_m.gens:
-        w = KElt(field, *g)
+    for w in gens_m:
         k1 = phi.eps.exponent_of(w)
         s = None if k1 is None else rho.value_exponent(principal_ideal(field, w))
         if s is None:
@@ -836,64 +859,41 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
         A.append(k1 * (Mc // phi.M))
         B.append(s * (Mc // n))
 
-    masks: dict[tuple, np.ndarray] = {}  # (P, j) -> units 1 mod P^j in P's part
     by_conductor: dict[tuple, tuple] = {}  # keyed by the exponents of m's primes in f_chi
     at_reps: dict[Ideal, tuple] = {}  # class representative -> (phi value, rho exponent)
     out = []
     for j in members:
         eps_m = FinitePart(field, m, Mc, units_m, tuple((a + j * b) % Mc for a, b in zip(A, B)))
-        key = []
-        for (pr, a), part, k in zip(units_m.factors, units_m.parts, eps_m.local_exponents):
-            # conductor: lower P's exponent while U(P^b) = {1 mod P^b} stays in the kernel
-            b = a
-            while b:
-                if (pr, b - 1) not in masks:
-                    masks[pr, b - 1] = part.one_mod(pr ** (b - 1))
-                if k[masks[pr, b - 1]].any():
-                    break
-                b -= 1
-            key.append(b)
-        key = tuple(key)
+        key = eps_m.conductor_exponents()
         if key not in by_conductor:
             if key == tuple(a for _, a in units_m.factors):
-                f_chi, units_f, scatter = m, units_m, None
+                f_chi, units_f, lifted = m, units_m, None
             else:
-                powers = {pr: b for (pr, _), b in zip(units_m.factors, key)}
-                f_chi = _ideal_from_factors(field, powers)
+                f_chi = _ideal_from_factors(
+                    field, {pr: b for (pr, _), b in zip(units_m.factors, key) if b}
+                )
                 units_f = local_unit_groups(field, f_chi)
-                # per part of m: None where P drops out, else the scatter onto (O/P^b)^x
-                parts_f = dict(zip((pr for pr, _ in units_f.factors), units_f.parts))
-                scatter = []
-                for (pr, _), part, b in zip(units_m.factors, units_m.parts, key):
-                    if b == 0:
-                        scatter.append(None)
-                        continue
-                    part_f = parts_f[pr]
-                    gen_rows = part_f.box_row[[y * part_f.f.a + x for x, y in part_f.gens]]
-                    scatter.append((part_f.rows(part.xs, part.ys), gen_rows, part_f.order))
+                # the e_P of the primes kept: e = 1 mod f_chi and 0 at the dropped ones
+                e = sum((e_P for e_P, b in zip(units_m.idempotents, key) if b), KElt(field, 0))
+                lifted = [KElt(field, *g) * e + field.one - e for g in units_f.gens]
             # reps avoid the twist modulus too, so rho has a value at each
             lifts = _class_lifts(field, f_chi.norm * rho.c)
-            by_conductor[key] = (f_chi, units_f, scatter, lifts)
-        f_chi, units_f, scatter, lifts = by_conductor[key]
+            by_conductor[key] = (f_chi, units_f, lifted, lifts)
+        f_chi, units_f, lifted, lifts = by_conductor[key]
 
-        if scatter is None:
+        if lifted is None:
             eps_chi = eps_m
         else:
-            # restriction to f_chi, part by part: every unit mod P^b, one exponent above each
-            exps_f = []
-            for k, sc in zip(eps_m.local_exponents, scatter):
-                if sc is None:
-                    continue
-                r, gen_rows, order = sc
-                k_f = np.full(order, -1, dtype=np.int64)
-                k_f[r] = k
-                if (r < 0).any() or (k_f < 0).any() or (k_f[r] != k).any():
-                    raise NoConsistentLift(
-                        f"the twist's finite part does not factor through {f_chi!r}"
-                    )
-                exps_f.extend(k_f[gen_rows].tolist())
             M = math.lcm(phi.M, n, field.wK, units_f.exponent)
-            eps_chi = FinitePart(field, f_chi, M, units_f, tuple(e // (Mc // M) for e in exps_f))
+            step = Mc // M
+            ks = [eps_m.exponent_of(z) for z in lifted]
+            if any(k % step for k in ks):
+                raise NoConsistentLift(f"eps_m at the generators of {f_chi!r} is not in mu_{M}")
+            eps_chi = FinitePart(field, f_chi, M, units_f, tuple(k // step for k in ks))
+            if any(eps_chi.exponent_of(g) * step != k for g, k in zip(gens_m, eps_m.exps)):
+                raise NoConsistentLift(
+                    f"the twist's finite part does not factor through {f_chi!r}"
+                )
         _require_unit_consistent(eps_chi)
         exponents = tuple(j * t % h for t, h in zip(rho.exponents, rho._pic_orders))
         base = _assemble(field, eps_chi, lifts, None, (rho.c, exponents))
@@ -947,25 +947,21 @@ def main_lemma_quantities(char: HeckeCharacter) -> MainLemmaReport:
 
     o_p is the order of eps on the residues 1 mod p^3 O + f_p lifted to 1 mod
     the prime-to-p part of f.  By CRT that subgroup is, at each P^a || f
-    over p, the units 1 mod p^3 O + P^a of P's part, and trivial at the
-    other parts: one mask per part over p.  The exponents there generate a
-    cyclic subgroup of mu_M, of order M / gcd(M, their gcd).
+    over p, the units 1 mod p^3 O + P^a = P^min(a, 3 v_P(p)) of P's part,
+    the rows whose level reaches that exponent, and trivial at the other
+    parts.  The exponents there generate a cyclic subgroup of mu_M, of
+    order M / gcd(M, their gcd).
     """
     field, mu, h = char.field, 2, char.field.h
     units = char.eps.unit_group
     entries = []
     for p, m_p in factorize(char.eps.f.norm):
         g = 0
-        for (pr, _), part, k in zip(units.factors, units.parts, char.eps.local_exponents):
+        for (pr, a), level, k in zip(units.factors, units.levels, char.eps.local_exponents):
             if pr.norm % p:
                 continue
-            h_P = (Ideal(field, p, 0, p) ** 3).add(part.f)
-            mask = part.one_mod(h_P)
-            if int(mask.sum()) * h_P.norm != part.f.norm:
-                raise NoConsistentLift(
-                    f"{int(mask.sum())} units = 1 mod {h_P!r} in (O/{part.f!r})^x"
-                )
-            g = math.gcd(g, int(np.gcd.reduce(k[mask])))
+            v = 2 if field.kronecker(p) == 0 else 1  # v_P(p): pO = P^2 when p ramifies
+            g = math.gcd(g, int(np.gcd.reduce(k[level >= min(a, 3 * v)])))
         order = char.M // math.gcd(char.M, g)
         o_p = v_p(order, p)
         if order != p**o_p:

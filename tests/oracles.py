@@ -30,6 +30,9 @@
   dlog table of (O/m)^x, one conductor descent over it and one fully
   checked build_hecke_character per character phi * rho, the reference
   for characters.twist_orbit, which reads the local groups (O/P^a)^x.
+  Its conductor_descent, one mask over the global table per step, is
+  also the reference for FinitePart.conductor_exponents, which reads the
+  local groups' levels.
 * global_unit_exponents, eps at every residue of the global table
   unit_group_mod(f) of a composite f, from eps at that table's own
   generators; the reference for FinitePart's sum over its local parts.
@@ -74,6 +77,7 @@ from heckelab.characters import (
     HeckeCharacter,
     RingClassCharacter,
     _ideal_from_factors,
+    _in_ideal,
     _unit_exponents,
     build_hecke_character,
     canonical_epsilon,
@@ -495,12 +499,13 @@ def combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w: 
 
 def conductor_descent(field: FieldContext, m: Ideal, k: np.ndarray, ug_m) -> dict:
     """Exponents of the conductor of k on (O/m)^x: each prime's exponent
-    drops while k vanishes on the units 1 mod the smaller ideal."""
+    drops while k vanishes on the units 1 mod the smaller ideal, one mask
+    over the global table each."""
     local = m.factor()
     for pr in local:
         while local[pr]:
             g = _ideal_from_factors(field, {**local, pr: local[pr] - 1})
-            if k[ug_m.one_mod(g)].any():
+            if k[_in_ideal(ug_m.xs - 1, ug_m.ys, g)].any():
                 break
             local[pr] -= 1
     return local

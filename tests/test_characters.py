@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import characters
 from heckelab.arith import abelian_group_structure, factorize, is_prime
 from heckelab.characters import (
     CharValue,
@@ -816,6 +817,50 @@ def test_descent_certifies_primitivity(monkeypatch):
         with pytest.raises(ImprimitiveFinitePart):
             oracles.twist_per_member(phi, rho)
     assert len(kept) == len(dropped)
+
+
+def test_conductor_exponents_match_the_descent_oracle():
+    # powers chi^t of random finite parts on every prime power P^a of the
+    # dict oracle's moduli, their conductors read off the levels against the
+    # oracle's descent over the global table, one mask per step
+    rng = random.Random(25)
+    seen = set()
+    for field, f in _oracle_moduli():
+        units = local_unit_groups(field, f)
+        if len(units.factors) != 1:
+            continue
+        ((pr, a),) = units.factors
+        M = math.lcm(units.exponent, field.wK)
+        powers = [t for t in range(1, units.exponent + 1) if units.exponent % t == 0]
+        for t in rng.sample(powers, min(2, len(powers))):
+            exps = [rng.randrange(n) * (M // n) * t for n in units.orders]
+            eps = finite_part(field, f, exps, M=M)
+            ug, k = oracles.global_unit_exponents(eps)
+            (b,) = eps.conductor_exponents()
+            assert oracles.conductor_descent(field, f, k, ug) == {pr: b}, (field.D, f, eps.exps)
+            p = factorize(pr.norm)[0][0]
+            kind = "inert" if pr.norm == p * p else "ramified" if field.D % p == 0 else "split"
+            seen.add((kind, a >= 2, "full" if b == a else "lowered" if b else "trivial"))
+    kinds, conductors = ("split", "inert", "ramified"), ("full", "lowered", "trivial")
+    assert seen >= {(kind, True, b) for kind in kinds for b in conductors}
+
+
+def test_lowered_conductor_is_certified_at_the_generators(chi4, monkeypatch):
+    # rho_5 of order 2 twists chi4 to conductor (1+i)^3 P5 conj(P5); conductor
+    # exponents that drop one P5 claim a modulus the twist does not factor
+    # through, and eps_chi, read at (O/m)^x's generators, disagrees with eps_m
+    field = chi4.field
+    rho = ring_class_character(field, 5, (1,))
+    assert twist(chi4, rho).eps.conductor_exponents() == (3, 1, 1)
+    exponents = characters.FinitePart.conductor_exponents
+
+    def one_too_low(self):
+        *rest, last = exponents(self)
+        return (*rest, last - 1)
+
+    monkeypatch.setattr(characters.FinitePart, "conductor_exponents", one_too_low)
+    with pytest.raises(NoConsistentLift, match="does not factor through"):
+        twist(chi4, rho)
 
 
 def test_exponent_of_fraction_off_the_conductor_is_a_domain_error(chi4):

@@ -15,6 +15,7 @@ from heckelab.characters import (
     evaluate_char,
     finite_part,
     gaussian_epsilon,
+    local_unit_groups,
     ring_class_character,
     twist,
     twist_orbit,
@@ -75,7 +76,8 @@ def test_scan_requires_property1(monkeypatch):
 
 
 def test_exact_conductor_dlog_calls(monkeypatch):
-    # two per element 1 + (c/p)(x + omega) prime to c, x < p: its class at c/p and at c
+    # per element 1 + (c/p)(x + omega) prime to c, x < p: its class at c, and
+    # at c/p only when h(O_{c/p}) > 1 (D = -23 at c/p = 1 has h = 3)
     calls = [0]
     dlog = family.ring_class_dlog
 
@@ -84,7 +86,8 @@ def test_exact_conductor_dlog_calls(monkeypatch):
         return dlog(field, c, ideal)
 
     monkeypatch.setattr(family, "ring_class_dlog", counted)
-    for D, P, c_max, orbits, dlogs in ((-4, (5, 13), 25, 7, 38), (-23, (2, 3), 72, 42, 86)):
+    families = ((-4, (5, 13), 25, 7, 24), (-23, (2, 3), 72, 42, 86), (-4, (101,), 101, 6, 99))
+    for D, P, c_max, orbits, dlogs in families:
         calls[0] = 0
         assert len(family.enumerate_twists(make_field(D), P, c_max)) == orbits
         assert calls[0] == dlogs, (D, P, c_max)
@@ -220,20 +223,23 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     """Work a D=-4 P=(5,13) c<=25 scan does once per orbit or once per scan.
 
     phi is evaluated outside the Gauss sums at most once per ideal (33 of
-    them reach the orbit-mean checks), the three c = 13 orbits of 1, 2 and
-    2 members over one modulus make equal numbers of one_mod calls, one
-    mask of the conductor descent per local group (O/P^a)^x of
-    m = (1+i)^3 P13 conj(P13), and the ideal list is enumerated once, to
-    the largest bound a record asks for: 5000^(1.1/2), 85 ideals.
+    them reach the orbit-mean checks), each of the three c = 13 orbits of
+    1, 2 and 2 members over m = (1+i)^3 P13 conj(P13) builds the levels of
+    m's local groups once, for the conductor exponents of all its members,
+    the records' Main Lemma quantities build none, and the ideal list is
+    enumerated once, to the largest bound a record asks for:
+    5000^(1.1/2), 85 ideals.
     """
+    from functools import cached_property
+
     from heckelab import rootnumber
 
     field, phi = gauss
-    phi_calls, in_gauss, one_mod_calls, bounds = [], [0], [0], []
+    phi_calls, in_gauss, level_builds, bounds = [], [0], [0], []
     evaluate, gauss_root = characters.evaluate_char, rootnumber.gauss_sum_root_number
-    one_mod, orbit_chars = characters.UnitGroupMod.one_mod, family.twist_orbit
-    enumerate_ideals_ = family.enumerate_ideals
-    per_orbit = {}
+    levels, orbit_chars = characters.LocalUnitGroups.levels.func, family.twist_orbit
+    lemma, enumerate_ideals_ = family.main_lemma_quantities, family.enumerate_ideals
+    per_orbit, in_lemma = {}, []
 
     def counted_evaluate(char, ideal):
         if char is phi and not in_gauss[0]:
@@ -247,14 +253,23 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
         finally:
             in_gauss[0] -= 1
 
-    def counted_one_mod(self, g):
-        one_mod_calls[0] += 1
-        return one_mod(self, g)
+    def counted_levels(self):
+        level_builds[0] += 1
+        return levels(self)
+
+    counted = cached_property(counted_levels)
+    counted.__set_name__(characters.LocalUnitGroups, "levels")
 
     def traced_orbit(phi, rho, members):
-        before = one_mod_calls[0]
+        before = level_builds[0]
         out = orbit_chars(phi, rho, members)
-        per_orbit[rho.c, rho.exponents] = (len(out), one_mod_calls[0] - before)
+        per_orbit[rho.c, rho.exponents] = (len(out), level_builds[0] - before)
+        return out
+
+    def traced_lemma(chi):
+        before = level_builds[0]
+        out = lemma(chi)
+        in_lemma.append(level_builds[0] - before)
         return out
 
     def counted_enumerate(field, bound):
@@ -264,18 +279,20 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     for module in (characters, family, rootnumber):
         monkeypatch.setattr(module, "evaluate_char", counted_evaluate)
     monkeypatch.setattr(rootnumber, "gauss_sum_root_number", traced_gauss)
-    monkeypatch.setattr(characters.UnitGroupMod, "one_mod", counted_one_mod)
+    monkeypatch.setattr(characters.LocalUnitGroups, "levels", counted)
     monkeypatch.setattr(family, "twist_orbit", traced_orbit)
+    monkeypatch.setattr(family, "main_lemma_quantities", traced_lemma)
     monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
     records = family.scan_report(field, phi, (5, 13), 25)
     assert all(r.error is None for r in records)
 
     assert len(phi_calls) == len(set(phi_calls)) <= 33
-    c13 = [(size, calls) for (c, _), (size, calls) in per_orbit.items() if c == 13]
+    c13 = [(size, builds) for (c, _), (size, builds) in per_orbit.items() if c == 13]
     assert sorted(size for size, _ in c13) == [1, 2, 2]
-    # one modulus m = lcm(f(phi), 13 O): the masks of the descent, once per
-    # orbit and local group
-    assert [calls for _, calls in c13] == [3, 3, 3]
+    # one levels build per orbit, shared by its members' conductor exponents
+    assert [builds for _, builds in c13] == [1, 1, 1]
+    # the Main Lemma reads the levels its record's orbit built
+    assert len(in_lemma) == len(records) and not any(in_lemma)
     assert bounds == [max(int(r.f ** max(family.T_EXPONENTS)) for r in records)] == [108]
 
 
@@ -487,6 +504,28 @@ def test_main_lemma_violation_is_recorded(gauss, monkeypatch):
     for r in records:
         assert r.error.startswith("MainLemmaViolation")
         assert "m_p=40" in r.error
+
+
+def test_level_count_mismatch_is_recorded(gauss, monkeypatch):
+    # a levels build that finds one unit too few = 1 mod P^j raises
+    # GroupStructureMismatch, on its own and inside a scan's twists
+    field, phi = gauss
+    assert all(r.error is None for r in family.scan_report(field, phi, (5,), 5))
+    in_ideal = characters._in_ideal
+
+    def one_short(xs, ys, g):
+        mask = in_ideal(xs, ys, g)
+        mask[np.flatnonzero(mask)[:1]] = False
+        return mask
+
+    # the unit groups are cached by the scan above, so only the levels see the patch
+    monkeypatch.setattr(characters, "_in_ideal", one_short)
+    with pytest.raises(GroupStructureMismatch, match="units = 1 mod"):
+        local_unit_groups(field, phi.conductor).levels
+    records = family.scan_report(field, phi, (5,), 5)
+    # c = 1 is phi, whose levels its build read before the patch
+    assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
+    assert records[1].error.startswith("GroupStructureMismatch")
 
 
 def test_inconsistent_ring_class_value_is_recorded(gauss, monkeypatch):
