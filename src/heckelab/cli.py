@@ -2,10 +2,10 @@
 
     heckelab scan --D -4 --P 5 13 --c-max 25 --tol 1e-8 [--out DIR]
 
-The base character phi is built from gaussian_epsilon for D = -4 and from
-canonical_epsilon otherwise.  The scan's deterministic JSON goes to standard
-output, or with --out to DIR/scan.json, scan.csv and scan.log.  A domain
-error (a HeckeLabError) exits with EXIT_DOMAIN_ERROR.
+The base character phi is built the same way for every fundamental D < 0,
+on the finite part of canonical_epsilon.  The scan's deterministic JSON goes
+to standard output, or with --out to DIR/scan.json, scan.csv and scan.log.
+A domain error (a HeckeLabError) exits with EXIT_DOMAIN_ERROR.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .characters import build_hecke_character, canonical_epsilon, gaussian_epsilon
+from .characters import build_hecke_character, canonical_epsilon
 from .errors import EXIT_DOMAIN_ERROR, HeckeLabError
 from .family import save_scan, scan_report, scan_to_json
 from .quadfield import make_field
@@ -36,8 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     P = tuple(args.P)
     try:
         field = make_field(args.D)
-        eps = gaussian_epsilon(field) if args.D == -4 else canonical_epsilon(field)
-        phi = build_hecke_character(field, eps)
+        phi = build_hecke_character(field, canonical_epsilon(field))
         records = scan_report(field, phi, P, args.c_max, tol=args.tol)
         if args.out is None:
             sys.stdout.write(scan_to_json(field, phi, P, args.c_max, args.tol, records))

@@ -20,10 +20,6 @@ class NonFundamental(BadDiscriminant):
     """Discriminant of a quadratic order that is not maximal where one was required."""
 
 
-class UnsupportedDiscriminant(HeckeLabError):
-    """No canonical finite part is defined for this field; supply one explicitly."""
-
-
 class UnitInconsistent(HeckeLabError):
     """eps(u) * u != 1 for some unit u, so no character of this infinite type exists."""
 
@@ -75,7 +71,9 @@ class DomainError(HeckeLabError):
 
 
 class SignMismatch(HeckeLabError):
-    """Requested vanishing order v is inconsistent with the computed root number."""
+    """Requested vanishing order v is inconsistent with the computed root number,
+    or the members of one twist orbit disagree on their root numbers or on
+    the verdicts of their central values."""
 
 
 class NumericalInstability(HeckeLabError):

@@ -69,7 +69,9 @@ and per record, which keeps the first failure as its error:
 * every central value is real and its tail bound clears tol;
 * at each n <= f^max(T_EXPONENTS) coprime to c N(f(phi)), the mean of a_n
   over the orbit equals the sum of the exact averages over the ideals of
-  norm n.
+  norm n;
+* every member's central value gets a verdict, and the verdicts agree
+  across the orbit, else SignMismatch.
 
 Scan reports are deterministic: records are ordered by (c, exponents),
 floats are serialized as repr decimal strings, and no timestamps appear.
@@ -497,12 +499,8 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
     lemma = main_lemma_quantities(chi)
     try:
         signs = [root_number(m, walk.gauss(m)) for m in members]
-        if len(set(signs)) != 1:
-            # the twist orbit exceeds the value-field Galois orbit; the
-            # averaged value is not defined for it
-            raise SignMismatch(
-                f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}"
-            )
+        if len(set(signs)) != 1:  # the twist orbit exceeds the value-field Galois orbit
+            raise SignMismatch(f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}")
         W = int(signs[0])
         # one table per member, to its truncation T and the check's bound;
         # the first member's also reaches the FE bound of its theta quotient
@@ -519,6 +517,9 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
         tables += [theta_coeffs(m, X, walk.lattice(m, X)) for m in members[1:]]
         values = averaged_L(members, v, tol=tol, w=float(W), tables=tables, walk=walk)
         _check_orbit_mean(walk, rho, ideals, ks, tables, bound)
+        verdicts = [_verdict(x.value, x.tail_bound) for x in values]
+        if len(set(verdicts)) != 1:  # vanishing at s = 1 is Galois invariant
+            raise SignMismatch(f"orbit {orbit.c}:{orbit.exponents} has mixed verdicts {verdicts}")
     except HeckeLabError as exc:
         return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
     sv = values[0]
@@ -538,7 +539,7 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
         ratio=Lv_av / denom,
         N_counts=counts,
         main_lemma=lemma,
-        verdict=_verdict(sv.value, sv.tail_bound),
+        verdict=verdicts[0],
     )
 
 

@@ -14,10 +14,11 @@ Conventions used throughout the package:
   order of conductor c (Cox, Primes of the Form x^2 + ny^2, Sec. 7); the
   class of an O-ideal is its ring class at c = 1.
 * Elements of norm n in an ideal J come from one walk over J's HNF basis,
-  elements_of_norm(J, n).  The roots of unity are its n = 1 list on O,
-  and a principal ideal's canonical generator is the one element of its
-  n = N(I) list with argument in [0, 2 pi / w_K), an exact test on the
-  coordinates (x, y).
+  elements_of_norm(J, n).  The roots of unity are its n = 1 list on O.
+  A principal ideal's canonical generator is its shortest element under
+  the norm form, from Lagrange-Gauss reduction of the HNF basis, times the
+  root of unity that puts it in the sector [0, 2 pi / w_K), an exact test
+  on the coordinates (x, y).
 * Ideals come from one stream, ideals_by_norm(field), which builds them
   norm by norm from the lists of smaller norms.  enumerate_ideals(field,
   bound) is its norm <= bound prefix, and the two searches for the first
@@ -468,16 +469,32 @@ def elements_of_norm(J: Ideal, n: int) -> list[KElt]:
 def canonical_generator(ideal: Ideal) -> KElt | None:
     """The generator of a principal ideal with argument in [0, 2 pi / w_K), else None.
 
-    The generators are the elements of norm N(ideal) in it, one per root of
-    unity, and exactly one lies in the sector, read off the coordinates:
-    for w_K = 2 it is y > 0, or y = 0 < x; for w_K = 4 or 6 (omega = -2 + i
-    or (-3 + sqrt(-3))/2) it is y >= 0 and x > 2y.
+    Lagrange-Gauss reduction of the HNF basis under the norm form gives a
+    shortest g != 0 in I (Cohen, GTM 138, 1.3.14).  N(I) divides every norm
+    in I, so I is principal exactly when N(g) = N(I); its generators are g
+    times the roots of unity, and exactly one lies in the sector, read off
+    the coordinates: for w_K = 2 it is y > 0, or y = 0 < x; for w_K = 4 or
+    6 (omega = -2 + i or (-3 + sqrt(-3))/2) it is y >= 0 and x > 2y.
     """
-    half_plane = ideal.field.wK == 2
-    for g in elements_of_norm(ideal, ideal.norm):
-        if (g.y > 0 or g.y == 0 < g.x) if half_plane else (g.y >= 0 and g.x > 2 * g.y):
-            return g
-    return None
+    field = ideal.field
+    D, nm = field.D, field.nm
+    x, y, u, v = ideal.a, 0, ideal.b, ideal.c  # g = x + y omega, h = u + v omega
+    n = x * x  # N(g)
+    while True:
+        m = u * u + D * u * v + nm * v * v
+        if m < n:
+            x, y, n, u, v = u, v, m, x, y
+        # q = round(B(g, h) / N(g)), with 2 B(g, h) = N(g + h) - N(g) - N(h)
+        q = (2 * x * u + D * (x * v + u * y) + 2 * nm * y * v + n) // (2 * n)
+        if q == 0:
+            break
+        u, v = u - q * x, v - q * y
+    if n != ideal.norm:
+        return None
+    for z in (KElt(field, x, y) * w for w in field.units()):
+        if (z.y > 0 or z.y == 0 < z.x) if field.wK == 2 else (z.y >= 0 and z.x > 2 * z.y):
+            return z
+    raise UnitCountMismatch(f"no unit multiple of {KElt(field, x, y)!r} lies in the sector")
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +664,7 @@ def ideal_class_of(ideal: Ideal) -> tuple[int, ...]:
     return ring_class_dlog(ideal.field, 1, ideal)
 
 
-def class_representatives(field: FieldContext, coprime_to: int = 1) -> dict[tuple[int, ...], Ideal]:
+def class_representatives(field: FieldContext, coprime_to: int) -> dict[tuple[int, ...], Ideal]:
     """Class vector -> the first ideal of that class with gcd(norm, coprime_to) = 1.
 
     First means first in ideals_by_norm, i.e. least in (norm, HNF) order.

@@ -26,6 +26,11 @@
 * The scalar kernel I_v(u), one u at a time with a convergence test per
   term: the reference for the package's array kernel.
 * table_dict, which reads a theta table as {n: a_n}.
+* finite_part, a finite part from its exponents on the lifted local
+  generators, and quadratic_residue_epsilon (D = -p, p = 3 mod 4) and
+  gaussian_unit_epsilon (D = -4), the base finite parts built by hand:
+  the references that characters.canonical_epsilon's search over the
+  ramified conductors must reproduce.
 * twist_per_member, the per-character twist: one pass over a global
   dlog table of (O/m)^x, one conductor descent over it and one fully
   checked build_hecke_character per character phi * rho, the reference
@@ -70,7 +75,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from heckelab.arith import factorize
+from heckelab.arith import factorize, is_prime
 from heckelab.characters import (
     CharValue,
     FinitePart,
@@ -82,8 +87,6 @@ from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
     evaluate_char,
-    finite_part,
-    gaussian_epsilon,
     ideal_lcm,
     local_unit_groups,
     twist_orbit,
@@ -486,6 +489,48 @@ def kernel_I(v: int, u: float) -> float:
     return out
 
 
+def finite_part(field: FieldContext, f: Ideal, exps, M: int | None = None) -> FinitePart:
+    """The finite part on f with exponents exps on local_unit_groups(f).gens,
+    in mu_M with M = lcm(exponent of (O/f)^x, w_K) unless given."""
+    ug = local_unit_groups(field, f)
+    if M is None:
+        M = math.lcm(ug.exponent, field.wK)
+    return FinitePart(field=field, f=f, M=M, unit_group=ug, exps=tuple(k % M for k in exps))
+
+
+def quadratic_residue_epsilon(field: FieldContext) -> FinitePart:
+    """Gross's canonical finite part for D = -p, p prime = 3 mod 4, by hand:
+    eps(w) = (w mod sqrt(D) | p) on the residue field F_p of f = (sqrt(D)).
+
+    Unit consistency holds because (-1 | p) = -1 and the only units are
+    +-1.  The unique quadratic character of the cyclic group sends its
+    generator to -1.
+    """
+    p = -field.D
+    if field.D % 2 == 0 or not is_prime(p) or field.wK != 2:
+        raise ValueError(f"D = {field.D} is not -p for a prime p = 3 mod 4 above 3")
+    f = principal_ideal(field, field.sqrt_D)
+    assert unit_group_mod(field, f).orders == (p - 1,)
+    M = math.lcm(p - 1, field.wK)
+    return finite_part(field, f, (M // 2,), M=M)
+
+
+def gaussian_unit_epsilon(field: FieldContext) -> FinitePart:
+    """The finite part for D = -4 by hand, on f = (1+i)^3 of norm 8.
+
+    (O/(1+i)^3)^x is cyclic of order 4, generated by the image of the
+    torsion units, and unit consistency eps(u) = u^-1 pins eps down.
+    """
+    if field.D != -4:
+        raise ValueError("the Gaussian finite part needs D = -4")
+    f = principal_ideal(field, KElt(field, 3, 1)) ** 3  # 1 + i = 3 + omega
+    ug = unit_group_mod(field, f)
+    assert ug.orders == (4,)
+    (gen,) = ug.gens
+    j = next(j for u, j in unit_root_table(field).items() if ug.reduce(u) == gen)
+    return finite_part(field, f, (-j,), M=4)
+
+
 def combined_exponent(phi: HeckeCharacter, rho: RingClassCharacter, Mc: int, w: KElt):
     """Exponent of eps_phi(w) * rho((w)) in mu_Mc for w coprime to both."""
     k1 = phi.eps.exponent_of(w)
@@ -702,7 +747,7 @@ def local_part_twists():
     exactly c in LOCAL_PART_FAMILIES, over the canonical base character."""
     for D, P, c in LOCAL_PART_FAMILIES:
         field = make_field(D)
-        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        eps = canonical_epsilon(field)
         phi = build_hecke_character(field, eps)
         for orbit in enumerate_twists(field, P, c):
             if orbit.c == c:

@@ -18,7 +18,6 @@ from heckelab.characters import (
     canonical_epsilon,
     check_property1,
     evaluate_char,
-    finite_part,
     gaussian_epsilon,
     ideal_lcm,
     local_unit_groups,
@@ -35,7 +34,6 @@ from heckelab.errors import (
     NoConsistentLift,
     RestrictionMismatch,
     UnitInconsistent,
-    UnsupportedDiscriminant,
 )
 from heckelab.family import enumerate_twists
 from heckelab.quadfield import (
@@ -45,6 +43,7 @@ from heckelab.quadfield import (
     enumerate_ideals,
     ideal_class_of,
     idempotent,
+    is_fundamental,
     make_field,
     prime_ideals_above,
     principal_ideal,
@@ -52,6 +51,7 @@ from heckelab.quadfield import (
 )
 
 import oracles
+from oracles import finite_part
 
 
 def coprime_ideals(field, char, bound):
@@ -387,15 +387,38 @@ def test_canonical_epsilon_values():
     assert eps7.is_unit_consistent()
 
 
-def test_canonical_epsilon_unsupported():
-    with pytest.raises(UnsupportedDiscriminant):
-        canonical_epsilon(make_field(-4))
-    with pytest.raises(UnsupportedDiscriminant):
-        canonical_epsilon(make_field(-20))
-    with pytest.raises(UnsupportedDiscriminant):
-        canonical_epsilon(make_field(-3))  # six roots of unity: eps(u) u = 1 fails
-    with pytest.raises(UnsupportedDiscriminant):
-        gaussian_epsilon(make_field(-7))
+def test_canonical_epsilon_beyond_the_prime_discriminants():
+    # six roots of unity (D = -3), even D and even h: (N(f), M) of the first
+    # finite part the search accepts
+    for D, want in ((-3, (9, 6)), (-8, (32, 4)), (-15, (15, 4)), (-20, (40, 4)), (-84, (168, 12))):
+        f = make_field(D)
+        eps = canonical_epsilon(f)
+        assert (eps.f.norm, eps.M) == want, D
+        check_property1(build_hecke_character(f, eps))
+    assert gaussian_epsilon is canonical_epsilon
+
+
+# D = -4 and every D = -p, p prime = 3 mod 4, 7 <= p < 400
+HAND_BUILT_FIELDS = [-4] + [-p for p in oracles.primes_up_to(400) if p % 4 == 3 and p > 3]
+
+
+@pytest.mark.parametrize("D", HAND_BUILT_FIELDS)
+def test_canonical_epsilon_matches_the_hand_built_finite_parts(D):
+    field = make_field(D)
+    eps = canonical_epsilon(field)
+    by_hand = (oracles.gaussian_unit_epsilon if D == -4 else oracles.quadratic_residue_epsilon)(field)
+    assert (eps.f, eps.M, eps.exps) == (by_hand.f, by_hand.M, by_hand.exps)
+
+
+# every fundamental D in (-200, -3], and two fields of class number 18 and 19
+BASE_FIELDS = [D for D in range(-3, -200, -1) if is_fundamental(D)] + [-335, -359]
+
+
+def test_base_character_of_every_field_passes_property1():
+    for D in BASE_FIELDS:
+        field = make_field(D)
+        # build_hecke_character checks unit consistency and primitivity
+        check_property1(build_hecke_character(field, canonical_epsilon(field)))
 
 
 def test_gaussian_epsilon_unit_consistent():
@@ -474,15 +497,14 @@ def test_multiplicativity_exact(chi4, chi23, chi47):
             assert abs(vij.complex() - prod.complex()) < 1e-9 * abs(vij.complex())
 
 
-# the fields with a canonical finite part: D = -4, and D = -p for the primes
-# p = 3 mod 4 above 3 (canonical_epsilon)
+# D = -4, and D = -p for the primes p = 3 mod 4 above 3
 PROPERTY_FIELDS = [-4] + [-p for p in oracles.primes_up_to(200) if p % 4 == 3 and p > 3]
 
 
 @functools.lru_cache(maxsize=None)
 def _base_and_ideals(D):
     f = make_field(D)
-    eps = gaussian_epsilon(f) if D == -4 else canonical_epsilon(f)
+    eps = canonical_epsilon(f)
     return build_hecke_character(f, eps), enumerate_ideals(f, 200)
 
 
@@ -739,9 +761,7 @@ ORACLE_FAMILIES = [
 
 def _base_character(D):
     field = make_field(D)
-    return build_hecke_character(
-        field, gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
-    )
+    return build_hecke_character(field, canonical_epsilon(field))
 
 
 @pytest.mark.parametrize("D, P, c_max", ORACLE_FAMILIES)
@@ -984,7 +1004,7 @@ def test_twist_and_main_lemma_match_residue_oracles(D, cs, o_ps):
     # o_2 = 1, 2, 3 at c = 16, 32, 64 over D = -4, and h = 3 over D = -23;
     # the Main Lemma tests above only see o_p = 0
     field = make_field(D)
-    eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    eps = canonical_epsilon(field)
     phi = build_hecke_character(field, eps)
     seen_o = set()
     for orbit in enumerate_twists(field, (2,), max(cs)):

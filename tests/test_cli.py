@@ -63,3 +63,11 @@ def test_malformed_scan_input_is_a_domain_error(capsys, flag, value):
     assert main(argv) == EXIT_DOMAIN_ERROR
     captured = capsys.readouterr()
     assert "DomainError" in captured.err and captured.out == ""
+
+
+def test_scan_builds_phi_by_one_rule_for_every_field(capsys):
+    # six roots of unity, an even D and h = 2: phi comes from the same search
+    for D in (-3, -8, -15):
+        assert main(["scan", "--D", str(D), "--P", "5", "--c-max", "1", "--tol", "1e-8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["D"] == D and all(r["error"] is None for r in payload["records"])

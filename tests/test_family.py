@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import oracles
+from oracles import finite_part
 import pytest
 
 from heckelab import characters, family, quadfield, rootnumber
@@ -13,7 +14,6 @@ from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
     evaluate_char,
-    finite_part,
     gaussian_epsilon,
     local_unit_groups,
     ring_class_character,
@@ -309,7 +309,7 @@ def test_only_prime_powers_reach_unit_group_mod(monkeypatch):
     monkeypatch.setattr(characters, "unit_group_mod", counted)
     for D, P, c_max in ((-4, (5, 13), 25), (-23, (2, 3), 8)):
         field = make_field(D)
-        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        eps = canonical_epsilon(field)
         phi = build_hecke_character(field, eps)
         records = family.scan_report(field, phi, P, c_max)
         assert records and all(r.error is None for r in records)
@@ -371,7 +371,7 @@ def test_scan_walk_refuses_a_bound_past_the_scan(gauss):
 
 def _scan_members(D, P, c_max):
     field = make_field(D)
-    eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    eps = canonical_epsilon(field)
     phi = build_hecke_character(field, eps)
     orbits = family.enumerate_twists(field, P, c_max)
     return phi, [(o.c, twist_orbit(phi, o.rho(field), o.members)) for o in orbits]
@@ -588,7 +588,7 @@ def test_each_member_finite_part_is_built_once(monkeypatch):
     monkeypatch.setattr(characters, "_unit_exponents", counted)
     for D, P, c_max, expected in ((-4, (5, 13), 25, 42), (-23, (2, 3), 8, 38)):
         field = make_field(D)
-        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        eps = canonical_epsilon(field)
         phi = build_hecke_character(field, eps)
         calls.clear()
         family.scan_report(field, phi, P, c_max)
@@ -620,6 +620,20 @@ def test_failed_finite_part_check_is_recorded(gauss, monkeypatch):
     assert records[1].error == "GroupStructureMismatch: need one exponent per unit group generator"
 
 
+def test_members_that_disagree_on_vanishing_fail_the_record(gauss):
+    # D=-4 P=(5,13) c = 65, exps (0,3) has order 4 and members m = 1, 3 with
+    # central values -7e-17 and 1.833: the twist orbit joins two Galois
+    # orbits, so no one verdict holds for it.  The order-2 twist (0,6)
+    # vanishes as an orbit of one member and stays "zero".
+    field, phi = gauss
+    records = {(r.c, r.exponents): r for r in family.scan_report(field, phi, (5, 13), 65)}
+    assert [key for key, r in records.items() if r.error] == [(65, (0, 3))]
+    failed = records[65, (0, 3)]
+    assert failed.error == "SignMismatch: orbit 65:(0, 3) has mixed verdicts ['zero', 'nonzero']"
+    assert failed.verdict == "indeterminate"
+    assert records[65, (0, 6)].verdict == "zero"
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -632,6 +646,11 @@ GOLDEN = Path(__file__).parent / "golden"
         ("scan_D-23_P2-3_c8.json", -23, (2, 3), 8),
         # the scan-gauss family: orbits of 1, 2 and 4 members over one modulus each
         ("scan_D-4_P5-13_c25.json", -4, (5, 13), 25),
+        # base characters of the search alone: six roots of unity (f = (3),
+        # M = 6), the even D = -8 with W(phi) = -1, and h = 2 at D = -15
+        ("scan_D-3_P2-5_c20.json", -3, (2, 5), 20),
+        ("scan_D-8_P3-5_c15.json", -8, (3, 5), 15),
+        ("scan_D-15_P2-7_c14.json", -15, (2, 7), 14),
     ],
 )
 def test_scan_json_matches_golden(name, D, P, c_max):
@@ -645,7 +664,7 @@ def test_scan_json_matches_golden(name, D, P, c_max):
     and say there which fields moved and why.
     """
     field = make_field(D)
-    eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+    eps = canonical_epsilon(field)
     phi = build_hecke_character(field, eps)
     records = family.scan_report(field, phi, P, c_max, tol=1e-8)
     assert family.scan_to_json(field, phi, P, c_max, 1e-8, records) == (GOLDEN / name).read_text()

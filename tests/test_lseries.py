@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab import lseries
-from heckelab.arith import factorize, is_prime
+from heckelab.arith import factorize
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
     evaluate_char,
-    finite_part,
     gaussian_epsilon,
     ideal_lcm,
     ring_class_character,
@@ -38,9 +37,16 @@ from heckelab.lseries import (
     smoothed_kappa_sum,
     theta_coeffs,
 )
-from heckelab.quadfield import KElt, class_group, enumerate_ideals, make_field, principal_ideal
+from heckelab.quadfield import (
+    KElt,
+    class_group,
+    enumerate_ideals,
+    is_fundamental,
+    make_field,
+    principal_ideal,
+)
 from heckelab.rootnumber import fe_bound, root_number_via_fe
-from oracles import abs_squared, incomplete_gamma, lambda_value, table_dict
+from oracles import abs_squared, finite_part, incomplete_gamma, lambda_value, table_dict
 from oracles import kernel_I as scalar_kernel_I
 
 
@@ -214,8 +220,10 @@ def test_theta_coeffs_reads_eps_at_the_class_norms():
         assert abs(coeffs[n] - a) <= 1e-12, n
 
 
-# D = -p for the primes p = 3 mod 4 in [7, 83], where canonical_epsilon applies, and D = -4
-RANDOM_FIELDS = [-4] + [-p for p in range(7, 84) if p % 4 == 3 and is_prime(p)]
+# every fundamental D with |D| < 200 but three: at D = -143, -167 and -191
+# (h = 10, 11, 13) the theta lattice of a twist with c even needs norms past
+# int64 by X = 300 and raises PhaseOverflow
+RANDOM_FIELDS = [D for D in range(-3, -200, -1) if is_fundamental(D) and D not in (-143, -167, -191)]
 PRIME_POWERS = [q for q in range(2, 14) if len(factorize(q)) == 1]
 
 
@@ -228,9 +236,7 @@ def _divisor_count(n):
 def test_random_field_twist_tables(data):
     D = data.draw(st.sampled_from(RANDOM_FIELDS), label="D")
     field = make_field(D)
-    phi = build_hecke_character(
-        field, gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
-    )
+    phi = build_hecke_character(field, canonical_epsilon(field))
     c = data.draw(st.sampled_from(PRIME_POWERS), label="c")
     exps = tuple(data.draw(st.integers(0, h - 1)) for h in class_group(c * c * D).orders)
     chi = twist(phi, ring_class_character(field, c, exps))

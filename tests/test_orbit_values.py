@@ -24,7 +24,6 @@ from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
     evaluate_char,
-    gaussian_epsilon,
 )
 from heckelab.lseries import theta_coeffs
 from heckelab.quadfield import make_field
@@ -40,9 +39,7 @@ FAMILIES = [(-4, (5, 13), 25), (-23, (2, 3), 8), (-4, (2, 5), 20)]
 
 def _phi(D):
     field = make_field(D)
-    return field, build_hecke_character(
-        field, gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
-    )
+    return field, build_hecke_character(field, canonical_epsilon(field))
 
 
 def _orbit_values(phi, rho, orbit, m, chi):

@@ -10,7 +10,6 @@ from heckelab.arith import abelian_group_structure
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
-    finite_part,
     gaussian_epsilon,
 )
 from heckelab.errors import BadDiscriminant, DomainError, NonFundamental, UnitCountMismatch
@@ -42,6 +41,7 @@ from oracles import (
     count_and_coeff_table,
     elements_by_ellipse,
     enumerate_ideals_by_merge,
+    finite_part,
     ideal_class_by_form,
     minkowski_bound,
     primes_up_to,

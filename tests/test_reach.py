@@ -120,7 +120,7 @@ def test_src_has_no_assert():
 
 # parameters with a default value in src/: each is an option a caller can
 # set, and a later change may only remove them
-MAX_DEFAULTED_PARAMETERS = 13
+MAX_DEFAULTED_PARAMETERS = 11
 
 
 def _defaulted_parameters(node, prefix=""):

@@ -8,7 +8,6 @@ from heckelab import quadfield, rootnumber
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
-    finite_part,
     gaussian_epsilon,
     ring_class_character,
     twist,
@@ -31,6 +30,7 @@ from heckelab.rootnumber import (
 )
 from oracles import (
     coset_reps,
+    finite_part,
     global_gauss_sum,
     lambda_value,
     local_part_twists,
@@ -118,7 +118,7 @@ def test_coset_reps_cardinality(chi4):
 def test_gauss_root_numbers_canonical():
     for D in (-4, -7, -23, -47):
         field = make_field(D)
-        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        eps = canonical_epsilon(field)
         chi = build_hecke_character(field, eps)
         w = gauss_sum_root_number(chi)
         assert abs(abs(w) - 1) < 1e-8
@@ -261,7 +261,7 @@ def _conductor_characters():
     above 3, the only ones here whose auxiliary ideal c is not O."""
     for D, P, c_max in ((-4, (5, 13), 65), (-4, (2, 5), 40), (-23, (2, 3), 72), (-7, (2, 3), 24)):
         field = make_field(D)
-        eps = gaussian_epsilon(field) if D == -4 else canonical_epsilon(field)
+        eps = canonical_epsilon(field)
         phi = build_hecke_character(field, eps)
         seen = set()
         for orbit in enumerate_twists(field, P, c_max):
