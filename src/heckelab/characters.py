@@ -8,7 +8,11 @@ A character is assembled from two ingredients:
   (1,0) character with chi(wO) = eps(w)*w to exist); the base character
   phi of every field takes the one eps that canonical_epsilon searches for;
 * one exact class value v_i per class group generator g_i of order h_i,
-  a chosen h_i-th root of eps(w_i)*w_i where g_i^{h_i} = (w_i).
+  an h_i-th root of eps(w_i)*w_i where g_i^{h_i} = (w_i).
+  build_hecke_character takes the principal root.  The other roots give
+  the same character times a character of Pic(O_K), a c = 1 ring class
+  twist, so twist_orbit is the one place a root is chosen: the one that
+  matches phi(a_i) rho(a_i).
 
 Values are kept in the exact algebra zeta_M^k * q * prod v_i^{e_i} with
 q in K, so |chi(a)|^2 = N(a) and multiplicativity are checkable exactly.
@@ -538,20 +542,18 @@ class CharValue:
 class HeckeCharacter:
     """Type (1,0) Hecke character: finite part + exact class values.
 
-    class value v_i = radical root of zeta_M^{base_exps[i]} * base_ws[i],
-    rotated by zeta_{h_i}^{root_choices[i]}; radicals holds the numeric
-    embeddings.
+    class value v_i = an h_i-th root of eps(w_i) w_i, where a_i^{h_i} = (w_i)
+    with w_i the canonical generator: the principal root rotated by
+    zeta_{h_i}^{root_choices[i]}; radicals holds the numeric embeddings.
     """
 
     field: FieldContext
     eps: FinitePart
     class_reps: tuple        # ideals a_i representing the class group generators
     class_orders: tuple      # h_i
-    base_ws: tuple           # w_i with a_i^{h_i} = (w_i), canonical generators
-    base_exps: tuple         # k_i = eps-exponent at w_i
     root_choices: tuple      # j_i picking v_i among the h_i roots
     radicals: tuple          # numeric v_i
-    twist_data: tuple | None = None   # (c, exponents) when built by twist()
+    twist_data: tuple | None  # (c, exponents) when built by twist_orbit
 
     @property
     def M(self) -> int:
@@ -593,23 +595,17 @@ def _principal_root(z: complex, h: int) -> complex:
     return r * cmath.exp(1j * arg / h)
 
 
-def build_hecke_character(
-    field: FieldContext,
-    eps: FinitePart,
-    root_choices: tuple | None = None,
-    twist_data: tuple | None = None,
-) -> HeckeCharacter:
-    """Character with finite part eps; root_choices picks the Galois lift.
-    eps must be unit consistent and primitive."""
+def build_hecke_character(field: FieldContext, eps: FinitePart) -> HeckeCharacter:
+    """Character with finite part eps, every class value the principal root.
+    eps must be unit consistent and primitive.  The other root choices are
+    this character's twists by the characters of Pic(O_K), the c = 1 twists
+    that a family scan builds (canonical_epsilon)."""
     _require_unit_consistent(eps)
     if not eps.is_primitive():
         raise ImprimitiveFinitePart(
             f"eps factors through a proper divisor of {eps.f!r}, which is not its conductor"
         )
-    # reps must avoid the twist modulus too: a dropped conductor (ring class
-    # character acting through the class group) must still match rho != 0
-    lifts = _class_lifts(field, eps.f.norm * (twist_data[0] if twist_data else 1))
-    return _assemble(field, eps, lifts, root_choices, twist_data)
+    return _assemble(field, eps, _class_lifts(field, eps.f.norm), None)
 
 
 def _require_unit_consistent(eps: FinitePart) -> None:
@@ -622,7 +618,7 @@ def _require_unit_consistent(eps: FinitePart) -> None:
 def _class_lifts(field: FieldContext, coprime_to: int) -> tuple[tuple, tuple]:
     """(reps, ws): per class group generator, its first representative a_i
     of norm prime to coprime_to and the canonical generator w_i of a_i^{h_i}."""
-    orders = field.class_group().orders
+    orders = class_group(field.D).orders
     by_class = class_representatives(field, coprime_to)
     rank = len(orders)  # generator i's representative sits at the i-th unit vector
     reps = tuple(by_class[tuple(int(j == i) for j in range(rank))] for i in range(rank))
@@ -633,35 +629,24 @@ def _class_lifts(field: FieldContext, coprime_to: int) -> tuple[tuple, tuple]:
 
 
 def _assemble(
-    field: FieldContext,
-    eps: FinitePart,
-    lifts: tuple[tuple, tuple],
-    root_choices: tuple | None,
-    twist_data: tuple | None,
+    field: FieldContext, eps: FinitePart, lifts: tuple[tuple, tuple], twist_data: tuple | None
 ) -> HeckeCharacter:
-    """The character of finite part eps and class lifts (reps, ws); eps is not checked."""
-    orders = field.class_group().orders
+    """The character of finite part eps and class lifts (reps, ws), every
+    class value the principal root; eps is not checked."""
+    orders = class_group(field.D).orders
     reps, ws = lifts
-    if root_choices is None:
-        root_choices = tuple(0 for _ in orders)
-    if len(root_choices) != len(orders):
-        raise ValueError("one root choice per class group generator required")
-    ks, radicals = [], []
-    for w, h_i, j_i in zip(ws, orders, root_choices):
+    radicals = []
+    for w, h_i in zip(ws, orders):
         k = eps.exponent_of(w)
         if k is None:
             raise NoConsistentLift("generator power not coprime to the conductor")
-        ks.append(k)
-        base = cmath.exp(2j * cmath.pi * k / eps.M) * w.complex()
-        radicals.append(_principal_root(base, h_i) * cmath.exp(2j * cmath.pi * j_i / h_i))
+        radicals.append(_principal_root(cmath.exp(2j * cmath.pi * k / eps.M) * w.complex(), h_i))
     return HeckeCharacter(
         field=field,
         eps=eps,
         class_reps=reps,
         class_orders=orders,
-        base_ws=ws,
-        base_exps=tuple(ks),
-        root_choices=tuple(root_choices),
+        root_choices=tuple(0 for _ in orders),
         radicals=tuple(radicals),
         twist_data=twist_data,
     )
@@ -859,7 +844,7 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
                 )
                 units_f = local_unit_groups(field, f_chi)
                 # the e_P of the primes kept: e = 1 mod f_chi and 0 at the dropped ones
-                e = sum((e_P for e_P, b in zip(units_m.idempotents, key) if b), KElt(field, 0))
+                e = sum((e_P for e_P, b in zip(units_m.idempotents, key) if b), KElt(field, 0, 0))
                 lifted = [KElt(field, *g) * e + field.one - e for g in units_f.gens]
             # reps avoid the twist modulus too, so rho has a value at each
             lifts = _class_lifts(field, f_chi.norm * rho.c)
@@ -881,7 +866,7 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
                 )
         _require_unit_consistent(eps_chi)
         exponents = tuple(j * t % h for t, h in zip(rho.exponents, rho._pic_orders))
-        base = _assemble(field, eps_chi, lifts, None, (rho.c, exponents))
+        base = _assemble(field, eps_chi, lifts, (rho.c, exponents))
 
         # root choices matching phi(a_i) * rho^j(a_i) numerically
         choices, radicals = [], []

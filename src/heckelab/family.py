@@ -12,28 +12,30 @@ This twist-orbit average is a deliberate stand-in for the full embedding
 average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.
 
-Each orbit's members are built together by characters.twist_orbit.  A
-scan enumerates ideals once, to the largest bound any of its records can
-ask for, reads rho once per ideal per orbit for the counts and the
-orbit-mean check, and evaluates phi once per ideal.  Every coefficient
-table is lseries.theta_coeffs of a member: a lattice sum that reads the
-finite part's local exponent arrays and evaluates no character at an
-ideal.  Each member gets one table, to the larger of its truncation T
-and the check's bound f^max(T_EXPONENTS), the first member's also to its
-FE bound; the theta quotient, the central values and the orbit-mean
-check read prefixes of these tables.  What
+Each orbit carries the ring class character rho that enumerate_twists
+built to read its order, and its members are built together by
+characters.twist_orbit.  A scan enumerates ideals once, to the largest
+bound any of its records can ask for, reads rho once per ideal per orbit
+for the counts and the orbit-mean check, and evaluates phi once per
+ideal.  Every coefficient table is lseries.theta_coeffs of a member: a
+lattice sum that reads the finite part's local exponent arrays and
+evaluates no character at an ideal.  Each member gets one table, to the
+larger of its truncation T and the check's bound f^max(T_EXPONENTS), the
+first member's also to its FE bound; the theta quotient, the central
+values and the orbit-mean check read prefixes of these tables.  What
 depends only on a member's conductor f_chi is built once per f_chi in a
 scan, not once per member: the theta lattice the tables are summed over
-(to the largest bound a member asks of it), the Gauss-sum data (the
-auxiliary pair, N(delta b) and the additive phases over each local group
-(O/P^a)^x of f_chi) and
-the smoothing kernel of each v.  A member adds only its own exponent
-gathers, phases and sums.  The scan keeps that data for the current c
-only, as orbits arrive sorted by c.  The checks keep their independence:
-the theta-quotient root number sums the first member's table against the
-Gauss sum of its finite part, and the orbit-mean check adds the members'
-tables into one dense array over n and compares it with exact orbit
-averages from evaluate_char(phi) and the integer exponents of rho.
+(to the largest bound a member asks of it), with the smoothing kernel
+I_v(n / Af) that it evaluates once per v for every table summed over it,
+and the Gauss-sum data (the auxiliary pair, N(delta b) and the additive
+phases over each local group (O/P^a)^x of f_chi).  A member adds only
+its own exponent gathers, phases and sums.  The scan keeps that data for
+the current c only, as orbits arrive sorted by c.  The checks keep their
+independence: the theta-quotient root number sums the first member's
+table against the Gauss sum of its finite part, and the orbit-mean check
+adds the members' tables into one dense array over n and compares it
+with exact orbit averages from evaluate_char(phi) and the integer
+exponents of rho.
 
 A scan checks, in this order:
 
@@ -113,12 +115,10 @@ from .errors import (
 )
 from .lseries import (
     SmoothedValue,
-    SmoothingKernel,
     ThetaLattice,
     ThetaTable,
     central_value,
     dirichlet_L1,
-    smoothing_kernel,
     theta_coeffs,
     theta_lattice,
     truncation,
@@ -205,9 +205,7 @@ class TwistOrbit:
     exponents: tuple[int, ...]
     order: int
     members: tuple[int, ...]  # the exponents m
-
-    def rho(self, field: FieldContext) -> RingClassCharacter:
-        return ring_class_character(field, self.c, self.exponents)
+    rho: RingClassCharacter
 
 
 def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> list[TwistOrbit]:
@@ -220,16 +218,14 @@ def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> lis
         for exponents, exact in zip(vectors, _exact_conductor(field, c, vectors)):
             if not exact or exponents in seen:
                 continue
-            n = RingClassCharacter(field, c, exponents).order
+            # product order reaches each orbit first at its least vector
+            rho = ring_class_character(field, c, exponents)
+            n = rho.order
             members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
-            orbit_vectors = sorted(
-                tuple((m * t) % h for t, h in zip(exponents, orders)) for m in members
-            )
-            seen.update(orbit_vectors)
+            seen.update(tuple((m * t) % h for t, h in zip(exponents, orders)) for m in members)
             orbits.append(
-                TwistOrbit(c=c, exponents=orbit_vectors[0], order=n, members=members)
+                TwistOrbit(c=c, exponents=exponents, order=n, members=members, rho=rho)
             )
-    orbits.sort(key=lambda o: (o.c, o.exponents))
     return orbits
 
 
@@ -272,24 +268,16 @@ def count_N_total(ideals: list[Ideal], ks: list, n: int, t: float) -> int:
 
 
 def averaged_L(
-    members: list[HeckeCharacter],
-    v: int,
-    tol: float,
-    w: float,
-    tables: list[ThetaTable],
-    walk: "_ScanWalk",
+    members: list[HeckeCharacter], v: int, tol: float, w: float, tables: list[ThetaTable]
 ) -> list[SmoothedValue]:
     """The central value of each orbit member, in member order; a record averages them.
 
-    tables holds each member's theta table, read for its prefix; each
-    member reads the smoothing kernel of its conductor from walk.
+    tables holds each member's theta table, read for its prefix and for the
+    smoothing kernel of its lattice, which the members of a conductor share.
     """
-    out = []
-    for chi, table in zip(members, tables):
-        n, _ = table.upto(int(truncation(chi.field.A * chi.f_value, tol)))
-        kernel = walk.kernel(chi, v, n)
-        out.append(central_value(chi, v, tol=tol, w=w, table=table, kernel=kernel))
-    return out
+    return [
+        central_value(chi, v, tol=tol, w=w, table=table) for chi, table in zip(members, tables)
+    ]
 
 
 class _ScanWalk:
@@ -302,8 +290,8 @@ class _ScanWalk:
     conductors c.  enumerate_ideals sorts by (norm, HNF), so each record
     reads a prefix.  phi is evaluated once per ideal.  Every member of a
     conductor f_chi reads one theta lattice (per set of class
-    representatives, built again only to a larger bound), one set of
-    Gauss-sum data and one smoothing kernel per v.  Orbits arrive sorted
+    representatives, built again only to a larger bound), with its
+    smoothing kernel, and one set of Gauss-sum data.  Orbits arrive sorted
     by c, so at_c drops that data when the scan moves on to the next c.
     """
 
@@ -347,13 +335,6 @@ class _ScanWalk:
         key = ("gauss", chi.conductor)
         if key not in self._shared:
             self._shared[key] = gauss_data(chi)
-        return self._shared[key]
-
-    def kernel(self, chi: HeckeCharacter, v: int, n: np.ndarray) -> SmoothingKernel:
-        # n is the table's n <= T, and T depends only on f_chi and the scan's tol
-        key = ("kernel", chi.conductor, v)
-        if key not in self._shared:
-            self._shared[key] = smoothing_kernel(chi, v, n)
         return self._shared[key]
 
 
@@ -428,7 +409,7 @@ def scan_report(
     phi: HeckeCharacter,
     P: tuple[int, ...],
     c_max: int,
-    tol: float = 1e-8,
+    tol: float,
 ) -> list[FamilyRecord]:
     """One FamilyRecord per twist orbit; failures are recorded, not raised.
 
@@ -479,7 +460,7 @@ def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyReco
 
 
 def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
-    rho = orbit.rho(field)
+    rho = orbit.rho
     members = twist_orbit(phi, rho, orbit.members)
     chi = members[0]
     # exact fields first: counts and the p-adic bookkeeping need no W;
@@ -515,7 +496,7 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
             )
         v = (1 - W) // 2
         tables += [theta_coeffs(m, X, walk.lattice(m, X)) for m in members[1:]]
-        values = averaged_L(members, v, tol=tol, w=float(W), tables=tables, walk=walk)
+        values = averaged_L(members, v, tol=tol, w=float(W), tables=tables)
         _check_orbit_mean(walk, rho, ideals, ks, tables, bound)
         verdicts = [_verdict(x.value, x.tail_bound) for x in values]
         if len(set(verdicts)) != 1:  # vanishing at s = 1 is Galois invariant

@@ -23,8 +23,10 @@ conductor and the class representatives: theta_lattice builds them once,
 and theta_coeffs reads them for every character that shares them.
 central_value forms every term 2 a_n n^{-1} I_v(n / Af) in one array
 expression, with the array kernel kernel_I (a power series and a
-fixed-depth continued fraction for E_1), which smoothing_kernel
-evaluates once for all characters of one Af.
+fixed-depth continued fraction for E_1).  Af depends only on the
+conductor, so the kernel belongs to the lattice: a table keeps the
+lattice it was summed over, and ThetaLattice.kernel evaluates I_v once
+per v for every character that shares the lattice.
 
 All arithmetic is float64; math.fsum adds the terms of each sum exactly
 rounded.  The stated tolerances (1e-8 functional equation, 1e-10
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .errors import (
     SignMismatch,
     UnitCountMismatch,
 )
-from .quadfield import FieldContext, Ideal, KElt, unit_ideal
+from .quadfield import FieldContext, Ideal, KElt, ideal_elements, unit_ideal
 
 _INT64_MAX = np.iinfo(np.int64).max
 _EULER_GAMMA = 0.5772156649015328606
@@ -104,7 +106,8 @@ def kernel_I(v: int, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ThetaTable:
-    """a_n at every n <= X that is the norm of an integral ideal.
+    """a_n at every n <= X that is the norm of an integral ideal, and the
+    lattice they were summed over.
 
     n is int64 and ascending, a is complex128; both are read-only.  A table
     to X holds, bit for bit, the table to any smaller bound as its prefix.
@@ -113,6 +116,7 @@ class ThetaTable:
     X: int
     n: np.ndarray
     a: np.ndarray
+    lattice: "ThetaLattice"
 
     def __len__(self) -> int:
         return len(self.n)
@@ -133,7 +137,7 @@ class ThetaLattice:
     classes holds, per class vector e, (e, N(J_e), and for the g in J_e
     prime to f: n = N(g)/N(J_e), the rows of g in the local groups
     (O/P^a)^x of f, one row of a (parts, elements) array per P^a || f, and
-    g as a complex number), each array in the order _ideal_elements lists
+    g as a complex number), each array in the order ideal_elements lists
     g; counts[n] is the number of ideals of norm n.  No array is indexed
     by all of (O/f)^x.
     The lattice to X holds the one to any smaller bound as the elements of
@@ -145,6 +149,21 @@ class ThetaLattice:
     class_reps: tuple
     classes: tuple
     counts: np.ndarray
+    _kernels: dict = dc_field(default_factory=dict, init=False, repr=False)
+
+    def kernel(self, v: int, n: np.ndarray) -> np.ndarray:
+        """I_v(n / Af) at the n of a table summed over this lattice, with
+        Af = A sqrt(N(f)).
+
+        Every such n is a prefix of the norms this lattice has ideals of,
+        so the kernel is computed once per v, at the longest n asked for
+        so far, and each call reads its prefix.
+        """
+        values = self._kernels.get(v)
+        if values is None or len(values) < len(n):
+            Af = self.f.field.A * math.sqrt(self.f.norm)
+            values = self._kernels[v] = kernel_I(v, n / Af)
+        return values[: len(n)]
 
 
 def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
@@ -178,7 +197,7 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
         d = J.norm
         if (units.rows([d], [0]) < 0).any():
             raise NoConsistentLift(f"N{J!r} = {d} is not coprime to the conductor")
-        x, y = _ideal_elements(J, X * d)
+        x, y = ideal_elements(J, X * d)
         norms = x * x + field.D * x * y + field.nm * y * y
         if (norms % d).any():
             raise NoConsistentLift(f"N(J) = {d} does not divide the norm of an element of {J!r}")
@@ -196,7 +215,7 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
     )
 
 
-def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice | None = None) -> ThetaTable:
+def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice) -> ThetaTable:
     """a_n = sum over ideals of norm n of chi(a), for all n <= X with an ideal.
 
     The table lists exactly the n <= X that are the norm of some integral
@@ -213,16 +232,14 @@ def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice | None = Non
     Every g in J_e with 0 < N(g) <= X N(J_e) is one row of an int64
     array (theta_lattice), eps(g) is one gather per local group of f from
     eps.local_exponents (zero where g meets the conductor), and the sum
-    over n is two bincounts.  lattice, when given, is theta_lattice of a character with
+    over n is two bincounts.  lattice is theta_lattice of a character with
     chi's conductor and class representatives to at least X, built once
-    for all of them; else it is built here and used once.  Either way the
-    table is the same, bit for bit.  A lattice of another conductor, other
-    representatives or a bound below X raises DomainError.
+    for all of them; whichever bound it reaches, the table is the same,
+    bit for bit.  A lattice of another conductor, other representatives or
+    a bound below X raises DomainError.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    if lattice is None:
-        lattice = theta_lattice(chi, X)
     if lattice.f != chi.conductor or lattice.class_reps != chi.class_reps:
         raise DomainError(f"the theta lattice of {lattice.f!r} is not one of {chi.conductor!r}")
     if X > lattice.X:
@@ -249,33 +266,7 @@ def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice | None = Non
     n = np.flatnonzero(lattice.counts[: X + 1])
     a = (re[n] + 1j * im[n]) / field.wK
     n.flags.writeable = a.flags.writeable = False
-    return ThetaTable(X=X, n=n, a=a)
-
-
-def _ideal_elements(J: Ideal, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (x, y) of every g = x + y omega != 0 in J with N(g) <= bound.
-
-    J = aZ + (b + c omega)Z, so g = u a + v (b + c omega).  With t = 2x + yD,
-    4 N(g) = t^2 + |D| y^2: so |y| = |v| c <= sqrt(4 bound / |D|), and for
-    each v, |t| <= s = isqrt(4 bound - |D| y^2) bounds u on both sides.
-    """
-    D, a, b, c = J.field.D, J.a, J.b, J.c
-    vmax = math.isqrt(4 * bound // -D) // c
-    v = np.arange(-vmax, vmax + 1, dtype=np.int64)
-    y = v * c
-    r = 4 * bound + D * y * y
-    s = np.sqrt(r).astype(np.int64)
-    s -= s * s > r  # float sqrt to isqrt
-    s += (s + 1) * (s + 1) <= r
-    # -s <= 2(u a + v b) + yD <= s
-    lo = -((s + y * D + 2 * v * b) // (2 * a))
-    per_v = np.maximum((s - y * D - 2 * v * b) // (2 * a) - lo + 1, 0)
-    starts = np.repeat(np.cumsum(per_v) - per_v - lo, per_v)
-    u = np.arange(int(per_v.sum()), dtype=np.int64) - starts
-    v = np.repeat(v, per_v)
-    x, y = u * a + v * b, v * c
-    nonzero = (x != 0) | (y != 0)
-    return x[nonzero], y[nonzero]
+    return ThetaTable(X=X, n=n, a=a, lattice=lattice)
 
 
 @dataclass(frozen=True)
@@ -288,11 +279,6 @@ class SmoothedValue:
     v: int
     f: float
     Af: float
-
-
-def _scale(chi: HeckeCharacter) -> tuple[float, float]:
-    f = chi.f_value
-    return f, chi.field.A * f
 
 
 def truncation(Af: float, tol: float) -> float:
@@ -318,54 +304,27 @@ def _real_part(terms: np.ndarray, scale: float, what: str) -> float:
     return re
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothingKernel:
-    """I_v(n / Af) at the n of a theta table, shared by the characters of one Af."""
-
-    v: int
-    Af: float
-    n: np.ndarray
-    values: np.ndarray
-
-
-def smoothing_kernel(chi: HeckeCharacter, v: int, n: np.ndarray) -> SmoothingKernel:
-    """The kernel central_value weighs chi's a_n with, at the table's n."""
-    Af = _scale(chi)[1]
-    return SmoothingKernel(v=v, Af=Af, n=n, values=kernel_I(v, n / Af))
-
-
 def central_value(
-    chi: HeckeCharacter,
-    v: int,
-    tol: float,
-    w: float,
-    table: ThetaTable | None = None,
-    kernel: SmoothingKernel | None = None,
+    chi: HeckeCharacter, v: int, tol: float, w: float, table: ThetaTable | None = None
 ) -> SmoothedValue:
     """L(1, chi) for v = 0 or L'(1, chi) for v = 1, truncated with a tail bound.
 
     w is chi's root number W, from rootnumber.root_number; the requested v
     must match it, v = (1 - W)/2, since the other parity would sum to an
-    uninformative 0.  table, when given, is chi's
-    theta table to at least T, built by the caller for another use as well;
-    its prefix n <= T is exactly theta_coeffs(chi, int(T)).  kernel, when
-    given, is smoothing_kernel at v and chi's Af over at least those n,
-    built once for every character of chi's conductor; one of another v or
-    Af, or that stops short of T, raises DomainError.
+    uninformative 0.  table, when given, is chi's theta table to at least
+    T, built by the caller for another use as well; its prefix n <= T is
+    exactly theta_coeffs(chi, int(T), ...).  Else the table to T is built
+    here, on a lattice of its own.  The kernel I_v(n / Af) is the one of
+    the table's lattice, which every character of that lattice shares.
     """
     _require_sign(v, w)
-    f, Af = _scale(chi)
+    f = chi.f_value
+    Af = chi.field.A * f
     T = truncation(Af, tol)
     if table is None:
-        table = theta_coeffs(chi, int(T))
+        table = theta_coeffs(chi, int(T), theta_lattice(chi, int(T)))
     n, a = table.upto(int(T))
-    if kernel is None:
-        kernel = smoothing_kernel(chi, v, n)
-    if kernel.v != v or kernel.Af != Af:
-        raise DomainError(f"the kernel of v = {kernel.v}, Af = {kernel.Af} is not one of {v}, {Af}")
-    if not np.array_equal(kernel.n[: len(n)], n):
-        raise DomainError(f"the smoothing kernel stops short of T = {T} or is not at these n")
-    value = _real_part(2.0 * a / n * kernel.values[: len(n)], 1.0, "central value")
+    value = _real_part(2.0 * a / n * table.lattice.kernel(v, n), 1.0, "central value")
     tail = 4.0 * (Af + 1.0) * math.exp(-T / Af)
     if not tail < tol:
         raise NumericalInstability(f"tail bound {tail} did not clear {tol}")

@@ -13,8 +13,9 @@ Conventions used throughout the package:
   ideal meets them through one map, the form of its contraction to the
   order of conductor c (Cox, Primes of the Form x^2 + ny^2, Sec. 7); the
   class of an O-ideal is its ring class at c = 1.
-* Elements of norm n in an ideal J come from one walk over J's HNF basis,
-  elements_of_norm(J, n).  The roots of unity are its n = 1 list on O.
+* The elements of an ideal J come from one walk over J's HNF basis,
+  ideal_elements(J, bound), every g != 0 with N(g) <= bound as int64
+  coordinate arrays.  The roots of unity are its bound = 1 list on O.
   A principal ideal's canonical generator is its shortest element under
   the norm form, from Lagrange-Gauss reduction of the HNF basis, times the
   root of unity that puts it in the sector [0, 2 pi / w_K), an exact test
@@ -105,19 +106,16 @@ class FieldContext:
         """All roots of unity in the ring of integers, built once per field."""
         return _units(self)
 
-    def class_group(self) -> "ClassGroup":
-        return class_group(self.D)
-
     def __repr__(self):
         return f"FieldContext(D={self.D})"
 
 
 @lru_cache(maxsize=None)
 def _units(field: FieldContext) -> tuple["KElt", ...]:
-    units = elements_of_norm(unit_ideal(field), 1)
-    if len(units) != field.wK:
-        raise UnitCountMismatch(f"{field!r} has {len(units)} roots of unity, not wK = {field.wK}")
-    return tuple(units)
+    xs, ys = ideal_elements(unit_ideal(field), 1)
+    if len(xs) != field.wK:
+        raise UnitCountMismatch(f"{field!r} has {len(xs)} roots of unity, not wK = {field.wK}")
+    return tuple(KElt(field, x, y) for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +136,7 @@ class KElt:
 
     __slots__ = ("field", "x", "y")
 
-    def __init__(self, field: FieldContext, x, y=0):
+    def __init__(self, field: FieldContext, x, y):
         self.field = field
         self.x = x
         self.y = y
@@ -241,15 +239,14 @@ class Ideal:
 
     __slots__ = ("field", "a", "b", "c")
 
-    def __init__(self, field: FieldContext, a: int, b: int, c: int, check: bool = True):
+    def __init__(self, field: FieldContext, a: int, b: int, c: int):
         self.field = field
         self.a, self.b, self.c = a, b, c
-        if check:
-            if a <= 0 or c <= 0 or not (0 <= b < a) or a % c or b % c:
-                raise ValueError(f"bad HNF triple {(a, b, c)}")
-            bp, ap = b // c, a // c
-            if (bp * bp + field.D * bp + field.nm) % ap:
-                raise ValueError(f"{(a, b, c)} is not closed under omega")
+        if a <= 0 or c <= 0 or not (0 <= b < a) or a % c or b % c:
+            raise ValueError(f"bad HNF triple {(a, b, c)}")
+        bp, ap = b // c, a // c
+        if (bp * bp + field.D * bp + field.nm) % ap:
+            raise ValueError(f"{(a, b, c)} is not closed under omega")
 
     @property
     def norm(self) -> int:
@@ -347,7 +344,7 @@ class Ideal:
 
 
 def unit_ideal(field: FieldContext) -> Ideal:
-    return Ideal(field, 1, 0, 1, check=False)
+    return Ideal(field, 1, 0, 1)
 
 
 def principal_ideal(field: FieldContext, z: KElt) -> Ideal:
@@ -443,27 +440,31 @@ def ideals_by_norm(field: FieldContext) -> Iterator[Ideal]:
     raise IdealSearchExhausted(f"no ideal of norm <= {_NORM_CAP} of {field!r} ended the search")
 
 
-def elements_of_norm(J: Ideal, n: int) -> list[KElt]:
-    """Every g in J with N(g) = n, in ascending (y, x) order.
+def ideal_elements(J: Ideal, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, y) of every g = x + y omega != 0 in J with N(g) <= bound,
+    as int64 arrays in ascending (y, x) order.
 
-    g = u a + v (b + c omega) on J's HNF basis has y = v c, and
-    4n = (2x + D y)^2 + |D| y^2 bounds |y| by sqrt(4n/|D|), so v runs over
-    |v| <= isqrt(4n/|D|) / c.  Each y leaves x = (-D y -+ r)/2 with
-    r^2 = 4n + D y^2, kept when it is an integer and x = v b mod a.
+    J = aZ + (b + c omega)Z, so g = u a + v (b + c omega).  With t = 2x + yD,
+    4 N(g) = t^2 + |D| y^2: so |y| = |v| c <= sqrt(4 bound / |D|), and for
+    each v, |t| <= s = isqrt(4 bound - |D| y^2) bounds u on both sides.
     """
-    field, D = J.field, J.field.D
-    vmax = math.isqrt(4 * n // -D) // J.c
-    out = []
-    for v in range(-vmax, vmax + 1):
-        y = v * J.c
-        disc = 4 * n + D * y * y
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        for num in ((-r - D * y, r - D * y) if r else (-D * y,)):
-            if num % 2 == 0 and (num // 2 - v * J.b) % J.a == 0:
-                out.append(KElt(field, num // 2, y))
-    return out
+    D, a, b, c = J.field.D, J.a, J.b, J.c
+    vmax = math.isqrt(4 * bound // -D) // c
+    v = np.arange(-vmax, vmax + 1, dtype=np.int64)
+    y = v * c
+    r = 4 * bound + D * y * y
+    s = np.sqrt(r).astype(np.int64)
+    s -= s * s > r  # float sqrt to isqrt
+    s += (s + 1) * (s + 1) <= r
+    # -s <= 2(u a + v b) + yD <= s
+    lo = -((s + y * D + 2 * v * b) // (2 * a))
+    per_v = np.maximum((s - y * D - 2 * v * b) // (2 * a) - lo + 1, 0)
+    starts = np.repeat(np.cumsum(per_v) - per_v - lo, per_v)
+    u = np.arange(int(per_v.sum()), dtype=np.int64) - starts
+    v = np.repeat(v, per_v)
+    x, y = u * a + v * b, v * c
+    nonzero = (x != 0) | (y != 0)
+    return x[nonzero], y[nonzero]
 
 
 def canonical_generator(ideal: Ideal) -> KElt | None:

@@ -1,14 +1,17 @@
 """Root numbers by the explicit Gauss sum and by the theta transformation law.
 
-With delta generating the different (normalized so delta/|delta| = i) and
-an auxiliary ideal c in the inverse class of the conductor, f(chi) c = (b),
+With delta = sqrt(D) generating the different and an auxiliary ideal c in
+the inverse class of the conductor, f(chi) c = (b),
 
     W(chi) = (-i) f^{-1} (delta/|delta|) (b/|b|) (sqrt(Nc)/chi(c))
              * sum_{w in c/fc} eps(w) e^{2 pi i Tr(w/(delta b))}
 
-where eps is extended by zero off the units.  An element E of c with
-E = 1 mod f (it exists because c + f = O) turns the sum over c/fc into one
-over (O/f)^x: r -> rE is a bijection O/f -> c/fc with eps(rE) = eps(r).
+where eps is extended by zero off the units.  sqrt(D) = 2 omega - D
+embeds as i sqrt(|D|), so delta/|delta| = i with no unit adjustment;
+N(delta) = |D| and Tr(x/delta) is integral for every x in O.  An element
+E of c with E = 1 mod f (it exists because c + f = O) turns the sum over
+c/fc into one over (O/f)^x: r -> rE is a bijection O/f -> c/fc with
+eps(rE) = eps(r).
 E is one lattice solve, quadfield.idempotent(f, c), the CRT lift of
 Cohen, Advanced Topics in Computational Number Theory (GTM 193), 4.2,
 which checks E in c and E = 1 mod f before it returns.  That sum is a
@@ -27,6 +30,8 @@ group's discrete-log table, and no array over all of (O/f)^x is formed.
 All of it but eps depends on the conductor alone: gauss_data builds c,
 b, each local group's additive phases and N(delta b) once, and every
 character of that conductor adds its own local eps exponents to them.
+root_number takes that data from a caller that shares it, as a family
+scan does per conductor, and otherwise builds it for the one character.
 Changing b by a unit or E by an element of fc reindexes the sum without
 changing W.  Every term's phase is an exact integer j modulo
 L = lcm(M, N(delta b)), so each local sum is accumulated as a count per
@@ -78,21 +83,8 @@ from .quadfield import (
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def different_gen(field: FieldContext) -> KElt:
-    """Generator delta of the different, already satisfying delta/|delta| = i.
-
-    sqrt(D) embeds as i sqrt(|D|), so no unit adjustment is ever needed;
-    N(delta) = |D| and Tr(x/delta) is integral for all x in O.
-    """
-    return field.sqrt_D
-
-
-def auxiliary_pair(chi: HeckeCharacter) -> tuple[Ideal, KElt]:
-    """Integral c coprime to f(chi) with f(chi) c = (b); minimal norm c first."""
-    return _auxiliary_for_ideal(chi.field, chi.conductor)
-
-
-def _auxiliary_for_ideal(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
+def auxiliary_pair(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
+    """Integral c coprime to f with f c = (b), the least c in ideals_by_norm first."""
     for c in ideals_by_norm(field):
         if c.is_coprime(f) and not any(ideal_class_of(f * c)):
             b = canonical_generator(f * c)
@@ -121,9 +113,9 @@ class GaussData:
 def gauss_data(chi: HeckeCharacter) -> GaussData:
     """The Gauss-sum data of chi's conductor, with E = idempotent(f, c)."""
     field, f = chi.field, chi.conductor
-    c, b = auxiliary_pair(chi)
+    c, b = auxiliary_pair(field, f)
     E = idempotent(f, c)
-    db = different_gen(field) * b
+    db = field.sqrt_D * b
     N = db.norm()
     u = E * db.conjugate()
     units = chi.eps.unit_group
@@ -184,19 +176,16 @@ def _gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     return out
 
 
-def gauss_sum_root_number(chi: HeckeCharacter, gauss: GaussData | None = None) -> complex:
+def gauss_sum_root_number(chi: HeckeCharacter, gauss: GaussData) -> complex:
     """W by the explicit formula, as a complex number.
 
-    gauss, when given, is gauss_data of a character of chi's conductor,
-    built once for all of them; else it is built here and used once.  The
-    theta-quotient route is not run here; compare with
+    gauss is gauss_data of a character of chi's conductor, built once for
+    all of them.  The theta-quotient route is not run here; compare with
     root_number_via_fe(chi, table) where a cross-check is wanted.
     """
-    if gauss is None:
-        gauss = gauss_data(chi)
     c, b = gauss.c, gauss.b
     s = _gauss_sum(chi, gauss)
-    dz = different_gen(chi.field).complex()
+    dz = chi.field.sqrt_D.complex()
     bz = b.complex()
     chi_c = evaluate_char(chi, c).complex()
     w = (
@@ -252,8 +241,9 @@ def fe_bound(chi: HeckeCharacter) -> int:
 def root_number(chi: HeckeCharacter, gauss: GaussData | None = None) -> float:
     """W rounded to a real sign; raises if the value is not a clean +-1.
 
-    gauss is as in gauss_sum_root_number."""
-    w = gauss_sum_root_number(chi, gauss)
+    gauss, when given, is gauss_data of a character of chi's conductor, as a
+    scan shares it across a conductor's members; else it is built here."""
+    w = gauss_sum_root_number(chi, gauss_data(chi) if gauss is None else gauss)
     sign = round(w.real)
     if abs(w - sign) > 1e-6 or sign not in (-1, 1):
         raise NumericalInstability(f"root number {w} is not a real sign")

@@ -3,16 +3,20 @@
 * enumerate_ideals_by_merge, the ideals of norm <= bound built
   multiplicatively from prime ideals and heapq-merged once per prime: the
   reference for quadfield.ideals_by_norm, which builds them norm by norm.
+* elements_of_norm, the elements of one norm in an ideal, one norm at a
+  time over its HNF basis with an exact square-root test: the reference
+  for quadfield.ideal_elements, which lists every norm up to a bound in
+  one array walk, and for the roots of unity it gives.
 * elements_by_ellipse, is_principal_with_generator and
   canonical_generator_by_phase, the element searches over the ellipse
   nm(x + y omega) = n, every y in range, with the generator picked by its
-  float argument: the references for quadfield.elements_of_norm, which
-  walks the ideal's HNF basis, and for canonical_generator's exact sector
+  float argument: the references for canonical_generator's exact sector
   test.  form_of_ideal and ideal_class_by_form, the form read off an
   O-ideal's own HNF: the reference for ideal_class_of, which reads the
   ideal's contraction at conductor 1.
 * abs_squared, equals_exact, value_product, value_conjugate and
-  rho_value_complex: |chi(a)|^2, exact equality, products and complex
+  rho_value_complex, with class_value_lifts recomputing v_i^{h_i} from
+  the class representatives: |chi(a)|^2, exact equality, products and complex
   conjugates of values in the package's value algebra, and rho(a) as a
   complex number, which the tests check characters with.
 * A multiplicative prime sieve for theta coefficients: a_n built from the
@@ -31,6 +35,8 @@
   gaussian_unit_epsilon (D = -4), the base finite parts built by hand:
   the references that characters.canonical_epsilon's search over the
   ramified conductors must reproduce.
+* character_from_descriptor, the character a descriptor names, its class
+  values rotated to the descriptor's root choices.
 * twist_per_member, the per-character twist: one pass over a global
   dlog table of (O/m)^x, one conductor descent over it and one fully
   checked build_hecke_character per character phi * rho, the reference
@@ -81,6 +87,8 @@ from heckelab.characters import (
     FinitePart,
     HeckeCharacter,
     RingClassCharacter,
+    _assemble,
+    _class_lifts,
     _ideal_from_factors,
     _in_ideal,
     _unit_exponents,
@@ -101,7 +109,7 @@ from heckelab.errors import (
     NumericalInstability,
 )
 from heckelab.family import enumerate_twists
-from heckelab.lseries import ThetaTable, _real_part, _scale, theta_coeffs, truncation
+from heckelab.lseries import ThetaTable, _real_part, theta_coeffs, theta_lattice, truncation
 from heckelab.quadfield import (
     BinaryForm,
     FieldContext,
@@ -116,7 +124,7 @@ from heckelab.quadfield import (
     ring_class_number,
     unit_ideal,
 )
-from heckelab.rootnumber import GaussData, different_gen
+from heckelab.rootnumber import GaussData
 
 # chi at a prime ideal P, as a complex number
 PrimeValues = Callable[[Ideal], complex]
@@ -203,6 +211,29 @@ def elements_by_ellipse(field: FieldContext, n: int) -> list[KElt]:
     return sorted(out, key=lambda z: (z.y, z.x))
 
 
+def elements_of_norm(J: Ideal, n: int) -> list[KElt]:
+    """Every g in J with N(g) = n, in ascending (y, x) order, one norm at a time.
+
+    g = u a + v (b + c omega) on J's HNF basis has y = v c, and
+    4n = (2x + D y)^2 + |D| y^2 bounds |y| by sqrt(4n/|D|), so v runs over
+    |v| <= isqrt(4n/|D|) / c.  Each y leaves x = (-D y -+ r)/2 with
+    r^2 = 4n + D y^2, kept when it is an integer and x = v b mod a.
+    """
+    field, D = J.field, J.field.D
+    vmax = math.isqrt(4 * n // -D) // J.c
+    out = []
+    for v in range(-vmax, vmax + 1):
+        y = v * J.c
+        disc = 4 * n + D * y * y
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        for num in ((-r - D * y, r - D * y) if r else (-D * y,)):
+            if num % 2 == 0 and (num // 2 - v * J.b) % J.a == 0:
+                out.append(KElt(field, num // 2, y))
+    return out
+
+
 def is_principal_with_generator(ideal: Ideal) -> KElt | None:
     """A generator of the ideal if principal, else None: the first point of
     norm N(ideal) on the ellipse that the ideal contains, since equality of
@@ -268,6 +299,20 @@ def equals_exact(value: CharValue, other: CharValue) -> bool:
     return (dk * ch.field.wK + j * ch.M) % (ch.M * ch.field.wK) == 0
 
 
+def class_value_lifts(ch: HeckeCharacter) -> tuple[tuple, tuple]:
+    """(ws, ks): per class group generator, the canonical generator w_i of
+    a_i^{h_i} and k_i with eps(w_i) = zeta_M^{k_i}, so v_i^{h_i} = zeta_M^{k_i} w_i.
+
+    The representatives a_i avoid the conductor and, for a twist, its c, as
+    the package chose them.
+    """
+    c = ch.twist_data[0] if ch.twist_data else 1
+    reps, ws = _class_lifts(ch.field, ch.conductor_norm * c)
+    if reps != ch.class_reps:
+        raise NoConsistentLift(f"class representatives {reps} are not the character's")
+    return ws, tuple(ch.eps.exponent_of(w) for w in ws)
+
+
 def value_product(value: CharValue, other: CharValue) -> CharValue:
     """The exact product of two values of one character."""
     ch = value.char
@@ -276,7 +321,8 @@ def value_product(value: CharValue, other: CharValue) -> CharValue:
     k = (value.k + other.k) % ch.M
     q = value.q * other.q
     e = []
-    for ei, fi, hi, ki, wi in zip(value.e, other.e, ch.class_orders, ch.base_exps, ch.base_ws):
+    ws, ks = class_value_lifts(ch)
+    for ei, fi, hi, ki, wi in zip(value.e, other.e, ch.class_orders, ks, ws):
         t, r = divmod(ei + fi, hi)
         if t:
             # v_i^{h_i} = zeta_M^{k_i} * w_i folds back into (k, q)
@@ -295,9 +341,8 @@ def value_conjugate(value: CharValue) -> CharValue:
     k = (-value.k) % ch.M
     q = value.q.conjugate()
     e = []
-    for ei, hi, ki, wi, rep in zip(
-        value.e, ch.class_orders, ch.base_exps, ch.base_ws, ch.class_reps
-    ):
+    ws, ks = class_value_lifts(ch)
+    for ei, hi, ki, wi, rep in zip(value.e, ch.class_orders, ks, ws, ch.class_reps):
         if ei == 0:
             e.append(0)
             continue
@@ -427,9 +472,9 @@ def lambda_value(chi: HeckeCharacter, s: float, w: float | None = None) -> float
         from heckelab.rootnumber import root_number
 
         w = root_number(chi)
-    _, Af = _scale(chi)
-    T = truncation(Af, 1e-13) + 10.0 * Af
-    table = theta_coeffs(chi, int(T))
+    Af = chi.field.A * chi.f_value
+    X = int(truncation(Af, 1e-13) + 10.0 * Af)
+    table = theta_coeffs(chi, X, theta_lattice(chi, X))
     terms = []
     for n, a in table_dict(table).items():
         u = n / Af
@@ -590,7 +635,8 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
     exps = tuple(int(k_f[row]) * (M_new // Mc) for row in gen_rows)
     eps_chi = finite_part(field, f_chi, exps, M=M_new)
 
-    base = build_hecke_character(field, eps_chi, twist_data=(rho.c, rho.exponents))
+    # the full build's unit-consistency and primitivity checks certify the descent
+    base = _checked_twist_build(eps_chi, (rho.c, rho.exponents))
     choices, radicals = [], []
     for a_i, h_i, principal in zip(base.class_reps, base.class_orders, base.radicals):
         target = evaluate_char(phi, a_i).complex() * rho_value_complex(rho, a_i)
@@ -601,6 +647,34 @@ def twist_per_member(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeChara
         choices.append(best)
         radicals.append(roots[best])
     return replace(base, root_choices=tuple(choices), radicals=tuple(radicals))
+
+
+def _checked_twist_build(eps: FinitePart, twist_data: tuple | None) -> HeckeCharacter:
+    """build_hecke_character(eps), which checks eps, with the class
+    representatives of a twist of modulus c = twist_data[0], which also avoid c."""
+    chi = build_hecke_character(eps.field, eps)
+    if twist_data is None:
+        return chi
+    lifts = _class_lifts(eps.field, eps.f.norm * twist_data[0])
+    return _assemble(eps.field, eps, lifts, twist_data)
+
+
+def character_from_descriptor(desc: dict) -> HeckeCharacter:
+    """The character a descriptor names: the checked build on its finite part,
+    with a twist's class representatives, each class value the principal root
+    rotated by zeta_{h_i}^{root_choices[i]}."""
+    field = make_field(desc["D"])
+    eps = finite_part(
+        field, Ideal(field, *desc["conductor_hnf"]), desc["eps_exponents"], M=desc["eps_M"]
+    )
+    tw = desc.get("twist")
+    chi = _checked_twist_build(eps, (tw["c"], tuple(tw["exponents"])) if tw else None)
+    choices = tuple(desc["root_choices"])
+    radicals = tuple(
+        v * cmath.exp(2j * cmath.pi * j / h)
+        for v, j, h in zip(chi.radicals, choices, chi.class_orders)
+    )
+    return replace(chi, root_choices=choices, radicals=radicals)
 
 
 def global_unit_exponents(eps: FinitePart):
@@ -656,7 +730,7 @@ def global_gauss_sum(chi: HeckeCharacter, gauss: GaussData) -> complex:
     L = lcm(M, N), as the package does.
     """
     field, f = chi.field, chi.conductor
-    db = different_gen(field) * gauss.b
+    db = field.sqrt_D * gauss.b
     N, M = db.norm(), chi.M
     u = one_mod_f_in_c_by_search(f, gauss.c) * db.conjugate()
     ug, k = global_unit_exponents(chi.eps)
@@ -751,5 +825,5 @@ def local_part_twists():
         phi = build_hecke_character(field, eps)
         for orbit in enumerate_twists(field, P, c):
             if orbit.c == c:
-                for m, chi in zip(orbit.members, twist_orbit(phi, orbit.rho(field), orbit.members)):
+                for m, chi in zip(orbit.members, twist_orbit(phi, orbit.rho, orbit.members)):
                     yield f"D={D} c={c} {orbit.exponents} m={m}", chi

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -595,9 +596,33 @@ def test_imprimitive_finite_part_raises():
     assert canonical_epsilon(f).is_primitive()
 
 
+def _root_choices_are_class_group_twists(phi):
+    """phi's h choices of root for its class value, one character each, after
+    checking that they are exactly phi's c = 1 twists: the h twists by the
+    characters of Pic(O_K) make h distinct root choices, keep phi's eps and
+    its class representatives, and take the choice's values at every ideal."""
+    field = phi.field
+    (h,) = phi.class_orders
+    twists = [twist(phi, ring_class_character(field, 1, (t,))) for t in range(h)]
+    by_choice = {chi.root_choices: chi for chi in twists}
+    assert sorted(by_choice) == [(j,) for j in range(h)]
+    eps = [Fraction(k, phi.M) for k in phi.eps.exps]
+    lifts = []
+    for j in range(h):
+        lift = oracles.character_from_descriptor(dict(phi.descriptor(), root_choices=[j]))
+        chi = by_choice[(j,)]
+        assert chi.conductor == phi.conductor and chi.class_reps == phi.class_reps
+        assert [Fraction(k, chi.M) for k in chi.eps.exps] == eps
+        for I in coprime_ideals(field, phi, 60):
+            want = evaluate_char(lift, I).complex()
+            assert abs(evaluate_char(chi, I).complex() - want) < 1e-9 * abs(want), (j, I)
+        lifts.append(lift)
+    return lifts
+
+
 def test_galois_orbit_cube_roots(chi23):
     f = chi23.field
-    lifts = [build_hecke_character(f, chi23.eps, root_choices=(j,)) for j in range(3)]
+    lifts = _root_choices_are_class_group_twists(chi23)
     assert len(lifts) == 3
     assert len({l.conductor for l in lifts}) == 1
     zeta3 = cmath.exp(2j * cmath.pi / 3)
@@ -742,9 +767,7 @@ def test_twist_builds_its_character_once(chi23, monkeypatch):
         assert len(assemblies) == 1
         # the radicals set after the one assembly are those a fully checked
         # build with the chosen roots makes
-        rebuilt = build_hecke_character(
-            f, chi.eps, root_choices=chi.root_choices, twist_data=chi.twist_data
-        )
+        rebuilt = oracles.character_from_descriptor(chi.descriptor())
         assert rebuilt.radicals == chi.radicals and rebuilt.descriptor() == chi.descriptor()
 
 
@@ -770,7 +793,7 @@ def test_twist_orbit_matches_per_member_oracle(D, P, c_max):
     field = phi.field
     members_seen = 0
     for orbit in enumerate_twists(field, P, c_max):
-        chars = twist_orbit(phi, orbit.rho(field), orbit.members)
+        chars = twist_orbit(phi, orbit.rho, orbit.members)
         assert len(chars) == len(orbit.members)
         for m, chi in zip(orbit.members, chars):
             want = oracles.twist_per_member(phi, _member_rho(field, orbit, m))
@@ -1024,19 +1047,6 @@ def test_twist_and_main_lemma_match_residue_oracles(D, cs, o_ps):
     assert seen_o == o_ps
 
 
-def _from_descriptor(desc):
-    field = make_field(desc["D"])
-    f = Ideal(field, *desc["conductor_hnf"])
-    eps = finite_part(field, f, desc["eps_exponents"], M=desc["eps_M"])
-    tw = desc.get("twist")
-    return build_hecke_character(
-        field,
-        eps,
-        root_choices=tuple(desc["root_choices"]),
-        twist_data=(tw["c"], tuple(tw["exponents"])) if tw else None,
-    )
-
-
 def test_descriptor_roundtrip(chi4, chi23):
     # a scan's JSON names its base character by descriptor, which must pin it exactly
     f4 = chi4.field
@@ -1044,7 +1054,7 @@ def test_descriptor_roundtrip(chi4, chi23):
     chars = [chi4, chi23, twist(chi4, rho)]
     for chi in chars:
         blob = json.dumps(chi.descriptor(), sort_keys=True)
-        rebuilt = _from_descriptor(json.loads(blob))
+        rebuilt = oracles.character_from_descriptor(json.loads(blob))
         assert json.dumps(rebuilt.descriptor(), sort_keys=True) == blob
         for I in coprime_ideals(chi.field, chi, 80):
             a = evaluate_char(chi, I)
@@ -1056,7 +1066,7 @@ def test_descriptor_roundtrip(chi4, chi23):
 def test_char_values_structure(chi47):
     # five lifts on D=-47, all sharing |values| with exact abs squared
     f = chi47.field
-    lifts = [build_hecke_character(f, chi47.eps, root_choices=(j,)) for j in range(5)]
+    lifts = _root_choices_are_class_group_twists(chi47)
     assert len(lifts) == 5
     for I in coprime_ideals(f, chi47, 50):
         for l in lifts:

@@ -9,7 +9,7 @@ import oracles
 from oracles import finite_part
 import pytest
 
-from heckelab import characters, family, quadfield, rootnumber
+from heckelab import characters, family, lseries, quadfield, rootnumber
 from heckelab.characters import (
     build_hecke_character,
     canonical_epsilon,
@@ -27,13 +27,7 @@ from heckelab.errors import (
     NumericalInstability,
     RestrictionMismatch,
 )
-from heckelab.lseries import (
-    central_value,
-    smoothing_kernel,
-    theta_coeffs,
-    theta_lattice,
-    truncation,
-)
+from heckelab.lseries import central_value, theta_coeffs, theta_lattice, truncation
 from heckelab.quadfield import class_group, make_field, prime_ideals_above, principal_ideal
 from heckelab.rootnumber import fe_bound, gauss_data, gauss_sum_root_number, root_number
 
@@ -46,7 +40,7 @@ def gauss():
 
 def test_golden_family(gauss):
     field, phi = gauss
-    records = family.scan_report(field, phi, (5, 13), 13)
+    records = family.scan_report(field, phi, (5, 13), 13, tol=1e-8)
     assert [(r.c, r.exponents, r.W) for r in records] == [
         (1, (), 1),
         (5, (1,), -1),
@@ -62,7 +56,7 @@ def test_golden_family(gauss):
 def test_scan_requires_property1(monkeypatch):
     field = make_field(-23)
     chi23 = build_hecke_character(field, canonical_epsilon(field))
-    records = family.scan_report(field, chi23, (2,), 1)
+    records = family.scan_report(field, chi23, (2,), 1, tol=1e-8)
     # c = 1: the trivial orbit and the order-3 class group characters (h = 3)
     assert [(r.c, r.n, r.error) for r in records] == [(1, 1, None), (1, 3, None)]
     # an order-22 finite part: unit consistent, but phi restricted to Q is not kappa_K
@@ -72,7 +66,7 @@ def test_scan_requires_property1(monkeypatch):
     # the precondition runs before the first record is built
     monkeypatch.setattr(family, "enumerate_twists", lambda *args: pytest.fail("scan went on"))
     with pytest.raises(RestrictionMismatch):
-        family.scan_report(field, broken, (2,), 1)
+        family.scan_report(field, broken, (2,), 1, tol=1e-8)
 
 
 def test_exact_conductor_dlog_calls(monkeypatch):
@@ -152,7 +146,7 @@ def test_exact_conductor_certificates_raise(monkeypatch):
 def test_root_number_routes_must_agree(gauss, monkeypatch):
     field, phi = gauss
     monkeypatch.setattr(family, "root_number_via_fe", lambda chi, table=None: -root_number(chi))
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert records
     for r in records:
         assert r.error.startswith("NumericalInstability")
@@ -169,7 +163,7 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
         return 0j
 
     monkeypatch.setattr(family, "twist_average_value", zero_average)
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert records
     for r in records:
         assert r.error.startswith("NumericalInstability")
@@ -178,13 +172,13 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
 
 def _orbit_mean_inputs(field, phi, orbit):
     """(walk, rho, ideals, ks, tables, bound) of the orbit-mean check, as a scan builds them."""
-    rho = orbit.rho(field)
+    rho = orbit.rho
     members = twist_orbit(phi, rho, orbit.members)
     bound = int(members[0].f_value ** max(family.T_EXPONENTS))
     walk = family._ScanWalk(phi, {orbit.c})
     ideals = walk.ideals(bound)
     ks = [rho.value_exponent(a) if a.is_coprime(phi.conductor) else None for a in ideals]
-    tables = [family.theta_coeffs(chi, bound) for chi in members]
+    tables = [family.theta_coeffs(chi, bound, theta_lattice(chi, bound)) for chi in members]
     return walk, rho, ideals, ks, tables, bound
 
 
@@ -283,7 +277,7 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     monkeypatch.setattr(family, "twist_orbit", traced_orbit)
     monkeypatch.setattr(family, "main_lemma_quantities", traced_lemma)
     monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
-    records = family.scan_report(field, phi, (5, 13), 25)
+    records = family.scan_report(field, phi, (5, 13), 25, tol=1e-8)
     assert all(r.error is None for r in records)
 
     assert len(phi_calls) == len(set(phi_calls)) <= 33
@@ -311,7 +305,7 @@ def test_only_prime_powers_reach_unit_group_mod(monkeypatch):
         field = make_field(D)
         eps = canonical_epsilon(field)
         phi = build_hecke_character(field, eps)
-        records = family.scan_report(field, phi, P, c_max)
+        records = family.scan_report(field, phi, P, c_max, tol=1e-8)
         assert records and all(r.error is None for r in records)
     field = make_field(-4)
     phi = build_hecke_character(field, gaussian_epsilon(field))
@@ -341,7 +335,7 @@ def test_scan_lists_ideals_only_for_the_walk(monkeypatch):
 
     monkeypatch.setattr(quadfield, "enumerate_ideals", counted_enumerate)
     monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
-    records = family.scan_report(field, phi, (2, 3), 8)
+    records = family.scan_report(field, phi, (2, 3), 8, tol=1e-8)
     assert records and all(r.error is None for r in records)
     assert {caller for caller, _ in calls} == {"_ScanWalk.ideals"}
     bounds = [bound for _, bound in calls]
@@ -357,7 +351,7 @@ def test_scan_records_a_failed_ideal_enumeration(gauss, monkeypatch):
         raise IdealSearchExhausted(f"no ideals to norm {bound}")
 
     monkeypatch.setattr(family, "enumerate_ideals", exhausted)
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert [r.error for r in records] == ["IdealSearchExhausted: no ideals to norm 18"] * 2
 
 
@@ -374,7 +368,7 @@ def _scan_members(D, P, c_max):
     eps = canonical_epsilon(field)
     phi = build_hecke_character(field, eps)
     orbits = family.enumerate_twists(field, P, c_max)
-    return phi, [(o.c, twist_orbit(phi, o.rho(field), o.members)) for o in orbits]
+    return phi, [(o.c, twist_orbit(phi, o.rho, o.members)) for o in orbits]
 
 
 def _check_shared_reads(phi, groups, tol=1e-8):
@@ -383,9 +377,9 @@ def _check_shared_reads(phi, groups, tol=1e-8):
     groups lists (c, characters) in scan order.  Each character asks for its
     table to the bounds a scan asks (the first of each group also to its FE
     bound), so a later character of a conductor reads the prefix of a
-    lattice built for an earlier one, and the Gauss-sum data and smoothing
-    kernel built for the first character of its conductor.  Returns the
-    number of characters that read data built for another.
+    lattice built for an earlier one, with that lattice's smoothing kernel,
+    and the Gauss-sum data built for the first character of its conductor.
+    Returns the number of characters that read data built for another.
     """
     walk = family._ScanWalk(phi, {c for c, _ in groups})
     built_by, borrowed = {}, 0
@@ -396,17 +390,17 @@ def _check_shared_reads(phi, groups, tol=1e-8):
             X = max(T, int(chi.f_value ** max(family.T_EXPONENTS)))
             for bound in (max(fe_bound(chi), X), X) if i == 0 else (X,):
                 lattice = walk.lattice(chi, bound)
-                shared, alone = theta_coeffs(chi, bound, lattice), theta_coeffs(chi, bound)
+                shared = theta_coeffs(chi, bound, lattice)
+                alone = theta_coeffs(chi, bound, theta_lattice(chi, bound))
                 assert shared.n.tobytes() == alone.n.tobytes(), (chi.descriptor(), bound)
                 assert shared.a.tobytes() == alone.a.tobytes(), (chi.descriptor(), bound)
             borrowed += built_by.setdefault(lattice, chi) is not chi
             gauss = walk.gauss(chi)
-            assert gauss_sum_root_number(chi, gauss) == gauss_sum_root_number(chi)
+            assert gauss_sum_root_number(chi, gauss) == gauss_sum_root_number(chi, gauss_data(chi))
             W = root_number(chi, gauss)
             assert W == root_number(chi)
             v = (1 - int(W)) // 2
-            kernel = walk.kernel(chi, v, shared.upto(T)[0])
-            assert central_value(chi, v, tol, W, shared, kernel) == central_value(chi, v, tol, W)
+            assert central_value(chi, v, tol, W, shared) == central_value(chi, v, tol, W)
     return borrowed
 
 
@@ -446,26 +440,39 @@ def test_shared_data_of_another_conductor_or_bound_raises(gauss):
         theta_coeffs(chi, 200, replace(lattice, class_reps=(quadfield.unit_ideal(field),)))
     with pytest.raises(DomainError):
         root_number(other, gauss_data(chi))
-    W = root_number(chi)
-    v = (1 - int(W)) // 2
-    n, _ = theta_coeffs(chi, 200).upto(150)
-    kernel = smoothing_kernel(chi, v, n)
-    for bad in (smoothing_kernel(other, v, n), smoothing_kernel(chi, 1 - v, n), kernel):
-        # the last reaches n = 150, short of T at tol 1e-8
-        with pytest.raises(DomainError):
-            central_value(chi, v, 1e-8, W, kernel=bad)
+
+
+@pytest.mark.parametrize(
+    "D, P, c_max, calls",
+    [(-4, (5, 13), 25, 6), (-4, (2,), 64, 2), (-23, (2, 3), 72, 24), (-4, (3,), 243, 10)],
+)
+def test_scan_evaluates_each_kernel_once_per_lattice(D, P, c_max, calls, monkeypatch):
+    # a member's central value reads I_v(n / Af) off the lattice its table was
+    # summed over, so the members of one conductor at one c share one kernel_I
+    # call per v
+    kernel_I, seen = lseries.kernel_I, []
+
+    def counted(v, u):
+        seen.append(v)
+        return kernel_I(v, u)
+
+    monkeypatch.setattr(lseries, "kernel_I", counted)
+    field = make_field(D)
+    phi = build_hecke_character(field, canonical_epsilon(field))
+    family.scan_report(field, phi, P, c_max, tol=1e-8)
+    assert len(seen) == calls
 
 
 def test_scan_records_a_failed_read_of_shared_data(gauss, monkeypatch):
     field, phi = gauss
     at_8 = gauss_data(phi)
     monkeypatch.setattr(family._ScanWalk, "gauss", lambda self, chi: at_8)
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert (records[0].c, records[0].error) == (1, None)
     assert records[1].error.startswith("DomainError: the Gauss-sum data of")
     monkeypatch.undo()
     monkeypatch.setattr(family._ScanWalk, "lattice", lambda self, chi, X: theta_lattice(chi, X - 1))
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert all(r.error.startswith("DomainError: the theta lattice reaches") for r in records)
 
 
@@ -475,9 +482,9 @@ def test_scan_builds_conductor_data_once_per_conductor(gauss, monkeypatch):
     seen = {"auxiliary_pair": [], "theta_lattice": []}
     auxiliary_pair, lattice = rootnumber.auxiliary_pair, family.theta_lattice
 
-    def counted_auxiliary(chi):
-        seen["auxiliary_pair"].append(chi.conductor_norm)
-        return auxiliary_pair(chi)
+    def counted_auxiliary(field, f):
+        seen["auxiliary_pair"].append(f.norm)
+        return auxiliary_pair(field, f)
 
     def counted_lattice(chi, X):
         seen["theta_lattice"].append(chi.conductor_norm)
@@ -485,7 +492,7 @@ def test_scan_builds_conductor_data_once_per_conductor(gauss, monkeypatch):
 
     monkeypatch.setattr(rootnumber, "auxiliary_pair", counted_auxiliary)
     monkeypatch.setattr(family, "theta_lattice", counted_lattice)
-    records = family.scan_report(field, phi, (5, 13), 25)
+    records = family.scan_report(field, phi, (5, 13), 25, tol=1e-8)
     assert sum(r.orbit_size for r in records) == 15 and all(r.error is None for r in records)
     assert seen == {name: [8, 200, 1352, 5000] for name in seen}
 
@@ -499,7 +506,7 @@ def test_main_lemma_violation_is_recorded(gauss, monkeypatch):
         return tuple((p, 40) for p, _ in real_factorize(n)) if n % 8 == 0 else real_factorize(n)
 
     monkeypatch.setattr(characters, "factorize", factorize)
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert [r.c for r in records] == [1, 5]
     for r in records:
         assert r.error.startswith("MainLemmaViolation")
@@ -510,7 +517,7 @@ def test_level_count_mismatch_is_recorded(gauss, monkeypatch):
     # a levels build that finds one unit too few = 1 mod P^j raises
     # GroupStructureMismatch, on its own and inside a scan's twists
     field, phi = gauss
-    assert all(r.error is None for r in family.scan_report(field, phi, (5,), 5))
+    assert all(r.error is None for r in family.scan_report(field, phi, (5,), 5, tol=1e-8))
     in_ideal = characters._in_ideal
 
     def one_short(xs, ys, g):
@@ -522,7 +529,7 @@ def test_level_count_mismatch_is_recorded(gauss, monkeypatch):
     monkeypatch.setattr(characters, "_in_ideal", one_short)
     with pytest.raises(GroupStructureMismatch, match="units = 1 mod"):
         local_unit_groups(field, phi.conductor).levels
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     # c = 1 is phi, whose levels its build read before the patch
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error.startswith("GroupStructureMismatch")
@@ -536,7 +543,7 @@ def test_inconsistent_ring_class_value_is_recorded(gauss, monkeypatch):
         return tuple(Fraction(1, 2) for _ in class_group(c * c * field.D).orders)
 
     monkeypatch.setattr(characters, "ring_class_dlog", halves)
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     # c = 1 has a trivial ring class group; the c = 5 orbit reads rho
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error.startswith("NoConsistentLift")
@@ -558,7 +565,7 @@ def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
 
     monkeypatch.setattr(characters, "abelian_group_structure", collapsed)
     characters.unit_group_mod.cache_clear()
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error.startswith("GroupStructureMismatch")
 
@@ -569,7 +576,7 @@ def test_failed_prime_unit_group_certificate_is_recorded(gauss, monkeypatch):
     # the 4 elements of each (O/P)^x, N(P) = 5, of the c = 5 twist
     monkeypatch.setattr(characters, "cyclic_generator", lambda candidates, mul, one, n: one)
     characters.unit_group_mod.cache_clear()
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error == "GroupStructureMismatch: the powers do not reach each element exactly once"
 
@@ -591,7 +598,7 @@ def test_each_member_finite_part_is_built_once(monkeypatch):
         eps = canonical_epsilon(field)
         phi = build_hecke_character(field, eps)
         calls.clear()
-        family.scan_report(field, phi, P, c_max)
+        family.scan_report(field, phi, P, c_max, tol=1e-8)
         assert len(calls) == expected, (D, P, c_max)
     # twist-deep's two characters, of conductor (1+i)^3 c with c = 43 and 67
     # inert: a twist, its root number and its central value read two parts
@@ -615,7 +622,7 @@ def test_failed_finite_part_check_is_recorded(gauss, monkeypatch):
         return replace(units, orders=units.orders + (1,))
 
     monkeypatch.setattr(characters, "local_unit_groups", one_order_too_many)
-    records = family.scan_report(field, phi, (5,), 5)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
     assert records[1].error == "GroupStructureMismatch: need one exponent per unit group generator"
 
@@ -626,7 +633,8 @@ def test_members_that_disagree_on_vanishing_fail_the_record(gauss):
     # orbits, so no one verdict holds for it.  The order-2 twist (0,6)
     # vanishes as an orbit of one member and stays "zero".
     field, phi = gauss
-    records = {(r.c, r.exponents): r for r in family.scan_report(field, phi, (5, 13), 65)}
+    records = family.scan_report(field, phi, (5, 13), 65, tol=1e-8)
+    records = {(r.c, r.exponents): r for r in records}
     assert [key for key, r in records.items() if r.error] == [(65, (0, 3))]
     failed = records[65, (0, 3)]
     assert failed.error == "SignMismatch: orbit 65:(0, 3) has mixed verdicts ['zero', 'nonzero']"

@@ -36,6 +36,7 @@ from heckelab.lseries import (
     kernel_I,
     smoothed_kappa_sum,
     theta_coeffs,
+    theta_lattice,
 )
 from heckelab.quadfield import (
     KElt,
@@ -65,7 +66,8 @@ def chi23():
 def empirical_sign(chi):
     # theta-quotient probe: theta(1/t) / (t^2 theta(t)) tends to W
     Af = chi.field.A * chi.f_value
-    coeffs = table_dict(theta_coeffs(chi, int(60 * Af) + 60))
+    X = int(60 * Af) + 60
+    coeffs = table_dict(theta_coeffs(chi, X, theta_lattice(chi, X)))
 
     def theta(t):
         return sum(a * math.exp(-n * t / Af) for n, a in coeffs.items())
@@ -165,7 +167,7 @@ def test_incomplete_gamma_domain():
 
 
 def test_theta_coeffs_examples(chi4):
-    coeffs = table_dict(theta_coeffs(chi4, 100))
+    coeffs = table_dict(theta_coeffs(chi4, 100, theta_lattice(chi4, 100)))
     assert coeffs[1] == 1
     assert coeffs[2] == 0  # (1+i) divides the conductor
     assert 3 not in coeffs  # 3 inert: no ideal of norm 3
@@ -175,7 +177,7 @@ def test_theta_coeffs_examples(chi4):
 
 def test_theta_coeffs_bound(chi4, chi23):
     for chi in (chi4, chi23):
-        coeffs = table_dict(theta_coeffs(chi, 400))
+        coeffs = table_dict(theta_coeffs(chi, 400, theta_lattice(chi, 400)))
         for n, a in coeffs.items():
             d = math.prod(e + 1 for _, e in factorize(n))  # the number of divisors of n
             assert abs(a) <= d * math.sqrt(n) + 1e-9
@@ -197,7 +199,7 @@ def test_theta_coeffs_match_ideal_enumeration(chi4, chi23):
         brute: dict[int, complex] = {}
         for ideal in enumerate_ideals(chi.field, X):
             brute[ideal.norm] = brute.get(ideal.norm, 0j) + evaluate_char(chi, ideal).complex()
-        coeffs = table_dict(theta_coeffs(chi, X))
+        coeffs = table_dict(theta_coeffs(chi, X, theta_lattice(chi, X)))
         assert coeffs.keys() == brute.keys(), chi.descriptor()
         for n, a in brute.items():
             assert abs(coeffs[n] - a) <= 1e-12, (chi.descriptor(), n)
@@ -214,7 +216,7 @@ def test_theta_coeffs_reads_eps_at_the_class_norms():
     brute: dict[int, complex] = {}
     for ideal in enumerate_ideals(field, 300):
         brute[ideal.norm] = brute.get(ideal.norm, 0j) + evaluate_char(chi, ideal).complex()
-    coeffs = table_dict(theta_coeffs(chi, 300))
+    coeffs = table_dict(theta_coeffs(chi, 300, theta_lattice(chi, 300)))
     assert coeffs.keys() == brute.keys()
     for n, a in brute.items():
         assert abs(coeffs[n] - a) <= 1e-12, n
@@ -241,12 +243,12 @@ def test_random_field_twist_tables(data):
     exps = tuple(data.draw(st.integers(0, h - 1)) for h in class_group(c * c * D).orders)
     chi = twist(phi, ring_class_character(field, c, exps))
     # f(chi) divides lcm(f(phi), cO)
-    modulus = ideal_lcm(phi.conductor, principal_ideal(field, KElt(field, c)))
+    modulus = ideal_lcm(phi.conductor, principal_ideal(field, KElt(field, c, 0)))
     # the HNF basis a, b + c omega of the modulus lies in f(chi)
     basis = (KElt(field, modulus.a, 0), KElt(field, modulus.b, modulus.c))
     assert all(chi.conductor.contains(z) for z in basis)
     X = 300
-    table = table_dict(theta_coeffs(chi, X))
+    table = table_dict(theta_coeffs(chi, X, theta_lattice(chi, X)))
     # the keys are the ideal norms: sum over d | n of kappa(d) counts the ideals of norm n
     counts = [sum(field.kronecker(d) for d in range(1, n + 1) if n % d == 0) for n in range(X + 1)]
     assert list(table) == [n for n in range(1, X + 1) if counts[n] > 0]
@@ -296,9 +298,9 @@ def test_theta_table_is_a_prefix_of_any_larger_table(chi4, chi23):
     ]
     for chi in chars:
         for T in (37, 250):
-            small = theta_coeffs(chi, T)
+            small = theta_coeffs(chi, T, theta_lattice(chi, T))
             for X in (T + 1, 3 * T, T + fe_bound(chi)):
-                n, a = theta_coeffs(chi, X).upto(T)
+                n, a = theta_coeffs(chi, X, theta_lattice(chi, X)).upto(T)
                 assert n.tobytes() == small.n.tobytes(), (chi.descriptor(), T, X)
                 assert a.tobytes() == small.a.tobytes(), (chi.descriptor(), T, X)
 
@@ -308,11 +310,14 @@ def test_shared_table_gives_the_same_values_and_must_reach_its_bound(chi23):
     w = empirical_sign(chi)
     v = (1 - w) // 2
     T = lseries.truncation(chi.field.A * chi.f_value, 1e-8)
-    table = theta_coeffs(chi, max(fe_bound(chi), int(T)))
+    X = max(fe_bound(chi), int(T))
+    table = theta_coeffs(chi, X, theta_lattice(chi, X))
     assert central_value(chi, v, tol=1e-8, w=w, table=table) == central_value(chi, v, tol=1e-8, w=w)
-    alone = theta_coeffs(chi, fe_bound(chi))
+    X = fe_bound(chi)
+    alone = theta_coeffs(chi, X, theta_lattice(chi, X))
     assert root_number_via_fe(chi, table) == root_number_via_fe(chi, alone)
-    short = theta_coeffs(chi, min(fe_bound(chi), int(T)) - 1)
+    X = min(fe_bound(chi), int(T)) - 1
+    short = theta_coeffs(chi, X, theta_lattice(chi, X))
     with pytest.raises(ValueError, match="theta table reaches"):
         central_value(chi, v, tol=1e-8, w=w, table=short)
     with pytest.raises(ValueError, match="theta table reaches"):
@@ -406,16 +411,16 @@ def test_package_import_leaves_scipy_special_unloaded():
 def test_theta_coeffs_certificates(chi4, chi23, monkeypatch):
     # int64 norms are refused before any array is formed
     with pytest.raises(PhaseOverflow):
-        theta_coeffs(chi4, 10**18)
-    elements = lseries._ideal_elements
+        theta_lattice(chi4, 10**18)
+    elements = lseries.ideal_elements
     # chi23 has h = 3: J is O for the principal class and of norm 2 or 4 for
     # the others, where the units +-1 do not belong
     units = (np.array([1, -1]), np.array([0, 0]))
-    monkeypatch.setattr(lseries, "_ideal_elements", lambda J, bound: units)
+    monkeypatch.setattr(lseries, "ideal_elements", lambda J, bound: units)
     with pytest.raises(NoConsistentLift):
-        theta_coeffs(chi23, 50)
+        theta_coeffs(chi23, 50, theta_lattice(chi23, 50))
     # one generator short at one norm: its ideal would be counted 1 - 1/w_K times
     short = lambda J, bound: tuple(a[1:] for a in elements(J, bound))
-    monkeypatch.setattr(lseries, "_ideal_elements", short)
+    monkeypatch.setattr(lseries, "ideal_elements", short)
     with pytest.raises(UnitCountMismatch):
-        theta_coeffs(chi4, 50)
+        theta_coeffs(chi4, 50, theta_lattice(chi4, 50))

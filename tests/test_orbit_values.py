@@ -25,7 +25,7 @@ from heckelab.characters import (
     canonical_epsilon,
     evaluate_char,
 )
-from heckelab.lseries import theta_coeffs
+from heckelab.lseries import theta_coeffs, theta_lattice
 from heckelab.quadfield import make_field
 from heckelab.rootnumber import fe_bound
 from oracles import sieve_theta_coeffs, table_dict
@@ -73,7 +73,7 @@ def member_tables():
     for D, P, c_max in FAMILIES:
         field, phi = _phi(D)
         for orbit in family.enumerate_twists(field, P, c_max):
-            rho = orbit.rho(field)
+            rho = orbit.rho
             members = characters.twist_orbit(phi, rho, orbit.members)
             for m, chi in zip(orbit.members, members):
                 X = fe_bound(chi)
@@ -82,7 +82,8 @@ def member_tables():
                     sieve_theta_coeffs(field, X, exact),
                     sieve_theta_coeffs(field, X, _orbit_values(phi, rho, orbit, m, chi)),
                 )
-                out.append(((D, P, c_max), orbit.c, m, table_dict(theta_coeffs(chi, X)), sieves))
+                table = table_dict(theta_coeffs(chi, X, theta_lattice(chi, X)))
+                out.append(((D, P, c_max), orbit.c, m, table, sieves))
     return out
 
 
@@ -146,7 +147,7 @@ def test_theta_coeffs_evaluates_no_character(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, traced(name))
-    records = family.scan_report(field, phi, (5, 13), 25)
+    records = family.scan_report(field, phi, (5, 13), 25, tol=1e-8)
     assert all(r.error is None for r in records)
     # one table per member (15): the first member's is read by its FE root
     # number, and every member's by its central value and the orbit-mean check;
@@ -164,7 +165,7 @@ def test_scan_leaves_scipy_special_unloaded():
         "from heckelab.characters import build_hecke_character, gaussian_epsilon\n"
         "field = make_field(-4)\n"
         "phi = build_hecke_character(field, gaussian_epsilon(field))\n"
-        "records = family.scan_report(field, phi, (5,), 5)\n"
+        "records = family.scan_report(field, phi, (5,), 5, 1e-8)\n"
         "assert records and all(r.error is None for r in records)\n"
         "print('scipy.special' in sys.modules)\n"
     )

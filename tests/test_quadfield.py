@@ -13,7 +13,7 @@ from heckelab.characters import (
     gaussian_epsilon,
 )
 from heckelab.errors import BadDiscriminant, DomainError, NonFundamental, UnitCountMismatch
-from heckelab.lseries import theta_coeffs
+from heckelab.lseries import theta_coeffs, theta_lattice
 from heckelab.quadfield import (
     BinaryForm,
     FieldContext,
@@ -22,11 +22,11 @@ from heckelab.quadfield import (
     canonical_generator,
     class_group,
     class_representatives,
-    elements_of_norm,
     enumerate_ideals,
     form_of_contraction,
-    ideals_by_norm,
     ideal_class_of,
+    ideal_elements,
+    ideals_by_norm,
     make_field,
     prime_ideals_above,
     principal_form,
@@ -40,6 +40,7 @@ from oracles import (
     canonical_generator_by_phase,
     count_and_coeff_table,
     elements_by_ellipse,
+    elements_of_norm,
     enumerate_ideals_by_merge,
     finite_part,
     ideal_class_by_form,
@@ -229,7 +230,8 @@ def test_ideal_counts_match_divisor_sums():
             eps = finite_part(f, prime_ideals_above(f, 5)[0], (1,), M=4)  # eps(-1) = -1
         else:
             eps = canonical_epsilon(f)
-        keys = table_dict(theta_coeffs(build_hecke_character(f, eps), 200)).keys()
+        chi = build_hecke_character(f, eps)
+        keys = table_dict(theta_coeffs(chi, 200, theta_lattice(chi, 200))).keys()
         for n in range(1, 201):
             expected = sum(f.kronecker(d) for d in range(1, n + 1) if n % d == 0)
             assert counts[n] == expected, (D, n)
@@ -392,7 +394,7 @@ def test_form_composition_group_laws():
 
 def test_ideal_class_homomorphism():
     f = make_field(-23)
-    cg = f.class_group()
+    cg = class_group(f.D)
     ideals = enumerate_ideals(f, 40)[1:]
     rng = random.Random(16)
     for _ in range(60):
@@ -427,13 +429,18 @@ def test_canonical_generator_decides_principality():
 
 def test_elements_of_norm_match_ellipse_oracle():
     # every n <= 120 in every ideal of norm <= 30, against the ellipse's
-    # points filtered by membership: order included, n = 0 and empty lists too
+    # points filtered by membership: order included, n = 0 and empty lists too;
+    # ideal_elements to 120 lists them all at once, each norm in the same order
     for D in FIELDS:
         f = make_field(D)
         points = [elements_by_ellipse(f, n) for n in range(121)]
         for J in enumerate_ideals(f, 30):
+            xs, ys = ideal_elements(J, 120)
+            walked = [KElt(f, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
             for n, zs in enumerate(points):
-                assert elements_of_norm(J, n) == [z for z in zs if J.contains(z)], (D, J, n)
+                in_J = [z for z in zs if J.contains(z)]
+                assert elements_of_norm(J, n) == in_J, (D, J, n)
+                assert [z for z in walked if z.norm() == n] == (in_J if n else []), (D, J, n)
 
 
 ORACLE_FIELDS = [-3, -4, -7, -8, -15, -20, -23, -47, -84, -163]
@@ -445,7 +452,7 @@ def test_element_search_matches_phase_and_form_oracles(D):
     ideals) and ideal classes of every ideal of norm <= 2000 equal the float
     phase search and the HNF form map they replaced."""
     f = make_field(D)
-    assert list(f.units()) == elements_by_ellipse(f, 1)
+    assert list(f.units()) == elements_of_norm(unit_ideal(f), 1) == elements_by_ellipse(f, 1)
     for I in enumerate_ideals(f, 2000):
         assert canonical_generator(I) == canonical_generator_by_phase(I), I
         assert ideal_class_of(I) == ideal_class_by_form(I), I

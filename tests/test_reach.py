@@ -17,6 +17,10 @@ an argument rather than importing that layer.
 
 src/ has no assert statement: its invariants raise HeckeLabError
 subclasses, which still hold under python -O and are recorded by a scan.
+
+Every parameter of src/ with a default value is an option a caller can set.
+Each is listed in OPTIONS with the two callers that need different values,
+and OPTIONS lists nothing else.
 """
 
 import ast
@@ -118,32 +122,41 @@ def test_src_has_no_assert():
     assert asserts == [], "assert statements in src/: " + ", ".join(asserts)
 
 
-# parameters with a default value in src/: each is an option a caller can
-# set, and a later change may only remove them
-MAX_DEFAULTED_PARAMETERS = 11
+# every parameter with a default value in src/, as module.function.parameter,
+# and why it stays: an option a caller can set, kept only where two real
+# callers need different values
+OPTIONS = {
+    "cli.main.argv": "the console script passes none; tests and scripts pass their arguments",
+    "lseries.central_value.table": (
+        "a scan passes the table its members' checks also read; a single twist has it built"
+    ),
+    "rootnumber.root_number.gauss": (
+        "a scan passes the Gauss-sum data its conductor shares; a single twist has it built"
+    ),
+}
 
 
 def _defaulted_parameters(node, prefix=""):
-    """(qualified name, number of parameters with a default) for every
-    function under node that has one."""
+    """function.parameter for every parameter with a default of every
+    function under node, nested functions and lambdas included."""
     for child in ast.iter_child_nodes(node):
         name = f"{prefix}{getattr(child, 'name', 'lambda')}"
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = child.args
-            n = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-            if n:
-                yield name, n
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in defaulted:
+                yield f"{name}.{arg.arg}"
         nested = isinstance(child, _DEFS + (ast.Lambda,))
         yield from _defaulted_parameters(child, f"{name}." if nested else prefix)
 
 
 def test_optional_parameters_do_not_grow():
-    found = [
-        (f"{module}:{name}", n)
+    found = {
+        f"{module.removesuffix('.py')}.{name}"
         for module, tree in _trees().items()
-        for name, n in _defaulted_parameters(tree)
-    ]
-    total = sum(n for _, n in found)
-    assert total <= MAX_DEFAULTED_PARAMETERS, f"{total} defaulted parameters: " + ", ".join(
-        f"{name} ({n})" for name, n in found
-    )
+        for name in _defaulted_parameters(tree)
+    }
+    assert sorted(found - set(OPTIONS)) == [], "defaulted parameters missing from OPTIONS"
+    assert sorted(set(OPTIONS) - found) == [], "OPTIONS names parameters without a default"

@@ -15,13 +15,11 @@ from heckelab.characters import (
 )
 from heckelab.errors import HeckeLabError, IdealSearchExhausted, NoCRTLift, PhaseOverflow
 from heckelab.family import enumerate_twists
-from heckelab.lseries import theta_coeffs
+from heckelab.lseries import theta_coeffs, theta_lattice
 from heckelab.quadfield import Ideal, KElt, make_field, prime_ideals_above, unit_ideal
 from heckelab.rootnumber import (
-    _auxiliary_for_ideal,
     _gauss_sum,
     auxiliary_pair,
-    different_gen,
     fe_bound,
     gauss_data,
     gauss_sum_root_number,
@@ -40,7 +38,8 @@ from oracles import (
 
 def _fe(chi):
     """W by the theta quotient, over chi's theta table to fe_bound(chi)."""
-    return root_number_via_fe(chi, theta_coeffs(chi, fe_bound(chi)))
+    X = fe_bound(chi)
+    return root_number_via_fe(chi, theta_coeffs(chi, X, theta_lattice(chi, X)))
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +56,11 @@ def chi23():
 
 def test_different_generator():
     f4 = make_field(-4)
-    d4 = different_gen(f4)
+    d4 = f4.sqrt_D
     assert abs(d4.complex() - 2j) < 1e-12
     assert d4.norm() == 4
     f23 = make_field(-23)
-    d23 = different_gen(f23)
+    d23 = f23.sqrt_D
     assert abs(d23.complex() - 1j * math.sqrt(23)) < 1e-12
     # Tr(x / delta) is an integer for all integral x
     rng = random.Random(50)
@@ -74,10 +73,10 @@ def test_different_generator():
 
 
 def test_auxiliary_pair_principal_conductor(chi4, chi23):
-    c, b = auxiliary_pair(chi4)
+    c, b = auxiliary_pair(chi4.field, chi4.conductor)
     assert c == unit_ideal(chi4.field)
     assert abs(b.complex() - (2 + 2j)) < 1e-12  # canonical generator of (1+i)^3
-    c23, b23 = auxiliary_pair(chi23)
+    c23, b23 = auxiliary_pair(chi23.field, chi23.conductor)
     assert c23 == unit_ideal(chi23.field)
     assert abs(b23.complex() - 1j * math.sqrt(23)) < 1e-12
 
@@ -85,7 +84,7 @@ def test_auxiliary_pair_principal_conductor(chi4, chi23):
 def test_auxiliary_pair_nonprincipal_ideal():
     field = make_field(-23)
     p2 = prime_ideals_above(field, 2)[0]
-    c, b = _auxiliary_for_ideal(field, p2)
+    c, b = auxiliary_pair(field, p2)
     assert c.norm == 2 and c != p2  # the conjugate prime, inverse class
     assert b.norm() == 4
     prod = p2 * c
@@ -98,13 +97,13 @@ def test_auxiliary_search_exhausted_is_a_domain_error(monkeypatch):
     monkeypatch.setattr(rootnumber, "ideal_class_of", lambda ideal: (1,))
     field = make_field(-23)
     with pytest.raises(IdealSearchExhausted) as info:
-        _auxiliary_for_ideal(field, Ideal(field, 2, 1, 1))
+        auxiliary_pair(field, Ideal(field, 2, 1, 1))
     assert isinstance(info.value, HeckeLabError)
 
 
 def test_coset_reps_cardinality(chi4):
     f = chi4.conductor
-    c, _ = auxiliary_pair(chi4)
+    c, _ = auxiliary_pair(chi4.field, chi4.conductor)
     reps = list(coset_reps(c, f * c))
     assert len(reps) == f.norm
     # distinct modulo fc
@@ -120,7 +119,7 @@ def test_gauss_root_numbers_canonical():
         field = make_field(D)
         eps = canonical_epsilon(field)
         chi = build_hecke_character(field, eps)
-        w = gauss_sum_root_number(chi)
+        w = gauss_sum_root_number(chi, gauss_data(chi))
         assert abs(abs(w) - 1) < 1e-8
         assert abs(w.imag) < 1e-8
         assert abs(w - _fe(chi)) < 1e-6
@@ -128,18 +127,18 @@ def test_gauss_root_numbers_canonical():
 
 
 def test_gauss_matches_known_sign(chi4, chi23):
-    assert abs(gauss_sum_root_number(chi4) - 1) < 1e-8
-    assert abs(gauss_sum_root_number(chi23) - 1) < 1e-8
+    assert abs(gauss_sum_root_number(chi4, gauss_data(chi4)) - 1) < 1e-8
+    assert abs(gauss_sum_root_number(chi23, gauss_data(chi23)) - 1) < 1e-8
 
 
 def test_shifted_transversal_invariance(chi4, monkeypatch):
-    base = gauss_sum_root_number(chi4)
-    c, _ = auxiliary_pair(chi4)
+    base = gauss_sum_root_number(chi4, gauss_data(chi4))
+    c, _ = auxiliary_pair(chi4.field, chi4.conductor)
     fc = chi4.conductor * c
     t = KElt(chi4.field, fc.a, 0)  # an element of fc
     solve = rootnumber.idempotent
     monkeypatch.setattr(rootnumber, "idempotent", lambda f, c: solve(f, c) + t)
-    assert abs(base - gauss_sum_root_number(chi4)) < 1e-10
+    assert abs(base - gauss_sum_root_number(chi4, gauss_data(chi4))) < 1e-10
 
 
 def test_twisted_family_signs(chi4):
@@ -149,7 +148,7 @@ def test_twisted_family_signs(chi4):
         pic_order = None
         rho = ring_class_character(field, c, (1,))
         chi = twist(chi4, rho)
-        w = gauss_sum_root_number(chi)
+        w = gauss_sum_root_number(chi, gauss_data(chi))
         assert abs(abs(w) - 1) < 1e-8
         assert abs(w - _fe(chi)) < 1e-6
         assert abs(w.imag) < 1e-8
@@ -166,7 +165,7 @@ def test_gauss_sum_with_large_phase_modulus(chi4):
     # conductor norm 8 * 43^2: the phase modulus L = lcm(M, N(delta b)) exceeds 10^4
     chi = twist(chi4, ring_class_character(chi4.field, 43, (11,)))
     gauss = gauss_data(chi)
-    assert math.lcm(chi.M, (different_gen(chi.field) * gauss.b).norm()) > 10**4
+    assert math.lcm(chi.M, (chi.field.sqrt_D * gauss.b).norm()) > 10**4
     w = gauss_sum_root_number(chi, gauss)
     assert abs(w - 1) < 1e-8
     assert abs(w - _fe(chi)) < 1e-6
@@ -186,7 +185,7 @@ def _orbit_root_numbers(phi, c, exponents):
     rho = ring_class_character(phi.field, c, exponents)
     members = tuple(m for m in range(1, rho.order + 1) if math.gcd(m, rho.order) == 1)
     chars = twist_orbit(phi, rho, members)
-    return [root_number(chi) for chi in chars], [gauss_sum_root_number(chi) for chi in chars]
+    return [root_number(chi) for chi in chars], [gauss_sum_root_number(chi, gauss_data(chi)) for chi in chars]
 
 
 def test_orbit_constancy_order2(chi4):
@@ -205,7 +204,7 @@ def _transversal_gauss_sum(chi, c, b):
     """The Gauss sum term by term over the box transversal of c/fc: eps by a
     dlog lookup per residue, the phase from Tr(w conj(delta b)) directly."""
     fc = chi.conductor * c
-    db = different_gen(chi.field) * b
+    db = chi.field.sqrt_D * b
     db_conj, N, M = db.conjugate(), db.norm(), chi.M
     L = math.lcm(M, N)
     counts = {}
@@ -222,7 +221,7 @@ def _gauss_oracle_characters():
     f4 = make_field(-4)
     phi4 = build_hecke_character(f4, gaussian_epsilon(f4))
     for orbit in enumerate_twists(f4, (5, 13), 25):
-        for m, chi in zip(orbit.members, twist_orbit(phi4, orbit.rho(f4), orbit.members)):
+        for m, chi in zip(orbit.members, twist_orbit(phi4, orbit.rho, orbit.members)):
             yield f"D=-4 c={orbit.c} {orbit.exponents} m={m}", chi
     yield "D=-4 c=43 (11,)", twist(phi4, ring_class_character(f4, 43, (11,)))
     # conductor a non-principal prime above 3: the auxiliary ideal is not O
@@ -236,7 +235,7 @@ def test_gauss_sum_matches_transversal_oracle():
     for label, chi in _gauss_oracle_characters():
         gauss = gauss_data(chi)
         c, b = gauss.c, gauss.b
-        assert (c, b) == auxiliary_pair(chi), label
+        assert (c, b) == auxiliary_pair(chi.field, chi.conductor), label
         assert abs(_gauss_sum(chi, gauss) - _transversal_gauss_sum(chi, c, b)) < 1e-12, label
         checked += 1
     assert checked == 15 + 1 + 2
@@ -265,7 +264,7 @@ def _conductor_characters():
         phi = build_hecke_character(field, eps)
         seen = set()
         for orbit in enumerate_twists(field, P, c_max):
-            for chi in twist_orbit(phi, orbit.rho(field), orbit.members):
+            for chi in twist_orbit(phi, orbit.rho, orbit.members):
                 if chi.conductor not in seen:
                     seen.add(chi.conductor)
                     yield f"D={D} c={orbit.c} f={chi.conductor!r}", chi
@@ -299,17 +298,23 @@ def test_idempotent_E_matches_the_search():
 def test_gauss_sum_rejects_lift_outside_coset(chi4, monkeypatch):
     # an auxiliary ideal sharing a prime with f has no E at all
     f = chi4.conductor
-    monkeypatch.setattr(rootnumber, "auxiliary_pair", lambda chi: (f, KElt(chi.field, 8, 0)))
+    monkeypatch.setattr(rootnumber, "auxiliary_pair", lambda field, _: (f, KElt(field, 8, 0)))
     with pytest.raises(NoCRTLift) as info:
-        gauss_sum_root_number(chi4)
+        gauss_sum_root_number(chi4, gauss_data(chi4))
     assert isinstance(info.value, HeckeLabError)
 
 
 def test_gauss_sum_phase_overflow_is_a_domain_error(chi4, monkeypatch):
     # N(delta b) scaled by 10^20 would push the phases past int64
-    monkeypatch.setattr(rootnumber, "different_gen", lambda field: field.sqrt_D * 10**10)
+    pair = rootnumber.auxiliary_pair
+
+    def scaled_pair(field, f):
+        c, b = pair(field, f)
+        return c, b * 10**10
+
+    monkeypatch.setattr(rootnumber, "auxiliary_pair", scaled_pair)
     with pytest.raises(PhaseOverflow) as info:
-        gauss_sum_root_number(chi4)
+        gauss_sum_root_number(chi4, gauss_data(chi4))
     assert isinstance(info.value, HeckeLabError)
 
 
