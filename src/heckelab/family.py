@@ -19,23 +19,27 @@ bound any of its records can ask for, reads rho once per ideal per orbit
 for the counts and the orbit-mean check, and evaluates phi once per
 ideal.  Every coefficient table is lseries.theta_coeffs of a member: a
 lattice sum that reads the finite part's local exponent arrays and
-evaluates no character at an ideal.  Each member gets one table, to the
-larger of its truncation T and the check's bound f^max(T_EXPONENTS), the
-first member's also to its FE bound; the theta quotient, the central
-values and the orbit-mean check read prefixes of these tables.  What
-depends only on a member's conductor f_chi is built once per f_chi in a
-scan, not once per member: the theta lattice the tables are summed over
-(to the largest bound a member asks of it), with the smoothing kernel
-I_v(n / Af) that it evaluates once per v for every table summed over it,
-and the Gauss-sum data (the auxiliary pair, N(delta b) and the additive
-phases over each local group (O/P^a)^x of f_chi).  A member adds only
+evaluates the member at the h class ideals of its lattice alone.  Each
+member gets one table, to the larger of its truncation T and the check's
+bound f^max(T_EXPONENTS), the first member's also to its FE bound; the
+theta quotient, the central values and the orbit-mean check read
+prefixes of these tables.  What depends only on a member's conductor
+f_chi is built once per f_chi in a scan, not once per member: the theta
+lattice the tables are summed over (to the largest bound a member asks
+of it, on the least ideal of each class with norm prime to N(f_chi)),
+with the smoothing kernel I_v(n / Af) that it evaluates once per v for
+every table summed over it, and the Gauss-sum data (the auxiliary pair,
+N(delta b) and the additive phases over each local group (O/P^a)^x of
+f_chi).  A member adds only
 its own exponent gathers, phases and sums.  The scan keeps that data for
 the current c only, as orbits arrive sorted by c.  The checks keep their
 independence: the theta-quotient root number sums the first member's
 table against the Gauss sum of its finite part, and the orbit-mean check
 adds the members' tables into one dense array over n and compares it
 with exact orbit averages from evaluate_char(phi) and the integer
-exponents of rho.
+exponents of rho.  The two sides of that check share evaluate_char: the
+table side reads it for each member at the h class ideals of its
+lattice, the exact side for phi at every ideal.
 
 A scan checks, in this order:
 
@@ -289,10 +293,10 @@ class _ScanWalk:
     the bound is the largest N(m)^(max(T_EXPONENTS)/2) over the scan's
     conductors c.  enumerate_ideals sorts by (norm, HNF), so each record
     reads a prefix.  phi is evaluated once per ideal.  Every member of a
-    conductor f_chi reads one theta lattice (per set of class
-    representatives, built again only to a larger bound), with its
-    smoothing kernel, and one set of Gauss-sum data.  Orbits arrive sorted
-    by c, so at_c drops that data when the scan moves on to the next c.
+    conductor f_chi reads one theta lattice (built again only to a larger
+    bound), with its smoothing kernel, and one set of Gauss-sum data.
+    Orbits arrive sorted by c, so at_c drops that data when the scan moves
+    on to the next c.
     """
 
     def __init__(self, phi: HeckeCharacter, conductors: set[int]):
@@ -325,7 +329,7 @@ class _ScanWalk:
             self._c, self._shared = c, {}
 
     def lattice(self, chi: HeckeCharacter, X: int) -> ThetaLattice:
-        key = ("lattice", chi.conductor, chi.class_reps)
+        key = ("lattice", chi.conductor)
         lattice = self._shared.get(key)
         if lattice is None or lattice.X < X:
             lattice = self._shared[key] = theta_lattice(chi, X)

@@ -10,17 +10,20 @@ where I_0(u) = e^{-u} and I_1(u) = E_1(u) is the exponential integral.
 Every sum here is truncated at a certified point: the coefficient bound
 |a_n| <= d(n) sqrt(n) <= 2n turns the tail into a geometric series.
 The coefficients a_n are Hecke's theta series, summed over the lattice
-points of one ideal per ideal class (theta_coeffs).  central_value and
-rootnumber.root_number_via_fe read their tables from theta_coeffs, which
-evaluates chi at no ideal: every value is one gather per local group
-(O/P^a)^x from the finite part's local exponent arrays.  central_value
-takes W from its caller, so this module imports nothing from rootnumber.
-A table is a ThetaTable of two arrays, the n in ascending order and their
-a_n; a table to X holds the table to any smaller bound as its prefix, bit
-for bit, so one table can serve two truncations.  The lattice points, their
-rows in the local groups of f and their norms depend only on the
-conductor and the class representatives: theta_lattice builds them once,
-and theta_coeffs reads them for every character that shares them.
+points of one ideal J per ideal class (theta_coeffs; Iwaniec-Kowalski,
+Analytic Number Theory, ch. 12), the least of its class with norm prime
+to N(f).  central_value and rootnumber.root_number_via_fe read their
+tables from theta_coeffs, which evaluates chi once per class, at J: every
+other value is one gather per local group (O/P^a)^x from the finite
+part's local exponent arrays, times that class's chi(J)^{-1}.
+central_value takes W from its caller, so this module imports nothing
+from rootnumber.  A table is a ThetaTable of two arrays, the n in
+ascending order and their a_n; a table to X holds the table to any
+smaller bound as its prefix, bit for bit, so one table can serve two
+truncations.  The class ideals, the lattice points, their rows in the
+local groups of f and their norms depend only on the conductor:
+theta_lattice builds them once, and theta_coeffs reads them for every
+character of that conductor.
 central_value forms every term 2 a_n n^{-1} I_v(n / Af) in one array
 expression, with the array kernel kernel_I (a power series and a
 fixed-depth continued fraction for E_1).  Af depends only on the
@@ -35,13 +38,12 @@ realness, 1e-14 kernels) sit comfortably inside that.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .characters import HeckeCharacter
+from .characters import HeckeCharacter, evaluate_char
 from .errors import (
     DomainError,
     NoConsistentLift,
@@ -51,7 +53,7 @@ from .errors import (
     SignMismatch,
     UnitCountMismatch,
 )
-from .quadfield import FieldContext, Ideal, KElt, ideal_elements, unit_ideal
+from .quadfield import FieldContext, Ideal, class_representatives, ideal_elements
 
 _INT64_MAX = np.iinfo(np.int64).max
 _EULER_GAMMA = 0.5772156649015328606
@@ -132,21 +134,20 @@ class ThetaTable:
 @dataclass(frozen=True, eq=False)
 class ThetaLattice:
     """The lattice points of theta_coeffs to X, shared by every character of
-    one conductor f and one set of class representatives.
+    one conductor f.
 
-    classes holds, per class vector e, (e, N(J_e), and for the g in J_e
-    prime to f: n = N(g)/N(J_e), the rows of g in the local groups
-    (O/P^a)^x of f, one row of a (parts, elements) array per P^a || f, and
-    g as a complex number), each array in the order ideal_elements lists
-    g; counts[n] is the number of ideals of norm n.  No array is indexed
-    by all of (O/f)^x.
+    classes holds, per ideal class, (J, and for the g in J prime to f:
+    n = N(g)/N(J), the rows of g in the local groups (O/P^a)^x of f, one
+    row of a (parts, elements) array per P^a || f, and g as a complex
+    number), each array in the order ideal_elements lists g, where J is the
+    least ideal of its class with norm prime to N(f); counts[n] is the
+    number of ideals of norm n.  No array is indexed by all of (O/f)^x.
     The lattice to X holds the one to any smaller bound as the elements of
     n <= bound, in the same order.
     """
 
     X: int
     f: Ideal
-    class_reps: tuple
     classes: tuple
     counts: np.ndarray
     _kernels: dict = dc_field(default_factory=dict, init=False, repr=False)
@@ -169,7 +170,9 @@ class ThetaLattice:
 def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
     """The lattice theta_coeffs(chi, X) sums, with its three certificates.
 
-    N(J_e) divides every N(g) (else NoConsistentLift), w_K divides the
+    It depends on chi's conductor f alone: its class ideals are the least
+    ideal of each class with norm prime to N(f) (class_representatives).
+    N(J) divides every N(g) (else NoConsistentLift), w_K divides the
     number of generators of each norm (else UnitCountMismatch), and no
     int64 intermediate can overflow, checked before any is formed (else
     PhaseOverflow).
@@ -177,13 +180,8 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
     if X < 1:
         raise ValueError("X must be at least 1")
     field, units = chi.field, chi.eps.unit_group
-    Js = []
-    for e in itertools.product(*(range(h) for h in chi.class_orders)):
-        J = unit_ideal(field)
-        for rep, ei in zip(chi.class_reps, e):
-            J = J * rep.conjugate() ** ei
-        Js.append((e, J))
-    d_max = max(J.norm for _, J in Js)
+    Js = list(class_representatives(field, units.f.norm).values())
+    d_max = max(J.norm for J in Js)
     B = X * d_max
     # |y| <= 2 sqrt(B/|D|) and |x| <= sqrt(B) (sqrt|D| + 1), so the terms of
     # the norm form add up to at most B (4|D| + 4 sqrt|D| + 2) in absolute
@@ -193,10 +191,8 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
         raise PhaseOverflow(f"norms up to {B} overflow int64 in the lattice sum to X = {X}")
     counts = np.zeros(X + 1, dtype=np.int64)
     classes = []
-    for e, J in Js:
+    for J in Js:
         d = J.norm
-        if (units.rows([d], [0]) < 0).any():
-            raise NoConsistentLift(f"N{J!r} = {d} is not coprime to the conductor")
         x, y = ideal_elements(J, X * d)
         norms = x * x + field.D * x * y + field.nm * y * y
         if (norms % d).any():
@@ -209,10 +205,8 @@ def theta_lattice(chi: HeckeCharacter, X: int) -> ThetaLattice:
         rows = units.rows(x, y)
         unit = np.flatnonzero((rows >= 0).all(axis=0))
         g = x[unit] + y[unit] * field.omega_complex
-        classes.append((e, d, n[unit], rows.take(unit, axis=1), g))
-    return ThetaLattice(
-        X=X, f=units.f, class_reps=chi.class_reps, classes=tuple(classes), counts=counts
-    )
+        classes.append((J, n[unit], rows.take(unit, axis=1), g))
+    return ThetaLattice(X=X, f=units.f, classes=tuple(classes), counts=counts)
 
 
 def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice) -> ThetaTable:
@@ -221,46 +215,40 @@ def theta_coeffs(chi: HeckeCharacter, X: int, lattice: ThetaLattice) -> ThetaTab
     The table lists exactly the n <= X that are the norm of some integral
     ideal, in ascending order; a_n is 0 at such n when every ideal of norm
     n meets the conductor.  The table is Hecke's theta series, summed over
-    lattice points: an ideal a of class vector e times
-    J_e = prod conj(a_i)^{e_i} (the class representatives a_i) is principal,
-    a J_e = (g), and chi(a) = eps(g/N J_e) (g/N J_e) prod v_i^{e_i}, which
-    is what evaluate_char computes for one ideal.  Each ideal has w_K
-    generators g, so
+    lattice points: an ideal a in the class inverse to a lattice class
+    ideal J has a J = (g) principal, and chi(a) = eps(g) g / chi(J).  Each
+    ideal has w_K generators g, so
 
-        a_n = (1/w_K) sum_e sum_{g in J_e, N(g) = n N(J_e)} eps(g/N J_e) (g/N J_e) prod v_i^{e_i}.
+        a_n = (1/w_K) sum_J chi(J)^{-1} sum_{g in J, N(g) = n N(J)} eps(g) g.
 
-    Every g in J_e with 0 < N(g) <= X N(J_e) is one row of an int64
-    array (theta_lattice), eps(g) is one gather per local group of f from
+    Every g in J with 0 < N(g) <= X N(J) is one row of an int64 array
+    (theta_lattice), eps(g) is one gather per local group of f from
     eps.local_exponents (zero where g meets the conductor), and the sum
-    over n is two bincounts.  lattice is theta_lattice of a character with
-    chi's conductor and class representatives to at least X, built once
-    for all of them; whichever bound it reaches, the table is the same,
-    bit for bit.  A lattice of another conductor, other representatives or
-    a bound below X raises DomainError.
+    over n is two bincounts.  chi(J) is one evaluate_char per class: the
+    only exact evaluation of a table.  lattice is theta_lattice of a
+    character of chi's conductor to at least X, built once for all of
+    them; whichever bound it reaches, the table is the same, bit for bit.
+    A lattice of another conductor or a bound below X raises DomainError.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
-    if lattice.f != chi.conductor or lattice.class_reps != chi.class_reps:
+    if lattice.f != chi.conductor:
         raise DomainError(f"the theta lattice of {lattice.f!r} is not one of {chi.conductor!r}")
     if X > lattice.X:
         raise DomainError(f"the theta lattice reaches n = {lattice.X}, not {X}")
     field, eps, M = chi.field, chi.eps, chi.M
     # zeta_M^k = i^q exp(i pi r / 2M) with 4k = qM + r: exact at the fourth roots
-    # of unity; tiled so that it covers the unreduced exponents k + M - k_d below
+    # of unity; tiled so that it covers the unreduced sums k of exponents_at
     q, r = np.divmod(4 * np.arange(M), M)
     roots = np.array([1, 1j, -1, -1j])[q] * np.exp(0.5j * np.pi * r / M)
-    roots = np.tile(roots, len(eps.local_exponents) + 1)
+    roots = np.tile(roots, len(eps.local_exponents))
     re, im = np.zeros(X + 1), np.zeros(X + 1)
-    for e, d, n, rows, g in lattice.classes:
-        weight = 1 + 0j
-        for v, ei in zip(chi.radicals, e):
-            weight = weight * v**ei
+    for J, n, rows, g in lattice.classes:
+        weight = 1 / evaluate_char(chi, J).complex()
         if X < lattice.X:
             keep = np.flatnonzero(n <= X)
             n, rows, g = n[keep], rows.take(keep, axis=1), g[keep]
-        k = eps.exponents_at(rows)
-        k += M - eps.exponent_of(KElt(field, d, 0))
-        values = roots[k] * g * (weight / d)
+        values = roots[eps.exponents_at(rows)] * g * weight
         re += np.bincount(n, weights=values.real, minlength=X + 1)
         im += np.bincount(n, weights=values.imag, minlength=X + 1)
     n = np.flatnonzero(lattice.counts[: X + 1])
@@ -313,9 +301,10 @@ def central_value(
     must match it, v = (1 - W)/2, since the other parity would sum to an
     uninformative 0.  table, when given, is chi's theta table to at least
     T, built by the caller for another use as well; its prefix n <= T is
-    exactly theta_coeffs(chi, int(T), ...).  Else the table to T is built
-    here, on a lattice of its own.  The kernel I_v(n / Af) is the one of
-    the table's lattice, which every character of that lattice shares.
+    exactly theta_coeffs(chi, int(T), ...); a table of another conductor
+    raises DomainError.  Else the table to T is built here, on a lattice of
+    its own.  The kernel I_v(n / Af) is the one of the table's lattice,
+    which every character of that lattice shares.
     """
     _require_sign(v, w)
     f = chi.f_value
@@ -323,6 +312,8 @@ def central_value(
     T = truncation(Af, tol)
     if table is None:
         table = theta_coeffs(chi, int(T), theta_lattice(chi, int(T)))
+    elif table.lattice.f != chi.conductor:
+        raise DomainError(f"the theta table of {table.lattice.f!r} is not one of {chi.conductor!r}")
     n, a = table.upto(int(T))
     value = _real_part(2.0 * a / n * table.lattice.kernel(v, n), 1.0, "central value")
     tail = 4.0 * (Af + 1.0) * math.exp(-T / Af)

@@ -207,8 +207,11 @@ def root_number_via_fe(chi: HeckeCharacter, table: ThetaTable) -> complex:
     The theta series is theta_coeffs' lattice sum to fe_bound(chi), which
     shares only the character's own data with the Gauss sum.  table is
     chi's theta table to at least fe_bound(chi), built by the caller for
-    another use as well; only its prefix n <= fe_bound(chi) is read.
+    another use as well; only its prefix n <= fe_bound(chi) is read.  A
+    table of another conductor raises DomainError.
     """
+    if table.lattice.f != chi.conductor:
+        raise DomainError(f"the theta table of {table.lattice.f!r} is not one of {chi.conductor!r}")
     Af = chi.field.A * chi.f_value
     n, a = table.upto(fe_bound(chi))
 

@@ -29,7 +29,13 @@ from heckelab.errors import (
 )
 from heckelab.lseries import central_value, theta_coeffs, theta_lattice, truncation
 from heckelab.quadfield import class_group, make_field, prime_ideals_above, principal_ideal
-from heckelab.rootnumber import fe_bound, gauss_data, gauss_sum_root_number, root_number
+from heckelab.rootnumber import (
+    fe_bound,
+    gauss_data,
+    gauss_sum_root_number,
+    root_number,
+    root_number_via_fe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -437,9 +443,12 @@ def test_shared_data_of_another_conductor_or_bound_raises(gauss):
     with pytest.raises(DomainError):
         theta_coeffs(chi, 201, lattice)
     with pytest.raises(DomainError):
-        theta_coeffs(chi, 200, replace(lattice, class_reps=(quadfield.unit_ideal(field),)))
-    with pytest.raises(DomainError):
         root_number(other, gauss_data(chi))
+    table = theta_coeffs(other, fe_bound(other), theta_lattice(other, fe_bound(other)))
+    with pytest.raises(DomainError):
+        central_value(chi, 0, 1e-8, 1.0, table)
+    with pytest.raises(DomainError):
+        root_number_via_fe(chi, table)
 
 
 @pytest.mark.parametrize(
@@ -676,6 +685,19 @@ def test_scan_json_matches_golden(name, D, P, c_max):
     phi = build_hecke_character(field, eps)
     records = family.scan_report(field, phi, P, c_max, tol=1e-8)
     assert family.scan_to_json(field, phi, P, c_max, 1e-8, records) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("D, records_expected", [(-335, 24), (-143, 16)])
+def test_scan_of_a_large_class_group_fails_no_record(D, records_expected):
+    # the theta lattice sums over the least ideal of each class (of norm at
+    # most 87 here), so its norms stay far inside int64 at h = 18 (D = -335)
+    # and for the twists with c even at h = 10 (D = -143), whose class ideals
+    # must avoid 2
+    field = make_field(D)
+    phi = build_hecke_character(field, canonical_epsilon(field))
+    records = family.scan_report(field, phi, (2,), 8, tol=1e-8)
+    assert len(records) == records_expected
+    assert [r.error for r in records if r.error] == []
 
 
 def test_save_scan_writes_the_csv_and_appends_one_log_line_per_record(gauss, tmp_path):

@@ -115,29 +115,41 @@ def test_orbit_table_coefficient_bound_and_multiplicativity(member_tables, data)
         assert abs(table.get(a * b, 0j) - want) <= 1e-9 * max(1.0, abs(want)), (fam, c, m, a, b)
 
 
-def test_theta_coeffs_evaluates_no_character(monkeypatch):
+@pytest.mark.parametrize(
+    "D, P, c_max, calls",
+    [
+        # one table per member (15): the first member's is read by its FE root
+        # number, and every member's by its central value and the orbit-mean
+        # check; the tables are summed over one lattice per conductor (4)
+        (-4, (5, 13), 25, {"theta_coeffs": 15, "theta_lattice": 4}),
+        (-23, (2, 3), 8, {"theta_coeffs": 15, "theta_lattice": 4}),
+    ],
+    ids=["scan-gauss", "D-23"],
+)
+def test_theta_coeffs_evaluates_chi_once_per_lattice_class(D, P, c_max, calls, monkeypatch):
     # every table of a scan, central values, FE root numbers and the orbit-mean
-    # check's, and every lattice they are summed over, is read off the finite
-    # parts' exponent arrays
-    field, phi = _phi(-4)
+    # check's, is read off the finite parts' exponent arrays and the weight
+    # 1/chi(J) of each class ideal J of its lattice: evaluate_char runs once per
+    # class per table, at that lattice's class ideals, and never for a lattice
+    field, phi = _phi(D)
     evaluate = characters.evaluate_char
-    depth, calls, inside = [0], {"theta_coeffs": 0, "theta_lattice": 0}, []
+    inside, seen = [None], {name: [] for name in calls}
 
     def counted(char, ideal):
-        if depth[0]:
-            inside.append((char.descriptor(), ideal))
+        if inside[0] is not None:
+            inside[0].append((char, ideal))
         return evaluate(char, ideal)
 
     def traced(name):
         fn = getattr(lseries, name)
 
         def wrapper(chi, X, *shared):
-            depth[0] += 1
-            calls[name] += 1
+            inside[0] = []
             try:
                 return fn(chi, X, *shared)
             finally:
-                depth[0] -= 1
+                seen[name].append((chi, shared, inside[0]))
+                inside[0] = None
 
         return wrapper
 
@@ -147,13 +159,15 @@ def test_theta_coeffs_evaluates_no_character(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, traced(name))
-    records = family.scan_report(field, phi, (5, 13), 25, tol=1e-8)
+    records = family.scan_report(field, phi, P, c_max, tol=1e-8)
     assert all(r.error is None for r in records)
-    # one table per member (15): the first member's is read by its FE root
-    # number, and every member's by its central value and the orbit-mean check;
-    # the tables are summed over one lattice per conductor (4)
-    assert calls == {"theta_coeffs": 15, "theta_lattice": 4}
-    assert inside == []
+    assert {name: len(found) for name, found in seen.items()} == calls
+    assert all(evaluated == [] for *_, evaluated in seen["theta_lattice"])
+    for chi, (lattice,), evaluated in seen["theta_coeffs"]:
+        assert len(evaluated) == field.h
+        assert all(char is chi for char, _ in evaluated)
+        assert [ideal for _, ideal in evaluated] == [J for J, *_ in lattice.classes]
+        assert evaluated[0][1].norm == 1
 
 
 def test_scan_leaves_scipy_special_unloaded():

@@ -15,6 +15,9 @@ The relative imports of src/, at module level or inside a function, form
 an acyclic graph: a module that needs a value of a later layer takes it as
 an argument rather than importing that layer.
 
+lseries reads no character's class group data (class_reps, class_orders,
+radicals, root_choices): its theta lattice depends on the conductor alone.
+
 src/ has no assert statement: its invariants raise HeckeLabError
 subclasses, which still hold under python -O and are recorded by a scan.
 
@@ -110,6 +113,22 @@ def test_relative_imports_are_acyclic():
     except CycleError as exc:
         raise AssertionError("import cycle in src/: " + " -> ".join(exc.args[1])) from None
     assert set(graph) <= set(order)
+
+
+# a character's class group data: its generator representatives, their
+# orders and its values at them
+CLASS_GROUP_DATA = {"class_reps", "class_orders", "radicals", "root_choices"}
+
+
+def test_lseries_reads_no_class_group_data():
+    # the theta lattice depends on its conductor alone, and a table weights
+    # each class by an exact evaluation, so lseries reads none of them
+    reads = [
+        f"lseries.py:{line} {name}"
+        for _, line, name, attribute in _uses({"lseries.py": _trees()["lseries.py"]})
+        if attribute and name in CLASS_GROUP_DATA
+    ]
+    assert reads == [], "lseries reads class group data: " + ", ".join(reads)
 
 
 def test_src_has_no_assert():
