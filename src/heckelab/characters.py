@@ -467,6 +467,7 @@ def _unit_exponents(ug: UnitGroupMod, exps, M: int) -> np.ndarray:
     # each entry of vecs is below its generator's order and each exponent below M
     if M * sum(ug.orders) > _INT64_MAX:
         raise PhaseOverflow(f"exponents mod {M} overflow int64 over (O/{ug.f!r})^x")
+    # int64 @ int64: numpy's own integer loop, never BLAS
     k = ug.vecs @ np.array(exps, dtype=np.int64) % M
     k.flags.writeable = False
     return k

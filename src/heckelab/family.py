@@ -190,6 +190,7 @@ def _exact_conductor(field: FieldContext, c: int, vectors: list[tuple[int, ...]]
                 raise GroupStructureMismatch(f"{alpha!r} is nontrivial in Pic(O_{sub})")
             dlogs.append(ring_class_dlog(field, c, ideal))
         dlogs = np.array(dlogs, dtype=np.int64).reshape(len(dlogs), len(orders))
+        # int64 @ int64: numpy's own integer loop, never BLAS
         trivial = ~(dlogs @ scaled.T % N).any(axis=0)
         found = int(trivial.sum())
         if found != want:

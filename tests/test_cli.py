@@ -71,3 +71,35 @@ def test_scan_builds_phi_by_one_rule_for_every_field(capsys):
         assert main(["scan", "--D", str(D), "--P", "5", "--c-max", "1", "--tol", "1e-8"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["D"] == D and all(r["error"] is None for r in payload["records"])
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, first, expected",
+    [
+        ({}, "import heckelab, numpy", "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "import heckelab, numpy", "2"),
+        ({"OMP_NUM_THREADS": "2"}, "import heckelab, numpy", None),
+        ({}, "import numpy, heckelab", None),
+    ],
+)
+def test_heckelab_loads_numpy_with_one_blas_thread(preset, first, expected):
+    # heckelab makes no BLAS call: when it loads numpy it asks OpenBLAS for
+    # no helper thread, but a user's setting or an earlier numpy import wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        f"{first}, json, os\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    value, threads = json.loads(proc.stdout)
+    assert value == expected
+    if expected == "1" and threads is not None:
+        assert threads == 1, "numpy started a thread besides the main one"

@@ -24,6 +24,10 @@ subclasses, which still hold under python -O and are recorded by a scan.
 Every parameter of src/ with a default value is an option a caller can set.
 Each is listed in OPTIONS with the two callers that need different values,
 and OPTIONS lists nothing else.
+
+src/ makes no BLAS call, which is why heckelab/__init__.py loads numpy with
+one OpenBLAS thread: no numpy routine that reaches BLAS is named, and each
+matrix product `@` is listed in MATMULS with why it stays off BLAS.
 """
 
 import ast
@@ -179,3 +183,51 @@ def test_optional_parameters_do_not_grow():
     }
     assert sorted(found - set(OPTIONS)) == [], "defaulted parameters missing from OPTIONS"
     assert sorted(set(OPTIONS) - found) == [], "OPTIONS names parameters without a default"
+
+
+# numpy names whose routines can reach BLAS or LAPACK
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+# every `@` of src/, as module.function, and why numpy computes it without
+# BLAS
+MATMULS = {
+    "characters._unit_exponents": "int64",
+    "family._exact_conductor": "int64",
+}
+
+
+def _matmul_sites(node, prefix=""):
+    """function for each `@` or `@=` under node, named as in OPTIONS."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+            yield prefix.removesuffix(".")
+        nested = isinstance(child, _DEFS + (ast.Lambda,))
+        name = f"{prefix}{getattr(child, 'name', 'lambda')}."
+        yield from _matmul_sites(child, name if nested else prefix)
+
+
+def _blas_names(trees):
+    """module:line name for each attribute read or import of a BLAS_NAMES name."""
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            else:
+                continue
+            yield from (f"{module}:{node.lineno} {name}" for name in names if name in BLAS_NAMES)
+
+
+def test_src_makes_no_blas_call():
+    trees = _trees()
+    named = list(_blas_names(trees))
+    assert named == [], "src/ names a BLAS routine: " + ", ".join(named)
+    found = {
+        f"{module.removesuffix('.py')}.{site}"
+        for module, tree in trees.items()
+        for site in _matmul_sites(tree)
+    }
+    assert sorted(found - set(MATMULS)) == [], "`@` missing from MATMULS"
+    assert sorted(set(MATMULS) - found) == [], "MATMULS names functions without `@`"
+    assert set(MATMULS.values()) == {"int64"}
