@@ -81,11 +81,14 @@ and per record, which keeps the first failure as its error:
 
 Scan reports are deterministic: records are ordered by (c, exponents),
 floats are serialized as repr decimal strings, and no timestamps appear.
+The fields of FamilyRecord are the record: record_to_dict writes each of
+them, and the CSV row and the log line are projections of that dict.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -135,7 +138,6 @@ from .quadfield import (
     enumerate_ideals,
     principal_ideal,
     ring_class_dlog,
-    ring_class_number,
 )
 from .rootnumber import GaussData, fe_bound, gauss_data, root_number, root_number_via_fe
 
@@ -178,7 +180,7 @@ def _exact_conductor(field: FieldContext, c: int, vectors: list[tuple[int, ...]]
     exact = np.ones(len(vectors), dtype=bool)
     for p, _ in factorize(c):
         sub = c // p
-        want = ring_class_number(field, sub)
+        want = class_group(sub * sub * field.D).h
         dlogs = []
         for x in range(p):
             alpha = KElt(field, 1 + sub * x, sub)
@@ -384,20 +386,23 @@ def _check_orbit_mean(
 
 @dataclass(frozen=True)
 class FamilyRecord:
+    """One twist orbit's record.  The defaults are a failed record's values,
+    for the fields that its failure kept from being computed."""
+
     c: int
     exponents: tuple[int, ...]
     n: int
     orbit_size: int
-    f: float
-    W: int
-    v: int
-    Lv: float
-    Lv_av: float
-    tail_bound: float
-    ratio: float
-    N_counts: dict
-    main_lemma: MainLemmaReport | None
-    verdict: str
+    f: float = math.nan
+    W: int = 0
+    v: int = 0
+    Lv: float = math.nan
+    Lv_av: float = math.nan
+    tail_bound: float = math.nan
+    ratio: float = math.nan
+    N_counts: dict = dataclasses.field(default_factory=dict)
+    main_lemma: MainLemmaReport | None = None
+    verdict: str = "indeterminate"
     error: str | None = None
 
 
@@ -435,55 +440,33 @@ def scan_report(
     records = []
     for orbit in orbits:
         walk.at_c(orbit.c)
-        try:
-            records.append(_orbit_record(field, phi, orbit, L1, tol, walk))
-        except HeckeLabError as exc:
-            records.append(_failed_record(orbit, exc))
+        records.append(_orbit_record(field, phi, orbit, L1, tol, walk))
     return records
 
 
-def _failed_record(orbit: TwistOrbit, exc: HeckeLabError, **known) -> FamilyRecord:
-    """A record of an orbit whose values failed; `known` holds f, N_counts, main_lemma."""
-    nan = float("nan")
-    fields = dict(f=nan, N_counts={}, main_lemma=None)
-    fields.update(known)
-    return FamilyRecord(
-        c=orbit.c,
-        exponents=orbit.exponents,
-        n=orbit.order,
-        orbit_size=len(orbit.members),
-        W=0,
-        v=0,
-        Lv=nan,
-        Lv_av=nan,
-        tail_bound=nan,
-        ratio=nan,
-        verdict="indeterminate",
-        error=f"{type(exc).__name__}: {exc}",
-        **fields,
-    )
-
-
 def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
+    """The orbit's record.  A HeckeLabError becomes its error, with f, N_counts
+    and main_lemma if all three were computed and the defaults elsewhere."""
+    known = dict(c=orbit.c, exponents=orbit.exponents, n=orbit.order, orbit_size=len(orbit.members))
     rho = orbit.rho
-    members = twist_orbit(phi, rho, orbit.members)
-    chi = members[0]
-    # exact fields first: counts and the p-adic bookkeeping need no W;
-    # one read of rho over the ideals to the largest threshold serves the
-    # counts and the orbit mean
-    bound = int(chi.f_value ** max(T_EXPONENTS))
-    ideals = walk.ideals(bound)
-    f, Nf = phi.conductor, phi.conductor_norm
-    ks = [
-        rho.value_exponent(a) if math.gcd(a.norm, Nf) == 1 or a.is_coprime(f) else None
-        for a in ideals
-    ]
-    counts = {}
-    for alpha in T_EXPONENTS:
-        t = chi.f_value**alpha
-        counts[repr(alpha)] = {"t": int(t), "N": count_N_total(ideals, ks, orbit.order, t)}
-    lemma = main_lemma_quantities(chi)
     try:
+        members = twist_orbit(phi, rho, orbit.members)
+        chi = members[0]
+        # exact fields first: counts and the p-adic bookkeeping need no W;
+        # one read of rho over the ideals to the largest threshold serves the
+        # counts and the orbit mean
+        bound = int(chi.f_value ** max(T_EXPONENTS))
+        ideals = walk.ideals(bound)
+        f, Nf = phi.conductor, phi.conductor_norm
+        ks = [
+            rho.value_exponent(a) if math.gcd(a.norm, Nf) == 1 or a.is_coprime(f) else None
+            for a in ideals
+        ]
+        counts = {}
+        for alpha in T_EXPONENTS:
+            t = chi.f_value**alpha
+            counts[repr(alpha)] = {"t": int(t), "N": count_N_total(ideals, ks, orbit.order, t)}
+        known.update(f=chi.f_value, N_counts=counts, main_lemma=main_lemma_quantities(chi))
         signs = [root_number(m, walk.gauss(m)) for m in members]
         if len(set(signs)) != 1:  # the twist orbit exceeds the value-field Galois orbit
             raise SignMismatch(f"orbit {orbit.c}:{orbit.exponents} has mixed signs {signs}")
@@ -507,24 +490,17 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
         if len(set(verdicts)) != 1:  # vanishing at s = 1 is Galois invariant
             raise SignMismatch(f"orbit {orbit.c}:{orbit.exponents} has mixed verdicts {verdicts}")
     except HeckeLabError as exc:
-        return _failed_record(orbit, exc, f=chi.f_value, N_counts=counts, main_lemma=lemma)
-    sv = values[0]
+        return FamilyRecord(**known, error=f"{type(exc).__name__}: {exc}")
     Lv_av = math.fsum(x.value for x in values) / len(values)
     denom = 2.0 * L1 if v == 0 else 2.0 * L1 * math.log(Af)
     return FamilyRecord(
-        c=orbit.c,
-        exponents=orbit.exponents,
-        n=orbit.order,
-        orbit_size=len(orbit.members),
-        f=chi.f_value,
+        **known,
         W=W,
         v=v,
-        Lv=sv.value,
+        Lv=values[0].value,
         Lv_av=Lv_av,
         tail_bound=max(x.tail_bound for x in values),
         ratio=Lv_av / denom,
-        N_counts=counts,
-        main_lemma=lemma,
         verdict=verdicts[0],
     )
 
@@ -538,34 +514,21 @@ def _fstr(x: float) -> str:
     return repr(float(x))
 
 
+def _json_value(value):
+    """A record value as JSON: a float as its repr string, a tuple as a list,
+    a dataclass as the dict of its fields, anything else as it is."""
+    if isinstance(value, float):
+        return _fstr(value)
+    if isinstance(value, tuple):
+        return [_json_value(x) for x in value]
+    if hasattr(value, "__dataclass_fields__"):  # is_dataclass, without its call
+        return {name: _json_value(x) for name, x in vars(value).items()}
+    return value
+
+
 def record_to_dict(record: FamilyRecord) -> dict:
-    ml = record.main_lemma
-    return {
-        "c": record.c,
-        "exponents": list(record.exponents),
-        "n": record.n,
-        "orbit_size": record.orbit_size,
-        "f": _fstr(record.f),
-        "W": record.W,
-        "v": record.v,
-        "Lv": _fstr(record.Lv),
-        "Lv_av": _fstr(record.Lv_av),
-        "tail_bound": _fstr(record.tail_bound),
-        "ratio": _fstr(record.ratio),
-        "N_counts": record.N_counts,
-        "main_lemma": None
-        if ml is None
-        else {
-            "mu": ml.mu,
-            "h": ml.h,
-            "q": ml.q,
-            "entries": [
-                {"p": e.p, "m_p": e.m_p, "o_p": e.o_p, "n_p": e.n_p} for e in ml.entries
-            ],
-        },
-        "verdict": record.verdict,
-        "error": record.error,
-    }
+    """The JSON record: every field of record, by _json_value."""
+    return _json_value(record)
 
 
 def scan_to_json(
@@ -587,25 +550,15 @@ def scan_to_json(
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# the CSV columns: D, then keys of record_to_dict
+_CSV_COLUMNS = ("D", "c", "n", "f", "W", "v", "Lv", "Lv_av", "ratio", "verdict")
+
+
 def scan_to_csv(field: FieldContext, records: list[FamilyRecord]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["D", "c", "n", "f", "W", "v", "Lv", "Lv_av", "ratio", "verdict"])
-    for r in records:
-        writer.writerow(
-            [
-                field.D,
-                r.c,
-                r.n,
-                _fstr(r.f),
-                r.W,
-                r.v,
-                _fstr(r.Lv),
-                _fstr(r.Lv_av),
-                _fstr(r.ratio),
-                r.verdict,
-            ]
-        )
+    writer = csv.DictWriter(buf, _CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({"D": field.D, **record_to_dict(r)} for r in records)
     return buf.getvalue()
 
 
@@ -625,12 +578,12 @@ def save_scan(
     paths["json"].write_text(scan_to_json(field, phi, P, c_max, tol, records))
     paths["csv"].write_text(scan_to_csv(field, records))
     with paths["log"].open("a") as fh:
-        for r in records:
+        for d in map(record_to_dict, records):
             line = (
-                f"D={field.D} c={r.c} exps={list(r.exponents)} n={r.n} W={r.W} v={r.v} "
-                f"Lv={_fstr(r.Lv)} verdict={r.verdict}"
+                f"D={field.D} c={d['c']} exps={d['exponents']} n={d['n']} W={d['W']} v={d['v']} "
+                f"Lv={d['Lv']} verdict={d['verdict']}"
             )
-            if r.error:
-                line += f" error={r.error}"
+            if d["error"]:
+                line += f" error={d['error']}"
             fh.write(line + "\n")
     return paths

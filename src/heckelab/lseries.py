@@ -284,11 +284,11 @@ def _require_sign(v: int, w: float) -> None:
         )
 
 
-def _real_part(terms: np.ndarray, scale: float, what: str) -> float:
+def _real_part(terms: np.ndarray) -> float:
     re = math.fsum(terms.real.tolist())
     im = math.fsum(terms.imag.tolist())
-    if abs(im) > 1e-10 * (1.0 + abs(re)) * max(1.0, scale):
-        raise NumericalInstability(f"{what} has imaginary residue {im}")
+    if abs(im) > 1e-10 * (1.0 + abs(re)):
+        raise NumericalInstability(f"central value has imaginary residue {im}")
     return re
 
 
@@ -315,7 +315,7 @@ def central_value(
     elif table.lattice.f != chi.conductor:
         raise DomainError(f"the theta table of {table.lattice.f!r} is not one of {chi.conductor!r}")
     n, a = table.upto(int(T))
-    value = _real_part(2.0 * a / n * table.lattice.kernel(v, n), 1.0, "central value")
+    value = _real_part(2.0 * a / n * table.lattice.kernel(v, n))
     tail = 4.0 * (Af + 1.0) * math.exp(-T / Af)
     if not tail < tol:
         raise NumericalInstability(f"tail bound {tail} did not clear {tol}")

@@ -711,7 +711,3 @@ def form_of_contraction(field: FieldContext, ideal: Ideal, c: int) -> BinaryForm
 def ring_class_dlog(field: FieldContext, c: int, ideal: Ideal) -> tuple[int, ...]:
     """Class of an O-ideal coprime to c in the ring class group of conductor c."""
     return class_group(c * c * field.D).dlog_of(form_of_contraction(field, ideal, c))
-
-
-def ring_class_number(field: FieldContext, c: int) -> int:
-    return class_group(c * c * field.D).h

@@ -7,7 +7,8 @@ the inverse class of the conductor, f(chi) c = (b),
              * sum_{w in c/fc} eps(w) e^{2 pi i Tr(w/(delta b))}
 
 where eps is extended by zero off the units.  sqrt(D) = 2 omega - D
-embeds as i sqrt(|D|), so delta/|delta| = i with no unit adjustment;
+embeds as i sqrt(|D|), so delta/|delta| = i with no unit adjustment and
+the factor (-i)(delta/|delta|) is 1;
 N(delta) = |D| and Tr(x/delta) is integral for every x in O.  An element
 E of c with E = 1 mod f (it exists because c + f = O) turns the sum over
 c/fc into one over (O/f)^x: r -> rE is a bijection O/f -> c/fc with
@@ -185,17 +186,10 @@ def gauss_sum_root_number(chi: HeckeCharacter, gauss: GaussData) -> complex:
     """
     c, b = gauss.c, gauss.b
     s = _gauss_sum(chi, gauss)
-    dz = chi.field.sqrt_D.complex()
     bz = b.complex()
     chi_c = evaluate_char(chi, c).complex()
-    w = (
-        (-1j)
-        / chi.f_value
-        * (dz / abs(dz))
-        * (bz / abs(bz))
-        * (math.sqrt(c.norm) / chi_c)
-        * s
-    )
+    # (-i)(delta/|delta|) = 1, as delta = sqrt(D) embeds as i sqrt(|D|)
+    w = 1 / chi.f_value * (bz / abs(bz)) * (math.sqrt(c.norm) / chi_c) * s
     if abs(abs(w) - 1.0) > 1e-6:
         raise NumericalInstability(f"|W| = {abs(w)} strayed from 1")
     return w

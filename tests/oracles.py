@@ -109,7 +109,7 @@ from heckelab.errors import (
     NumericalInstability,
 )
 from heckelab.family import enumerate_twists
-from heckelab.lseries import ThetaTable, _real_part, theta_coeffs, theta_lattice, truncation
+from heckelab.lseries import ThetaTable, theta_coeffs, theta_lattice, truncation
 from heckelab.quadfield import (
     BinaryForm,
     FieldContext,
@@ -121,7 +121,6 @@ from heckelab.quadfield import (
     prime_ideals_above,
     principal_ideal,
     ring_class_dlog,
-    ring_class_number,
     unit_ideal,
 )
 from heckelab.rootnumber import GaussData
@@ -481,7 +480,10 @@ def lambda_value(chi: HeckeCharacter, s: float, w: float | None = None) -> float
         g = (Af / n) ** s * incomplete_gamma(s, u)
         gdual = (Af / n) ** (2.0 - s) * incomplete_gamma(2.0 - s, u)
         terms.append(a * (g + w * gdual))
-    return _real_part(np.array(terms), Af**2, "completed L-value")
+    re, im = math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    if abs(im) > 1e-10 * (1.0 + abs(re)) * max(1.0, Af**2):
+        raise NumericalInstability(f"completed L-value has imaginary residue {im}")
+    return re
 
 
 def kernel_I(v: int, u: float) -> float:
@@ -766,7 +768,7 @@ def dropdown_kernel_by_search(field: FieldContext, c: int, p: int) -> list[tuple
     """
     sub = c // p
     orders = class_group(c * c * field.D).orders
-    want = ring_class_number(field, c) // ring_class_number(field, sub)
+    want = class_group(c * c * field.D).h // class_group(sub * sub * field.D).h
     found: list[tuple[int, ...]] = []
     if want == 1:
         return found

@@ -1,6 +1,7 @@
 import itertools
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 from heckelab import characters, family, lseries, quadfield, rootnumber
 from heckelab.characters import (
+    MainLemmaEntry,
+    MainLemmaReport,
     build_hecke_character,
     canonical_epsilon,
     evaluate_char,
@@ -27,6 +30,7 @@ from heckelab.errors import (
     NumericalInstability,
     RestrictionMismatch,
 )
+from heckelab.family import FamilyRecord
 from heckelab.lseries import central_value, theta_coeffs, theta_lattice, truncation
 from heckelab.quadfield import class_group, make_field, prime_ideals_above, principal_ideal
 from heckelab.rootnumber import (
@@ -717,3 +721,70 @@ def test_save_scan_writes_the_csv_and_appends_one_log_line_per_record(gauss, tmp
         assert len(log) == calls * len(records)
         assert log[-len(records) :] == log[: len(records)]
         assert all(line.startswith("D=-4 c=") for line in log)
+
+
+@pytest.fixture(scope="module")
+def scan_p2(gauss):
+    # 4 of its 6 records fail with SignMismatch, after their exact fields
+    field, phi = gauss
+    return family.scan_report(field, phi, (2,), 64, tol=1e-8)
+
+
+def test_save_scan_matches_the_golden_files(gauss, scan_p2, tmp_path):
+    # the CSV has NaN cells and the log the error suffix of the failed records
+    field, phi = gauss
+    paths = family.save_scan(field, phi, (2,), 64, 1e-8, scan_p2, tmp_path)
+    for kind, path in paths.items():
+        assert path.read_text() == (GOLDEN / f"scan_D-4_P2_c64.{kind}").read_text()
+
+
+def test_every_record_field_reaches_the_json_through_the_dataclass(scan_p2):
+    names = [f.name for f in fields(FamilyRecord)]
+    floats = [f.name for f in fields(FamilyRecord) if f.type == "float"]
+    entry_names = {f.name for f in fields(MainLemmaEntry)}
+    assert floats and any(r.error for r in scan_p2) and not all(r.error for r in scan_p2)
+    for record in scan_p2:
+        d = family.record_to_dict(record)
+        assert list(d) == names
+        for name in floats:
+            value = getattr(record, name)
+            assert isinstance(d[name], str)
+            assert float(d[name]) == value or (math.isnan(value) and math.isnan(float(d[name])))
+        assert set(d["main_lemma"]) == {f.name for f in fields(MainLemmaReport)}
+        assert d["main_lemma"]["entries"]
+        assert all(set(entry) == entry_names for entry in d["main_lemma"]["entries"])
+
+
+@pytest.mark.parametrize(
+    "value, verdict",
+    [
+        (0.4999, "zero"),
+        (-0.4999, "zero"),
+        (0.5, "indeterminate"),
+        (-0.5, "indeterminate"),
+        (500.0, "indeterminate"),
+        (-500.0, "indeterminate"),
+        (500.001, "nonzero"),
+        (-500.001, "nonzero"),
+    ],
+)
+def test_verdict_thresholds(value, verdict):
+    # zero below the tail bound, nonzero above 1e3 times it
+    assert family._verdict(value, 0.5) == verdict
+
+
+def test_an_indeterminate_record_is_written(gauss, monkeypatch):
+    field, phi = gauss
+    averaged = family.averaged_L
+
+    def blurred(members, v, tol, w, tables):
+        return [replace(x, tail_bound=abs(x.value)) for x in averaged(members, v, tol, w, tables)]
+
+    monkeypatch.setattr(family, "averaged_L", blurred)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
+    assert records
+    for record in records:
+        d = family.record_to_dict(record)
+        assert (d["verdict"], d["error"]) == ("indeterminate", None)
+        assert d["W"] in (-1, 1)
+        assert d["tail_bound"] == repr(abs(record.Lv)) != "nan"
