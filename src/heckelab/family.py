@@ -14,32 +14,26 @@ and averages over the subgroup of embeddings fixing phi's values.
 
 Each orbit carries the ring class character rho that enumerate_twists
 built to read its order, and its members are built together by
-characters.twist_orbit.  A scan enumerates ideals once, to the largest
-bound any of its records can ask for, reads rho once per ideal per orbit
-for the counts and the orbit-mean check, and evaluates phi once per
-ideal.  Every coefficient table is lseries.theta_coeffs of a member: a
-lattice sum that reads the finite part's local exponent arrays and
-evaluates the member at the h class ideals of its lattice alone.  Each
-member gets one table, to the larger of its truncation T and the check's
-bound f^max(T_EXPONENTS), the first member's also to its FE bound; the
-theta quotient, the central values and the orbit-mean check read
-prefixes of these tables.  What depends only on a member's conductor
-f_chi is built once per f_chi in a scan, not once per member: the theta
-lattice the tables are summed over (to the largest bound a member asks
-of it, on the least ideal of each class with norm prime to N(f_chi)),
-with the smoothing kernel I_v(n / Af) that it evaluates once per v for
-every table summed over it, and the Gauss-sum data (the auxiliary pair,
-N(delta b) and the additive phases over each local group (O/P^a)^x of
-f_chi).  A member adds only
-its own exponent gathers, phases and sums.  The scan keeps that data for
-the current c only, as orbits arrive sorted by c.  The checks keep their
-independence: the theta-quotient root number sums the first member's
-table against the Gauss sum of its finite part, and the orbit-mean check
-adds the members' tables into one dense array over n and compares it
-with exact orbit averages from evaluate_char(phi) and the integer
-exponents of rho.  The two sides of that check share evaluate_char: the
-table side reads it for each member at the h class ideals of its
-lattice, the exact side for phi at every ideal.
+characters.twist_orbit.  Every coefficient table is
+lseries.theta_coeffs of a member: a lattice sum that reads the finite
+part's local exponent arrays and evaluates the member at the h class
+ideals of its lattice alone.  Each member gets one table, to the larger
+of its truncation T and the check's bound f^max(T_EXPONENTS), the first
+member's also to its FE bound; the theta quotient, the central values
+and the orbit-mean check read prefixes of these tables.  A member adds
+only its own exponent gathers, phases and sums: what depends only on c
+or on a member's conductor is built once in a scan and shared through
+its _ScanWalk.  The exact side of a record is one array, the orbit
+average c_n(k)/eulerphi(n) of rho at each ideal to the record's bound,
+which gives its counts and the exact side of its orbit-mean check.  The
+checks keep their independence: the theta-quotient root number sums
+the first member's table against the Gauss sum of its finite part, and
+the orbit-mean check adds the members' tables into one dense array over
+n and compares it with phi(a) times the exact orbit averages, summed
+over the ideals of each norm n.  The two sides of that check share
+evaluate_char: the table side reads it for each member at the h class
+ideals of its lattice, the exact side for phi at every ideal of norm
+prime to c N(f(phi)) that a record reaches.
 
 A scan checks, in this order:
 
@@ -62,7 +56,8 @@ and per record, which keeps the first failure as its error:
   levels of m's local groups, make f(chi) the least modulus, and a
   lowered f(chi) must agree with the member at every generator of
   (O/m)^x, which shows it is a modulus too (characters.twist_orbit);
-* the ideals to f^max(T_EXPONENTS) are counted at every t = f^alpha;
+* rho takes n-th roots of unity at the ideals to f^max(T_EXPONENTS) prime
+  to c f(phi), else NoConsistentLift; they are counted at every t = f^alpha;
 * the Main Lemma bound |m_p/2 - n_p| <= 3 + mu + h, with the local orders
   on 1 + p^3 O powers of p;
 * the Gauss-sum root number of every member is a clean sign, one sign
@@ -93,17 +88,14 @@ import io
 import itertools
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .arith import euler_phi, factorize, is_prime, ramanujan_trace
 from .characters import (
-    CharValue,
     HeckeCharacter,
     MainLemmaReport,
     RingClassCharacter,
@@ -117,6 +109,7 @@ from .errors import (
     DomainError,
     GroupStructureMismatch,
     HeckeLabError,
+    NoConsistentLift,
     NumericalInstability,
     SignMismatch,
 )
@@ -241,32 +234,38 @@ def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> lis
 # ---------------------------------------------------------------------------
 
 
-def twist_average_value(base: CharValue, n: int, k: int | None) -> complex:
-    """Exact mean of (phi rho^m)(a) over m prime to n = ord(rho), from
-    base = phi(a) and rho(a) = zeta_n^k (k None where a meets c)."""
-    if k is None:
-        raise DomainError("ideal shares a factor with the twist modulus")
-    if base.zero:
-        raise DomainError("ideal shares a factor with the base conductor")
-    return base.complex() * float(Fraction(ramanujan_trace(n, k), euler_phi(n)))
+def _orbit_weights(walk: _ScanWalk, rho: RingClassCharacter, ideals: list[Ideal]) -> np.ndarray:
+    """At each ideal a of a prefix of the walk's list, the mean of rho^m(a)
+    over m prime to n = ord(rho): c_n(k)/eulerphi(n) with rho(a) = zeta_n^k,
+    and 0 where a meets c or f(phi).  k is read as rho.value_exponent reads
+    it, and a value that is no n-th root of unity raises NoConsistentLift."""
+    n, (weights, step) = rho.order, rho._value_weights
+    usable, dlogs = walk.dlogs(rho, ideals)
+    kN = (dlogs * weights).sum(axis=1)
+    bad = np.flatnonzero(usable & (kN % step != 0))
+    if bad.size:
+        raise NoConsistentLift(
+            f"ring class value exponent {kN[bad[0]]:g} of {ideals[bad[0]]!r} is not a multiple"
+            f" of {step}, so rho of order {n} cannot take it"
+        )
+    table = np.array([float(Fraction(ramanujan_trace(n, j), euler_phi(n))) for j in range(n)])
+    return np.where(usable, table[(kN // step).astype(np.int64) % n], 0.0)
 
 
-def count_N_total(ideals: list[Ideal], ks: list, n: int, t: float) -> int:
-    """Ideals with nonzero orbit average, a != conj(a), 1 < Na <= t, all classes.
+def count_N_total(walk: _ScanWalk, weights: np.ndarray, t: float) -> int:
+    """Ideals with nonzero orbit average, a != conj(a), 1 < Na <= t, all classes,
+    from the _orbit_weights of a prefix of the walk's list that reaches t."""
+    norms, self_conjugate = walk.norms[: len(weights)], walk.self_conjugate[: len(weights)]
+    return int(np.count_nonzero((weights != 0) & (norms > 1) & (norms <= t) & ~self_conjugate))
 
-    ideals lists every integral ideal up to some bound >= t in norm order,
-    as enumerate_ideals does, and ks[i] is k with rho(ideals[i]) = zeta_n^k,
-    None where the exact average does not apply (a meets f(phi) or c).
-    """
-    count = 0
-    for a, k in zip(ideals, ks):
-        if a.norm > t:
-            break
-        if k is None or a.norm == 1 or a.is_self_conjugate():
-            continue
-        if ramanujan_trace(n, k):
-            count += 1
-    return count
+
+def _exact_mean(walk: _ScanWalk, modulus: int, weights: np.ndarray, bound: int) -> np.ndarray:
+    """The exact orbit average of a_n at n <= bound coprime to modulus = c N(f(phi)),
+    else 0: one bincount over the norms of phi(a) times the orbit weight of a."""
+    norms = walk.norms[: len(weights)]
+    on = np.gcd(norms, modulus) == 1
+    terms, norms, size = walk.phi_values(on)[on] * weights[on], norms[on], bound + 1
+    return np.bincount(norms, terms.real, size) + 1j * np.bincount(norms, terms.imag, size)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +287,20 @@ def averaged_L(
 
 
 class _ScanWalk:
-    """The ideal list, phi values and per-conductor data that one scan's records share.
+    """The ideal list and the data that one scan's records share.
 
     The list is enumerated once per scan, by the first record that reads
     it, to the largest bound any record can ask for: a record asks for
     f(chi)^max(T_EXPONENTS), and f(chi) divides m = lcm(f(phi), cO), so
     the bound is the largest N(m)^(max(T_EXPONENTS)/2) over the scan's
     conductors c.  enumerate_ideals sorts by (norm, HNF), so each record
-    reads a prefix.  phi is evaluated once per ideal.  Every member of a
-    conductor f_chi reads one theta lattice (built again only to a larger
-    bound), with its smoothing kernel, and one set of Gauss-sum data.
-    Orbits arrive sorted by c, so at_c drops that data when the scan moves
-    on to the next c.
+    reads a prefix.  With the list come its norms, its self-conjugate
+    ideals, its ideals prime to f(phi) and phi's values, each evaluated
+    once, when a record first reads it.  Per c the walk holds the ideals'
+    classes in Pic(O_c), read once for every orbit of c, and per conductor
+    f_chi one theta lattice (built again only to a larger bound), with its
+    smoothing kernel, and one set of Gauss-sum data.  Orbits arrive sorted
+    by c, so at_c drops this data when the scan moves on to the next c.
     """
 
     def __init__(self, phi: HeckeCharacter, conductors: set[int]):
@@ -309,9 +310,8 @@ class _ScanWalk:
         lcm_norms = [f.norm * c * c // f.add(Ideal(phi.field, c, 0, c)).norm for c in conductors]
         self._bound = max((int(math.sqrt(n) ** max(T_EXPONENTS)) for n in lcm_norms), default=0)
         self._ideals: list[Ideal] | None = None
-        self._phi_values: dict[Ideal, CharValue] = {}
         self._c = 0
-        self._shared: dict[tuple, object] = {}
+        self._shared: dict = {}
 
     def ideals(self, bound: int) -> list[Ideal]:
         if bound > self._bound:
@@ -319,13 +319,32 @@ class _ScanWalk:
                 f"a record asks for ideals to norm {bound}, past the scan's bound {self._bound}"
             )
         if self._ideals is None:
-            self._ideals = enumerate_ideals(self.phi.field, self._bound)
-        return self._ideals[: bisect_right(self._ideals, bound, key=attrgetter("norm"))]
+            self._ideals = ideals = enumerate_ideals(self.phi.field, self._bound)
+            f = self.phi.conductor
+            self.norms = np.array([a.norm for a in ideals], dtype=np.int64)
+            self.self_conjugate = np.array([a.is_self_conjugate() for a in ideals])
+            coprime = [math.gcd(a.norm, f.norm) == 1 or a.is_coprime(f) for a in ideals]
+            self.coprime_f = np.array(coprime)
+            self._phi = np.full(len(ideals), np.nan, dtype=np.complex128)
+        return self._ideals[: int(np.searchsorted(self.norms, bound, side="right"))]
 
-    def phi_value(self, a: Ideal) -> CharValue:
-        if a not in self._phi_values:
-            self._phi_values[a] = evaluate_char(self.phi, a)
-        return self._phi_values[a]
+    def phi_values(self, where: np.ndarray) -> np.ndarray:
+        """phi's values on a prefix of the list, evaluated where asked and
+        not before; an entry off where that no record asked for is NaN."""
+        for i in np.flatnonzero(where & np.isnan(self._phi[: len(where)])).tolist():
+            self._phi[i] = evaluate_char(self.phi, self._ideals[i]).complex()
+        return self._phi[: len(where)]
+
+    def dlogs(self, rho: RingClassCharacter, ideals: list[Ideal]) -> tuple[np.ndarray, np.ndarray]:
+        """(usable, classes) over a prefix of the list: usable where an ideal
+        is prime to c and f(phi), and there its class in Pic(O_c), else 0.
+        The classes are float, so that a read that is no integer vector
+        fails the step certificate of _orbit_weights."""
+        count, rank, rows = len(ideals), len(rho.exponents), self._shared.setdefault("dlogs", [])
+        usable = self.coprime_f[:count] & (np.gcd(self.norms[:count], rho.c) == 1)
+        for a, ok in zip(ideals[len(rows) :], usable[len(rows) :].tolist()):
+            rows.append(ring_class_dlog(self.phi.field, rho.c, a) if ok else (0,) * rank)
+        return usable, np.array(rows[:count], dtype=float).reshape(count, rank)
 
     def at_c(self, c: int) -> None:
         if c != self._c:
@@ -345,31 +364,16 @@ class _ScanWalk:
         return self._shared[key]
 
 
-def _check_orbit_mean(
-    walk: _ScanWalk,
-    rho: RingClassCharacter,
-    ideals: list[Ideal],
-    ks: list,
-    tables: list[ThetaTable],
-    bound: int,
-) -> None:
-    """Orbit mean of the members' a_n against the exact average, n coprime to c N(f(phi)).
-
-    One side adds the members' theta tables to bound into one dense array
-    over n; the other sums phi(a) c_n(k)/eulerphi(n) over the ideals a,
-    every ideal to bound in norm order, with ks as in count_N_total.
-    """
-    modulus = rho.c * walk.phi.conductor_norm
-    exact = np.zeros(bound + 1, dtype=np.complex128)
-    for a, k in zip(ideals, ks):
-        if math.gcd(a.norm, modulus) == 1:
-            exact[a.norm] += twist_average_value(walk.phi_value(a), rho.order, k)
-    total = np.zeros(bound + 1, dtype=np.complex128)
+def _check_orbit_mean(exact: np.ndarray, tables: list[ThetaTable], modulus: int) -> None:
+    """Orbit mean of the members' a_n against exact, _exact_mean's array of
+    exact orbit averages, at each n coprime to modulus up to its bound: the
+    members' theta tables to that bound are added into one dense array."""
+    mean = np.zeros_like(exact)
     for table in tables:
-        n, a = table.upto(bound)
-        total[n] += a
-    mean = total / len(tables)
-    n = np.arange(bound + 1)
+        n, a = table.upto(len(exact) - 1)
+        mean[n] += a
+    mean /= len(tables)
+    n = np.arange(len(exact))
     coprime = (np.gcd(n, modulus) == 1) & (n > 0)
     bad = np.flatnonzero(coprime & (abs(mean - exact) > 1e-9 * np.maximum(1.0, abs(exact))))
     if bad.size:
@@ -452,20 +456,14 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
     try:
         members = twist_orbit(phi, rho, orbit.members)
         chi = members[0]
-        # exact fields first: counts and the p-adic bookkeeping need no W;
-        # one read of rho over the ideals to the largest threshold serves the
-        # counts and the orbit mean
+        # exact fields first, as they need no W: one array of exact orbit
+        # averages serves the counts and the orbit mean
         bound = int(chi.f_value ** max(T_EXPONENTS))
-        ideals = walk.ideals(bound)
-        f, Nf = phi.conductor, phi.conductor_norm
-        ks = [
-            rho.value_exponent(a) if math.gcd(a.norm, Nf) == 1 or a.is_coprime(f) else None
-            for a in ideals
-        ]
+        weights = _orbit_weights(walk, rho, walk.ideals(bound))
         counts = {}
         for alpha in T_EXPONENTS:
             t = chi.f_value**alpha
-            counts[repr(alpha)] = {"t": int(t), "N": count_N_total(ideals, ks, orbit.order, t)}
+            counts[repr(alpha)] = {"t": int(t), "N": count_N_total(walk, weights, t)}
         known.update(f=chi.f_value, N_counts=counts, main_lemma=main_lemma_quantities(chi))
         signs = [root_number(m, walk.gauss(m)) for m in members]
         if len(set(signs)) != 1:  # the twist orbit exceeds the value-field Galois orbit
@@ -485,7 +483,8 @@ def _orbit_record(field, phi, orbit, L1, tol, walk) -> FamilyRecord:
         v = (1 - W) // 2
         tables += [theta_coeffs(m, X, walk.lattice(m, X)) for m in members[1:]]
         values = averaged_L(members, v, tol=tol, w=float(W), tables=tables)
-        _check_orbit_mean(walk, rho, ideals, ks, tables, bound)
+        modulus = orbit.c * phi.conductor_norm
+        _check_orbit_mean(_exact_mean(walk, modulus, weights, bound), tables, modulus)
         verdicts = [_verdict(x.value, x.tail_bound) for x in values]
         if len(set(verdicts)) != 1:  # vanishing at s = 1 is Galois invariant
             raise SignMismatch(f"orbit {orbit.c}:{orbit.exponents} has mixed verdicts {verdicts}")

@@ -66,6 +66,13 @@
   elements 1 + (c/p)(x + omega) and tests every character at once.
 * minkowski_bound, the bound below which every ideal class has an ideal:
   the composition-free class-number reference.
+* twist_average_value and count_N_total, the exact orbit average and the
+  count of ideals with a nonzero one, one ideal at a time from
+  rho.value_exponent (orbit_exponents) and a Ramanujan sum per ideal, and
+  exact_orbit_mean, their sum over the ideals of each norm: the
+  references for family._orbit_weights, which reads every ideal's class
+  once per conductor into one array per record, for family.count_N_total
+  and for family._exact_mean.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from heckelab.arith import factorize, is_prime
+from heckelab.arith import euler_phi, factorize, is_prime, ramanujan_trace
 from heckelab.characters import (
     CharValue,
     FinitePart,
@@ -358,6 +365,56 @@ def rho_value_complex(rho: RingClassCharacter, ideal: Ideal) -> complex:
     if s is None:
         return 0j
     return cmath.exp(2j * cmath.pi * s / rho.order)
+
+
+def twist_average_value(base: CharValue, n: int, k: int | None) -> complex:
+    """Exact mean of (phi rho^m)(a) over m prime to n = ord(rho), from
+    base = phi(a) and rho(a) = zeta_n^k (k None where a meets c)."""
+    if k is None:
+        raise DomainError("ideal shares a factor with the twist modulus")
+    if base.zero:
+        raise DomainError("ideal shares a factor with the base conductor")
+    return base.complex() * float(Fraction(ramanujan_trace(n, k), euler_phi(n)))
+
+
+def count_N_total(ideals: list[Ideal], ks: list, n: int, t: float) -> int:
+    """Ideals with nonzero orbit average, a != conj(a), 1 < Na <= t, all classes.
+
+    ideals lists every integral ideal up to some bound >= t in norm order,
+    as enumerate_ideals does, and ks[i] is k with rho(ideals[i]) = zeta_n^k,
+    None where the exact average does not apply (a meets f(phi) or c).
+    """
+    count = 0
+    for a, k in zip(ideals, ks):
+        if a.norm > t:
+            break
+        if k is None or a.norm == 1 or a.is_self_conjugate():
+            continue
+        if ramanujan_trace(n, k):
+            count += 1
+    return count
+
+
+def orbit_exponents(phi: HeckeCharacter, rho: RingClassCharacter, ideals: list[Ideal]) -> list:
+    """k with rho(a) = zeta_n^k for each ideal a, None where a meets f(phi) or c."""
+    f, Nf = phi.conductor, phi.conductor_norm
+    return [
+        rho.value_exponent(a) if math.gcd(a.norm, Nf) == 1 or a.is_coprime(f) else None
+        for a in ideals
+    ]
+
+
+def exact_orbit_mean(
+    phi: HeckeCharacter, rho: RingClassCharacter, ideals: list[Ideal], ks: list, bound: int
+) -> np.ndarray:
+    """The exact orbit average of a_n, n <= bound coprime to c N(f(phi)), as
+    the sum of twist_average_value over the ideals of norm n; 0 at the other n."""
+    modulus = rho.c * phi.conductor_norm
+    exact = np.zeros(bound + 1, dtype=np.complex128)
+    for a, k in zip(ideals, ks):
+        if math.gcd(a.norm, modulus) == 1:
+            exact[a.norm] += twist_average_value(evaluate_char(phi, a), rho.order, k)
+    return exact
 
 
 def multiplicative_table(bound: int, local, dtype, columns: int) -> np.ndarray:

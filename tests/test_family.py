@@ -169,10 +169,10 @@ def test_root_number_routes_must_agree(gauss, monkeypatch):
 def test_orbit_mean_is_checked(gauss, monkeypatch):
     field, phi = gauss
 
-    def zero_average(base, n, k):
-        return 0j
+    def zero_average(walk, rho, ideals):
+        return np.zeros(len(ideals))
 
-    monkeypatch.setattr(family, "twist_average_value", zero_average)
+    monkeypatch.setattr(family, "_orbit_weights", zero_average)
     records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     assert records
     for r in records:
@@ -181,36 +181,31 @@ def test_orbit_mean_is_checked(gauss, monkeypatch):
 
 
 def _orbit_mean_inputs(field, phi, orbit):
-    """(walk, rho, ideals, ks, tables, bound) of the orbit-mean check, as a scan builds them."""
-    rho = orbit.rho
-    members = twist_orbit(phi, rho, orbit.members)
+    """(walk, weights, tables, modulus, bound) of the orbit-mean check, as a scan builds them."""
+    members = twist_orbit(phi, orbit.rho, orbit.members)
     bound = int(members[0].f_value ** max(family.T_EXPONENTS))
     walk = family._ScanWalk(phi, {orbit.c})
-    ideals = walk.ideals(bound)
-    ks = [rho.value_exponent(a) if a.is_coprime(phi.conductor) else None for a in ideals]
+    weights = family._orbit_weights(walk, orbit.rho, walk.ideals(bound))
     tables = [family.theta_coeffs(chi, bound, theta_lattice(chi, bound)) for chi in members]
-    return walk, rho, ideals, ks, tables, bound
+    return walk, weights, tables, orbit.c * phi.conductor_norm, bound
 
 
-def test_orbit_mean_names_the_first_bad_n(gauss, monkeypatch):
+def test_orbit_mean_names_the_first_bad_n(gauss):
     field, phi = gauss
     (orbit,) = [o for o in family.enumerate_twists(field, (5,), 5) if o.c == 5]
-    walk, rho, ideals, ks, tables, bound = _orbit_mean_inputs(field, phi, orbit)
-    family._check_orbit_mean(walk, rho, ideals, ks, tables, bound)
+    walk, weights, tables, modulus, bound = _orbit_mean_inputs(field, phi, orbit)
+    exact = family._exact_mean(walk, modulus, weights, bound)
+    family._check_orbit_mean(exact, tables, modulus)
     # n = 10 shares a factor with c N(f(phi)) = 40, where no exact average applies
     off_at_10 = [replace(t, a=np.where(t.n == 10, t.a + 1.0, t.a)) for t in tables]
-    family._check_orbit_mean(walk, rho, ideals, ks, off_at_10, bound)
-    exact = family.twist_average_value
-
-    def perturbed(base, n, k):
-        value = exact(base, n, k)
-        # h = 1: phi(a) = eps(g) g with a = (g), so N(g) = N(a)
-        return value + 1e-6 if base.q.norm() in (13, 17) else value
-
-    # one exact average off by 1e-6 at n = 13 and at n = 17: the error names n = 13
-    monkeypatch.setattr(family, "twist_average_value", perturbed)
+    family._check_orbit_mean(exact, off_at_10, modulus)
+    # the orbit weight off by 1e-6 at the ideals of norm 13 and 17, which moves
+    # the exact average of a_n by 1e-6 (phi(a) + phi(conj a)) = 2e-6 Re phi(a),
+    # with Re phi(a) odd: the error names n = 13
+    perturbed = weights + 1e-6 * np.isin(walk.norms[: len(weights)], (13, 17))
+    exact = family._exact_mean(walk, modulus, perturbed, bound)
     with pytest.raises(NumericalInstability, match=r"orbit mean of a_13 is"):
-        family._check_orbit_mean(walk, rho, ideals, ks, tables, bound)
+        family._check_orbit_mean(exact, tables, modulus)
 
 
 def test_twist_average_value_off_the_moduli_is_a_domain_error(gauss):
@@ -218,19 +213,81 @@ def test_twist_average_value_off_the_moduli_is_a_domain_error(gauss):
     (two,) = prime_ideals_above(field, 2)
     five = prime_ideals_above(field, 5)[0]
     with pytest.raises(DomainError, match="twist modulus"):
-        family.twist_average_value(evaluate_char(phi, five), 2, None)
+        oracles.twist_average_value(evaluate_char(phi, five), 2, None)
     with pytest.raises(DomainError, match="base conductor"):
-        family.twist_average_value(evaluate_char(phi, two), 2, 1)
+        oracles.twist_average_value(evaluate_char(phi, two), 2, 1)
+
+
+# (D, P, c_max, failed records): the scan-gauss family to c = 65, the
+# 42-orbit D = -23 family at h = 3, and D = -3 with its six roots of unity
+EXACT_SIDE_FAMILIES = [(-4, (5, 13), 65, 1), (-23, (2, 3), 72, 0), (-3, (2, 5), 50, 1)]
+
+
+@pytest.mark.parametrize("D, P, c_max, failed", EXACT_SIDE_FAMILIES)
+def test_exact_side_matches_the_per_ideal_oracle(D, P, c_max, failed):
+    """Every record's exact side against the per-ideal references of oracles.
+
+    The scan's N_counts, failed records included, equal count_N_total over
+    rho.value_exponent at every ideal; the exact average of each a_n, from
+    the record's orbit weights, is within 1e-12 of twist_average_value
+    summed over the ideals of norm n.
+    """
+    field = make_field(D)
+    phi = build_hecke_character(field, canonical_epsilon(field))
+    orbits = family.enumerate_twists(field, P, c_max)
+    records = family.scan_report(field, phi, P, c_max, tol=1e-8)
+    assert sum(r.error is not None for r in records) == failed
+    walk = family._ScanWalk(phi, {orbit.c for orbit in orbits})
+    for orbit, record in zip(orbits, records, strict=True):
+        where = (orbit.c, orbit.exponents)
+        assert (record.c, record.exponents) == where
+        walk.at_c(orbit.c)
+        rho, f = orbit.rho, record.f
+        bound = int(f ** max(family.T_EXPONENTS))
+        ideals = walk.ideals(bound)
+        ks = oracles.orbit_exponents(phi, rho, ideals)
+        thresholds = [(alpha, f**alpha) for alpha in family.T_EXPONENTS]
+        assert record.N_counts == {
+            repr(alpha): {"t": int(t), "N": oracles.count_N_total(ideals, ks, rho.order, t)}
+            for alpha, t in thresholds
+        }, where
+        weights = family._orbit_weights(walk, rho, ideals)
+        exact = family._exact_mean(walk, rho.c * phi.conductor_norm, weights, bound)
+        want = oracles.exact_orbit_mean(phi, rho, ideals, ks, bound)
+        assert (abs(exact - want) <= 1e-12 * np.maximum(1.0, abs(want))).all(), where
+
+
+def test_family_side_class_read_is_certified(gauss, monkeypatch):
+    # the exact side reads rho's classes itself: a doctored read there alone,
+    # with twist_orbit's reads untouched, fails the step certificate at the
+    # first ideal the c = 5 record reads, the unit ideal
+    field, phi = gauss
+    orbits = family.enumerate_twists(field, (5,), 5)
+
+    def halves(field, c, ideal):
+        return tuple(Fraction(1, 2) for _ in class_group(c * c * field.D).orders)
+
+    monkeypatch.setattr(family, "enumerate_twists", lambda *args: orbits)
+    monkeypatch.setattr(family, "ring_class_dlog", halves)
+    records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
+    # c = 1 has a trivial ring class group, so its classes are empty vectors
+    assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
+    assert records[1].error.startswith("NoConsistentLift: ring class value exponent 0.5 of")
+    assert "cannot take it" in records[1].error
+    assert repr(quadfield.unit_ideal(field)) in records[1].error
+    assert (records[1].N_counts, records[1].main_lemma) == ({}, None)
 
 
 def test_scan_shares_orbit_work(gauss, monkeypatch):
     """Work a D=-4 P=(5,13) c<=25 scan does once per orbit or once per scan.
 
     phi is evaluated outside the Gauss sums at most once per ideal (33 of
-    them reach the orbit-mean checks), each of the three c = 13 orbits of
-    1, 2 and 2 members over m = (1+i)^3 P13 conj(P13) builds the levels of
-    m's local groups once, for the conductor exponents of all its members,
-    the records' Main Lemma quantities build none, and the ideal list is
+    them reach the orbit-mean checks), the exact side reads each ideal's
+    class in Pic(O_c) at most once per conductor c, for every orbit of c
+    (51 reads), each of the three c = 13 orbits of 1, 2 and 2 members
+    over m = (1+i)^3 P13 conj(P13) builds the levels of m's local groups
+    once, for the conductor exponents of all its members, the records'
+    Main Lemma quantities build none, and the ideal list is
     enumerated once, to the largest bound a record asks for:
     5000^(1.1/2), 85 ideals.
     """
@@ -240,7 +297,9 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
 
     field, phi = gauss
     phi_calls, in_gauss, level_builds, bounds = [], [0], [0], []
+    class_reads, in_walk = [], [0]
     evaluate, gauss_root = characters.evaluate_char, rootnumber.gauss_sum_root_number
+    dlog, walk_dlogs = family.ring_class_dlog, family._ScanWalk.dlogs
     levels, orbit_chars = characters.LocalUnitGroups.levels.func, family.twist_orbit
     lemma, enumerate_ideals_ = family.main_lemma_quantities, family.enumerate_ideals
     per_orbit, in_lemma = {}, []
@@ -256,6 +315,18 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
             return gauss_root(chi, *args, **kwargs)
         finally:
             in_gauss[0] -= 1
+
+    def counted_dlog(field, c, ideal):
+        if in_walk[0]:
+            class_reads.append((c, ideal))
+        return dlog(field, c, ideal)
+
+    def traced_dlogs(self, rho, ideals):
+        in_walk[0] += 1
+        try:
+            return walk_dlogs(self, rho, ideals)
+        finally:
+            in_walk[0] -= 1
 
     def counted_levels(self):
         level_builds[0] += 1
@@ -287,10 +358,13 @@ def test_scan_shares_orbit_work(gauss, monkeypatch):
     monkeypatch.setattr(family, "twist_orbit", traced_orbit)
     monkeypatch.setattr(family, "main_lemma_quantities", traced_lemma)
     monkeypatch.setattr(family, "enumerate_ideals", counted_enumerate)
+    monkeypatch.setattr(family, "ring_class_dlog", counted_dlog)
+    monkeypatch.setattr(family._ScanWalk, "dlogs", traced_dlogs)
     records = family.scan_report(field, phi, (5, 13), 25, tol=1e-8)
     assert all(r.error is None for r in records)
 
     assert len(phi_calls) == len(set(phi_calls)) <= 33
+    assert len(class_reads) == len(set(class_reads)) <= 51
     c13 = [(size, builds) for (c, _), (size, builds) in per_orbit.items() if c == 13]
     assert sorted(size for size, _ in c13) == [1, 2, 2]
     # one levels build per orbit, shared by its members' conductor exponents
