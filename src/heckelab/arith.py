@@ -3,7 +3,8 @@
 All routines are exact integer arithmetic at desk scale; factorization is
 trial division, which is plenty for the conductors and norms we touch.
 The exception works on numpy arrays: abelian_group_structure and
-cyclic_group_structure take a group on element indices.
+cyclic_group_structure take a group on element indices, and
+exponent_pairing reads finite-order characters on exponent vectors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import GroupStructureMismatch
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -149,6 +152,19 @@ def ramanujan_trace(n: int, k: int) -> int:
     if mu == 0:
         return 0
     return mu * euler_phi(n) // euler_phi(m)
+
+
+def exponent_pairing(vectors, weights, modulus: int) -> np.ndarray:
+    """sum_i v_i w_i mod modulus for each row v of vectors, a group element's
+    exponents on a basis, and each row w of weights, a character's exponents
+    on it (a 1-d weights is one character): its value is zeta_modulus to
+    that power.  Integer vectors are paired in int64, within the caller's
+    bounds; float ones stay float, so one that is not integral pairs to a
+    non-integer."""
+    v, w = np.asarray(vectors), np.asarray(weights, dtype=np.int64)
+    if v.dtype.kind == "f":  # a float `@` reaches BLAS: the products are summed elementwise
+        return (v[:, None, :] * w if w.ndim == 2 else v * w).sum(axis=-1) % modulus
+    return v @ w.T % modulus  # int64 @ int64: numpy's own integer loop, never BLAS
 
 
 def v_p(n: int, p: int) -> int:

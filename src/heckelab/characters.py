@@ -18,15 +18,17 @@ Values are kept in the exact algebra zeta_M^k * q * prod v_i^{e_i} with
 q in K, so |chi(a)|^2 = N(a) and multiplicativity are checkable exactly.
 
 A finite part is read through CRT, (O/f)^x = prod (O/P^a)^x over the
-P^a exactly dividing f: eps is the sum of its local exponents k_P,
-eps(r) = zeta_M^(sum_P k_P(r mod P^a)).  unit_group_mod builds the
-discrete logs of one prime power (O/P^a)^x, and local_unit_groups joins
-them with the CRT idempotents e_P, so no table over all of (O/f)^x is
-built for a composite f.  Twists, their conductors, values, theta
-lattices, Gauss sums and the Main Lemma's local orders all read eps
-through that sum.  The conductor exponents, primitivity and the local
-orders read one more array per local group, its rows' levels in the
-filtration by the subgroups 1 + P^j (LocalUnitGroups.levels).
+P^a exactly dividing f: eps(r) = zeta_M^(sum_P k_P(r mod P^a)), where
+k_P pairs the discrete logs of (O/P^a)^x, which unit_group_mod builds,
+with eps_P's exponents by arith.exponent_pairing.  local_unit_groups
+joins the parts with the CRT idempotents e_P, so no table over all of
+(O/f)^x is built for a composite f.  Twists, their conductors, values,
+theta lattices, Gauss sums and the Main Lemma's local orders all read
+eps through that sum, and the conductor exponents, primitivity and the
+local orders also read each part's levels in the filtration by the
+subgroups 1 + P^j (LocalUnitGroups.levels).  A ring class character is
+read through the same pairing, of an ideal's class in Pic(O_c) with its
+ring_class_weights (RingClassCharacter.value_exponents).
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arith import (
+    _INT64_MAX,
     _IndexGroup,
     abelian_group_structure,
     cyclic_generator,
     cyclic_group_structure,
+    exponent_pairing,
     factorize,
     v_p,
 )
@@ -77,7 +81,6 @@ from .quadfield import (
 )
 
 TWO_PI = 2 * math.pi
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +96,7 @@ def unit_root_table(field: FieldContext) -> dict:
     unit with y > 0 and x = 2y, on the upper edge of canonical_generator's
     sector.
     """
-    if field.wK == 2:
-        gen = -field.one
-    else:
-        gen = next(u for u in field.units() if u.y > 0 and u.x == 2 * u.y)
+    gen = -field.one if field.wK == 2 else next(u for u in field.units() if u.x == 2 * u.y > 0)
     table, acc = {}, field.one
     for j in range(field.wK):
         table[acc] = j
@@ -386,9 +386,8 @@ class FinitePart:
     def __post_init__(self):
         if len(self.exps) != len(self.unit_group.orders):
             raise GroupStructureMismatch("need one exponent per unit group generator")
-        for k, n in zip(self.exps, self.unit_group.orders):
-            if (k * n) % self.M:
-                raise GroupStructureMismatch("exponents do not define a homomorphism")
+        if any(k * n % self.M for k, n in zip(self.exps, self.unit_group.orders)):
+            raise GroupStructureMismatch("exponents do not define a homomorphism")
 
     @cached_property
     def local_exponents(self) -> tuple:
@@ -462,13 +461,12 @@ class FinitePart:
 
 
 def _unit_exponents(ug: UnitGroupMod, exps, M: int) -> np.ndarray:
-    """vecs . exps mod M: at every row of ug, the exponent in mu_M of the
-    homomorphism that sends generator i to zeta_M^exps[i]."""
+    """vecs . exps mod M by exponent_pairing: at every row of ug, the exponent
+    in mu_M of the homomorphism that sends generator i to zeta_M^exps[i]."""
     # each entry of vecs is below its generator's order and each exponent below M
     if M * sum(ug.orders) > _INT64_MAX:
         raise PhaseOverflow(f"exponents mod {M} overflow int64 over (O/{ug.f!r})^x")
-    # int64 @ int64: numpy's own integer loop, never BLAS
-    k = ug.vecs @ np.array(exps, dtype=np.int64) % M
+    k = exponent_pairing(ug.vecs, exps, M)
     k.flags.writeable = False
     return k
 
@@ -710,51 +708,62 @@ def _kappa_mismatch(eps: FinitePart) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def ring_class_weights(field: FieldContext, c: int, vectors) -> tuple[np.ndarray, int]:
+    """(w, N): the character of Pic(O_c) with exponents t on its generators,
+    of orders h_i, is zeta_N^(w . d) at the class of exponents d, with
+    N = lcm(h_i) and w_i = t_i N / h_i; one row w per row t of vectors."""
+    orders = class_group(c * c * field.D).orders
+    N = math.lcm(*orders)
+    t = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(orders))
+    return t * np.array([N // h for h in orders], dtype=np.int64), N
+
+
 @dataclass(frozen=True)
 class RingClassCharacter:
-    """Finite order character of Pic(O_c), anticyclotomic by construction."""
+    """Finite order character of Pic(O_c), anticyclotomic by construction:
+    zeta_N^(w . d) at the class of exponents d, with w and N its
+    ring_class_weights, read once, and of order N / gcd(N, w)."""
 
     field: FieldContext
     c: int
     exponents: tuple
 
     @cached_property
-    def _pic_orders(self) -> tuple:
-        """Orders of the generators of Pic(O_c), computed once per character."""
-        return tuple(class_group(self.c * self.c * self.field.D).orders)
+    def _weights(self) -> tuple[np.ndarray, int]:
+        (weights,), N = ring_class_weights(self.field, self.c, [self.exponents])
+        return weights, N
 
     @cached_property
     def order(self) -> int:
-        n = 1
-        for t, h in zip(self.exponents, self._pic_orders):
-            if t % h:
-                n = math.lcm(n, h // math.gcd(t, h))
-        return n
-
-    @cached_property
-    def _value_weights(self) -> tuple[tuple[int, ...], int]:
-        """(w, step): rho(a) = zeta_N^(w . dlog(a)) with N the lcm of the Pic(O_c)
-        orders, and step = N / order."""
-        orders = self._pic_orders
-        N = math.lcm(*orders)
-        return tuple(t * (N // h) for t, h in zip(self.exponents, orders)), N // self.order
+        weights, N = self._weights
+        return N // math.gcd(N, *weights)
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    def value_exponents(self, classes: np.ndarray, ideals: list[Ideal]) -> np.ndarray:
+        """s with rho(a) = zeta_order^s at each ideal a, from its class in
+        Pic(O_c), a row of classes: rho(a) = zeta_N^k, k its exponent_pairing
+        with w.  An order-n character takes only n-th roots, so
+        NoConsistentLift names the first a whose k is no multiple of N/n;
+        float classes that are not integral give such a k."""
+        weights, N = self._weights
+        step = N // self.order
+        k = exponent_pairing(classes, weights, N)
+        bad = np.flatnonzero(k % step)
+        if bad.size:
+            raise NoConsistentLift(
+                f"ring class value exponent {k[bad[0]]:g} of {ideals[bad[0]]!r} is not a"
+                f" multiple of {step}, so rho of order {self.order} cannot take it"
+            )
+        return (k // step).astype(np.int64)
+
     def value_exponent(self, a: Ideal) -> int | None:
-        """s with rho(a) = zeta_order^s, or None when a is not coprime to c."""
+        """value_exponents at one ideal, or None when it is not coprime to c."""
         if math.gcd(a.norm, self.c) != 1:
             return None
-        weights, step = self._value_weights
-        kN = sum(w * ei for w, ei in zip(weights, ring_class_dlog(self.field, self.c, a)))
-        # the value is zeta_N^kN; an order-n character only hits n-th roots
-        if kN % step:
-            raise NoConsistentLift(
-                f"ring class value exponent {kN} is not a multiple of {step}, "
-                f"so rho of order {self.order} cannot take it"
-            )
-        return (kN // step) % self.order
+        classes = np.array([ring_class_dlog(self.field, self.c, a)], dtype=float)
+        return int(self.value_exponents(classes, [a])[0])
 
 
 def ring_class_character(field: FieldContext, c: int, exponents) -> RingClassCharacter:
@@ -762,9 +771,7 @@ def ring_class_character(field: FieldContext, c: int, exponents) -> RingClassCha
     exponents = tuple(exponents)
     if len(exponents) != len(orders):
         raise ValueError("need one exponent per ring class group generator")
-    return RingClassCharacter(
-        field=field, c=c, exponents=tuple(t % h for t, h in zip(exponents, orders))
-    )
+    return RingClassCharacter(field, c, tuple(t % h for t, h in zip(exponents, orders)))
 
 
 def _ideal_from_factors(field: FieldContext, factors: dict) -> Ideal:
@@ -776,10 +783,7 @@ def _ideal_from_factors(field: FieldContext, factors: dict) -> Ideal:
 
 def ideal_lcm(a: Ideal, b: Ideal) -> Ideal:
     fa, fb = a.factor(), b.factor()
-    out = dict(fa)
-    for pr, e in fb.items():
-        out[pr] = max(out.get(pr, 0), e)
-    return _ideal_from_factors(a.field, out)
+    return _ideal_from_factors(a.field, {pr: max(fa.get(pr, 0), fb.get(pr, 0)) for pr in fa | fb})
 
 
 def twist(phi: HeckeCharacter, rho: RingClassCharacter) -> HeckeCharacter:
@@ -821,14 +825,12 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
     units_m = local_unit_groups(field, m)
     Mc = math.lcm(phi.M, n, field.wK, units_m.exponent)
     gens_m = [KElt(field, *g) for g in units_m.gens]
-    A, B = [], []
-    for w in gens_m:
-        k1 = phi.eps.exponent_of(w)
-        s = None if k1 is None else rho.value_exponent(principal_ideal(field, w))
-        if s is None:
-            raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
-        A.append(k1 * (Mc // phi.M))
-        B.append(s * (Mc // n))
+    A = [phi.eps.exponent_of(w) for w in gens_m]
+    B = [rho.value_exponent(principal_ideal(field, w)) for w in gens_m]
+    if None in A or None in B:
+        raise NoConsistentLift(f"a generator of (O/{m!r})^x is not a unit for phi and rho")
+    A, B = [k * (Mc // phi.M) for k in A], [s * (Mc // n) for s in B]
+    orders = class_group(rho.c * rho.c * field.D).orders
 
     by_conductor: dict[tuple, tuple] = {}  # keyed by the exponents of m's primes in f_chi
     at_reps: dict[Ideal, tuple] = {}  # class representative -> (phi value, rho exponent)
@@ -862,11 +864,9 @@ def twist_orbit(phi: HeckeCharacter, rho: RingClassCharacter, members) -> list[H
                 raise NoConsistentLift(f"eps_m at the generators of {f_chi!r} is not in mu_{M}")
             eps_chi = FinitePart(field, f_chi, M, units_f, tuple(k // step for k in ks))
             if any(eps_chi.exponent_of(g) * step != k for g, k in zip(gens_m, eps_m.exps)):
-                raise NoConsistentLift(
-                    f"the twist's finite part does not factor through {f_chi!r}"
-                )
+                raise NoConsistentLift(f"the twist's finite part does not factor through {f_chi!r}")
         _require_unit_consistent(eps_chi)
-        exponents = tuple(j * t % h for t, h in zip(rho.exponents, rho._pic_orders))
+        exponents = tuple(j * t % h for t, h in zip(rho.exponents, orders))
         base = _assemble(field, eps_chi, lifts, (rho.c, exponents))
 
         # root choices matching phi(a_i) * rho^j(a_i) numerically

@@ -13,27 +13,25 @@ average over K(chi)/K: it avoids radical-degree computations, is exact,
 and averages over the subgroup of embeddings fixing phi's values.
 
 Each orbit carries the ring class character rho that enumerate_twists
-built to read its order, and its members are built together by
-characters.twist_orbit.  Every coefficient table is
-lseries.theta_coeffs of a member: a lattice sum that reads the finite
-part's local exponent arrays and evaluates the member at the h class
-ideals of its lattice alone.  Each member gets one table, to the larger
-of its truncation T and the check's bound f^max(T_EXPONENTS), the first
-member's also to its FE bound; the theta quotient, the central values
-and the orbit-mean check read prefixes of these tables.  A member adds
-only its own exponent gathers, phases and sums: what depends only on c
-or on a member's conductor is built once in a scan and shared through
-its _ScanWalk.  The exact side of a record is one array, the orbit
-average c_n(k)/eulerphi(n) of rho at each ideal to the record's bound,
-which gives its counts and the exact side of its orbit-mean check.  The
-checks keep their independence: the theta-quotient root number sums
-the first member's table against the Gauss sum of its finite part, and
-the orbit-mean check adds the members' tables into one dense array over
-n and compares it with phi(a) times the exact orbit averages, summed
-over the ideals of each norm n.  The two sides of that check share
-evaluate_char: the table side reads it for each member at the h class
-ideals of its lattice, the exact side for phi at every ideal of norm
-prime to c N(f(phi)) that a record reaches.
+built to read its order, and characters.twist_orbit builds its members
+together.  Every coefficient table is lseries.theta_coeffs of a member,
+to the larger of its truncation T and the check's bound
+f^max(T_EXPONENTS), the first member's also to its FE bound; the theta
+quotient, the central values and the orbit-mean check read prefixes of
+these tables.  What depends only on c or on a member's conductor is
+built once in a scan and shared through its _ScanWalk.  The exact side
+of a record is one array, the orbit average c_n(k)/eulerphi(n) at each
+ideal a to the record's bound, where rho(a) = zeta_n^k is read by
+rho.value_exponents from a's class in Pic(O_c), with the pairing and
+certificate of every other read of rho.  It gives the record's counts
+and the exact side of its orbit-mean check.  The checks keep their
+independence: the theta-quotient root number sums the first member's
+table against the Gauss sum of its finite part, and the orbit-mean
+check compares the members' tables, added into one dense array over n,
+with phi(a) times the exact averages summed over the ideals of each
+norm n.  Both sides read evaluate_char: the tables for each member at
+the h class ideals of its lattice, the exact side for phi at every
+ideal of norm prime to c N(f(phi)) that a record reaches.
 
 A scan checks, in this order:
 
@@ -57,7 +55,8 @@ and per record, which keeps the first failure as its error:
   lowered f(chi) must agree with the member at every generator of
   (O/m)^x, which shows it is a modulus too (characters.twist_orbit);
 * rho takes n-th roots of unity at the ideals to f^max(T_EXPONENTS) prime
-  to c f(phi), else NoConsistentLift; they are counted at every t = f^alpha;
+  to c f(phi), else NoConsistentLift (RingClassCharacter.value_exponents);
+  they are counted at every t = f^alpha;
 * the Main Lemma bound |m_p/2 - n_p| <= 3 + mu + h, with the local orders
   on 1 + p^3 O powers of p;
 * the Gauss-sum root number of every member is a clean sign, one sign
@@ -94,7 +93,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, ramanujan_trace
+from .arith import euler_phi, exponent_pairing, factorize, is_prime, ramanujan_trace
 from .characters import (
     HeckeCharacter,
     MainLemmaReport,
@@ -103,13 +102,13 @@ from .characters import (
     evaluate_char,
     main_lemma_quantities,
     ring_class_character,
+    ring_class_weights,
     twist_orbit,
 )
 from .errors import (
     DomainError,
     GroupStructureMismatch,
     HeckeLabError,
-    NoConsistentLift,
     NumericalInstability,
     SignMismatch,
 )
@@ -163,13 +162,10 @@ def _exact_conductor(field: FieldContext, c: int, vectors: list[tuple[int, ...]]
     alpha_x = 1 + (c/p)(x + omega), 0 <= x < p, prime to c, reach every
     kernel class.  Raises GroupStructureMismatch unless every alpha_x is
     trivial in Pic(O_{c/p}), which is read only when h(O_{c/p}) > 1, and
-    exactly h(O_{c/p}) characters are trivial on all of them.
+    exactly h(O_{c/p}) characters are trivial on all of them, each kernel
+    class paired with every vector's ring_class_weights.
     """
-    orders = class_group(c * c * field.D).orders
-    N = math.lcm(*orders)
-    # entries of scaled and dlogs are below N: each dot product is below rank N^2
-    scaled = np.array(vectors, dtype=np.int64).reshape(len(vectors), len(orders))
-    scaled = scaled * np.array([N // h for h in orders], dtype=np.int64)
+    weights, N = ring_class_weights(field, c, vectors)
     exact = np.ones(len(vectors), dtype=bool)
     for p, _ in factorize(c):
         sub = c // p
@@ -184,9 +180,9 @@ def _exact_conductor(field: FieldContext, c: int, vectors: list[tuple[int, ...]]
             if want > 1 and any(ring_class_dlog(field, sub, ideal)):
                 raise GroupStructureMismatch(f"{alpha!r} is nontrivial in Pic(O_{sub})")
             dlogs.append(ring_class_dlog(field, c, ideal))
-        dlogs = np.array(dlogs, dtype=np.int64).reshape(len(dlogs), len(orders))
-        # int64 @ int64: numpy's own integer loop, never BLAS
-        trivial = ~(dlogs @ scaled.T % N).any(axis=0)
+        # entries of dlogs and weights are below N: each sum is below rank N^2
+        dlogs = np.array(dlogs, dtype=np.int64).reshape(len(dlogs), weights.shape[1])
+        trivial = ~exponent_pairing(dlogs, weights, N).any(axis=0)
         found = int(trivial.sum())
         if found != want:
             raise GroupStructureMismatch(
@@ -223,9 +219,7 @@ def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> lis
             n = rho.order
             members = tuple(m for m in range(1, n + 1) if math.gcd(m, n) == 1)
             seen.update(tuple((m * t) % h for t, h in zip(exponents, orders)) for m in members)
-            orbits.append(
-                TwistOrbit(c=c, exponents=exponents, order=n, members=members, rho=rho)
-            )
+            orbits.append(TwistOrbit(c=c, exponents=exponents, order=n, members=members, rho=rho))
     return orbits
 
 
@@ -237,19 +231,12 @@ def enumerate_twists(field: FieldContext, P: tuple[int, ...], c_max: int) -> lis
 def _orbit_weights(walk: _ScanWalk, rho: RingClassCharacter, ideals: list[Ideal]) -> np.ndarray:
     """At each ideal a of a prefix of the walk's list, the mean of rho^m(a)
     over m prime to n = ord(rho): c_n(k)/eulerphi(n) with rho(a) = zeta_n^k,
-    and 0 where a meets c or f(phi).  k is read as rho.value_exponent reads
-    it, and a value that is no n-th root of unity raises NoConsistentLift."""
-    n, (weights, step) = rho.order, rho._value_weights
-    usable, dlogs = walk.dlogs(rho, ideals)
-    kN = (dlogs * weights).sum(axis=1)
-    bad = np.flatnonzero(usable & (kN % step != 0))
-    if bad.size:
-        raise NoConsistentLift(
-            f"ring class value exponent {kN[bad[0]]:g} of {ideals[bad[0]]!r} is not a multiple"
-            f" of {step}, so rho of order {n} cannot take it"
-        )
+    and 0 where a meets c or f(phi).  k is rho.value_exponents at the walk's
+    classes, whose certificate raises NoConsistentLift."""
+    n = rho.order
+    usable, classes = walk.dlogs(rho, ideals)
     table = np.array([float(Fraction(ramanujan_trace(n, j), euler_phi(n))) for j in range(n)])
-    return np.where(usable, table[(kN // step).astype(np.int64) % n], 0.0)
+    return np.where(usable, table[rho.value_exponents(classes, ideals)], 0.0)
 
 
 def count_N_total(walk: _ScanWalk, weights: np.ndarray, t: float) -> int:
@@ -281,9 +268,7 @@ def averaged_L(
     tables holds each member's theta table, read for its prefix and for the
     smoothing kernel of its lattice, which the members of a conductor share.
     """
-    return [
-        central_value(chi, v, tol=tol, w=w, table=table) for chi, table in zip(members, tables)
-    ]
+    return [central_value(chi, v, tol=tol, w=w, table=table) for chi, table in zip(members, tables)]
 
 
 class _ScanWalk:
@@ -339,7 +324,7 @@ class _ScanWalk:
         """(usable, classes) over a prefix of the list: usable where an ideal
         is prime to c and f(phi), and there its class in Pic(O_c), else 0.
         The classes are float, so that a read that is no integer vector
-        fails the step certificate of _orbit_weights."""
+        fails the certificate of rho.value_exponents."""
         count, rank, rows = len(ideals), len(rho.exponents), self._shared.setdefault("dlogs", [])
         usable = self.coprime_f[:count] & (np.gcd(self.norms[:count], rho.c) == 1)
         for a, ok in zip(ideals[len(rows) :], usable[len(rows) :].tolist()):

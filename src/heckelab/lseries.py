@@ -43,6 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .arith import _INT64_MAX
 from .characters import HeckeCharacter, evaluate_char
 from .errors import (
     DomainError,
@@ -55,7 +56,6 @@ from .errors import (
 )
 from .quadfield import FieldContext, Ideal, class_representatives, ideal_elements
 
-_INT64_MAX = np.iinfo(np.int64).max
 _EULER_GAMMA = 0.5772156649015328606
 
 

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import _INT64_MAX
 from .characters import HeckeCharacter, evaluate_char
 from .errors import (
     DegenerateQuotient,
@@ -80,8 +81,6 @@ from .quadfield import (
     idempotent,
     ideals_by_norm,
 )
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def auxiliary_pair(field: FieldContext, f: Ideal) -> tuple[Ideal, KElt]:
@@ -224,9 +223,7 @@ def root_number_via_fe(chi: HeckeCharacter, table: ThetaTable) -> complex:
     if len(estimates) < 2:
         raise DegenerateQuotient("theta vanished at every probe point")
     if abs(estimates[0] - estimates[1]) > 1e-6 * max(1.0, abs(estimates[0])):
-        raise NumericalInstability(
-            f"theta quotients disagree: {estimates[0]} vs {estimates[1]}"
-        )
+        raise NumericalInstability(f"theta quotients disagree: {estimates[0]} vs {estimates[1]}")
     return (estimates[0] + estimates[1]) / 2
 
 

@@ -67,8 +67,9 @@
 * minkowski_bound, the bound below which every ideal class has an ideal:
   the composition-free class-number reference.
 * twist_average_value and count_N_total, the exact orbit average and the
-  count of ideals with a nonzero one, one ideal at a time from
-  rho.value_exponent (orbit_exponents) and a Ramanujan sum per ideal, and
+  count of ideals with a nonzero one, one ideal at a time from rho's
+  exponent at each ideal (orbit_exponents, n sum_i t_i d_i / h_i in
+  fractions, with no exponent pairing) and a Ramanujan sum per ideal, and
   exact_orbit_mean, their sum over the ideals of each norm: the
   references for family._orbit_weights, which reads every ideal's class
   once per conductor into one array per record, for family.count_N_total
@@ -396,12 +397,26 @@ def count_N_total(ideals: list[Ideal], ks: list, n: int, t: float) -> int:
 
 
 def orbit_exponents(phi: HeckeCharacter, rho: RingClassCharacter, ideals: list[Ideal]) -> list:
-    """k with rho(a) = zeta_n^k for each ideal a, None where a meets f(phi) or c."""
-    f, Nf = phi.conductor, phi.conductor_norm
-    return [
-        rho.value_exponent(a) if math.gcd(a.norm, Nf) == 1 or a.is_coprime(f) else None
-        for a in ideals
-    ]
+    """k with rho(a) = zeta_n^k for each ideal a, None where a meets f(phi) or c.
+
+    rho of exponents t on the generators of Pic(O_c), of orders h_i, is
+    exp(2 pi i sum_i t_i d_i / h_i) at the class d of a, so k is n times
+    that sum, read in fractions; one that is no integer raises
+    NoConsistentLift.
+    """
+    f, Nf, n = phi.conductor, phi.conductor_norm, rho.order
+    orders = class_group(rho.c * rho.c * rho.field.D).orders
+    out = []
+    for a in ideals:
+        if math.gcd(a.norm, rho.c) != 1 or not (math.gcd(a.norm, Nf) == 1 or a.is_coprime(f)):
+            out.append(None)
+            continue
+        d = ring_class_dlog(rho.field, rho.c, a)
+        k = n * sum(Fraction(t * di, h) for t, di, h in zip(rho.exponents, d, orders))
+        if k.denominator != 1:
+            raise NoConsistentLift(f"rho of order {n} is no n-th root of unity at {a!r}")
+        out.append(int(k) % n)
+    return out
 
 
 def exact_orbit_mean(

@@ -11,6 +11,7 @@ from heckelab.arith import (
     cyclic_generator,
     cyclic_group_structure,
     euler_phi,
+    exponent_pairing,
     factorize,
     is_prime,
     kronecker,
@@ -220,3 +221,47 @@ def test_cyclic_generator():
     pairs = [(a, b) for a in range(2) for b in range(4)]
     mul = lambda u, v: ((u[0] + v[0]) % 2, (u[1] + v[1]) % 4)  # noqa: E731
     assert cyclic_generator(pairs, mul, (0, 0), 8) is None
+
+
+def _pairing_loop(vectors, weights, modulus):
+    """exponent_pairing one vector and one character at a time."""
+    return [[sum(v * w for v, w in zip(row, char)) % modulus for char in weights] for row in vectors]
+
+
+# exponent vectors with entries in range(h_i) and characters of such a group:
+# ranks 0 to 3, and the invariants (2, 6) and (2, 12) of the non-cyclic
+# ring class groups of discriminants -1472 and -16900
+_ORDERS = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=30), max_size=3),
+    st.sampled_from([[2, 6], [2, 12]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exponent_pairing_matches_a_loop(data):
+    orders = data.draw(_ORDERS)
+    rank, modulus = len(orders), data.draw(st.integers(min_value=1, max_value=60))
+
+    def rows(size):
+        row = st.tuples(*(st.integers(min_value=-h, max_value=2 * h) for h in orders))
+        return data.draw(st.lists(row, min_size=size[0], max_size=size[1]))
+
+    vectors, weights = rows((0, 8)), rows((1, 4))
+    want = _pairing_loop(vectors, weights, modulus)
+    ints = np.array(vectors, dtype=np.int64).reshape(len(vectors), rank)
+    chars = np.array(weights, dtype=np.int64).reshape(len(weights), rank)
+    for v in (ints, ints.astype(float)):
+        got = exponent_pairing(v, chars, modulus)
+        assert got.dtype == v.dtype and got.shape == (len(vectors), len(weights))
+        assert got.tolist() == want
+        # a 1-d weights is one character: one exponent per vector
+        assert exponent_pairing(v, weights[0], modulus).tolist() == [k for k, *_ in want]
+
+
+def test_exponent_pairing_keeps_a_fraction_of_a_float_vector():
+    # a read that is no integer vector pairs to no integer, which its caller
+    # certifies; the integer path would have truncated it
+    assert exponent_pairing(np.array([[0.5, 1.0]]), (1, 2), 4).tolist() == [2.5]
+    assert exponent_pairing(np.array([[0.5, 1.0]]), [(1, 2), (2, 0)], 4).tolist() == [[2.5, 1.0]]
+    assert exponent_pairing(np.zeros((3, 0)), (), 5).tolist() == [0.0, 0.0, 0.0]

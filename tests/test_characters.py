@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import json
 import math
 import random
@@ -48,6 +49,7 @@ from heckelab.quadfield import (
     make_field,
     prime_ideals_above,
     principal_ideal,
+    ring_class_dlog,
     unit_ideal,
 )
 
@@ -652,6 +654,28 @@ def test_ring_class_character_basics():
     assert oracles.rho_value_complex(rho, p5) == 0
     trivial = ring_class_character(f, 5, (0,))
     assert trivial.is_trivial()
+
+
+@pytest.mark.parametrize("D, c, orders", [(-23, 8, (2, 6)), (-4, 65, (2, 12))])
+def test_ring_class_values_on_a_non_cyclic_group(D, c, orders):
+    # Pic(O_c) of discriminant -1472 and -16900: every character, by
+    # value_exponents and value_exponent, at an ideal of every class, against
+    # n sum_i t_i d_i / h_i in fractions, and its order against lcm h_i/(t_i, h_i)
+    field = make_field(D)
+    assert class_group(c * c * D).orders == orders
+    by_class = {}
+    for a in enumerate_ideals(field, 400):
+        if math.gcd(a.norm, c) == 1:
+            by_class.setdefault(ring_class_dlog(field, c, a), a)
+    assert len(by_class) == math.prod(orders)
+    ideals, classes = list(by_class.values()), np.array(list(by_class), dtype=float)
+    for t in itertools.product(*map(range, orders)):
+        rho = ring_class_character(field, c, t)
+        n = math.lcm(*(h // math.gcd(ti, h) for ti, h in zip(t, orders)))
+        assert rho.order == n
+        want = [n * sum(Fraction(ti * di, h) for ti, di, h in zip(t, d, orders)) % n for d in by_class]
+        assert rho.value_exponents(classes, ideals).tolist() == want
+        assert [rho.value_exponent(a) for a in ideals] == want
 
 
 def test_ring_class_character_reads_its_class_group_once(monkeypatch):

@@ -227,10 +227,12 @@ EXACT_SIDE_FAMILIES = [(-4, (5, 13), 65, 1), (-23, (2, 3), 72, 0), (-3, (2, 5), 
 def test_exact_side_matches_the_per_ideal_oracle(D, P, c_max, failed):
     """Every record's exact side against the per-ideal references of oracles.
 
+    rho.value_exponents over the walk's classes of every record's prefix
+    equals rho's exponent at each ideal, read in fractions (orbit_exponents).
     The scan's N_counts, failed records included, equal count_N_total over
-    rho.value_exponent at every ideal; the exact average of each a_n, from
-    the record's orbit weights, is within 1e-12 of twist_average_value
-    summed over the ideals of norm n.
+    those exponents; the exact average of each a_n, from the record's orbit
+    weights, is within 1e-12 of twist_average_value summed over the ideals
+    of norm n.
     """
     field = make_field(D)
     phi = build_hecke_character(field, canonical_epsilon(field))
@@ -246,6 +248,9 @@ def test_exact_side_matches_the_per_ideal_oracle(D, P, c_max, failed):
         bound = int(f ** max(family.T_EXPONENTS))
         ideals = walk.ideals(bound)
         ks = oracles.orbit_exponents(phi, rho, ideals)
+        usable, classes = walk.dlogs(rho, ideals)
+        exponents = rho.value_exponents(classes, ideals).tolist()
+        assert [k if ok else None for k, ok in zip(exponents, usable)] == ks, where
         thresholds = [(alpha, f**alpha) for alpha in family.T_EXPONENTS]
         assert record.N_counts == {
             repr(alpha): {"t": int(t), "N": oracles.count_N_total(ideals, ks, rho.order, t)}
@@ -257,24 +262,33 @@ def test_exact_side_matches_the_per_ideal_oracle(D, P, c_max, failed):
         assert (abs(exact - want) <= 1e-12 * np.maximum(1.0, abs(want))).all(), where
 
 
+def _halves(field, c, ideal):
+    # no integer class vector: rho's value is then no root of unity of its order
+    return tuple(Fraction(1, 2) for _ in class_group(c * c * field.D).orders)
+
+
+def _half_read_error(ideal):
+    """The error of a c = 5 record over Q(i) whose first class read, at
+    ideal, is a half: rho of order 2 is zeta_2^(1/2) there."""
+    return (
+        f"NoConsistentLift: ring class value exponent 0.5 of {ideal!r} is not a multiple"
+        " of 1, so rho of order 2 cannot take it"
+    )
+
+
 def test_family_side_class_read_is_certified(gauss, monkeypatch):
     # the exact side reads rho's classes itself: a doctored read there alone,
-    # with twist_orbit's reads untouched, fails the step certificate at the
-    # first ideal the c = 5 record reads, the unit ideal
+    # with twist_orbit's reads untouched, fails the one certificate of
+    # RingClassCharacter.value_exponents at the first ideal the c = 5 record
+    # reads, the unit ideal
     field, phi = gauss
     orbits = family.enumerate_twists(field, (5,), 5)
-
-    def halves(field, c, ideal):
-        return tuple(Fraction(1, 2) for _ in class_group(c * c * field.D).orders)
-
     monkeypatch.setattr(family, "enumerate_twists", lambda *args: orbits)
-    monkeypatch.setattr(family, "ring_class_dlog", halves)
+    monkeypatch.setattr(family, "ring_class_dlog", _halves)
     records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     # c = 1 has a trivial ring class group, so its classes are empty vectors
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
-    assert records[1].error.startswith("NoConsistentLift: ring class value exponent 0.5 of")
-    assert "cannot take it" in records[1].error
-    assert repr(quadfield.unit_ideal(field)) in records[1].error
+    assert records[1].error == _half_read_error(quadfield.unit_ideal(field))
     assert (records[1].N_counts, records[1].main_lemma) == ({}, None)
 
 
@@ -623,18 +637,19 @@ def test_level_count_mismatch_is_recorded(gauss, monkeypatch):
 
 
 def test_inconsistent_ring_class_value_is_recorded(gauss, monkeypatch):
+    # the twist side alone sees the doctored read: twist_orbit reads rho first
+    # at (g) for the first generator g of (O/m)^x, m = lcm(f(phi), 5O), and
+    # fails with the exact side's text, from the one certificate in src/
     field, phi = gauss
-
-    def halves(field, c, ideal):
-        # no integer class vector: rho's value is then no root of unity of its order
-        return tuple(Fraction(1, 2) for _ in class_group(c * c * field.D).orders)
-
-    monkeypatch.setattr(characters, "ring_class_dlog", halves)
+    monkeypatch.setattr(characters, "ring_class_dlog", _halves)
     records = family.scan_report(field, phi, (5,), 5, tol=1e-8)
     # c = 1 has a trivial ring class group; the c = 5 orbit reads rho
     assert [(r.c, r.error is None) for r in records] == [(1, True), (5, False)]
-    assert records[1].error.startswith("NoConsistentLift")
-    assert "cannot take it" in records[1].error
+    m = characters.ideal_lcm(phi.conductor, quadfield.Ideal(field, 5, 0, 5))
+    g = quadfield.KElt(field, *local_unit_groups(field, m).gens[0])
+    assert records[1].error == _half_read_error(principal_ideal(field, g))
+    src = Path(characters.__file__).parent
+    assert sum(path.read_text().count("cannot take it") for path in src.glob("*.py")) == 1
 
 
 def test_failed_unit_group_certificate_is_recorded(gauss, monkeypatch):
@@ -727,6 +742,31 @@ def test_members_that_disagree_on_vanishing_fail_the_record(gauss):
     assert failed.error == "SignMismatch: orbit 65:(0, 3) has mixed verdicts ['zero', 'nonzero']"
     assert failed.verdict == "indeterminate"
     assert records[65, (0, 6)].verdict == "zero"
+
+
+# (D, h, p, c_max): fields where p is unramified, one for each h = 1, 2, 3, 4
+# and each p.  A sweep of every fundamental D in (-400, -3] at P = (3,),
+# c <= 9, and P = (2,), c <= 8, failed records only where p ramifies
+UNRAMIFIED_FAMILIES = [
+    (-4, 1, 3, 9),
+    (-20, 2, 3, 9),
+    (-23, 3, 3, 9),
+    (-56, 4, 3, 9),
+    (-7, 1, 2, 8),
+    (-15, 2, 2, 8),
+    (-23, 3, 2, 8),
+    (-39, 4, 2, 8),
+]
+
+
+@pytest.mark.parametrize("D, h, p, c_max", UNRAMIFIED_FAMILIES)
+def test_families_of_an_unramified_prime_fail_no_record(D, h, p, c_max):
+    field = make_field(D)
+    assert (field.h, field.kronecker(p) != 0) == (h, True)
+    phi = build_hecke_character(field, canonical_epsilon(field))
+    records = family.scan_report(field, phi, (p,), c_max, tol=1e-8)
+    assert max(r.c for r in records) > 1
+    assert [(r.c, r.exponents, r.error) for r in records if r.error] == []
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -191,8 +191,7 @@ BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 # every `@` of src/, as module.function, and why numpy computes it without
 # BLAS
 MATMULS = {
-    "characters._unit_exponents": "int64",
-    "family._exact_conductor": "int64",
+    "arith.exponent_pairing": "int64",
 }
 
 
